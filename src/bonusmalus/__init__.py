@@ -51,14 +51,12 @@ from .model import (
     Portfolio,
     RiskClass,
     SeverityRule,
-    poisson_truncation_bound,
     validate_model,
     validate_rule,
 )
 from .quadrature import (
     QuadratureGrid,
     build_grid,
-    expect,
     marginal_grid,
     severity_marginal_quantile,
 )
@@ -69,6 +67,7 @@ from .relativity import (
     optimal_relativity_dependent,
     optimal_relativity_frequency,
     optimal_relativity_severity,
+    unconditional_level_distribution,
 )
 from .simulate import (
     SimConfig,
@@ -78,20 +77,8 @@ from .simulate import (
     hmse_empirical,
     simulate_paths,
 )
-from .stationary import (
-    conditional_stationary_field,
-    power_iteration_stationary,
-    stationary_distribution,
-    unconditional_level_distribution,
-)
-from .transition import (
-    build_matrix,
-    build_matrix_freq,
-    build_matrix_sev,
-    claim_count_pmf,
-    exceedance_profile,
-    severity_exceedance,
-)
+from .stationary import conditional_stationary_field, stationary_distribution
+from .transition import build_matrices, exceedance_profile
 from .verify import BatteryReport, OracleCheck, check_rule, oracle_agreement_battery
 
 __version__ = "0.1.0"
@@ -138,16 +125,12 @@ __all__ = [
     "bayes_agg_premium_fullhist",
     "bayes_freq_premium",
     "build_grid",
-    "build_matrix",
-    "build_matrix_freq",
-    "build_matrix_sev",
+    "build_matrices",
     "check_rule",
-    "claim_count_pmf",
     "conditional_stationary_field",
     "empirical_frequency_relativity",
     "empirical_relativity",
     "exceedance_profile",
-    "expect",
     "hmse_empirical",
     "hmse_eval",
     "marginal_grid",
@@ -156,11 +139,8 @@ __all__ = [
     "optimal_relativity_frequency",
     "optimal_relativity_severity",
     "oracle_agreement_battery",
-    "poisson_truncation_bound",
     "posterior_density",
-    "power_iteration_stationary",
     "rule_dominance_check",
-    "severity_exceedance",
     "severity_marginal_quantile",
     "simulate_paths",
     "stationary_distribution",

@@ -238,23 +238,6 @@ class ModelSpec:
     frequency: PoissonFrequency = PoissonFrequency()
 
 
-def poisson_truncation_bound(mean: float, tail: float = 1e-12) -> int:
-    """Smallest count whose Poisson upper tail falls below ``tail``.
-
-    Bounds every truncated claim-count sum used by the transition oracle;
-    the bound is computed on the largest conditional mean in play.
-    """
-    from scipy import stats
-
-    if mean <= 0:
-        return 1
-    n = int(stats.poisson.isf(tail, mean))
-    # isf can land one short of the requested tail mass; nudge upward.
-    while stats.poisson.sf(n, mean) >= tail:
-        n += 1
-    return n + 1
-
-
 def _validate_rule(rule: BmsRule) -> None:
     if rule.max_level < 1:
         raise InvalidRuleError(f"need at least two levels, got max_level={rule.max_level}")

@@ -16,7 +16,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 from scipy import stats
 
-from .errors import BracketingFailureError, NonFiniteIntegrandError, UnsupportedEffectsError
+from .errors import BracketingFailureError, UnsupportedEffectsError
 from .model import (
     DegenerateEffects,
     GammaSeverity,
@@ -135,20 +135,6 @@ def marginal_grid(
             weights.append(branch_weight * v)
         return np.concatenate(values), np.concatenate(weights)
     raise UnsupportedEffectsError(f"no quadrature scheme for {type(effects).__name__}")
-
-
-def expect(f, grid: QuadratureGrid) -> float:
-    """Expectation of ``f(theta1, theta2)`` on a grid.
-
-    ``f`` must accept numpy arrays.  Summation is compensated and in fixed
-    node order, so results are deterministic across runs and platforms.
-    """
-    values = np.asarray(f(grid.theta1, grid.theta2), dtype=float)
-    if values.shape != grid.weights.shape:
-        values = np.broadcast_to(values, grid.weights.shape)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteIntegrandError("integrand is not finite on all quadrature nodes")
-    return math.fsum((grid.weights * values).tolist())
 
 
 def severity_cdf(x, mean, law: SeverityLaw):

@@ -24,14 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BonusMalusError, LevelMismatchError
+from .errors import LevelMismatchError
 from .model import BmsRule, FreqRule, ModelSpec, SeverityRule
-from .quadrature import DEFAULT_NODES, build_grid, marginal_grid
-from .stationary import _stationary_batch, conditional_stationary_field
-from .transition import build_matrix_freq
+from .quadrature import DEFAULT_NODES, QuadratureGrid, build_grid, marginal_grid
+from .stationary import conditional_stationary_field
 
 MASS_FLOOR = 1e-14
-DUAL_ROUTE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -95,8 +93,9 @@ class _MomentField:
     ``target[l]``  -- E[premium_factor^2 * target ; L = l]
     ``second[l]``  -- E[premium_factor^2 * target^2 ; L = l]
 
-    where the premium factor is the squared a priori rate product and the
-    target is the effect product the relativity should track.
+    where the premium factor is the family's a priori rate (the frequency
+    rate, or frequency times severity rate) and the target is the effect, or
+    effect product, the relativity should track.
     """
 
     mass: np.ndarray
@@ -106,24 +105,9 @@ class _MomentField:
     norm: float
 
 
-def _freq_field(model: ModelSpec, rule: FreqRule, nodes: int) -> _MomentField:
-    theta1, w1 = marginal_grid(model.effects, 1, nodes)
-    levels = rule.levels
-    mass = np.zeros(levels)
-    prem = np.zeros(levels)
-    target = np.zeros(levels)
-    second = np.zeros(levels)
-    norm = 0.0
-    for cls in model.portfolio.classes:
-        uniq, inverse = np.unique(cls.freq_rate * theta1, return_inverse=True)
-        pis = _stationary_batch(np.stack([build_matrix_freq(rule, m) for m in uniq]))[inverse]
-        lam_sq = cls.freq_rate**2
-        mass += cls.weight * (w1 @ pis)
-        prem += cls.weight * lam_sq * (w1 @ pis)
-        target += cls.weight * lam_sq * ((w1 * theta1) @ pis)
-        second += cls.weight * lam_sq * ((w1 * theta1**2) @ pis)
-        norm += cls.weight * lam_sq
-    return _MomentField(mass, prem, target, second, norm)
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 @lru_cache(maxsize=16)
@@ -132,15 +116,30 @@ def _joint_stationary(model: ModelSpec, rule: BmsRule, nodes: int):
 
     Threshold scans and score evaluations hit the same (model, rule, nodes)
     keys repeatedly; the linear solves dominate cost and are reused here.
-    Callers must treat the returned arrays as read-only.
+    The returned arrays are read-only, since every caller shares them.
     """
     grid = build_grid(model.effects, nodes)
-    return grid, conditional_stationary_field(model, rule, grid)
+    field = conditional_stationary_field(model, rule, grid)
+    _read_only(grid.theta1, grid.theta2, grid.weights, field)
+    return grid, field
 
 
 @lru_cache(maxsize=128)
-def _aggregate_field(model: ModelSpec, rule: BmsRule, nodes: int) -> _MomentField:
-    grid, field = _joint_stationary(model, rule, nodes)
+def _moment_field(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> _MomentField:
+    """Per-level moments of one relativity family; cached, with read-only arrays.
+
+    The ``"frequency"`` family targets the frequency effect with premium
+    factor ``freq_rate**2`` and integrates over the frequency marginal alone,
+    held as a grid whose severity effect is 1 (so the effect product is the
+    frequency effect exactly).  The ``"aggregate"`` family targets the effect
+    product with premium factor ``(freq_rate * sev_rate)**2`` on the joint grid.
+    """
+    if family == "frequency":
+        theta1, w1 = marginal_grid(model.effects, 1, nodes)
+        grid = QuadratureGrid(theta1, np.ones_like(theta1), w1, "frequency-marginal", nodes)
+        field = conditional_stationary_field(model, rule, grid)
+    else:
+        grid, field = _joint_stationary(model, rule, nodes)
     prod = grid.theta1 * grid.theta2
     levels = rule.levels
     mass = np.zeros(levels)
@@ -149,14 +148,28 @@ def _aggregate_field(model: ModelSpec, rule: BmsRule, nodes: int) -> _MomentFiel
     second = np.zeros(levels)
     norm = 0.0
     for ci, cls in enumerate(model.portfolio.classes):
-        lam_sq = (cls.freq_rate * cls.sev_rate) ** 2
+        rate = cls.freq_rate if family == "frequency" else cls.freq_rate * cls.sev_rate
+        lam_sq = rate**2
         pis = field[ci]
         mass += cls.weight * (grid.weights @ pis)
         prem += cls.weight * lam_sq * (grid.weights @ pis)
         target += cls.weight * lam_sq * ((grid.weights * prod) @ pis)
         second += cls.weight * lam_sq * ((grid.weights * prod**2) @ pis)
         norm += cls.weight * lam_sq
+    _read_only(mass, prem, target, second)
     return _MomentField(mass, prem, target, second, norm)
+
+
+def unconditional_level_distribution(
+    model: ModelSpec, rule: BmsRule, nodes: int = DEFAULT_NODES
+) -> np.ndarray:
+    """Level distribution of a randomly drawn policyholder in steady state.
+
+    Frequency-driven rules integrate over the frequency effect marginal only;
+    severity-aware rules require the full joint grid.  Read-only.
+    """
+    family = "frequency" if isinstance(rule, FreqRule) else "aggregate"
+    return _moment_field(model, rule, nodes, family).mass
 
 
 def _ratio(field: _MomentField) -> np.ndarray:
@@ -164,20 +177,6 @@ def _ratio(field: _MomentField) -> np.ndarray:
     r = np.full(field.mass.shape, np.nan)
     r[defined] = field.target[defined] / field.prem_sq[defined]
     return r
-
-
-def _dual_route_check(field: _MomentField) -> None:
-    # The ratio can be taken directly or through the mass-normalized
-    # conditional moments (the level mass cancels); both evaluations must
-    # agree, which guards the moment bookkeeping.
-    defined = field.mass > MASS_FLOOR
-    direct = field.target[defined] / field.prem_sq[defined]
-    via_mass = (field.target[defined] / field.mass[defined]) / (
-        field.prem_sq[defined] / field.mass[defined]
-    )
-    scale = np.maximum(np.abs(direct), 1e-300)
-    if np.max(np.abs(direct - via_mass) / scale) > DUAL_ROUTE_TOL:
-        raise BonusMalusError("conditional-moment routes disagree beyond 1e-10")
 
 
 def _hmse_from_field(field: _MomentField, relativities: np.ndarray) -> tuple[float, float]:
@@ -197,7 +196,7 @@ def optimal_relativity_frequency(
     """
     if not isinstance(rule, FreqRule):
         raise LevelMismatchError("frequency relativities require a frequency-driven rule")
-    field = _freq_field(model, rule, nodes)
+    field = _moment_field(model, rule, nodes, "frequency")
     r = _ratio(field)
     raw, normalized = _hmse_from_field(field, r)
     return RelativityTable(rule, r, field.mass, raw, normalized, "frequency", nodes)
@@ -209,8 +208,7 @@ def optimal_relativity_dependent(
     """Optimal aggregate-loss relativities under a frequency-driven chain."""
     if not isinstance(rule, FreqRule):
         raise LevelMismatchError("the dependence-adjusted family requires a frequency-driven rule")
-    field = _aggregate_field(model, rule, nodes)
-    _dual_route_check(field)
+    field = _moment_field(model, rule, nodes, "aggregate")
     r = _ratio(field)
     raw, normalized = _hmse_from_field(field, r)
     return RelativityTable(rule, r, field.mass, raw, normalized, "aggregate", nodes)
@@ -222,8 +220,7 @@ def optimal_relativity_severity(
     """Optimal aggregate-loss relativities under a severity-aware chain."""
     if not isinstance(rule, SeverityRule):
         raise LevelMismatchError("the severity family requires a severity-aware rule")
-    field = _aggregate_field(model, rule, nodes)
-    _dual_route_check(field)
+    field = _moment_field(model, rule, nodes, "aggregate")
     r = _ratio(field)
     raw, normalized = _hmse_from_field(field, r)
     return RelativityTable(rule, r, field.mass, raw, normalized, "aggregate", nodes)
@@ -235,10 +232,7 @@ def balance_check(model: ModelSpec, table: RelativityTable) -> BalanceReport:
     At the optimum every defined level has zero premium-weighted residual and
     the portfolio-level premium identity holds up to quadrature roundoff.
     """
-    if table.family == "frequency":
-        field = _freq_field(model, table.rule, table.nodes)
-    else:
-        field = _aggregate_field(model, table.rule, table.nodes)
+    field = _moment_field(model, table.rule, table.nodes, table.family)
     defined = field.mass > MASS_FLOOR
     residuals = np.full(field.mass.shape, np.nan)
     r = table.scoring_relativities()

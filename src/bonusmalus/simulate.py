@@ -24,6 +24,7 @@ from .model import (
     MixtureExponentialEffects,
     ModelSpec,
     SeverityRule,
+    validate_rule,
 )
 from .transition import exceedance_profile
 
@@ -128,7 +129,9 @@ def _draw_profile(model: ModelSpec, rng: np.random.Generator, size: int):
 
 def simulate_paths(cfg: SimConfig) -> SimSummary:
     """Evolve policyholder level chains and collect stationary statistics."""
-    rule = cfg.rule
+    rule = validate_rule(cfg.rule)
+    if cfg.n_paths < 1:
+        raise ValueError(f"need at least one path, got n_paths={cfg.n_paths}")
     z = rule.max_level
     levels = rule.levels
     if not 0 <= cfg.start_level <= z:

@@ -1,8 +1,8 @@
 """Stationary level distributions of bonus-malus chains.
 
-The conditional stationary row for one profile solves a rank-corrected linear
-system; the unconditional level distribution of a randomly drawn policyholder
-mixes conditional rows over risk classes and the random-effect law.
+Every stationary row solves the all-ones rank correction of ``I - P`` (one
+linear solve, no matrix inversion), batched over transition matrices.  The
+conditional field holds one row per (risk class, quadrature node) pair.
 """
 
 from __future__ import annotations
@@ -12,67 +12,12 @@ import warnings
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import FreqRule, ModelSpec, SeverityRule
-from .quadrature import QuadratureGrid, build_grid, marginal_grid
-from .transition import build_matrix_freq, build_matrix_sev, exceedance_profile
+from .model import ModelSpec, SeverityRule
+from .quadrature import QuadratureGrid
+from .transition import build_matrices, exceedance_profile
 
 COND_WARN = 1e12
 RESIDUAL_TOL = 1e-10
-
-
-def _solve_stationary(P: np.ndarray) -> np.ndarray:
-    n = P.shape[0]
-    A = np.eye(n) - P + np.ones((n, n))
-    try:
-        pi = np.linalg.solve(A.T, np.ones(n))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"stationary system is singular: {exc}") from exc
-    return pi
-
-
-def stationary_distribution(P: np.ndarray, cross_check: bool = False) -> np.ndarray:
-    """Stationary distribution of a row-stochastic level chain.
-
-    Solves the all-ones rank correction of ``I - P`` (one linear solve, no
-    matrix inversion).  With ``cross_check`` the result is also verified
-    against a power-iteration oracle to 1e-9.
-    """
-    P = np.asarray(P, dtype=float)
-    rows = P.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > 1e-9 or np.min(P) < -1e-15:
-        raise ValueError("matrix is not row-stochastic")
-    A = np.eye(P.shape[0]) - P + 1.0
-    cond = np.linalg.cond(A)
-    if cond > COND_WARN:
-        warnings.warn(
-            f"stationary system condition number {cond:.3g} exceeds {COND_WARN:.0e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    pi = _solve_stationary(P)
-    residual = np.max(np.abs(pi @ P - pi))
-    if not np.isfinite(residual) or residual > RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"stationary residual {residual!r} exceeds {RESIDUAL_TOL}; chain is not unichain"
-        )
-    if cross_check:
-        ref = power_iteration_stationary(P)
-        if np.max(np.abs(ref - pi)) > 1e-9:
-            raise SingularSystemError("linear solve disagrees with power iteration beyond 1e-9")
-    return pi
-
-
-def power_iteration_stationary(P: np.ndarray, doublings: int = 60) -> np.ndarray:
-    """Stationary distribution by repeated squaring of the transition matrix.
-
-    Verification oracle only; the production path is the linear solve.
-    """
-    Q = np.asarray(P, dtype=float)
-    for _ in range(doublings):
-        Q = Q @ Q
-        Q /= Q.sum(axis=1, keepdims=True)
-    pi = Q.mean(axis=0)
-    return pi / pi.sum()
 
 
 def _stationary_batch(Ps: np.ndarray) -> np.ndarray:
@@ -90,56 +35,54 @@ def _stationary_batch(Ps: np.ndarray) -> np.ndarray:
     return pis
 
 
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a row-stochastic level chain.
+
+    Warns when the rank-corrected system is ill-conditioned and rejects a
+    solution whose fixed-point residual exceeds 1e-10.
+    """
+    P = np.asarray(P, dtype=float)
+    rows = P.sum(axis=1)
+    if np.max(np.abs(rows - 1.0)) > 1e-9 or np.min(P) < -1e-15:
+        raise ValueError("matrix is not row-stochastic")
+    A = np.eye(P.shape[0]) - P + 1.0
+    cond = np.linalg.cond(A)
+    if cond > COND_WARN:
+        warnings.warn(
+            f"stationary system condition number {cond:.3g} exceeds {COND_WARN:.0e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    pi = _stationary_batch(P[None])[0]
+    residual = np.max(np.abs(pi @ P - pi))
+    if not np.isfinite(residual) or residual > RESIDUAL_TOL:
+        raise SingularSystemError(
+            f"stationary residual {residual!r} exceeds {RESIDUAL_TOL}; chain is not unichain"
+        )
+    return pi
+
+
 def conditional_stationary_field(
     model: ModelSpec, rule, grid: QuadratureGrid
 ) -> np.ndarray:
     """Stationary rows for every (risk class, quadrature node) pair.
 
-    Returns an array of shape ``(classes, grid.size, levels)``.  For
-    frequency-driven rules the rows depend on the node only through the
-    frequency effect, so duplicate effect values are solved once.
+    Returns an array of shape ``(classes, grid.size, levels)``.  A node
+    enters only through its claim mean and its exceedance (zero under a
+    frequency rule), so equal (mean, exceedance) pairs are solved once: a
+    frequency rule needs one solve per distinct frequency effect.
     """
     classes = model.portfolio.classes
     out = np.empty((len(classes), grid.size, rule.levels))
     for ci, cls in enumerate(classes):
         freq_means = cls.freq_rate * grid.theta1
-        if isinstance(rule, FreqRule):
-            uniq, inverse = np.unique(freq_means, return_inverse=True)
-            Ps = np.stack([build_matrix_freq(rule, m) for m in uniq])
-            out[ci] = _stationary_batch(Ps)[inverse]
-        elif isinstance(rule, SeverityRule):
-            sev_means = cls.sev_rate * grid.theta2
-            exceed = exceedance_profile(rule.threshold, sev_means, model.severity)
-            Ps = np.stack(
-                [build_matrix_sev(rule, m, q) for m, q in zip(freq_means, exceed)]
-            )
-            out[ci] = _stationary_batch(Ps)
+        if isinstance(rule, SeverityRule):
+            exceed = exceedance_profile(rule.threshold, cls.sev_rate * grid.theta2, model.severity)
         else:
-            raise TypeError(f"unknown rule type {type(rule).__name__}")
+            exceed = np.zeros_like(freq_means)
+        profiles, inverse = np.unique(
+            np.column_stack([freq_means, exceed]), axis=0, return_inverse=True
+        )
+        Ps = build_matrices(rule, profiles[:, 0], profiles[:, 1])
+        out[ci] = _stationary_batch(Ps)[inverse]
     return out
-
-
-def unconditional_level_distribution(
-    model: ModelSpec, rule, nodes: int | None = None, grid: QuadratureGrid | None = None
-) -> np.ndarray:
-    """Level distribution of a randomly drawn policyholder in steady state.
-
-    Frequency-driven rules integrate over the frequency effect marginal only;
-    severity-aware rules require the full joint grid.
-    """
-    from .quadrature import DEFAULT_NODES
-
-    n = DEFAULT_NODES if nodes is None else nodes
-    weights = model.portfolio.weights
-    if isinstance(rule, FreqRule):
-        theta1, w1 = marginal_grid(model.effects, 1, n)
-        rows = np.zeros(rule.levels)
-        for w_cls, cls in zip(weights, model.portfolio.classes):
-            uniq, inverse = np.unique(cls.freq_rate * theta1, return_inverse=True)
-            pis = _stationary_batch(np.stack([build_matrix_freq(rule, m) for m in uniq]))[inverse]
-            rows = rows + w_cls * (w1 @ pis)
-        return rows
-    if grid is None:
-        grid = build_grid(model.effects, n)
-    field = conditional_stationary_field(model, rule, grid)
-    return np.einsum("k,n,knl->l", weights, grid.weights, field)

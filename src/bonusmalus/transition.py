@@ -5,7 +5,9 @@ year moves one level down, every claim moves the level up by its penalty
 step, capped at the top level.  Under a severity-aware rule each claim is
 independently "large" with the exceedance probability of the claim-size law
 at the rule's threshold, so the up-move mass mixes a Poisson count with a
-binomial split into small and large claims.
+binomial split into small and large claims.  A frequency-driven rule is the
+severity-aware rule whose small and large claims move the same number of
+levels, so one builder serves both families.
 """
 
 from __future__ import annotations
@@ -16,55 +18,18 @@ import numpy as np
 from scipy import stats
 from scipy.special import gammaln
 
-from .model import FreqRule, GammaSeverity, PoissonSeverity, SeverityLaw, SeverityRule
 from .errors import UnsupportedEffectsError
+from .model import FreqRule, GammaSeverity, PoissonSeverity, SeverityLaw, validate_rule
 
 EXACT_COMB_LIMIT = 30
 
 
-def claim_count_pmf(k: int, mean: float) -> float:
-    """Poisson probability of ``k`` claims at the given conditional mean.
-
-    Evaluated in log space so extreme means stay finite.
-    """
-    if k < 0:
-        return 0.0
-    if mean <= 0.0:
-        return 1.0 if k == 0 else 0.0
-    if k == 0:
-        return math.exp(-mean)
-    return math.exp(k * math.log(mean) - mean - gammaln(k + 1))
-
-
-def _pmf_vector(max_k: int, mean: float) -> np.ndarray:
-    k = np.arange(max_k + 1)
-    if mean <= 0.0:
-        out = np.zeros(max_k + 1)
-        out[0] = 1.0
-        return out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pmf = k * math.log(mean) - mean - gammaln(k + 1)
-    return np.exp(log_pmf)
-
-
-def severity_exceedance(threshold: float, mean: float, law: SeverityLaw) -> float:
-    """Probability that a single claim exceeds ``threshold``.
+def exceedance_profile(threshold: float, means: np.ndarray, law: SeverityLaw) -> np.ndarray:
+    """Probability that a single claim exceeds ``threshold``, per conditional mean.
 
     Gamma sizes use the survival function of the mean-parameterized gamma;
     Poisson sizes the discrete upper tail.  Decreasing in the threshold.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    if isinstance(law, GammaSeverity):
-        shape = law.shape
-        return float(stats.gamma.sf(threshold, shape, scale=mean / shape))
-    if isinstance(law, PoissonSeverity):
-        return float(stats.poisson.sf(math.floor(threshold), mean))
-    raise UnsupportedEffectsError(f"no claim-size law for {type(law).__name__}")
-
-
-def exceedance_profile(threshold: float, means: np.ndarray, law: SeverityLaw) -> np.ndarray:
-    """Vectorized claim-size exceedance over an array of conditional means."""
     means = np.asarray(means, dtype=float)
     if isinstance(law, GammaSeverity):
         shape = law.shape
@@ -80,72 +45,67 @@ def _binom(n: int, k: int) -> float:
     return math.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
 
 
-def build_matrix_freq(rule: FreqRule, freq_mean: float) -> np.ndarray:
-    """Transition matrix for a frequency-driven rule at one Poisson mean.
+def _pmf_rows(max_k: int, means: np.ndarray) -> np.ndarray:
+    """Poisson probabilities of 0..max_k claims, one row per mean.
 
-    Row ``l`` places the no-claim mass on ``max(l - 1, 0)``, the k-claim mass
-    on ``l + k * step`` for targets below the top, and the exact complement on
-    the top (absorbing all larger jumps).
+    Evaluated in log space so extreme means stay finite; a mean of zero puts
+    all mass on no claims.
     """
-    z = rule.max_level
-    h = rule.step
-    q1 = _pmf_vector(max(z // h + 1, 1), freq_mean)
-    P = np.zeros((z + 1, z + 1))
-    for lvl in range(z + 1):
-        P[lvl, max(lvl - 1, 0)] = q1[0]
-        for k in range(1, (z - 1 - lvl) // h + 1):
-            P[lvl, lvl + k * h] = q1[k]
-        # The complement is nonnegative; guard against a -1ulp rounding.
-        P[lvl, z] = max(1.0 - P[lvl, :z].sum(), 0.0)
-    return P
+    k = np.arange(max_k + 1)
+    positive = means > 0.0
+    log_mean = np.log(np.where(positive, means, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = k * log_mean[:, None] - means[:, None] - gammaln(k + 1)
+    q = np.exp(log_pmf)
+    q[~positive] = 0.0
+    q[~positive, 0] = 1.0
+    return q
 
 
-def _upmove_prob(gap: int, small: int, large: int, q1: np.ndarray, exceed: float) -> float:
-    """Mass of moving exactly ``gap`` levels up in one year.
+def build_matrices(rule, freq_means, exceed) -> np.ndarray:
+    """Transition matrices for a stack of policyholder profiles.
 
-    Sums over large-claim counts whose remaining gap is divisible by the
-    small step; the count bound is exact integer arithmetic, never a float
-    membership test.
+    ``freq_means`` are conditional Poisson claim means and ``exceed`` the
+    probabilities that a single claim exceeds the rule's threshold; they
+    broadcast to ``N`` profiles and the result has shape ``(N, z+1, z+1)``.
+    A ``FreqRule`` is the equal-step rule at exceedance 0.
+
+    Row ``l`` places the no-claim mass on ``max(l - 1, 0)``, the mass of
+    moving exactly ``g`` levels up on ``l + g`` for targets below the top,
+    and the exact complement on the top (absorbing all larger jumps), which
+    keeps rows stochastic to machine precision.
     """
-    total = 0.0
-    for k2 in range(gap // large + 1):
-        remainder = gap - k2 * large
-        if remainder % small != 0:
-            continue
-        k1 = remainder // small
-        # 0**0 == 1 covers the exceed in {0, 1} boundary rules.
-        total += (
-            q1[k1 + k2] * _binom(k1 + k2, k2) * exceed**k2 * (1.0 - exceed) ** k1
-        )
-    return total
-
-
-def build_matrix_sev(rule: SeverityRule, freq_mean: float, exceed_prob: float) -> np.ndarray:
-    """Transition matrix for a severity-aware rule.
-
-    ``exceed_prob`` is the probability that a single claim exceeds the rule's
-    threshold for this profile.  The top column takes the complement of each
-    row, which keeps rows stochastic to machine precision.
-    """
-    if not 0.0 <= exceed_prob <= 1.0:
-        raise ValueError(f"exceedance probability {exceed_prob} outside [0, 1]")
-    z = rule.max_level
-    q1 = _pmf_vector(max(z // rule.small_step + 1, 1), freq_mean)
-    P = np.zeros((z + 1, z + 1))
-    for lvl in range(z + 1):
-        P[lvl, max(lvl - 1, 0)] = q1[0]
-        for target in range(lvl + 1, z):
-            P[lvl, target] = _upmove_prob(
-                target - lvl, rule.small_step, rule.large_step, q1, exceed_prob
-            )
-        P[lvl, z] = max(1.0 - P[lvl, :z].sum(), 0.0)
-    return P
-
-
-def build_matrix(rule, freq_mean: float, exceed_prob: float = 0.0) -> np.ndarray:
-    """Dispatch to the matrix builder matching the rule family."""
+    validate_rule(rule)
     if isinstance(rule, FreqRule):
-        return build_matrix_freq(rule, freq_mean)
-    if isinstance(rule, SeverityRule):
-        return build_matrix_sev(rule, freq_mean, exceed_prob)
-    raise TypeError(f"unknown rule type {type(rule).__name__}")
+        small = large = rule.step
+    else:
+        small, large = rule.small_step, rule.large_step
+    means, exceed = (
+        np.array(a, dtype=float)
+        for a in np.broadcast_arrays(np.atleast_1d(freq_means), np.atleast_1d(exceed))
+    )
+    if not np.all((exceed >= 0.0) & (exceed <= 1.0)):
+        raise ValueError("exceedance probabilities must lie in [0, 1]")
+    z = rule.max_level
+    q1 = _pmf_rows(max(z // small + 1, 1), means)
+    # up[:, g] is the mass of moving exactly g levels up.  The (k1, k2)
+    # small/large claim pairs of a gap do not depend on the profile; the count
+    # bound is exact integer arithmetic, never a float membership test.
+    up = np.zeros((means.size, z))
+    for gap in range(1, z):
+        for k2 in range(gap // large + 1):
+            remainder = gap - k2 * large
+            if remainder % small != 0:
+                continue
+            k1 = remainder // small
+            # 0**0 == 1 covers the exceed in {0, 1} boundary rules.
+            up[:, gap] += (
+                q1[:, k1 + k2] * _binom(k1 + k2, k2) * exceed**k2 * (1.0 - exceed) ** k1
+            )
+    P = np.zeros((means.size, z + 1, z + 1))
+    for lvl in range(z + 1):
+        P[:, lvl, max(lvl - 1, 0)] = q1[:, 0]
+        P[:, lvl, lvl + 1 : z] = up[:, 1 : z - lvl]
+    # The complement is nonnegative; guard against a -1ulp rounding.
+    P[:, :, z] = np.maximum(1.0 - P[:, :, :z].sum(axis=2), 0.0)
+    return P

@@ -19,6 +19,7 @@ from .relativity import (
     RelativityTable,
     optimal_relativity_dependent,
     optimal_relativity_severity,
+    unconditional_level_distribution,
 )
 from .simulate import (
     MIN_LEVEL_VISITS,
@@ -28,7 +29,6 @@ from .simulate import (
     hmse_empirical,
     simulate_paths,
 )
-from .stationary import unconditional_level_distribution
 
 SIGMAS = 3.0
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the production code paths: transition
 masses come from brute-force enumeration over claim-count pairs with the
-level-update indicator, posterior means from adaptive quadrature of the prior
+level-update indicator, stationary rows from repeated squaring of the
+transition matrix, posterior means from adaptive quadrature of the prior
 times the likelihood, and severity tails from direct density integration.
 """
 
@@ -13,7 +14,47 @@ import math
 import numpy as np
 from scipy import integrate, stats
 
+from bonusmalus import NonFiniteIntegrandError
 from bonusmalus.model import FreqRule
+
+
+def poisson_truncation_bound(mean: float, tail: float = 1e-12) -> int:
+    """Smallest count whose Poisson upper tail falls below ``tail``.
+
+    Bounds every truncated claim-count sum used by the transition oracle;
+    the bound is computed on the largest conditional mean in play.
+    """
+    if mean <= 0:
+        return 1
+    n = int(stats.poisson.isf(tail, mean))
+    # isf can land one short of the requested tail mass; nudge upward.
+    while stats.poisson.sf(n, mean) >= tail:
+        n += 1
+    return n + 1
+
+
+def power_iteration_stationary(P: np.ndarray, doublings: int = 60) -> np.ndarray:
+    """Stationary distribution by repeated squaring of the transition matrix."""
+    Q = np.asarray(P, dtype=float)
+    for _ in range(doublings):
+        Q = Q @ Q
+        Q /= Q.sum(axis=1, keepdims=True)
+    pi = Q.mean(axis=0)
+    return pi / pi.sum()
+
+
+def expect(f, grid) -> float:
+    """Expectation of ``f(theta1, theta2)`` on a quadrature grid.
+
+    ``f`` must accept numpy arrays.  Summation is compensated and in fixed
+    node order, so results are deterministic across runs and platforms.
+    """
+    values = np.asarray(f(grid.theta1, grid.theta2), dtype=float)
+    if values.shape != grid.weights.shape:
+        values = np.broadcast_to(values, grid.weights.shape)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteIntegrandError("integrand is not finite on all quadrature nodes")
+    return math.fsum((grid.weights * values).tolist())
 
 
 def indicator_level_update(level: int, k1: int, k2: int, rule) -> int:

@@ -26,7 +26,7 @@ from bonusmalus import (
     severity_marginal_quantile,
     threshold_scan,
 )
-from bonusmalus.relativity import _aggregate_field, _joint_stationary
+from bonusmalus.relativity import _joint_stationary, _moment_field
 from bonusmalus.verify import check_rule
 from conftest import study_model
 from oracles import freq_posterior_mean_quad, joint_posterior_moment_quad
@@ -72,7 +72,7 @@ def test_criterion_1_study_table_reproduction():
     freq_rule = FreqRule(9, 1)
     sev_rule = SeverityRule(9, 1, 2, 16800.0)
     _joint_stationary.cache_clear()
-    _aggregate_field.cache_clear()
+    _moment_field.cache_clear()
     start = time.perf_counter()
     dep = optimal_relativity_dependent(model, freq_rule, 32)
     sev = optimal_relativity_severity(model, sev_rule, 32)
@@ -204,7 +204,7 @@ def test_criterion_7_invariant_suite():
     """Spot re-run of the structural invariants at their stated tolerances."""
     from bonusmalus import (
         balance_check,
-        build_matrix_sev,
+        build_matrices,
         posterior_density,
         stationary_distribution,
     )
@@ -214,7 +214,7 @@ def test_criterion_7_invariant_suite():
     for z, small, large in ((3, 1, 2), (9, 1, 2), (9, 2, 3), (9, 3, 3)):
         for mean in (0.1, 0.5, 2.0):
             for exceed in (0.0, 0.1, 0.5, 1.0):
-                P = build_matrix_sev(SeverityRule(z, small, large, 1.0), mean, exceed)
+                P = build_matrices(SeverityRule(z, small, large, 1.0), mean, exceed)[0]
                 assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
                 pi = stationary_distribution(P)
                 assert np.max(np.abs(pi @ P - pi)) < 1e-10

@@ -220,11 +220,12 @@ class TestConfigHandling:
         path.write_text("{not json")
         assert run(["relativities", "--config", str(path), "--out", str(tmp_path)]) == 2
 
-    def test_invalid_rule_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("verb", ["relativities", "hmse-scan"])
+    def test_invalid_rule_exits_2(self, tmp_path, capsys, verb):
         payload = json.loads(json.dumps(SMALL_MODEL))
         payload["rules"] = [{"max_level": 9, "small_step": 2, "large_step": 1}]
         config = write_config(tmp_path, payload)
-        assert run(["relativities", "--config", config, "--out", str(tmp_path)]) == 2
+        assert run([verb, "--config", config, "--out", str(tmp_path)]) == 2
 
     def test_numeric_failures_exit_3(self, tmp_path, monkeypatch):
         from bonusmalus.errors import BracketingFailureError

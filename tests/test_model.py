@@ -23,11 +23,11 @@ from bonusmalus import (
     RiskClass,
     SeverityRule,
     build_grid,
-    poisson_truncation_bound,
     validate_model,
     validate_rule,
 )
 from conftest import SEV_RATE
+from oracles import poisson_truncation_bound
 
 
 def _spec(classes, effects=DegenerateEffects()):

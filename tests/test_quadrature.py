@@ -16,13 +16,13 @@ from bonusmalus import (
     SeverityRule,
     UnsupportedEffectsError,
     build_grid,
-    expect,
     exceedance_profile,
     marginal_grid,
     optimal_relativity_severity,
     severity_marginal_quantile,
 )
 from conftest import GAMMA_SHAPE, degenerate_model, study_model
+from oracles import expect
 
 
 class TestBuildGrid:

@@ -31,6 +31,21 @@ from conftest import degenerate_model, study_model
 FAR_THRESHOLD = 1e13  # exceedance underflows to exactly zero for all profiles
 
 
+class TestCachedResults:
+    def test_cached_arrays_are_read_only(self, base_model):
+        from bonusmalus.relativity import _joint_stationary
+
+        rule = SeverityRule(9, 1, 2, 16800.0)
+        table = optimal_relativity_severity(base_model, rule)
+        before = table.stationary.copy()
+        with pytest.raises(ValueError):
+            table.stationary[0] = 123.0
+        _, field = _joint_stationary(base_model, rule, 32)
+        with pytest.raises(ValueError):
+            field[0, 0, 0] = 123.0
+        assert np.array_equal(optimal_relativity_severity(base_model, rule).stationary, before)
+
+
 class TestFrequencyFamily:
     def test_degenerate_effect_gives_unit_relativities(self):
         table = optimal_relativity_frequency(degenerate_model(), FreqRule(9, 1))
@@ -89,9 +104,9 @@ class TestDependentFamily:
     def test_moment_routes_agree(self, base_model):
         # Assembled-ratio route versus the printed per-level moment
         # expressions that divide by the level mass on both sides.
-        from bonusmalus.relativity import _aggregate_field
+        from bonusmalus.relativity import _moment_field
 
-        field = _aggregate_field(base_model, FreqRule(9, 1), 32)
+        field = _moment_field(base_model, FreqRule(9, 1), 32, "aggregate")
         direct = field.target / field.prem_sq
         via_mass = (field.target / field.mass) / (field.prem_sq / field.mass)
         assert np.max(np.abs(direct - via_mass) / direct) < 1e-10

@@ -10,6 +10,7 @@ import pytest
 from bonusmalus import (
     FreqRule,
     InsufficientOccupancyError,
+    InvalidRuleError,
     SeverityRule,
     SimConfig,
     empirical_frequency_relativity,
@@ -33,6 +34,14 @@ class TestSimulatePaths:
                 assert np.array_equal(va, vb)
             else:
                 assert va == vb
+
+    def test_empty_run_rejected(self, base_model):
+        with pytest.raises(ValueError):
+            simulate_paths(SimConfig(base_model, FreqRule(9, 1), 0, seed=1))
+
+    def test_invalid_rule_rejected(self, base_model):
+        with pytest.raises(InvalidRuleError):
+            simulate_paths(SimConfig(base_model, SeverityRule(9, 2, 1, 100.0), 1_000, seed=1))
 
     def test_different_seed_changes_the_sample(self, base_model):
         rule = FreqRule(9, 1)

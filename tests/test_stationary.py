@@ -12,31 +12,31 @@ from bonusmalus import (
     SeverityRule,
     SingularSystemError,
     build_grid,
-    build_matrix_freq,
-    build_matrix_sev,
-    power_iteration_stationary,
+    build_matrices,
+    exceedance_profile,
     stationary_distribution,
     unconditional_level_distribution,
 )
 from conftest import degenerate_model, study_model
+from oracles import power_iteration_stationary
 
 
 class TestStationaryDistribution:
     def test_always_move_down_chain(self):
-        pi = stationary_distribution(build_matrix_freq(FreqRule(9, 1), 1e-14))
+        pi = stationary_distribution(build_matrices(FreqRule(9, 1), 1e-14, 0.0)[0])
         expected = np.zeros(10)
         expected[0] = 1.0
         assert np.allclose(pi, expected, atol=1e-9)
 
     def test_agrees_with_power_iteration(self):
-        P = build_matrix_freq(FreqRule(9, 1), 0.5)
-        pi = stationary_distribution(P, cross_check=True)
+        P = build_matrices(FreqRule(9, 1), 0.5, 0.0)[0]
+        pi = stationary_distribution(P)
         assert np.max(np.abs(pi - power_iteration_stationary(P))) < 1e-9
 
     @pytest.mark.parametrize("mean", [0.1, 0.5, 2.0])
     @pytest.mark.parametrize("z,small,large", [(3, 1, 2), (9, 1, 2), (9, 2, 3)])
     def test_fixed_point_residual(self, z, small, large, mean):
-        P = build_matrix_sev(SeverityRule(z, small, large, 1.0), mean, 0.3)
+        P = build_matrices(SeverityRule(z, small, large, 1.0), mean, 0.3)[0]
         pi = stationary_distribution(P)
         assert np.max(np.abs(pi @ P - pi)) < 1e-10
         assert pi.sum() == pytest.approx(1.0, abs=1e-10)
@@ -66,17 +66,15 @@ class TestUnconditionalLevels:
         model = degenerate_model(freq_rate=0.5)
         rule = FreqRule(9, 1)
         mixed = unconditional_level_distribution(model, rule)
-        single = stationary_distribution(build_matrix_freq(rule, 0.5))
+        single = stationary_distribution(build_matrices(rule, 0.5, 0.0)[0])
         assert np.max(np.abs(mixed - single)) < 1e-12
 
     def test_degenerate_effects_severity_rule(self):
         model = degenerate_model(freq_rate=0.5, sev_rate=5000.0)
         rule = SeverityRule(9, 1, 2, 5000.0)
-        from bonusmalus import severity_exceedance
-
         mixed = unconditional_level_distribution(model, rule)
-        q = severity_exceedance(5000.0, 5000.0, model.severity)
-        single = stationary_distribution(build_matrix_sev(rule, 0.5, q))
+        q = exceedance_profile(5000.0, 5000.0, model.severity)
+        single = stationary_distribution(build_matrices(rule, 0.5, q)[0])
         assert np.max(np.abs(mixed - single)) < 1e-12
 
     def test_study_base_case_levels(self):

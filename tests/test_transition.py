@@ -13,19 +13,28 @@ from scipy import stats
 from bonusmalus import (
     FreqRule,
     GammaSeverity,
+    InvalidRuleError,
     SeverityRule,
-    build_matrix_freq,
-    build_matrix_sev,
-    claim_count_pmf,
-    poisson_truncation_bound,
-    severity_exceedance,
+    build_matrices,
+    exceedance_profile,
+    optimal_relativity_severity,
+    threshold_scan,
 )
-from bonusmalus.transition import _pmf_vector
-from oracles import enumeration_matrix, gamma_tail_by_quadrature, pair_set_upmove
+from oracles import (
+    enumeration_matrix,
+    gamma_tail_by_quadrature,
+    pair_set_upmove,
+    poisson_truncation_bound,
+)
 
 GRID_RULES = [(3, 1, 1), (3, 1, 2), (3, 2, 3), (9, 1, 1), (9, 1, 2), (9, 1, 3), (9, 2, 2), (9, 2, 3), (9, 3, 3)]
 GRID_MEANS = [0.1, 0.5, 2.0]
 GRID_EXCEED = [0.0, 0.1, 0.5, 1.0]
+
+
+def claim_count_pmf(k: int, mean: float) -> float:
+    # From level 0 of a -1/+1 chain, k claims land on level k (below the top).
+    return build_matrices(FreqRule(k + 1, 1), mean, 0)[0, 0, k]
 
 
 class TestClaimCountPmf:
@@ -55,47 +64,47 @@ class TestSeverityExceedance:
     LAW = GammaSeverity(1.0 / 0.67)
 
     def test_zero_threshold_is_certain(self):
-        assert severity_exceedance(0.0, 123.4, self.LAW) == 1.0
+        assert exceedance_profile(0.0, 123.4, self.LAW) == 1.0
 
     def test_far_tail_vanishes(self):
         mean = 50.0
-        assert severity_exceedance(mean * 1e6, mean, self.LAW) < 1e-12
+        assert exceedance_profile(mean * 1e6, mean, self.LAW) < 1e-12
 
     def test_matches_density_integration_at_the_mean(self):
         mean = 6634.24
         oracle = gamma_tail_by_quadrature(mean, mean, self.LAW.shape)
-        assert severity_exceedance(mean, mean, self.LAW) == pytest.approx(oracle, rel=1e-9)
+        assert exceedance_profile(mean, mean, self.LAW) == pytest.approx(oracle, rel=1e-9)
 
     def test_strictly_decreasing_in_threshold(self):
         mean = 100.0
-        values = [severity_exceedance(phi, mean, self.LAW) for phi in (0.0, 10.0, 100.0, 1000.0)]
+        values = [exceedance_profile(phi, mean, self.LAW) for phi in (0.0, 10.0, 100.0, 1000.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestFreqMatrix:
     def test_no_claim_limit_is_pure_downshift(self):
-        P = build_matrix_freq(FreqRule(5, 1), 1e-14)
+        P = build_matrices(FreqRule(5, 1), 1e-14, 0.0)[0]
         expected = np.zeros((6, 6))
         for lvl in range(6):
             expected[lvl, max(lvl - 1, 0)] = 1.0
         assert np.allclose(P, expected, atol=1e-10)
 
     def test_closed_form_row(self):
-        P = build_matrix_freq(FreqRule(3, 1), 0.5)
+        P = build_matrices(FreqRule(3, 1), 0.5, 0.0)[0]
         e = math.exp(-0.5)
         assert P[1, 0] == pytest.approx(e, abs=1e-15)
         assert P[1, 2] == pytest.approx(0.5 * e, abs=1e-15)
         assert P[1, 3] == pytest.approx(1.0 - 1.5 * e, abs=1e-15)
 
     def test_rows_sum_to_one(self):
-        P = build_matrix_freq(FreqRule(9, 2), 3.0)
+        P = build_matrices(FreqRule(9, 2), 3.0, 0.0)[0]
         assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("mean", GRID_MEANS)
     @pytest.mark.parametrize("step", [1, 2, 3])
     def test_matches_enumeration(self, step, mean):
         rule = FreqRule(9, step)
-        P = build_matrix_freq(rule, mean)
+        P = build_matrices(rule, mean, 0.0)[0]
         oracle = enumeration_matrix(rule, mean, 0.0)
         assert np.allclose(P, oracle, atol=1e-10)
 
@@ -103,19 +112,19 @@ class TestFreqMatrix:
 class TestSeverityMatrix:
     def test_no_large_claims_collapses_to_small_step(self):
         rule = SeverityRule(9, 1, 3, 100.0)
-        P = build_matrix_sev(rule, 0.7, 0.0)
-        Q = build_matrix_freq(FreqRule(9, 1), 0.7)
+        P = build_matrices(rule, 0.7, 0.0)[0]
+        Q = build_matrices(FreqRule(9, 1), 0.7, 0.0)[0]
         assert np.max(np.abs(P - Q)) < 1e-14
 
     def test_all_large_claims_collapses_to_large_step(self):
         rule = SeverityRule(9, 1, 3, 100.0)
-        P = build_matrix_sev(rule, 0.7, 1.0)
-        Q = build_matrix_freq(FreqRule(9, 3), 0.7)
+        P = build_matrices(rule, 0.7, 1.0)[0]
+        Q = build_matrices(FreqRule(9, 3), 0.7, 0.0)[0]
         assert np.max(np.abs(P - Q)) < 1e-14
 
     def test_matches_indicator_enumeration(self):
         rule = SeverityRule(4, 1, 2, 100.0)
-        P = build_matrix_sev(rule, 0.5, 0.3)
+        P = build_matrices(rule, 0.5, 0.3)[0]
         oracle = enumeration_matrix(rule, 0.5, 0.3)
         assert np.allclose(P, oracle, atol=1e-10)
 
@@ -123,7 +132,7 @@ class TestSeverityMatrix:
     @pytest.mark.parametrize("mean", GRID_MEANS)
     @pytest.mark.parametrize("z,small,large", GRID_RULES)
     def test_grid_row_stochastic_and_nonnegative(self, z, small, large, mean, exceed):
-        P = build_matrix_sev(SeverityRule(z, small, large, 1.0), mean, exceed)
+        P = build_matrices(SeverityRule(z, small, large, 1.0), mean, exceed)[0]
         assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
         assert np.min(P) >= 0.0
 
@@ -131,8 +140,8 @@ class TestSeverityMatrix:
     @pytest.mark.parametrize("mean", GRID_MEANS)
     @pytest.mark.parametrize("step", [1, 2, 3])
     def test_equal_steps_collapse_for_any_exceedance(self, step, mean, exceed):
-        P = build_matrix_sev(SeverityRule(9, step, step, 1.0), mean, exceed)
-        Q = build_matrix_freq(FreqRule(9, step), mean)
+        P = build_matrices(SeverityRule(9, step, step, 1.0), mean, exceed)[0]
+        Q = build_matrices(FreqRule(9, step), mean, 0.0)[0]
         assert np.max(np.abs(P - Q)) < 1e-14
 
     @pytest.mark.parametrize("mean", GRID_MEANS)
@@ -142,8 +151,8 @@ class TestSeverityMatrix:
         # remainder; the pair-set route enumerates (k1, k2) directly.
         rule = SeverityRule(z, small, large, 1.0)
         exceed = 0.37
-        P = build_matrix_sev(rule, mean, exceed)
-        q1 = _pmf_vector(z // small + 1, mean)
+        P = build_matrices(rule, mean, exceed)[0]
+        q1 = [claim_count_pmf(k, mean) for k in range(z // small + 2)]
         for lvl in range(z + 1):
             for target in range(lvl + 1, z):
                 expected = pair_set_upmove(target - lvl, small, large, q1, exceed)
@@ -151,7 +160,7 @@ class TestSeverityMatrix:
 
     @pytest.mark.parametrize("z,small,large", GRID_RULES)
     def test_sparsity_pattern(self, z, small, large):
-        P = build_matrix_sev(SeverityRule(z, small, large, 1.0), 0.8, 0.25)
+        P = build_matrices(SeverityRule(z, small, large, 1.0), 0.8, 0.25)[0]
         for lvl in range(z + 1):
             for target in range(z + 1):
                 below_subdiagonal = target < max(lvl - 1, 0)
@@ -162,6 +171,40 @@ class TestSeverityMatrix:
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=1e-3, max_value=30.0))
     @settings(max_examples=60, deadline=None)
     def test_random_profiles_stay_stochastic(self, exceed, mean):
-        P = build_matrix_sev(SeverityRule(6, 1, 2, 1.0), mean, exceed)
+        P = build_matrices(SeverityRule(6, 1, 2, 1.0), mean, exceed)[0]
         assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
         assert np.min(P) >= 0.0
+
+
+class TestBuildMatrices:
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=3),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1e-3, max_value=5.0), st.floats(min_value=0.0, max_value=1.0)
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_enumeration_and_single_builds(self, z, small, extra, profiles):
+        rule = SeverityRule(z, small, small + extra, 1.0)
+        means, exceed = (np.array(v) for v in zip(*profiles))
+        stack = build_matrices(rule, means, exceed)
+        assert stack.shape == (len(profiles), z + 1, z + 1)
+        for P, (mean, q) in zip(stack, profiles):
+            assert np.array_equal(P, build_matrices(rule, mean, q)[0])
+            assert np.allclose(P, enumeration_matrix(rule, mean, q), atol=1e-10)
+
+
+class TestRuleValidation:
+    def test_inverted_steps_rejected(self, base_model):
+        with pytest.raises(InvalidRuleError):
+            optimal_relativity_severity(base_model, SeverityRule(9, 2, 1, 100.0))
+
+    def test_negative_threshold_rejected(self, base_model):
+        with pytest.raises(InvalidRuleError):
+            threshold_scan(base_model, SeverityRule(9, 1, 2, 1.0), [-5.0])
