@@ -42,7 +42,7 @@ for corr in (-0.8, -0.4, 0.4):
     for entry in entries:
         print(
             f"   threshold {entry.threshold:>8.0f}: normalized score "
-            f"{entry.report.hmse_normalized:.6f}"
+            f"{entry.hmse_normalized:.6f}"
         )
     print(f"   -> best: {entries[0].threshold:.0f}\n")
 
@@ -57,9 +57,9 @@ report = rule_dominance_check(
         for phi in candidates
     ],
 )
-print(f"   best frequency rule : -1/+{report.freq_best_rule.step}  "
+print(f"   best frequency rule : -1/+{report.freq_best.rule.step}  "
       f"score {report.freq_best.hmse_normalized:.6f}")
-sev = report.severity_best_rule
+sev = report.severity_best.rule
 print(f"   best severity rule  : -1/+{sev.small_step}/+{sev.large_step} "
       f"@ {sev.threshold:.0f}  score {report.severity_best.hmse_normalized:.6f}")
 assert report.severity_no_worse

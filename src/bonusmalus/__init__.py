@@ -33,7 +33,6 @@ from .errors import (
 from .hmse import (
     HmseReport,
     RuleDominanceReport,
-    ScanEntry,
     hmse_eval,
     rule_dominance_check,
     threshold_scan,
@@ -114,7 +113,6 @@ __all__ = [
     "RelativityTable",
     "RiskClass",
     "RuleDominanceReport",
-    "ScanEntry",
     "SeverityRule",
     "SimConfig",
     "SimSummary",

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import InconsistentHistoryError
-from .model import ClaimHistory, MixtureExponentialEffects
+from .errors import InconsistentHistoryError, ModelValidationError
+from .model import ClaimHistory, MixtureExponentialEffects, _validate_effects
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,24 @@ class MixtureBayesModel:
     ``unit_severity_effect`` replaces the severity effect by the constant 1
     while keeping the frequency effect's mixture marginal; claim sizes then
     carry no information about the effects and the full-history premium
-    coincides with the frequency-history premium.
+    coincides with the frequency-history premium.  Validated on construction.
     """
 
     freq_rate: float
     sev_rate: float
     effects: MixtureExponentialEffects
     unit_severity_effect: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.effects, MixtureExponentialEffects):
+            raise ModelValidationError(
+                f"closed-form premiums need mixture effects, got {type(self.effects).__name__}"
+            )
+        _validate_effects(self.effects)
+        for name in ("freq_rate", "sev_rate"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ModelValidationError(f"{name} {value!r} must be positive and finite")
 
     def components(self) -> tuple[tuple[float, float], ...]:
         """(weight, rate) pairs of the active mixture components."""

@@ -149,6 +149,23 @@ def parse_model(cfg: dict) -> ModelSpec:
         raise ConfigError(f"bad model configuration: {exc}") from exc
 
 
+def _parse_rule(entry: dict, threshold: float | None = None):
+    """One validated rule; a severity entry without its own threshold takes ``threshold``."""
+    try:
+        if "step" in entry:
+            return validate_rule(FreqRule(int(entry["max_level"]), int(entry["step"])))
+        return validate_rule(
+            SeverityRule(
+                int(entry["max_level"]),
+                int(entry["small_step"]),
+                int(entry["large_step"]),
+                float(entry.get("threshold", threshold)),
+            )
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad rule entry {entry!r}: {exc}") from exc
+
+
 def resolve_rules(cfg: dict, model: ModelSpec, nodes: int) -> list:
     """Instantiate rules; severity rules fan out over thresholds and quantiles."""
     thresholds = [float(t) for t in cfg.get("thresholds", [])]
@@ -156,41 +173,14 @@ def resolve_rules(cfg: dict, model: ModelSpec, nodes: int) -> list:
         thresholds.append(severity_marginal_quantile(float(q), model, nodes))
     rules = []
     for entry in cfg.get("rules", []):
-        try:
-            if "step" in entry:
-                rules.append(validate_rule(FreqRule(int(entry["max_level"]), int(entry["step"]))))
-            elif "threshold" in entry:
-                rules.append(
-                    validate_rule(
-                        SeverityRule(
-                            int(entry["max_level"]),
-                            int(entry["small_step"]),
-                            int(entry["large_step"]),
-                            float(entry["threshold"]),
-                        )
-                    )
-                )
-            else:
-                if not thresholds:
-                    raise ConfigError(
-                        "severity rule without explicit threshold needs "
-                        "'thresholds' or 'quantiles'"
-                    )
-                for phi in thresholds:
-                    rules.append(
-                        validate_rule(
-                            SeverityRule(
-                                int(entry["max_level"]),
-                                int(entry["small_step"]),
-                                int(entry["large_step"]),
-                                phi,
-                            )
-                        )
-                    )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"bad rule entry {entry!r}: {exc}") from exc
+        if "step" in entry or "threshold" in entry:
+            rules.append(_parse_rule(entry))
+        elif not thresholds:
+            raise ConfigError(
+                "severity rule without explicit threshold needs 'thresholds' or 'quantiles'"
+            )
+        else:
+            rules.extend(_parse_rule(entry, phi) for phi in thresholds)
     if not rules:
         raise ConfigError("no transition rules configured")
     return rules
@@ -224,11 +214,6 @@ def parse_bayes_model(cfg: dict) -> MixtureBayesModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad bayes model configuration: {exc}") from exc
-    from .model import _validate_effects
-
-    _validate_effects(model.effects)
-    if model.freq_rate <= 0 or model.sev_rate <= 0:
-        raise ConfigError("bayes model rates must be positive")
     return model
 
 
@@ -338,10 +323,10 @@ def cmd_hmse_scan(cfg: dict, args) -> int:
     nodes = cfg["quadrature_nodes"]
     precision = cfg["precision"]
     quantiles = [float(q) for q in cfg.get("quantiles", [])]
+    entries = [e for e in cfg.get("rules", []) if "step" not in e]
+    templates = [_parse_rule(e, 1.0) for e in entries]
     thresholds = [float(t) for t in cfg.get("thresholds", [])]
-    thresholds += [
-        float(e["threshold"]) for e in cfg.get("rules", []) if "threshold" in e
-    ]
+    thresholds += [t.threshold for e, t in zip(entries, templates) if "threshold" in e]
     quantile_of = {}
     for q in quantiles:
         phi = severity_marginal_quantile(q, model, nodes)
@@ -350,40 +335,36 @@ def cmd_hmse_scan(cfg: dict, args) -> int:
     thresholds = list(dict.fromkeys(thresholds))
     if not thresholds:
         raise ConfigError("hmse-scan needs 'thresholds', 'quantiles', or explicit rule thresholds")
-    sev_templates = [
-        SeverityRule(int(e["max_level"]), int(e["small_step"]), int(e["large_step"]), 1.0)
-        for e in cfg.get("rules", [])
-        if "step" not in e
-    ]
-    if not sev_templates:
+    if not templates:
         raise ConfigError("hmse-scan needs at least one severity-aware rule")
-    rows = []
-    for template in sev_templates:
-        for entry in threshold_scan(model, template, thresholds, nodes):
-            rows.append((template, entry))
-    rows.sort(key=lambda pair: (pair[1].report.hmse_raw, pair[1].threshold))
+    tables = [
+        table
+        for template in templates
+        for table in threshold_scan(model, template, thresholds, nodes)
+    ]
+    tables.sort(key=lambda t: (t.hmse_raw, t.threshold))
     out = Path(args.out)
     if cfg["format"] == "csv":
         lines = ["rule,threshold,quantile,hmse_raw,hmse_normalized"]
-        for template, entry in rows:
-            q = quantile_of.get(entry.threshold)
+        for table in tables:
+            q = quantile_of.get(table.threshold)
             lines.append(
-                f"-1/+{template.small_step}/+{template.large_step},"
-                f"{_fmt(entry.threshold, precision)},{'' if q is None else q},"
-                f"{_fmt(entry.report.hmse_raw, precision)},"
-                f"{_fmt(entry.report.hmse_normalized, precision)}"
+                f"-1/+{table.rule.small_step}/+{table.rule.large_step},"
+                f"{_fmt(table.threshold, precision)},{'' if q is None else q},"
+                f"{_fmt(table.hmse_raw, precision)},"
+                f"{_fmt(table.hmse_normalized, precision)}"
             )
         _write(out / "hmse_scan.csv", "\n".join(lines) + "\n")
     else:
         payload = [
             {
-                "rule": f"-1/+{template.small_step}/+{template.large_step}",
-                "threshold": _jnum(entry.threshold, precision),
-                "quantile": quantile_of.get(entry.threshold),
-                "hmse_raw": _jnum(entry.report.hmse_raw, precision),
-                "hmse_normalized": _jnum(entry.report.hmse_normalized, precision),
+                "rule": f"-1/+{table.rule.small_step}/+{table.rule.large_step}",
+                "threshold": _jnum(table.threshold, precision),
+                "quantile": quantile_of.get(table.threshold),
+                "hmse_raw": _jnum(table.hmse_raw, precision),
+                "hmse_normalized": _jnum(table.hmse_normalized, precision),
             }
-            for template, entry in rows
+            for table in tables
         ]
         _write(out / "hmse_scan.json", json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
@@ -545,10 +526,28 @@ def _apply_overrides(cfg: dict, args) -> dict:
         cfg["precision"] = args.precision
     if args.quadrature_nodes is not None:
         cfg["quadrature_nodes"] = args.quadrature_nodes
+    _check_settings(cfg)
     if args.seed is not None:
         cfg.setdefault("simulation", {})
         cfg["simulation"]["seed"] = args.seed
     return cfg
+
+
+def _check_settings(cfg: dict) -> None:
+    """Reject ill-typed run settings before a verb reads them."""
+    for key, allowed in (("format", ("csv", "json")), ("family", ("aggregate", "frequency"))):
+        if cfg.get(key, allowed[0]) not in allowed:
+            raise ConfigError(f"'{key}' must be one of {allowed}, got {cfg[key]!r}")
+    for key in ("precision", "quadrature_nodes"):
+        if type(cfg[key]) is not int:
+            raise ConfigError(f"'{key}' must be an integer, got {cfg[key]!r}")
+    for key in ("rules", "thresholds", "quantiles"):
+        if not isinstance(cfg.get(key, []), list):
+            raise ConfigError(f"'{key}' must be a JSON array")
+    if not isinstance(cfg.get("simulation", {}), dict):
+        raise ConfigError("'simulation' must be a JSON object")
+    if not all(isinstance(entry, dict) for entry in cfg.get("rules", [])):
+        raise ConfigError("every entry of 'rules' must be a JSON object")
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LevelMismatchError
-from .model import FreqRule, ModelSpec, SeverityRule
+from .model import ModelSpec, SeverityRule
 from .quadrature import DEFAULT_NODES
 from .relativity import (
     RelativityTable,
@@ -28,29 +28,16 @@ from .relativity import (
 class HmseReport:
     """Score of one relativity vector under one transition rule."""
 
-    rule: object
-    threshold: float | None
     hmse_raw: float
     hmse_normalized: float
 
 
 @dataclass(frozen=True)
-class ScanEntry:
-    """One threshold candidate with its optimal table and score."""
-
-    threshold: float
-    table: RelativityTable
-    report: HmseReport
-
-
-@dataclass(frozen=True)
 class RuleDominanceReport:
-    """Best scores over a frequency-rule grid and a severity-rule grid."""
+    """Best tables over a frequency-rule grid and a severity-rule grid."""
 
-    freq_best_rule: FreqRule
-    freq_best: HmseReport
-    severity_best_rule: SeverityRule
-    severity_best: HmseReport
+    freq_best: RelativityTable
+    severity_best: RelativityTable
 
     @property
     def severity_no_worse(self) -> bool:
@@ -89,8 +76,15 @@ def hmse_eval(
         lam_sq = (cls.freq_rate * cls.sev_rate) ** 2
         raw += cls.weight * lam_sq * float(grid.weights @ np.sum(gaps * field[ci], axis=1))
         norm += cls.weight * lam_sq
-    threshold = rule.threshold if isinstance(rule, SeverityRule) else None
-    return HmseReport(rule, threshold, raw, raw / norm)
+    return HmseReport(raw, raw / norm)
+
+
+def _rank(table: RelativityTable):
+    """Sort key: the table's own score, ties to the smaller threshold.
+
+    Frequency tables carry no threshold and keep their grid order on ties.
+    """
+    return table.hmse_raw, table.threshold or 0.0
 
 
 def threshold_scan(
@@ -98,22 +92,20 @@ def threshold_scan(
     rule: SeverityRule,
     thresholds,
     nodes: int = DEFAULT_NODES,
-) -> list[ScanEntry]:
-    """Score the optimal table at each candidate threshold.
+) -> list[RelativityTable]:
+    """The optimal table at each candidate threshold, best score first.
 
-    Returns entries sorted by ascending raw score, ties broken by the smaller
+    Tables are ranked by their own ``hmse_raw``, ties broken by the smaller
     threshold.
     """
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
         raise ValueError("need at least one threshold candidate")
-    entries = []
-    for phi in thresholds:
-        candidate = rule.with_threshold(phi)
-        table = optimal_relativity_severity(model, candidate, nodes)
-        report = hmse_eval(model, table, candidate, nodes)
-        entries.append(ScanEntry(phi, table, report))
-    return sorted(entries, key=lambda e: (e.report.hmse_raw, e.threshold))
+    tables = [
+        optimal_relativity_severity(model, rule.with_threshold(phi), nodes)
+        for phi in thresholds
+    ]
+    return sorted(tables, key=_rank)
 
 
 def rule_dominance_check(
@@ -126,7 +118,7 @@ def rule_dominance_check(
 
     Every frequency step must appear as an equal-step severity rule in the
     severity grid; the severity minimum then cannot exceed the frequency
-    minimum, and the report records both argmins.
+    minimum, and the report keeps both best tables.
     """
     freq_rules = list(freq_rules)
     severity_rules = list(severity_rules)
@@ -138,17 +130,12 @@ def rule_dominance_check(
             raise ValueError(
                 f"severity grid must contain the equal-step rule matching {fr}"
             )
-
-    def score_freq(rule: FreqRule) -> HmseReport:
-        table = optimal_relativity_dependent(model, rule, nodes)
-        return hmse_eval(model, table, rule, nodes)
-
-    def score_sev(rule: SeverityRule) -> HmseReport:
-        table = optimal_relativity_severity(model, rule, nodes)
-        return hmse_eval(model, table, rule, nodes)
-
-    freq_scored = [(rule, score_freq(rule)) for rule in freq_rules]
-    sev_scored = [(rule, score_sev(rule)) for rule in severity_rules]
-    best_freq = min(freq_scored, key=lambda pair: pair[1].hmse_raw)
-    best_sev = min(sev_scored, key=lambda pair: pair[1].hmse_raw)
-    return RuleDominanceReport(best_freq[0], best_freq[1], best_sev[0], best_sev[1])
+    freq_best = min(
+        (optimal_relativity_dependent(model, rule, nodes) for rule in freq_rules),
+        key=_rank,
+    )
+    severity_best = min(
+        (optimal_relativity_severity(model, rule, nodes) for rule in severity_rules),
+        key=_rank,
+    )
+    return RuleDominanceReport(freq_best, severity_best)

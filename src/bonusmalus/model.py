@@ -285,7 +285,7 @@ def _validate_effects(effects: RandomEffectJoint) -> None:
     if isinstance(effects, MixtureExponentialEffects):
         if not 0.0 <= effects.weight1 <= 1.0:
             raise ModelValidationError(f"mixture weight {effects.weight1} outside [0, 1]")
-        if effects.rate1 <= 0 or effects.rate2 <= 0:
+        if not (effects.rate1 > 0 and effects.rate2 > 0):
             raise ModelValidationError("mixture rates must be positive")
         if abs(effects.marginal_mean() - 1.0) > MIXTURE_MEAN_TOL:
             raise NonUnitEffectMeanError(

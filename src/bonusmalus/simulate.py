@@ -132,6 +132,10 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
     rule = validate_rule(cfg.rule)
     if cfg.n_paths < 1:
         raise ValueError(f"need at least one path, got n_paths={cfg.n_paths}")
+    if cfg.burn_in_years < 0:
+        raise ValueError(f"burn-in cannot be negative, got burn_in_years={cfg.burn_in_years}")
+    if cfg.sample_years < 1:
+        raise ValueError(f"need at least one sampled year, got sample_years={cfg.sample_years}")
     z = rule.max_level
     levels = rule.levels
     if not 0 <= cfg.start_level <= z:

@@ -35,7 +35,7 @@ def exceedance_profile(threshold: float, means: np.ndarray, law: SeverityLaw) ->
         shape = law.shape
         return stats.gamma.sf(threshold, shape, scale=means / shape)
     if isinstance(law, PoissonSeverity):
-        return stats.poisson.sf(math.floor(threshold), means)
+        return stats.poisson.sf(np.floor(threshold), means)
     raise UnsupportedEffectsError(f"no claim-size law for {type(law).__name__}")
 
 

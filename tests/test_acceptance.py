@@ -105,7 +105,7 @@ def test_criterion_2_threshold_argmin_and_score_ratios():
         best = entries[0].threshold
         expected_best = 16800.0 if corr < 0 else 48100.0
         assert best == expected_best, f"corr={corr}: argmin {best}, expected {expected_best}"
-        by_threshold = {e.threshold: e.report.hmse_raw for e in entries}
+        by_threshold = {e.threshold: e.hmse_raw for e in entries}
         scores = [by_threshold[phi] for phi in CANDIDATE_THRESHOLDS]
         for i in range(4):
             for j in range(4):

@@ -12,11 +12,13 @@ from scipy import integrate
 from bonusmalus import (
     ClaimHistory,
     InconsistentHistoryError,
+    LognormalCopulaEffects,
     MixtureBayesModel,
     MixtureExponentialEffects,
     bayes_agg_premium_freqhist,
     bayes_agg_premium_fullhist,
     bayes_freq_premium,
+    ModelValidationError,
     mse_comparison_mc,
     posterior_density,
 )
@@ -39,6 +41,35 @@ def random_histories(count: int, seed: int, mean_count=1.0, mean_size=3.0):
         sizes = [int(rng.poisson(mean_size * n)) if n else 0 for n in counts]
         histories.append(ClaimHistory(counts, sizes))
     return histories
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize(
+        "freq_rate,sev_rate,effects",
+        [
+            (0.5, 3.0, MixtureExponentialEffects(1.5, 2.0, 2.0 / 3.0)),
+            (0.5, 3.0, MixtureExponentialEffects(0.5, 2.0, 1.0)),
+            (0.5, 3.0, MixtureExponentialEffects(0.5, -2.0, 2.0 / 3.0)),
+            (0.5, 3.0, MixtureExponentialEffects(1.0, math.nan, 5.0)),
+            (-0.5, 3.0, INTERIOR),
+            (0.5, -3.0, INTERIOR),
+            (0.5, math.nan, INTERIOR),
+            (0.5, 3.0, LognormalCopulaEffects(0.0, 0.5, 0.5)),
+        ],
+        ids=[
+            "weight",
+            "mean",
+            "negative_rate",
+            "nan_rate",
+            "negative_freq_rate",
+            "negative_sev_rate",
+            "nan_sev_rate",
+            "not_a_mixture",
+        ],
+    )
+    def test_invalid_models_rejected(self, freq_rate, sev_rate, effects):
+        with pytest.raises(ModelValidationError):
+            MixtureBayesModel(freq_rate, sev_rate, effects)
 
 
 class TestFrequencyPremium:

@@ -227,6 +227,41 @@ class TestConfigHandling:
         config = write_config(tmp_path, payload)
         assert run([verb, "--config", config, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "verb,overlay",
+        [
+            ("relativities", {"quadrature_nodes": "abc"}),
+            ("relativities", {"quadrature_nodes": 8.5}),
+            ("relativities", {"precision": "x"}),
+            ("relativities", {"rules": 5}),
+            ("relativities", {"format": "xml"}),
+            ("relativities", {"family": "nope"}),
+            ("simulate", {"simulation": 5}),
+            ("simulate", {"simulation": {"paths": 1_000, "burn_in_years": -1}}),
+            ("hmse-scan", {"rules": [{"max_level": 9, "small_step": 1}]}),
+            ("bayes", {"bayes": {**BAYES_CONFIG["bayes"], "weight1": 1.5}}),
+        ],
+        ids=[
+            "nodes_text",
+            "nodes_fraction",
+            "precision_text",
+            "rules_number",
+            "format_xml",
+            "family_unknown",
+            "simulation_number",
+            "negative_burn_in",
+            "scan_rule_without_large_step",
+            "bayes_weight",
+        ],
+    )
+    def test_bad_settings_exit_2(self, tmp_path, capsys, verb, overlay):
+        base = BAYES_CONFIG if verb == "bayes" else SMALL_MODEL
+        payload = {**json.loads(json.dumps(base)), **overlay}
+        config = write_config(tmp_path, payload)
+        assert run([verb, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_failures_exit_3(self, tmp_path, monkeypatch):
         from bonusmalus.errors import BracketingFailureError
 

@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bonusmalus import (
     FreqRule,
+    GammaSeverity,
     LevelMismatchError,
+    LognormalCopulaEffects,
+    ModelSpec,
+    Portfolio,
+    RiskClass,
     SeverityRule,
     hmse_eval,
     optimal_relativity_dependent,
     optimal_relativity_severity,
     rule_dominance_check,
     threshold_scan,
+    validate_model,
 )
 from conftest import degenerate_model, study_model
 
@@ -44,6 +54,40 @@ class TestHmseEval:
         assert report.hmse_raw == pytest.approx(table.hmse_raw, rel=1e-8)
         assert report.hmse_normalized == pytest.approx(table.hmse_normalized, rel=1e-8)
 
+    @given(
+        corr=st.floats(min_value=-0.95, max_value=0.95),
+        log_var1=st.floats(min_value=0.01, max_value=2.0),
+        log_var2=st.floats(min_value=0.01, max_value=2.0),
+        freq_rate=st.floats(min_value=0.05, max_value=2.0),
+        dispersion=st.floats(min_value=0.2, max_value=3.0),
+        max_level=st.integers(min_value=1, max_value=9),
+        small=st.integers(min_value=1, max_value=3),
+        extra=st.integers(min_value=0, max_value=3),
+        quantile=st.floats(min_value=0.05, max_value=0.999),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_routes_agree_on_random_models(
+        self, corr, log_var1, log_var2, freq_rate, dispersion, max_level, small, extra, quantile
+    ):
+        # The per-level moment route (the table's own score) against the
+        # node-by-node double integral, over random single-class models.
+        sev_rate = math.exp(8.8)
+        model = validate_model(
+            ModelSpec(
+                Portfolio([RiskClass(1.0, freq_rate, sev_rate)]),
+                GammaSeverity(dispersion),
+                LognormalCopulaEffects(corr, log_var1, log_var2),
+            )
+        )
+        threshold = sev_rate * -math.log1p(-quantile)
+        rule = SeverityRule(max_level, small, small + extra, threshold)
+        table = optimal_relativity_severity(model, rule, 16)
+        report = hmse_eval(model, table, rule, 16)
+        assert report.hmse_raw == pytest.approx(table.hmse_raw, rel=1e-8)
+        assert report.hmse_normalized == pytest.approx(table.hmse_normalized, rel=1e-8)
+        assert table.hmse_raw >= 0.0
+        assert table.stationary.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_optimal_table_beats_per_level_perturbations(self, base_model):
         rule = FreqRule(9, 1)
         table = optimal_relativity_dependent(base_model, rule)
@@ -71,7 +115,7 @@ class TestThresholdScan:
     def test_study_base_case_prefers_90th_quantile(self, base_model):
         entries = threshold_scan(base_model, SeverityRule(9, 1, 2, 1.0), CANDIDATES)
         assert entries[0].threshold == 16800.0
-        scores = [e.report.hmse_raw for e in entries]
+        scores = [e.hmse_raw for e in entries]
         assert scores == sorted(scores)
 
     def test_positive_dependence_prefers_99th_quantile(self):
@@ -110,11 +154,11 @@ class TestRuleDominance:
     def test_study_base_case_is_strictly_better(self, base_model):
         report = rule_dominance_check(base_model, self.FREQ, self.SEV, nodes=32)
         assert report.severity_best.hmse_raw < report.freq_best.hmse_raw
-        assert isinstance(report.severity_best_rule, SeverityRule)
+        assert isinstance(report.severity_best.rule, SeverityRule)
         assert (
-            report.severity_best_rule.small_step,
-            report.severity_best_rule.large_step,
-            report.severity_best_rule.threshold,
+            report.severity_best.rule.small_step,
+            report.severity_best.rule.large_step,
+            report.severity_best.rule.threshold,
         ) == (1, 2, 16800.0)
 
     def test_degenerate_severity_effect_gives_equal_minima(self):

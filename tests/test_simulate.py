@@ -58,6 +58,13 @@ class TestSimulatePaths:
         summary = simulate_paths(SimConfig(base_model, FreqRule(9, 1), 30_000, seed=5))
         assert summary.level_distribution.sum() == 1.0
 
+    @pytest.mark.parametrize(
+        "years", [{"burn_in_years": -1}, {"sample_years": 0}], ids=["burn_in", "sample"]
+    )
+    def test_year_counts_validated(self, base_model, years):
+        with pytest.raises(ValueError):
+            simulate_paths(SimConfig(base_model, FreqRule(9, 1), 10, seed=1, **years))
+
     def test_start_level_validated(self, base_model):
         with pytest.raises(ValueError):
             simulate_paths(SimConfig(base_model, FreqRule(9, 1), 10, seed=1, start_level=11))

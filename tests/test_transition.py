@@ -14,11 +14,20 @@ from bonusmalus import (
     FreqRule,
     GammaSeverity,
     InvalidRuleError,
+    LognormalCopulaEffects,
+    ModelSpec,
+    PoissonSeverity,
+    Portfolio,
+    RiskClass,
     SeverityRule,
+    SimConfig,
     build_matrices,
     exceedance_profile,
+    optimal_relativity_dependent,
     optimal_relativity_severity,
+    simulate_paths,
     threshold_scan,
+    validate_model,
 )
 from oracles import (
     enumeration_matrix,
@@ -208,3 +217,49 @@ class TestRuleValidation:
     def test_negative_threshold_rejected(self, base_model):
         with pytest.raises(InvalidRuleError):
             threshold_scan(base_model, SeverityRule(9, 1, 2, 1.0), [-5.0])
+
+
+def _one_class_model(severity, sev_rate):
+    return validate_model(
+        ModelSpec(
+            Portfolio([RiskClass(1.0, 0.5, sev_rate)]),
+            severity,
+            LognormalCopulaEffects(-0.8, 0.99, 0.29),
+        )
+    )
+
+
+EXTREME_LAWS = [
+    pytest.param(GammaSeverity(1.0 / 0.67), math.exp(8.8), id="gamma"),
+    pytest.param(PoissonSeverity(), 3.0, id="poisson"),
+]
+
+
+class TestExtremeThresholds:
+    @pytest.mark.parametrize("severity,sev_rate", EXTREME_LAWS)
+    def test_infinite_threshold_is_the_small_step_frequency_rule(self, severity, sev_rate):
+        # No claim exceeds an infinite threshold, so every claim takes the
+        # small step and the chain is the frequency rule with that step.
+        model = _one_class_model(severity, sev_rate)
+        sev = optimal_relativity_severity(model, SeverityRule(9, 1, 2, math.inf), 16)
+        freq = optimal_relativity_dependent(model, FreqRule(9, 1), 16)
+        np.testing.assert_array_equal(sev.relativities, freq.relativities)
+        np.testing.assert_array_equal(sev.stationary, freq.stationary)
+        assert sev.hmse_raw == freq.hmse_raw
+
+    @pytest.mark.parametrize("severity,sev_rate", EXTREME_LAWS)
+    @pytest.mark.parametrize("threshold", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_nan_and_negative_infinite_thresholds_rejected(self, severity, sev_rate, threshold):
+        model = _one_class_model(severity, sev_rate)
+        rule = SeverityRule(9, 1, 2, threshold)
+        with pytest.raises(InvalidRuleError):
+            optimal_relativity_severity(model, rule, 16)
+        with pytest.raises(InvalidRuleError):
+            simulate_paths(SimConfig(model, rule, 1_000, seed=1))
+
+    def test_infinite_threshold_simulates(self):
+        model = _one_class_model(PoissonSeverity(), 3.0)
+        summary = simulate_paths(
+            SimConfig(model, SeverityRule(9, 1, 2, math.inf), 1_000, seed=1, burn_in_years=5)
+        )
+        assert summary.counts.sum() == 1_000
