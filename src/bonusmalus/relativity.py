@@ -181,7 +181,8 @@ def _ratio(field: _MomentField) -> np.ndarray:
 
 def _hmse_from_field(field: _MomentField, relativities: np.ndarray) -> tuple[float, float]:
     r = np.nan_to_num(relativities, nan=0.0)
-    raw = float(np.sum(field.second - 2.0 * r * field.target + r**2 * field.prem_sq))
+    # A mean square; near-degenerate effects cancel it to roundoff of either sign.
+    raw = max(float(np.sum(field.second - 2.0 * r * field.target + r**2 * field.prem_sq)), 0.0)
     return raw, raw / field.norm
 
 

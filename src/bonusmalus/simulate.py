@@ -5,6 +5,16 @@ yearly Poisson counts, per-claim threshold exceedances, level updates -- and
 serves as the independent verification oracle for the analytic stationary
 distributions, relativities, and scores.
 
+Sampler: each path-year costs one uniform ``u``.  A path has no claim when
+``u < exp(-lambda)`` and then only steps one level down; that decides most
+path-years with one comparison.  For the claimants the same ``u`` is
+inverted through the Poisson pmf recurrence, counting at most
+``cap = ceil(max_level / small_step)`` claims, since that many reach the top
+level whatever their sizes; so any claim rate computes, and no loop runs
+longer than ``cap``.  Under a severity rule with distinct steps the claimants
+alone draw a second uniform, inverted into their binomial number of large
+claims.
+
 Determinism: paths are processed in fixed-size chunks and every (chunk, year)
 pair owns its own counter-based random stream derived from the master seed,
 so results are bit-identical regardless of how chunks are scheduled.
@@ -127,6 +137,69 @@ def _draw_profile(model: ModelSpec, rng: np.random.Generator, size: int):
     return cls_idx, theta1, theta2
 
 
+def _observables(q, t, f, theta1):
+    """The 13 moment columns of ``SimSummary``, in field order, one at a time.
+
+    Yielded lazily, so a chunk never holds all of them at once.
+    """
+    for power in range(3):
+        yield q * t**power
+    for power in range(5):
+        yield q**2 * t**power
+    yield f
+    yield f * theta1
+    for power in range(3):
+        yield f**2 * theta1**power
+
+
+def _claim_counts(u, p0, lam, cap: int) -> np.ndarray:
+    """Poisson claim counts of claimants, by inverting their uniforms.
+
+    ``u >= p0 = exp(-lam)`` for every entry, so each count is at least one;
+    the pmf recurrence ``p_k = p_{k-1} * lam / k`` runs at most ``cap - 1``
+    steps, and a count of ``cap`` stands for ``cap`` or more claims.  Only
+    paths whose uniform lies above the running cdf stay in the loop.
+    """
+    n = np.ones(u.size, dtype=np.int64)
+    active = np.arange(u.size)
+    pmf = cdf = p0
+    for k in range(1, cap):
+        pmf = pmf * lam / k
+        cdf = cdf + pmf
+        more = np.flatnonzero(u >= cdf)
+        if not more.size:
+            break
+        active = active[more]
+        n[active] += 1
+        u, lam, pmf, cdf = u[more], lam[more], pmf[more], cdf[more]
+    return n
+
+
+def _large_claims(v, n, exceed) -> np.ndarray:
+    """Binomial(n, exceed) large-claim counts, by inverting the uniforms ``v``.
+
+    The count is the number of ``j < n`` with ``v`` at or above the binomial
+    cdf at ``j``; exceedances of exactly 0 and 1 give 0 and ``n`` claims.
+    """
+    k2 = np.zeros(n.size, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        odds = exceed / (1.0 - exceed)
+        pmf = (1.0 - exceed) ** n
+        cdf = pmf
+        active = np.arange(n.size)
+        m = n
+        for j in range(int(n.max())):
+            more = np.flatnonzero((v >= cdf) & (m > j))
+            if not more.size:
+                break
+            active = active[more]
+            k2[active] += 1
+            v, m, odds = v[more], m[more], odds[more]
+            pmf = pmf[more] * odds * ((m - j) / (j + 1))
+            cdf = cdf[more] + pmf
+    return np.where(exceed >= 1.0, n, k2)
+
+
 def simulate_paths(cfg: SimConfig) -> SimSummary:
     """Evolve policyholder level chains and collect stationary statistics."""
     rule = validate_rule(cfg.rule)
@@ -140,6 +213,12 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
     levels = rule.levels
     if not 0 <= cfg.start_level <= z:
         raise ValueError("start level outside the level range")
+    if isinstance(rule, SeverityRule):
+        small, large = rule.small_step, rule.large_step
+    else:
+        small = large = rule.step
+    # That many claims reach the top level whatever their sizes.
+    cap = -(-z // small)
     model = cfg.model
     freq_rates = model.portfolio.freq_rates
     sev_rates = model.portfolio.sev_rates
@@ -154,34 +233,37 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
         size = min(CHUNK, cfg.n_paths - done)
         init = _stream(cfg.seed, chunk_index, 0)
         cls_idx, theta1, theta2 = _draw_profile(model, init, size)
-        freq_mean = freq_rates[cls_idx] * theta1
+        # A mean that overflows acts as the largest finite one: no pmf term of
+        # the count inversion survives, so the count reaches the cap.
+        freq_mean = np.minimum(freq_rates[cls_idx] * theta1, np.finfo(float).max)
         if isinstance(rule, SeverityRule):
             exceed = exceedance_profile(
                 rule.threshold, sev_rates[cls_idx] * theta2, model.severity
             )
         else:
             exceed = None
+        p0 = np.exp(-freq_mean)
         level = np.full(size, cfg.start_level, dtype=np.int64)
         q = (freq_rates[cls_idx] * sev_rates[cls_idx]) ** 2
         t = theta1 * theta2
         f = freq_rates[cls_idx] ** 2
-        observables = (
-            q, q * t, q * t**2,
-            q**2, q**2 * t, q**2 * t**2, q**2 * t**3, q**2 * t**4,
-            f, f * theta1, f**2, f**2 * theta1, f**2 * theta1**2,
-        )
         for year in range(1, total_years + 1):
             rng = _stream(cfg.seed, chunk_index, year)
-            n = rng.poisson(freq_mean)
-            if isinstance(rule, SeverityRule):
-                large = rng.binomial(n, exceed)
-                up = rule.small_step * (n - large) + rule.large_step * large
-            else:
-                up = rule.step * n
-            level = np.where(n == 0, np.maximum(level - 1, 0), np.minimum(level + up, z))
+            u = rng.random(size)
+            claimants = np.flatnonzero(u >= p0)
+            moved = level[claimants]
+            level -= 1
+            np.maximum(level, 0, out=level)
+            if claimants.size:
+                n = _claim_counts(u[claimants], p0[claimants], freq_mean[claimants], cap)
+                up = small * n
+                if large > small:
+                    v = rng.random(claimants.size)
+                    up += (large - small) * _large_claims(v, n, exceed[claimants])
+                level[claimants] = np.minimum(moved + up, z)
             if year > cfg.burn_in_years:
                 counts += np.bincount(level, minlength=levels)
-                for row, values in enumerate(observables):
+                for row, values in enumerate(_observables(q, t, f, theta1)):
                     sums[row] += np.bincount(level, weights=values, minlength=levels)
         done += size
         chunk_index += 1

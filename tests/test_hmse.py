@@ -88,6 +88,14 @@ class TestHmseEval:
         assert table.hmse_raw >= 0.0
         assert table.stationary.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_near_degenerate_score_is_not_negative(self):
+        # With effects a hair from degenerate the moment route cancels to
+        # roundoff; a mean square must still not come out negative.
+        model = study_model(0.0, log_var1=1e-16, log_var2=1e-16)
+        table = optimal_relativity_severity(model, SeverityRule(9, 1, 2, 48100.0))
+        assert table.hmse_raw >= 0.0
+        assert table.hmse_normalized >= 0.0
+
     def test_optimal_table_beats_per_level_perturbations(self, base_model):
         rule = FreqRule(9, 1)
         table = optimal_relativity_dependent(base_model, rule)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bonusmalus import (
     FreqRule,
@@ -19,8 +21,12 @@ from bonusmalus import (
     optimal_relativity_frequency,
     simulate_paths,
 )
+from bonusmalus.transition import exceedance_profile
 from bonusmalus.verify import check_rule
-from conftest import degenerate_model, study_model
+from conftest import SEV_RATE, degenerate_model, study_model
+from oracles import enumeration_matrix
+
+EPS = np.finfo(float).eps
 
 
 class TestSimulatePaths:
@@ -55,8 +61,11 @@ class TestSimulatePaths:
         assert summary.counts[0] == summary.counts.sum()
 
     def test_level_distribution_sums_to_one_exactly(self, base_model):
+        # The counts are exact; the normalized float masses sum to one up to
+        # the rounding of one division and one sum per level.
         summary = simulate_paths(SimConfig(base_model, FreqRule(9, 1), 30_000, seed=5))
-        assert summary.level_distribution.sum() == 1.0
+        assert summary.counts.sum() == summary.n_observations
+        assert abs(summary.level_distribution.sum() - 1.0) <= summary.levels * EPS
 
     @pytest.mark.parametrize(
         "years", [{"burn_in_years": -1}, {"sample_years": 0}], ids=["burn_in", "sample"]
@@ -73,8 +82,93 @@ class TestSimulatePaths:
         cfg = SimConfig(base_model, FreqRule(9, 1), 20_000, seed=14, sample_years=3)
         summary = simulate_paths(cfg)
         assert summary.n_observations == 60_000
-        assert summary.counts.sum() == 60_000
-        assert summary.level_distribution.sum() == 1.0
+        assert summary.counts.sum() == summary.n_observations
+        assert abs(summary.level_distribution.sum() - 1.0) <= summary.levels * EPS
+
+    @pytest.mark.parametrize(
+        "rule", [FreqRule(9, 1), SeverityRule(9, 1, 2, 16800.0)], ids=["freq", "severity"]
+    )
+    @pytest.mark.parametrize(
+        "model",
+        [
+            pytest.param(degenerate_model(freq_rate=1e20), id="finite"),
+            # At 1e308 the conditional mean of every path with a frequency
+            # effect above one overflows, and so do the premium moments.
+            pytest.param(
+                study_model(0.0, freq_rate=1e308),
+                id="overflowing",
+                marks=pytest.mark.filterwarnings("ignore:overflow encountered"),
+            ),
+        ],
+    )
+    def test_extreme_claim_rate_fills_the_top_level(self, model, rule):
+        # One year from the bottom: every path must jump straight to the top.
+        summary = simulate_paths(SimConfig(model, rule, 5_000, seed=4, burn_in_years=0))
+        assert summary.counts[-1] == summary.n_observations
+
+
+# Thresholds whose single-claim exceedance is 0, about one half, about 1 and
+# exactly 1.
+ONE_YEAR_RULES = {
+    "freq-1": FreqRule(9, 1),
+    "freq-2": FreqRule(9, 2),
+    "sev-none-large": SeverityRule(9, 1, 2, math.inf),
+    "sev-half-large": SeverityRule(9, 1, 2, SEV_RATE),
+    "sev-all-large": SeverityRule(9, 1, 2, 1e-3),
+    "sev-only-large": SeverityRule(9, 1, 2, 1e-300),
+}
+# Two-sided tail mass beyond four standard deviations of a normal law.
+FOUR_SIGMA_TAIL = 2.0 * stats.norm.sf(4.0)
+
+
+def _one_year_tails(rule, freq_rate, start_level, oracle_level, seed=21):
+    """Two-sided binomial tail of each level count of a one-year run under an oracle row.
+
+    The exact tail stands in for the normal 4-sigma band, which misjudges
+    levels whose expected count is below one: a single path at a level
+    expected 0.025 times already sits 6 sigma out.
+    """
+    model = degenerate_model(freq_rate=freq_rate)
+    n_paths = 100_000
+    cfg = SimConfig(model, rule, n_paths, seed, burn_in_years=0, start_level=start_level)
+    counts = simulate_paths(cfg).counts
+    if isinstance(rule, SeverityRule):
+        exceed = float(exceedance_profile(rule.threshold, SEV_RATE, model.severity))
+    else:
+        exceed = 0.0
+    row = np.clip(enumeration_matrix(rule, freq_rate, exceed)[oracle_level], 0.0, 1.0)
+    lower = stats.binom.cdf(counts, n_paths, row)
+    upper = stats.binom.sf(counts - 1, n_paths, row)
+    return np.minimum(2.0 * np.minimum(lower, upper), 1.0)
+
+
+class TestOneYearSampler:
+    """One simulated year against the enumerated transition row, per start level."""
+
+    def test_thresholds_span_the_exceedance_range(self):
+        law = degenerate_model().severity
+        exceed = {
+            rule_id: float(exceedance_profile(rule.threshold, SEV_RATE, law))
+            for rule_id, rule in ONE_YEAR_RULES.items()
+            if isinstance(rule, SeverityRule)
+        }
+        assert exceed["sev-none-large"] == 0.0
+        assert 0.2 < exceed["sev-half-large"] < 0.8
+        assert 0.999 < exceed["sev-all-large"] < 1.0
+        assert exceed["sev-only-large"] == 1.0
+
+    @pytest.mark.parametrize("start_level", [0, 5, 9])
+    @pytest.mark.parametrize("freq_rate", [0.05, 0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("rule_id", list(ONE_YEAR_RULES))
+    def test_matches_enumerated_row(self, rule_id, freq_rate, start_level):
+        rule = ONE_YEAR_RULES[rule_id]
+        tails = _one_year_tails(rule, freq_rate, start_level, start_level)
+        assert float(np.min(tails)) >= FOUR_SIGMA_TAIL, tails
+
+    @pytest.mark.parametrize("rule_id", ["freq-1", "sev-half-large"])
+    def test_wrong_start_row_is_rejected(self, rule_id):
+        tails = _one_year_tails(ONE_YEAR_RULES[rule_id], 0.5, 5, 0)
+        assert float(np.min(tails)) < FOUR_SIGMA_TAIL
 
 
 class TestEmpiricalEstimates:
