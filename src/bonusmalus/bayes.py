@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
+from ._distributions import gamma_pdf
 from .errors import InconsistentHistoryError, ModelValidationError
 from .model import ClaimHistory, MixtureExponentialEffects, _validate_effects
 
@@ -212,8 +212,8 @@ def posterior_density(theta1, theta2, history: ClaimHistory, model: MixtureBayes
     theta2 = np.asarray(theta2, dtype=float)
     out = np.zeros(np.broadcast(theta1, theta2).shape)
     for weight, (_, c) in zip(weights, model.components()):
-        out = out + weight * stats.gamma.pdf(theta1, n + 1.0, scale=1.0 / (c + freq_exposure)) * (
-            stats.gamma.pdf(theta2, s + 1.0, scale=1.0 / (c + sev_exposure))
+        out = out + weight * gamma_pdf(theta1, n + 1.0, 1.0 / (c + freq_exposure)) * (
+            gamma_pdf(theta2, s + 1.0, 1.0 / (c + sev_exposure))
         )
     return out if out.shape else float(out)
 

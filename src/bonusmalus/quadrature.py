@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
-from scipy import stats
 
-from .errors import BracketingFailureError, UnsupportedEffectsError
+from ._distributions import gamma_cdf, poisson_cdf
+from .errors import BracketingFailureError, NonFiniteIntegrandError, UnsupportedEffectsError
 from .model import (
     DegenerateEffects,
     GammaSeverity,
@@ -141,9 +141,9 @@ def severity_cdf(x, mean, law: SeverityLaw):
     """Conditional claim-size CDF at ``x`` for a given conditional mean."""
     if isinstance(law, GammaSeverity):
         shape = law.shape
-        return stats.gamma.cdf(x, shape, scale=np.asarray(mean) / shape)
+        return gamma_cdf(x, shape, np.asarray(mean) / shape)
     if isinstance(law, PoissonSeverity):
-        return stats.poisson.cdf(np.floor(x), mean)
+        return poisson_cdf(np.floor(x), mean)
     raise UnsupportedEffectsError(f"no claim-size law for {type(law).__name__}")
 
 
@@ -155,8 +155,10 @@ def severity_marginal_quantile(
     """Quantile of the portfolio-marginal claim-size distribution.
 
     Solves ``F(x) = p`` where ``F`` mixes the conditional severity CDF over
-    classes (portfolio weights) and over the severity effect marginal.  Root
-    found by bisection-backed Brent iteration to relative tolerance 1e-8.
+    classes (portfolio weights) and over the severity effect marginal.  The
+    root is found by Brent's method on ``[0, hi]`` with absolute tolerance
+    1e-12 and relative tolerance 1e-10.  A level the claim-size mass at zero
+    already reaches has no positive quantile and raises ``ValueError``.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {p}")
@@ -168,6 +170,11 @@ def severity_marginal_quantile(
     def cdf(x: float) -> float:
         return float(np.sum(joint_w * severity_cdf(x, means, model.severity)))
 
+    at_zero = cdf(0.0)
+    if at_zero >= p:
+        raise ValueError(
+            f"quantile level {p} is unattainable: the claim-size mass at zero is {at_zero:.6g}"
+        )
     hi = float(np.max(means)) or 1.0
     lo = 0.0
     for _ in range(200):
@@ -176,7 +183,74 @@ def severity_marginal_quantile(
         hi *= 2.0
     else:
         raise BracketingFailureError(f"could not bracket the {p} quantile")
+    return _brentq(lambda x: cdf(x) - p, lo, hi)
 
-    from scipy.optimize import brentq
 
-    return float(brentq(lambda x: cdf(x) - p, lo, hi, rtol=1e-10, xtol=1e-12, maxiter=200))
+def _brentq(f, xa: float, xb: float, xtol=1e-12, rtol=1e-10, maxiter=200) -> float:
+    """Root of ``f`` in ``[xa, xb]`` by Brent's method.
+
+    A statement-by-statement port of the C routine behind
+    ``scipy.optimize.brentq`` (``Zeros/brentq.c``); Python floats are IEEE
+    doubles, so the iterates and the root are bitwise the same.  Raises
+    ``NonFiniteIntegrandError`` on a NaN function value and
+    ``BracketingFailureError`` when the endpoint values have equal signs or
+    ``maxiter`` iterations do not converge.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NonFiniteIntegrandError(f"the function value at x={x:.6g} is NaN")
+        return fx
+
+    def signbit(v: float) -> bool:
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise BracketingFailureError(
+            f"f(a) and f(b) must have different signs, got f({xa})={fpre} and f({xb})={fcur}"
+        )
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise BracketingFailureError(f"failed to converge after {maxiter} iterations, value is {xcur}")

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 from scipy.special import gammaln
 
+from ._distributions import gamma_cdf, poisson_cdf
 from .errors import UnsupportedEffectsError
 from .model import FreqRule, GammaSeverity, PoissonSeverity, SeverityLaw, validate_rule
 
@@ -33,9 +33,9 @@ def exceedance_profile(threshold: float, means: np.ndarray, law: SeverityLaw) ->
     means = np.asarray(means, dtype=float)
     if isinstance(law, GammaSeverity):
         shape = law.shape
-        return stats.gamma.sf(threshold, shape, scale=means / shape)
+        return gamma_cdf(threshold, shape, means / shape, upper=True)
     if isinstance(law, PoissonSeverity):
-        return stats.poisson.sf(np.floor(threshold), means)
+        return poisson_cdf(np.floor(threshold), means, upper=True)
     raise UnsupportedEffectsError(f"no claim-size law for {type(law).__name__}")
 
 

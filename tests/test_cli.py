@@ -274,6 +274,23 @@ class TestConfigHandling:
         config = write_config(tmp_path, payload)
         assert run(["relativities", "--config", config, "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("verb", ["relativities", "hmse-scan", "reproduce-table"])
+    def test_unattainable_quantile_exits_2(self, tmp_path, capsys, verb):
+        overlay = {
+            "model": {
+                "classes": [{"weight": 1.0, "freq_rate": 0.5, "sev_rate": 0.5}],
+                "severity": {"kind": "poisson"},
+            },
+            "thresholds": [],
+            "quantiles": [0.3],
+        }
+        config = write_config(tmp_path, overlay)
+        argv = [verb, "--preset", "ex2a", "--config", config, "--out", str(tmp_path / "out")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: quantile level 0.3 is unattainable" in err
+        assert "mass at zero" in err
+
     def test_data_preset_requires_weights(self, tmp_path, capsys):
         assert run(["relativities", "--preset", "dat", "--out", str(tmp_path)]) == 2
         assert "weights" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bonusmalus import (
     LognormalCopulaEffects,
     MixtureExponentialEffects,
     NonFiniteIntegrandError,
+    PoissonSeverity,
     SeverityRule,
     UnsupportedEffectsError,
     build_grid,
@@ -130,6 +132,19 @@ class TestSeverityMarginalQuantile:
             severity_marginal_quantile(0.0, model)
         with pytest.raises(ValueError):
             severity_marginal_quantile(1.0, model)
+
+    def test_level_below_the_mass_at_zero_names_both(self):
+        # Poisson sizes of mean 0.5 put about 0.6 of the marginal mass on 0,
+        # so no positive threshold has the 0.3 quantile.
+        model = dataclasses.replace(
+            study_model(-0.8, sev_rate=0.5), severity=PoissonSeverity()
+        )
+        theta2, w2 = marginal_grid(model.effects, 2, 32)
+        at_zero = float(w2 @ np.exp(-0.5 * theta2))
+        assert at_zero > 0.3
+        with pytest.raises(ValueError, match=rf"level 0\.3 .*mass at zero is {at_zero:.6g}"):
+            severity_marginal_quantile(0.3, model)
+        assert severity_marginal_quantile(0.9, model) >= 1.0
 
 
 class TestRefinementStability:
