@@ -76,7 +76,7 @@ from .simulate import (
     hmse_empirical,
     simulate_paths,
 )
-from .stationary import conditional_stationary_field, stationary_distribution
+from .stationary import conditional_stationary_field
 from .transition import build_matrices, exceedance_profile
 from .verify import BatteryReport, OracleCheck, check_rule, oracle_agreement_battery
 
@@ -141,7 +141,6 @@ __all__ = [
     "rule_dominance_check",
     "severity_marginal_quantile",
     "simulate_paths",
-    "stationary_distribution",
     "threshold_scan",
     "unconditional_level_distribution",
     "validate_model",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -51,10 +52,28 @@ class QuadratureGrid:
         return self.weights.size
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=16)
 def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     # Nodes/weights for a standard normal: integrate f(z) phi(z) dz.
     x, w = hermgauss(n)
-    return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+    return _read_only(math.sqrt(2.0) * x, w / math.sqrt(math.pi))
+
+
+@lru_cache(maxsize=16)
+def _laguerre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return _read_only(*laggauss(n))
+
+
+def _branches(effects: MixtureExponentialEffects) -> list[tuple[float, float]]:
+    """``(weight, rate)`` of the mixture branches that carry mass."""
+    pairs = ((effects.weight1, effects.rate1), (1.0 - effects.weight1, effects.rate2))
+    return [(weight, rate) for weight, rate in pairs if weight != 0.0]
 
 
 def _lognormal(log_var: float, z: np.ndarray) -> np.ndarray:
@@ -86,14 +105,9 @@ def build_grid(effects: RandomEffectJoint, n: int = DEFAULT_NODES) -> Quadrature
         theta2 = _lognormal(effects.log_var2, z2)
         return QuadratureGrid(theta1, theta2, weights, "gauss-hermite", n)
     if isinstance(effects, MixtureExponentialEffects):
-        t, v = laggauss(n)
+        t, v = _laguerre_nodes(n)
         parts = []
-        for branch_weight, rate in (
-            (effects.weight1, effects.rate1),
-            (1.0 - effects.weight1, effects.rate2),
-        ):
-            if branch_weight == 0.0:
-                continue
+        for branch_weight, rate in _branches(effects):
             nodes = t / rate
             th1 = np.repeat(nodes, n)
             th2 = np.tile(nodes, n)
@@ -123,14 +137,9 @@ def marginal_grid(
         z, w = _hermite_nodes(n)
         return _lognormal(log_var, z), w.copy()
     if isinstance(effects, MixtureExponentialEffects):
-        t, v = laggauss(n)
+        t, v = _laguerre_nodes(n)
         values, weights = [], []
-        for branch_weight, rate in (
-            (effects.weight1, effects.rate1),
-            (1.0 - effects.weight1, effects.rate2),
-        ):
-            if branch_weight == 0.0:
-                continue
+        for branch_weight, rate in _branches(effects):
             values.append(t / rate)
             weights.append(branch_weight * v)
         return np.concatenate(values), np.concatenate(weights)

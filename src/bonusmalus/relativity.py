@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import LevelMismatchError
 from .model import BmsRule, FreqRule, ModelSpec, SeverityRule
-from .quadrature import DEFAULT_NODES, QuadratureGrid, build_grid, marginal_grid
+from .quadrature import DEFAULT_NODES, QuadratureGrid, _read_only, build_grid, marginal_grid
 from .stationary import conditional_stationary_field
 
 MASS_FLOOR = 1e-14
@@ -105,17 +105,12 @@ class _MomentField:
     norm: float
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
 @lru_cache(maxsize=16)
 def _joint_stationary(model: ModelSpec, rule: BmsRule, nodes: int):
     """Joint grid plus stationary rows per (class, node); cached across calls.
 
     Threshold scans and score evaluations hit the same (model, rule, nodes)
-    keys repeatedly; the linear solves dominate cost and are reused here.
+    keys repeatedly; the stationary rows dominate cost and are reused here.
     The returned arrays are read-only, since every caller shares them.
     """
     grid = build_grid(model.effects, nodes)

@@ -1,65 +1,60 @@
 """Stationary level distributions of bonus-malus chains.
 
-Every stationary row solves the all-ones rank correction of ``I - P`` (one
-linear solve, no matrix inversion), batched over transition matrices.  The
-conditional field holds one row per (risk class, quadrature node) pair.
+A claim-free year moves exactly one level down, so each level chain is
+skip-free to the left and the flow across the cut between levels ``l`` and
+``l+1`` balances: ``pi[l+1] * p0 = sum_{i<=l} pi[i] * T[l+1-i]``.  The rows
+follow level by level (GTH elimination for M/G/1-type chains), batched over
+profiles, with no matrix and no linear solve.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from .errors import SingularSystemError
 from .model import ModelSpec, SeverityRule
 from .quadrature import QuadratureGrid
-from .transition import build_matrices, exceedance_profile
-
-COND_WARN = 1e12
-RESIDUAL_TOL = 1e-10
+from .transition import exceedance_profile, jump_tails
 
 
-def _stationary_batch(Ps: np.ndarray) -> np.ndarray:
-    """Solve the stationary system for a stack of transition matrices."""
-    n = Ps.shape[-1]
-    A = np.eye(n)[None, :, :] - Ps + 1.0
-    try:
-        rhs = np.ones((Ps.shape[0], n, 1))
-        pis = np.linalg.solve(np.swapaxes(A, -1, -2), rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"stationary batch solve failed: {exc}") from exc
-    residual = np.max(np.abs(np.einsum("nij,ni->nj", Ps, pis) - pis))
+def _balance_residual(p0: np.ndarray, T: np.ndarray, pi: np.ndarray) -> float:
+    """Largest entry of ``pi P - pi`` for the chains ``(p0, T)``; level-major arrays."""
+    z = T.shape[0]
+    flow = np.zeros_like(pi)
+    flow[:z] = p0 * pi[1:]  # claim-free years move one level down
+    flow[0] += p0 * pi[0]
+    for g in range(1, z):  # jumps of exactly g levels that stay below the top
+        flow[g:z] += pi[: z - g] * (T[g - 1] - T[g])
+    flow[z] = (pi[:z] * T[::-1]).sum(axis=0) + pi[z] * T[0]  # the top absorbs longer jumps
+    return float(np.max(np.abs(flow - pi)))
+
+
+def _stationary_batch(p0: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Stationary rows ``(N, z+1)`` of the chains with no-claim mass ``p0`` and jump tails ``T``.
+
+    Level-major: ``up[m-1]`` holds the flow across the cut below level ``m``
+    from the levels solved so far.  Each step rescales both by ``p0 / (p0 + up)``
+    instead of dividing by ``p0``: nothing is subtracted, no mass goes below
+    zero, and with only elementwise work a row does not depend on the batch.
+    A fixed-point residual above 1e-9 raises ``SingularSystemError``.
+    """
+    T = np.ascontiguousarray(T.T)
+    z, n = T.shape
+    pi = np.zeros((z + 1, n))
+    pi[0] = 1.0
+    up = T.copy()
+    for lvl in range(z):
+        total = p0 + up[lvl]
+        scale = p0 / total
+        pi[: lvl + 1] *= scale
+        up[lvl + 1 :] *= scale
+        pi[lvl + 1] = up[lvl] / total
+        up[lvl + 1 :] += pi[lvl + 1] * T[: z - lvl - 1]
+    pi /= np.add.accumulate(pi)[-1]  # summed in level order whatever the batch
+    residual = _balance_residual(p0, T, pi)
     if not np.isfinite(residual) or residual > 1e-9:
         raise SingularSystemError(f"stationary batch residual {residual!r} too large")
-    return pis
-
-
-def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a row-stochastic level chain.
-
-    Warns when the rank-corrected system is ill-conditioned and rejects a
-    solution whose fixed-point residual exceeds 1e-10.
-    """
-    P = np.asarray(P, dtype=float)
-    rows = P.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > 1e-9 or np.min(P) < -1e-15:
-        raise ValueError("matrix is not row-stochastic")
-    A = np.eye(P.shape[0]) - P + 1.0
-    cond = np.linalg.cond(A)
-    if cond > COND_WARN:
-        warnings.warn(
-            f"stationary system condition number {cond:.3g} exceeds {COND_WARN:.0e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    pi = _stationary_batch(P[None])[0]
-    residual = np.max(np.abs(pi @ P - pi))
-    if not np.isfinite(residual) or residual > RESIDUAL_TOL:
-        raise SingularSystemError(
-            f"stationary residual {residual!r} exceeds {RESIDUAL_TOL}; chain is not unichain"
-        )
-    return pi
+    return pi.T
 
 
 def conditional_stationary_field(
@@ -70,19 +65,17 @@ def conditional_stationary_field(
     Returns an array of shape ``(classes, grid.size, levels)``.  A node
     enters only through its claim mean and its exceedance (zero under a
     frequency rule), so equal (mean, exceedance) pairs are solved once: a
-    frequency rule needs one solve per distinct frequency effect.
+    frequency rule needs one chain per distinct frequency effect.
     """
     classes = model.portfolio.classes
     out = np.empty((len(classes), grid.size, rule.levels))
     for ci, cls in enumerate(classes):
         freq_means = cls.freq_rate * grid.theta1
+        exceed, keys = np.zeros_like(freq_means), freq_means
         if isinstance(rule, SeverityRule):
             exceed = exceedance_profile(rule.threshold, cls.sev_rate * grid.theta2, model.severity)
-        else:
-            exceed = np.zeros_like(freq_means)
-        profiles, inverse = np.unique(
-            np.column_stack([freq_means, exceed]), axis=0, return_inverse=True
-        )
-        Ps = build_matrices(rule, profiles[:, 0], profiles[:, 1])
-        out[ci] = _stationary_batch(Ps)[inverse]
+            keys = freq_means + 1j * exceed  # one sort key per (mean, exceedance)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        p0, T = jump_tails(rule, freq_means[first], exceed[first])
+        out[ci] = _stationary_batch(p0, T)[inverse]
     return out

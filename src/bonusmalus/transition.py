@@ -1,27 +1,27 @@
-"""One-step transition matrices for bonus-malus level chains.
+"""Jump laws of bonus-malus level chains.
 
 For a fixed policyholder profile the level process is Markov: a claim-free
 year moves one level down, every claim moves the level up by its penalty
 step, capped at the top level.  Under a severity-aware rule each claim is
 independently "large" with the exceedance probability of the claim-size law
-at the rule's threshold, so the up-move mass mixes a Poisson count with a
-binomial split into small and large claims.  A frequency-driven rule is the
-severity-aware rule whose small and large claims move the same number of
-levels, so one builder serves both families.
+at the rule's threshold, so by Poisson thinning the small and large claim
+counts are independent Poisson counts.  A profile's chain is then fixed by
+the no-claim probability ``p0`` and the jump tails ``P(jump >= g)``, which do
+not depend on the level.  A frequency-driven rule is the severity-aware rule
+whose small and large claims move the same number of levels, so one jump law
+serves both families.
 """
 
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from ._distributions import gamma_cdf, poisson_cdf
 from .errors import UnsupportedEffectsError
 from .model import FreqRule, GammaSeverity, PoissonSeverity, SeverityLaw, validate_rule
-
-EXACT_COMB_LIMIT = 30
 
 
 def exceedance_profile(threshold: float, means: np.ndarray, law: SeverityLaw) -> np.ndarray:
@@ -39,73 +39,77 @@ def exceedance_profile(threshold: float, means: np.ndarray, law: SeverityLaw) ->
     raise UnsupportedEffectsError(f"no claim-size law for {type(law).__name__}")
 
 
-def _binom(n: int, k: int) -> float:
-    if n <= EXACT_COMB_LIMIT:
-        return float(math.comb(n, k))
-    return math.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+@lru_cache(maxsize=128)
+def _small_counts(z: int, small: int, large: int, upper: bool) -> np.ndarray:
+    """Small-claim count per (jump g = 1..z, large-claim count k2).
 
-
-def _pmf_rows(max_k: int, means: np.ndarray) -> np.ndarray:
-    """Poisson probabilities of 0..max_k claims, one row per mean.
-
-    Evaluated in log space so extreme means stay finite; a mean of zero puts
-    all mass on no claims.
+    With ``upper`` the count to exceed for a jump of at least g, else the count
+    for a jump of exactly g; -1, the zero column appended to the small-claim
+    law, where the pair adds nothing.
     """
-    k = np.arange(max_k + 1)
-    positive = means > 0.0
-    log_mean = np.log(np.where(positive, means, 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pmf = k * log_mean[:, None] - means[:, None] - gammaln(k + 1)
-    q = np.exp(log_pmf)
-    q[~positive] = 0.0
-    q[~positive, 0] = 1.0
-    return q
+    rest = np.arange(1, z + 1)[:, None] - large * np.arange(z // large + 1)
+    if upper:
+        counts = np.where(rest > 0, (rest - 1) // small, -1)
+    else:
+        counts = np.where((rest >= 0) & (rest % small == 0), rest // small, -1)
+    counts.flags.writeable = False
+    return counts
 
 
-def build_matrices(rule, freq_means, exceed) -> np.ndarray:
-    """Transition matrices for a stack of policyholder profiles.
+def _poisson_pmf(k, means):  # log space; xlogy(0, 0) = 0 puts a zero mean on 0 claims
+    return np.exp(xlogy(k, means[:, None]) - means[:, None] - gammaln(k + 1))
 
-    ``freq_means`` are conditional Poisson claim means and ``exceed`` the
-    probabilities that a single claim exceeds the rule's threshold; they
-    broadcast to ``N`` profiles and the result has shape ``(N, z+1, z+1)``.
-    A ``FreqRule`` is the equal-step rule at exceedance 0.
 
-    Row ``l`` places the no-claim mass on ``max(l - 1, 0)``, the mass of
-    moving exactly ``g`` levels up on ``l + g`` for targets below the top,
-    and the exact complement on the top (absorbing all larger jumps), which
-    keeps rows stochastic to machine precision.
+def _jump_law(rule, freq_means, exceed, upper: bool):
+    """``(p0, P(jump >= g))`` if ``upper`` else ``(p0, P(jump == g))``, g = 1..z.
+
+    Sums over the large-claim count; with ``upper`` the counts that reach g
+    alone enter as the large-claim upper tail, so nothing is subtracted.
     """
     validate_rule(rule)
-    if isinstance(rule, FreqRule):
-        small = large = rule.step
-    else:
-        small, large = rule.small_step, rule.large_step
-    means, exceed = (
-        np.array(a, dtype=float)
-        for a in np.broadcast_arrays(np.atleast_1d(freq_means), np.atleast_1d(exceed))
-    )
+    freq = isinstance(rule, FreqRule)
+    small, large = (rule.step, rule.step) if freq else (rule.small_step, rule.large_step)
+    means, exceed = np.broadcast_arrays(*np.atleast_1d(freq_means, exceed))
     if not np.all((exceed >= 0.0) & (exceed <= 1.0)):
         raise ValueError("exceedance probabilities must lie in [0, 1]")
     z = rule.max_level
-    q1 = _pmf_rows(max(z // small + 1, 1), means)
-    # up[:, g] is the mass of moving exactly g levels up.  The (k1, k2)
-    # small/large claim pairs of a gap do not depend on the profile; the count
-    # bound is exact integer arithmetic, never a float membership test.
-    up = np.zeros((means.size, z))
-    for gap in range(1, z):
-        for k2 in range(gap // large + 1):
-            remainder = gap - k2 * large
-            if remainder % small != 0:
-                continue
-            k1 = remainder // small
-            # 0**0 == 1 covers the exceed in {0, 1} boundary rules.
-            up[:, gap] += (
-                q1[:, k1 + k2] * _binom(k1 + k2, k2) * exceed**k2 * (1.0 - exceed) ** k1
-            )
-    P = np.zeros((means.size, z + 1, z + 1))
+    m1, m2 = means * (1.0 - exceed), means * exceed  # small and large claim means
+    if upper:  # a tail index never exceeds (z - 1) // step
+        law1 = poisson_cdf(np.arange((z - 1) // small + 1), m1[:, None], upper=True)
+    else:
+        law1 = _poisson_pmf(np.arange(z // small + 1), m1)
+    law1 = np.concatenate([law1, np.zeros((means.size, 1))], axis=1)
+    counts = _small_counts(z, small, large, upper)
+    law = (_poisson_pmf(np.arange(z // large + 1), m2)[:, None, :] * law1[:, counts]).sum(axis=2)
+    if upper:
+        tail2 = poisson_cdf(np.arange((z - 1) // large + 1), m2[:, None], upper=True)
+        law += tail2[:, np.arange(z) // large]
+    return np.exp(-means), law
+
+
+def jump_tails(rule, freq_means, exceed) -> tuple[np.ndarray, np.ndarray]:
+    """No-claim probabilities ``p0`` and jump tails ``T`` for a stack of profiles.
+
+    ``freq_means`` are conditional Poisson claim means and ``exceed`` the
+    probabilities that a single claim exceeds the rule's threshold; they
+    broadcast to ``N`` profiles.  ``p0`` has shape ``(N,)`` and ``T`` shape
+    ``(N, z)`` with ``T[:, g-1] = P(jump >= g)``.
+    """
+    return _jump_law(rule, freq_means, exceed, upper=True)
+
+
+def build_matrices(rule, freq_means, exceed) -> np.ndarray:
+    """Transition matrices ``(N, z+1, z+1)`` from the jump law, for the enumeration checks.
+
+    Row ``l`` holds ``p0`` on ``max(l - 1, 0)``, the exact jump masses below
+    the top, and on ``z`` the tail of the jumps that reach it.
+    """
+    p0, tails = jump_tails(rule, freq_means, exceed)
+    exact = _jump_law(rule, freq_means, exceed, upper=False)[1]
+    z = rule.max_level
+    P = np.zeros((p0.size, z + 1, z + 1))
     for lvl in range(z + 1):
-        P[:, lvl, max(lvl - 1, 0)] = q1[:, 0]
-        P[:, lvl, lvl + 1 : z] = up[:, 1 : z - lvl]
-    # The complement is nonnegative; guard against a -1ulp rounding.
-    P[:, :, z] = np.maximum(1.0 - P[:, :, :z].sum(axis=2), 0.0)
+        P[:, lvl, max(lvl - 1, 0)] = p0
+        P[:, lvl, lvl + 1 : z] = exact[:, : max(z - lvl - 1, 0)]
+        P[:, lvl, z] = tails[:, max(z - lvl, 1) - 1]
     return P

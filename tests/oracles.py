@@ -3,19 +3,24 @@
 Everything here deliberately avoids the production code paths: transition
 masses come from brute-force enumeration over claim-count pairs with the
 level-update indicator, stationary rows from repeated squaring of the
-transition matrix, posterior means from adaptive quadrature of the prior
-times the likelihood, and severity tails from direct density integration.
+transition matrix or from a rank-corrected linear solve on any matrix,
+posterior means from adaptive quadrature of the prior times the
+likelihood, and severity tails from direct density integration.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy import integrate, stats
 
-from bonusmalus import NonFiniteIntegrandError
+from bonusmalus import NonFiniteIntegrandError, SingularSystemError
 from bonusmalus.model import FreqRule
+
+COND_WARN = 1e12
+RESIDUAL_TOL = 1e-10
 
 
 def poisson_truncation_bound(mean: float, tail: float = 1e-12) -> int:
@@ -41,6 +46,37 @@ def power_iteration_stationary(P: np.ndarray, doublings: int = 60) -> np.ndarray
         Q /= Q.sum(axis=1, keepdims=True)
     pi = Q.mean(axis=0)
     return pi / pi.sum()
+
+
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Stationary distribution of any row-stochastic matrix by one linear solve.
+
+    Solves the all-ones rank correction of ``I - P``, warns when that system
+    is ill-conditioned and rejects a solution whose fixed-point residual
+    exceeds 1e-10.
+    """
+    P = np.asarray(P, dtype=float)
+    rows = P.sum(axis=1)
+    if np.max(np.abs(rows - 1.0)) > 1e-9 or np.min(P) < -1e-15:
+        raise ValueError("matrix is not row-stochastic")
+    A = np.eye(P.shape[0]) - P + 1.0
+    cond = np.linalg.cond(A)
+    if cond > COND_WARN:
+        warnings.warn(
+            f"stationary system condition number {cond:.3g} exceeds {COND_WARN:.0e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    try:
+        pi = np.linalg.solve(A.T, np.ones(P.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"stationary solve failed: {exc}") from exc
+    residual = np.max(np.abs(pi @ P - pi))
+    if not np.isfinite(residual) or residual > RESIDUAL_TOL:
+        raise SingularSystemError(
+            f"stationary residual {residual!r} exceeds {RESIDUAL_TOL}; chain is not unichain"
+        )
+    return pi
 
 
 def expect(f, grid) -> float:

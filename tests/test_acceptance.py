@@ -202,12 +202,8 @@ def test_criterion_6_oracle_agreement_battery():
 
 def test_criterion_7_invariant_suite():
     """Spot re-run of the structural invariants at their stated tolerances."""
-    from bonusmalus import (
-        balance_check,
-        build_matrices,
-        posterior_density,
-        stationary_distribution,
-    )
+    from bonusmalus import balance_check, build_matrices, posterior_density
+    from oracles import stationary_distribution
     from scipy import integrate
 
     # Row stochasticity and fixed-point residuals across the test grid.

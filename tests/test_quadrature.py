@@ -23,6 +23,7 @@ from bonusmalus import (
     optimal_relativity_severity,
     severity_marginal_quantile,
 )
+from bonusmalus.quadrature import _hermite_nodes, _laguerre_nodes
 from conftest import GAMMA_SHAPE, degenerate_model, study_model
 from oracles import expect
 
@@ -82,6 +83,23 @@ class TestBuildGrid:
         theta2, w2 = marginal_grid(effects, 2, 32)
         assert abs(w2 @ theta2 - 1.0) < 1e-8
         assert abs(w2 @ theta2**2 - math.exp(0.29)) < 1e-6
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize("rule", [_hermite_nodes, _laguerre_nodes])
+    def test_built_once_per_node_count_and_read_only(self, rule):
+        nodes, weights = rule(16)
+        assert rule(16)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+    @pytest.mark.parametrize(
+        "effects",
+        [LognormalCopulaEffects(-0.8, 0.99, 0.29), MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0)],
+    )
+    def test_grids_built_from_cached_rules_are_writable_copies(self, effects):
+        grid = build_grid(effects, 16)
+        arrays = (grid.theta1, grid.theta2, grid.weights, *marginal_grid(effects, 1, 16))
+        assert all(a.flags.writeable for a in arrays)
 
 
 class TestExpect:

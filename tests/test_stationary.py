@@ -1,4 +1,4 @@
-"""Stationary solves and the unconditional level distribution."""
+"""Stationary rows, the cut recursion and the unconditional level distribution."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bonusmalus import (
     FreqRule,
@@ -14,11 +16,12 @@ from bonusmalus import (
     build_grid,
     build_matrices,
     exceedance_profile,
-    stationary_distribution,
     unconditional_level_distribution,
 )
+from bonusmalus.stationary import _stationary_batch
+from bonusmalus.transition import jump_tails
 from conftest import degenerate_model, study_model
-from oracles import power_iteration_stationary
+from oracles import enumeration_matrix, power_iteration_stationary, stationary_distribution
 
 
 class TestStationaryDistribution:
@@ -61,7 +64,60 @@ class TestStationaryDistribution:
         assert np.allclose(pi, [0.5, 0.5], atol=1e-6)
 
 
+STEPS = st.integers(min_value=1, max_value=32)
+RULES = st.one_of(
+    st.builds(FreqRule, st.integers(min_value=1, max_value=30), STEPS),
+    st.tuples(st.integers(min_value=1, max_value=30), STEPS, STEPS).map(
+        lambda t: SeverityRule(t[0], min(t[1:]), max(t[1:]), 1.0)
+    ),
+)
+PROFILES = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 1e-14]), st.floats(min_value=1e-14, max_value=6.0)),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestCutRecursion:
+    @given(RULES, PROFILES)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_power_iteration_on_enumerated_chains(self, rule, profiles):
+        means, exceed = (np.array(v) for v in zip(*profiles))
+        batch = _stationary_batch(*jump_tails(rule, means, exceed))
+        assert batch.shape == (len(profiles), rule.levels)
+        assert np.min(batch) >= 0.0
+        for row, (mean, q) in zip(batch, profiles):
+            oracle = power_iteration_stationary(enumeration_matrix(rule, mean, q))
+            assert np.max(np.abs(row - oracle)) < 1e-10
+            # A batch row is bitwise the row of a one-profile call.
+            assert np.array_equal(row, _stationary_batch(*jump_tails(rule, mean, q))[0])
+
+    def test_tails_inconsistent_with_p0_rejected(self):
+        p0, T = jump_tails(FreqRule(9, 1), 0.5, 0.0)
+        with pytest.raises(SingularSystemError):
+            _stationary_batch(p0, 0.5 * T)
+
+    def test_non_finite_tails_rejected(self):
+        p0, T = jump_tails(FreqRule(9, 1), 0.5, 0.0)
+        T[0, 3] = np.nan
+        with pytest.raises(SingularSystemError):
+            _stationary_batch(p0, T)
+
+
 class TestUnconditionalLevels:
+    @pytest.mark.parametrize("rate", [50.0, 1e3, 1e20])
+    @pytest.mark.parametrize(
+        "rule", [FreqRule(9, 1), SeverityRule(9, 1, 2, 16800.0)], ids=["freq", "sev"]
+    )
+    def test_extreme_claim_rates_give_no_negative_mass(self, rule, rate):
+        levels = unconditional_level_distribution(degenerate_model(freq_rate=rate), rule)
+        assert np.min(levels) >= 0.0
+        assert abs(levels.sum() - 1.0) <= rule.levels * np.finfo(float).eps
+
+
     def test_degenerate_effects_reduce_to_single_profile(self):
         model = degenerate_model(freq_rate=0.5)
         rule = FreqRule(9, 1)
