@@ -50,4 +50,5 @@ print(f"   one-sided 95% lower bound on the gap: {result.one_sided_lower_95:.4f}
 unit = MixtureBayesModel(0.5, 3.0, effects, unit_severity_effect=True)
 flat = mse_comparison_mc(unit, years=3, n_paths=200_000, seed=42)
 print("\nwith the severity effect frozen at 1 the record adds nothing:")
-print(f"   MSE gap: {flat.diff_mean:.6f} (identically zero)")
+print(f"   MSE gap: {flat.diff_mean:.6f} (identically zero: the full-record and")
+print("   counts-only premiums are then one expression, equal for every history)")

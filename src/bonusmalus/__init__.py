@@ -45,7 +45,6 @@ from .model import (
     LognormalCopulaEffects,
     MixtureExponentialEffects,
     ModelSpec,
-    PoissonFrequency,
     PoissonSeverity,
     Portfolio,
     RiskClass,
@@ -106,7 +105,6 @@ __all__ = [
     "NonUnitEffectMeanError",
     "NonUnitWeightsError",
     "OracleCheck",
-    "PoissonFrequency",
     "PoissonSeverity",
     "Portfolio",
     "QuadratureGrid",

@@ -206,13 +206,13 @@ def parse_bayes_model(cfg: dict) -> MixtureBayesModel:
         effects = MixtureExponentialEffects(
             float(section["weight1"]), float(section["rate1"]), float(section["rate2"])
         )
+        unit = section.get("unit_severity_effect", False)
+        if not isinstance(unit, bool):
+            raise ConfigError(f"'unit_severity_effect' must be true or false, got {unit!r}")
         model = MixtureBayesModel(
-            float(section["freq_rate"]),
-            float(section["sev_rate"]),
-            effects,
-            bool(section.get("unit_severity_effect", False)),
+            float(section["freq_rate"]), float(section["sev_rate"]), effects, unit
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad bayes model configuration: {exc}") from exc
     return model
 

@@ -24,7 +24,7 @@ class InvalidRuleError(ModelValidationError):
 
 
 class InconsistentHistoryError(ModelValidationError):
-    """A claim history reports positive aggregate severity in a claim-free year."""
+    """A claim history is malformed or reports positive severity in a claim-free year."""
 
 
 class SingularSystemError(BonusMalusError):

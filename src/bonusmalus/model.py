@@ -12,6 +12,8 @@ concurrent workers.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -28,6 +30,7 @@ from .errors import (
 WEIGHT_SUM_TOL = 1e-9
 EFFECT_MEAN_TOL = 1e-8
 MIXTURE_MEAN_TOL = 1e-12
+MAX_CLAIM_COUNT = 2**53
 
 
 @dataclass(frozen=True)
@@ -69,13 +72,6 @@ class Portfolio:
     @property
     def sev_rates(self) -> np.ndarray:
         return np.array([c.sev_rate for c in self.classes])
-
-
-@dataclass(frozen=True)
-class PoissonFrequency:
-    """Poisson claim counts with conditional mean ``freq_rate * theta1``."""
-
-    kind: str = field(default="poisson", init=False)
 
 
 @dataclass(frozen=True)
@@ -187,16 +183,23 @@ BmsRule = Union[FreqRule, SeverityRule]
 
 @dataclass(frozen=True)
 class ClaimHistory:
-    """Observed per-year claim counts and, optionally, aggregate severities."""
+    """Observed per-year claim counts and, optionally, aggregate severities.
+
+    Counts must be whole numbers in [0, 2**53] (exact in floating point) and
+    aggregates finite non-negative numbers; anything else, booleans and
+    strings included, raises ``InconsistentHistoryError`` on construction.
+    ``validate`` checks that the two sequences agree.
+    """
 
     counts: tuple[int, ...]
     aggregates: tuple[float, ...] | None = None
 
     def __init__(self, counts, aggregates=None) -> None:
-        object.__setattr__(self, "counts", tuple(int(n) for n in counts))
-        object.__setattr__(
-            self, "aggregates", None if aggregates is None else tuple(float(s) for s in aggregates)
-        )
+        counts = tuple(_history_entry(n, whole=True) for n in counts)
+        if aggregates is not None:
+            aggregates = tuple(_history_entry(s, whole=False) for s in aggregates)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "aggregates", aggregates)
 
     @property
     def years(self) -> int:
@@ -213,19 +216,33 @@ class ClaimHistory:
         return sum(self.aggregates)
 
     def validate(self) -> "ClaimHistory":
-        if any(n < 0 for n in self.counts):
-            raise InconsistentHistoryError("claim counts must be nonnegative")
         if self.aggregates is not None:
             if len(self.aggregates) != len(self.counts):
                 raise InconsistentHistoryError("counts and aggregates differ in length")
             for t, (n, s) in enumerate(zip(self.counts, self.aggregates)):
-                if s < 0:
-                    raise InconsistentHistoryError(f"negative aggregate severity in year {t + 1}")
                 if n == 0 and s > 0:
                     raise InconsistentHistoryError(
                         f"year {t + 1} has no claims but positive aggregate severity"
                     )
+            if not math.isfinite(self.total_aggregate):
+                raise InconsistentHistoryError("aggregate severities overflow when summed")
         return self
+
+
+def _history_entry(value, whole: bool):
+    """A claim count (``whole``) or an aggregate severity, checked and converted."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not 0 <= value <= (MAX_CLAIM_COUNT if whole else sys.float_info.max)
+        or (whole and value != int(value))
+    ):
+        raise InconsistentHistoryError(
+            f"claim count {value!r} is not a whole number in [0, 2**53]"
+            if whole
+            else f"aggregate severity {value!r} is not a finite non-negative number"
+        )
+    return int(value) if whole else float(value)
 
 
 @dataclass(frozen=True)
@@ -235,7 +252,6 @@ class ModelSpec:
     portfolio: Portfolio
     severity: SeverityLaw
     effects: RandomEffectJoint
-    frequency: PoissonFrequency = PoissonFrequency()
 
 
 def _validate_rule(rule: BmsRule) -> None:
@@ -285,8 +301,8 @@ def _validate_effects(effects: RandomEffectJoint) -> None:
     if isinstance(effects, MixtureExponentialEffects):
         if not 0.0 <= effects.weight1 <= 1.0:
             raise ModelValidationError(f"mixture weight {effects.weight1} outside [0, 1]")
-        if not (effects.rate1 > 0 and effects.rate2 > 0):
-            raise ModelValidationError("mixture rates must be positive")
+        if not (0 < effects.rate1 < math.inf and 0 < effects.rate2 < math.inf):
+            raise ModelValidationError("mixture rates must be positive and finite")
         if abs(effects.marginal_mean() - 1.0) > MIXTURE_MEAN_TOL:
             raise NonUnitEffectMeanError(
                 f"mixture marginal mean {effects.marginal_mean()!r} is not 1: "
@@ -323,8 +339,6 @@ def validate_model(spec: ModelSpec) -> ModelSpec:
 
     if isinstance(spec.severity, GammaSeverity) and spec.severity.dispersion <= 0:
         raise ModelValidationError("gamma severity dispersion must be positive")
-    if not isinstance(spec.frequency, PoissonFrequency):
-        raise ModelValidationError("only Poisson claim counts are supported")
 
     _validate_effects(spec.effects)
     return replace(spec, portfolio=Portfolio(classes))

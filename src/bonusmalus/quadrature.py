@@ -146,13 +146,13 @@ def marginal_grid(
     raise UnsupportedEffectsError(f"no quadrature scheme for {type(effects).__name__}")
 
 
-def severity_cdf(x, mean, law: SeverityLaw):
-    """Conditional claim-size CDF at ``x`` for a given conditional mean."""
+def severity_cdf(x, mean, law: SeverityLaw, upper: bool = False):
+    """Conditional claim-size CDF at ``x``, or its survival function when ``upper``."""
     if isinstance(law, GammaSeverity):
         shape = law.shape
-        return gamma_cdf(x, shape, np.asarray(mean) / shape)
+        return gamma_cdf(x, shape, np.asarray(mean) / shape, upper)
     if isinstance(law, PoissonSeverity):
-        return poisson_cdf(np.floor(x), mean)
+        return poisson_cdf(np.floor(x), mean, upper)
     raise UnsupportedEffectsError(f"no claim-size law for {type(law).__name__}")
 
 

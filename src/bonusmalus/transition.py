@@ -19,9 +19,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from ._distributions import gamma_cdf, poisson_cdf
-from .errors import UnsupportedEffectsError
-from .model import FreqRule, GammaSeverity, PoissonSeverity, SeverityLaw, validate_rule
+from ._distributions import poisson_cdf
+from .model import FreqRule, SeverityLaw, validate_rule
+from .quadrature import severity_cdf
 
 
 def exceedance_profile(threshold: float, means: np.ndarray, law: SeverityLaw) -> np.ndarray:
@@ -30,13 +30,7 @@ def exceedance_profile(threshold: float, means: np.ndarray, law: SeverityLaw) ->
     Gamma sizes use the survival function of the mean-parameterized gamma;
     Poisson sizes the discrete upper tail.  Decreasing in the threshold.
     """
-    means = np.asarray(means, dtype=float)
-    if isinstance(law, GammaSeverity):
-        shape = law.shape
-        return gamma_cdf(threshold, shape, means / shape, upper=True)
-    if isinstance(law, PoissonSeverity):
-        return poisson_cdf(np.floor(threshold), means, upper=True)
-    raise UnsupportedEffectsError(f"no claim-size law for {type(law).__name__}")
+    return severity_cdf(threshold, np.asarray(means, dtype=float), law, upper=True)
 
 
 @lru_cache(maxsize=128)

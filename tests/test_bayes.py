@@ -26,6 +26,10 @@ from oracles import freq_posterior_mean_quad, joint_posterior_moment_quad
 
 INTERIOR = MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0)
 SINGLE = MixtureExponentialEffects(1.0, 1.0, 5.0)  # boundary: one exponential component
+# (freq_rate, sev_rate) pairs beside the default 0.5/3.0 for the unit-severity
+# identity: whether the two aggregate premiums agree must not depend on how
+# the rates happen to round.
+UNIT_RATES = [(0.1, 3.0), (0.3, 7.0), (0.05, 40.0)]
 
 
 def interior_model(freq_rate=0.5, sev_rate=3.0, unit_severity=False) -> MixtureBayesModel:
@@ -184,6 +188,15 @@ class TestAggregatePremiumFullHistory:
             history, model
         )
 
+    @pytest.mark.parametrize("freq_rate,sev_rate", UNIT_RATES)
+    def test_unit_severity_effect_equates_histories_exactly(self, freq_rate, sev_rate):
+        model = interior_model(freq_rate, sev_rate, unit_severity=True)
+        histories = random_histories(300, seed=404, mean_count=freq_rate * 4, mean_size=sev_rate)
+        for history in [ClaimHistory([]), *histories]:
+            assert bayes_agg_premium_fullhist(history, model) == bayes_agg_premium_freqhist(
+                history, model
+            )
+
     def test_missing_aggregates_rejected(self):
         with pytest.raises(InconsistentHistoryError):
             bayes_agg_premium_fullhist(ClaimHistory([1, 2]), interior_model())
@@ -243,5 +256,12 @@ class TestMseComparison:
     def test_unit_severity_effect_shows_no_gap(self):
         model = interior_model(unit_severity=True)
         result = mse_comparison_mc(model, years=3, n_paths=50_000, seed=23)
+        assert result.diff_mean == 0.0
+        assert result.diff_se == 0.0
+
+    @pytest.mark.parametrize("freq_rate,sev_rate", UNIT_RATES)
+    def test_unit_severity_effect_shows_no_gap_at_any_rates(self, freq_rate, sev_rate):
+        model = interior_model(freq_rate, sev_rate, unit_severity=True)
+        result = mse_comparison_mc(model, years=3, n_paths=60_000, seed=23)
         assert result.diff_mean == 0.0
         assert result.diff_se == 0.0

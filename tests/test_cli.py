@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bonusmalus import cli
 
@@ -173,6 +178,81 @@ class TestBayes:
         assert "no claims but positive aggregate severity" in capsys.readouterr().err
 
 
+class TestBayesInputs:
+    @pytest.mark.parametrize(
+        "history",
+        [
+            '{"counts": [1e400]}',
+            '{"counts": [-0.5]}',
+            '{"counts": "12"}',
+            '{"counts": [true, 0]}',
+            '{"counts": [1, 0, 2], "aggregates": [NaN, 0, 5]}',
+            '{"counts": [1, 0, 2], "aggregates": [Infinity, 0, 5]}',
+            '{"counts": [1, 1], "aggregates": [1e308, 1e308]}',
+        ],
+        ids=[
+            "count_overflow",
+            "count_fraction",
+            "counts_string",
+            "count_bool",
+            "aggregate_nan",
+            "aggregate_inf",
+            "aggregate_total_overflow",
+        ],
+    )
+    def test_malformed_history_exits_2(self, tmp_path, capsys, history):
+        # Raw JSON text: 1e400, NaN and Infinity are what a hand-written file holds.
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"bayes": {json.dumps(BAYES_CONFIG["bayes"])}, "history": {history}}}')
+        assert run(["bayes", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "bad claim history" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "out").exists()
+
+
+_JSON_LEAF = st.one_of(
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUE = st.one_of(_JSON_LEAF, st.lists(_JSON_LEAF, max_size=3))
+
+
+@st.composite
+def _bayes_configs(draw):
+    """The default bayes config with some model values and the history fuzzed."""
+    bayes = dict(BAYES_CONFIG["bayes"])
+    keys = [*bayes, "unit_severity_effect"]
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=2)):
+        bayes[key] = draw(_JSON_VALUE)
+    entry = st.one_of(st.integers(0, 4), _JSON_LEAF)
+    counts = draw(st.lists(entry, max_size=4))
+    history = {"counts": counts}
+    if draw(st.booleans()):
+        history["aggregates"] = draw(
+            st.lists(entry, min_size=len(counts), max_size=len(counts)) | _JSON_VALUE
+        )
+    rows = st.lists(st.lists(entry, min_size=2, max_size=2), max_size=3)
+    return {"bayes": bayes, "history": draw(st.one_of(st.just(history), rows, _JSON_VALUE))}
+
+
+class TestBayesFuzz:
+    @given(_bayes_configs())
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    def test_exits_0_or_2_without_traceback(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(payload))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(["bayes", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+
+
 class TestSimulateVerb:
     def test_writes_summary(self, tmp_path):
         payload = json.loads(json.dumps(SMALL_MODEL))
@@ -240,6 +320,8 @@ class TestConfigHandling:
             ("simulate", {"simulation": {"paths": 1_000, "burn_in_years": -1}}),
             ("hmse-scan", {"rules": [{"max_level": 9, "small_step": 1}]}),
             ("bayes", {"bayes": {**BAYES_CONFIG["bayes"], "weight1": 1.5}}),
+            ("bayes", {"bayes": {**BAYES_CONFIG["bayes"], "unit_severity_effect": "false"}}),
+            ("bayes", {"bayes": {**BAYES_CONFIG["bayes"], "rate1": math.inf, "rate2": 0.5}}),
         ],
         ids=[
             "nodes_text",
@@ -252,6 +334,8 @@ class TestConfigHandling:
             "negative_burn_in",
             "scan_rule_without_large_step",
             "bayes_weight",
+            "bayes_unit_flag_string",
+            "bayes_infinite_mixture_rate",
         ],
     )
     def test_bad_settings_exit_2(self, tmp_path, capsys, verb, overlay):

@@ -125,12 +125,12 @@ class TestPosteriorGammaDensity:
 
 
 def _component_weights(model, history):
-    from bonusmalus.bayes import _full_log_weights, _normalize_log_weights
+    from bonusmalus.bayes import _posterior
 
     n = history.total_count
     s = history.total_aggregate if history.years else 0.0
-    log_w = _full_log_weights(model, np.array([n]), np.array([s]), np.array([history.years]))
-    return _normalize_log_weights(log_w)[:, 0]
+    weights, _, _ = _posterior(model, np.array([n]), np.array([history.years]), np.array([s]))
+    return weights[:, 0]
 
 
 class TestBrentPort:

@@ -130,6 +130,55 @@ class TestClaimHistory:
         assert history.total_count == 3
         assert history.total_aggregate == 9.0
 
+    @pytest.mark.parametrize(
+        "counts,aggregates",
+        [
+            ([math.inf], None),
+            ([-0.5], None),
+            ([0.5], None),
+            ([-1], None),
+            ([math.nan], None),
+            ("12", None),
+            ([True, 0], None),
+            ([10**400], None),
+            ([2**53 + 1], None),
+            ([1, 0, 2], [math.nan, 0, 5]),
+            ([1, 0, 2], [math.inf, 0, 5]),
+            ([1], [-2.0]),
+            ([1], ["3"]),
+            ([1], [10**400]),
+        ],
+        ids=[
+            "count_inf",
+            "count_negative_fraction",
+            "count_fraction",
+            "count_negative",
+            "count_nan",
+            "counts_string",
+            "count_bool",
+            "count_huge_int",
+            "count_above_2_53",
+            "aggregate_nan",
+            "aggregate_inf",
+            "aggregate_negative",
+            "aggregate_string",
+            "aggregate_huge_int",
+        ],
+    )
+    def test_malformed_entries_rejected_on_construction(self, counts, aggregates):
+        with pytest.raises(InconsistentHistoryError):
+            ClaimHistory(counts, aggregates)
+
+    def test_aggregate_total_must_stay_finite(self):
+        with pytest.raises(InconsistentHistoryError):
+            ClaimHistory([1, 1], [1e308, 1e308]).validate()
+
+    def test_whole_floats_and_numpy_scalars_accepted(self):
+        history = ClaimHistory([2.0, np.int64(3), np.float32(1.0)], [np.float64(4.5), 5, 1])
+        assert history.counts == (2, 3, 1)
+        assert all(type(n) is int for n in history.counts)
+        assert history.aggregates == (4.5, 5.0, 1.0)
+
 
 def test_poisson_truncation_bound_controls_tail():
     from scipy import stats
