@@ -23,15 +23,12 @@ from bonusmalus import (
     optimal_relativity_dependent,
     optimal_relativity_severity,
     severity_marginal_quantile,
-    validate_model,
 )
 
-model = validate_model(
-    ModelSpec(
-        Portfolio([RiskClass(1.0, 0.5, math.exp(8.8))]),
-        GammaSeverity(1.0 / 0.67),
-        LognormalCopulaEffects(-0.8, 0.99, 0.29),
-    )
+model = ModelSpec(
+    Portfolio([RiskClass(1.0, 0.5, math.exp(8.8))]),
+    GammaSeverity(1.0 / 0.67),
+    LognormalCopulaEffects(-0.8, 0.99, 0.29),
 )
 
 print("claim-size quantiles of the portfolio marginal:")

@@ -23,16 +23,13 @@ from bonusmalus import (
     optimal_relativity_severity,
     simulate_paths,
     unconditional_level_distribution,
-    validate_model,
 )
 from bonusmalus.verify import check_rule
 
-model = validate_model(
-    ModelSpec(
-        Portfolio([RiskClass(1.0, 0.5, math.exp(8.8))]),
-        GammaSeverity(1.0 / 0.67),
-        LognormalCopulaEffects(-0.8, 0.99, 0.29),
-    )
+model = ModelSpec(
+    Portfolio([RiskClass(1.0, 0.5, math.exp(8.8))]),
+    GammaSeverity(1.0 / 0.67),
+    LognormalCopulaEffects(-0.8, 0.99, 0.29),
 )
 rule = SeverityRule(9, 1, 2, 16800.0)
 

@@ -20,17 +20,14 @@ from bonusmalus import (
     SeverityRule,
     rule_dominance_check,
     threshold_scan,
-    validate_model,
 )
 
 
 def model_at(corr: float) -> ModelSpec:
-    return validate_model(
-        ModelSpec(
-            Portfolio([RiskClass(1.0, 0.5, math.exp(8.8))]),
-            GammaSeverity(1.0 / 0.67),
-            LognormalCopulaEffects(corr, 0.99, 0.29),
-        )
+    return ModelSpec(
+        Portfolio([RiskClass(1.0, 0.5, math.exp(8.8))]),
+        GammaSeverity(1.0 / 0.67),
+        LognormalCopulaEffects(corr, 0.99, 0.29),
     )
 
 

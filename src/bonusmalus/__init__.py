@@ -49,8 +49,6 @@ from .model import (
     Portfolio,
     RiskClass,
     SeverityRule,
-    validate_model,
-    validate_rule,
 )
 from .quadrature import (
     QuadratureGrid,
@@ -141,6 +139,4 @@ __all__ = [
     "simulate_paths",
     "threshold_scan",
     "unconditional_level_distribution",
-    "validate_model",
-    "validate_rule",
 ]

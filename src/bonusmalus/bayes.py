@@ -21,7 +21,7 @@ import numpy as np
 
 from ._distributions import gamma_pdf
 from .errors import InconsistentHistoryError, ModelValidationError
-from .model import ClaimHistory, MixtureExponentialEffects, _validate_effects
+from .model import ClaimHistory, MixtureExponentialEffects
 from .quadrature import _branches
 
 
@@ -45,7 +45,6 @@ class MixtureBayesModel:
             raise ModelValidationError(
                 f"closed-form premiums need mixture effects, got {type(self.effects).__name__}"
             )
-        _validate_effects(self.effects)
         for name in ("freq_rate", "sev_rate"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -76,8 +75,14 @@ def _posterior(model: MixtureBayesModel, total_count, years, total_aggregate=Non
     log_w = log_w - shape1 * np.log(rate1)
     if informed:
         shape2, rate2 = np.asarray(total_aggregate, dtype=float) + 1.0, rates + model.sev_rate * n
-        log_w = log_w - shape2 * np.log(rate2)
-    weights = np.exp(log_w - np.max(log_w, axis=0, keepdims=True))
+        with np.errstate(over="ignore"):
+            log_w = log_w - shape2 * np.log(rate2)
+    top = np.max(log_w, axis=0, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        raise InconsistentHistoryError(
+            f"posterior weights overflow at total aggregate {total_aggregate!r}"
+        )
+    weights = np.exp(log_w - top)
     return weights / np.sum(weights, axis=0, keepdims=True), (shape1, rate1), (shape2, rate2)
 
 
@@ -95,7 +100,6 @@ def _premium(model: MixtureBayesModel, total_count, years, total_aggregate=None,
 
 
 def _observed_aggregate(history: ClaimHistory, what: str) -> float:
-    history.validate()
     if history.years == 0:
         return 0.0
     if history.aggregates is None:
@@ -113,7 +117,6 @@ def bayes_freq_premium(history: ClaimHistory, model: MixtureBayesModel) -> float
     exactly: at ``freq_rate`` 0.37 and mixture 0.5/2.0/(2/3) it is off by
     -5.6e-17.
     """
-    history.validate()
     return float(_premium(model, history.total_count, history.years, aggregate=False)[0])
 
 
@@ -126,7 +129,6 @@ def bayes_agg_premium_freqhist(history: ClaimHistory, model: MixtureBayesModel) 
     reweights the components.  At the independent boundary mixtures this
     collapses to the severity rate times the frequency premium.
     """
-    history.validate()
     return float(_premium(model, history.total_count, history.years)[0])
 
 

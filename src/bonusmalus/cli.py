@@ -36,8 +36,6 @@ from .model import (
     Portfolio,
     RiskClass,
     SeverityRule,
-    validate_model,
-    validate_rule,
 )
 from .presets import get_preset
 from .quadrature import severity_marginal_quantile
@@ -142,35 +140,47 @@ def parse_model(cfg: dict) -> ModelSpec:
             effects = DegenerateEffects()
         else:
             raise ConfigError(f"unknown effects kind {eff_kind!r}")
-        return validate_model(ModelSpec(Portfolio(classes), severity, effects))
-    except (KeyError, TypeError, ValueError) as exc:
+        return ModelSpec(Portfolio(classes), severity, effects)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad model configuration: {exc}") from exc
 
 
 def _parse_rule(entry: dict, threshold: float | None = None):
-    """One validated rule; a severity entry without its own threshold takes ``threshold``."""
+    """One rule; a severity entry without its own threshold takes ``threshold``."""
     try:
         if "step" in entry:
-            return validate_rule(FreqRule(int(entry["max_level"]), int(entry["step"])))
-        return validate_rule(
-            SeverityRule(
-                int(entry["max_level"]),
-                int(entry["small_step"]),
-                int(entry["large_step"]),
-                float(entry.get("threshold", threshold)),
-            )
+            return FreqRule(int(entry["max_level"]), int(entry["step"]))
+        return SeverityRule(
+            int(entry["max_level"]),
+            int(entry["small_step"]),
+            int(entry["large_step"]),
+            float(entry.get("threshold", threshold)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad rule entry {entry!r}: {exc}") from exc
+
+
+def _floats(cfg: dict, key: str) -> list[float]:
+    try:
+        return [float(value) for value in cfg.get(key, [])]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad '{key}' entry: {exc}") from exc
+
+
+def _sim_int(cfg: dict, key: str, default: int) -> int:
+    try:
+        return int(cfg.get("simulation", {}).get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad 'simulation.{key}': {exc}") from exc
 
 
 def resolve_rules(cfg: dict, model: ModelSpec, nodes: int) -> list:
     """Instantiate rules; severity rules fan out over thresholds and quantiles."""
-    thresholds = [float(t) for t in cfg.get("thresholds", [])]
-    for q in cfg.get("quantiles", []):
-        thresholds.append(severity_marginal_quantile(float(q), model, nodes))
+    thresholds = _floats(cfg, "thresholds")
+    for q in _floats(cfg, "quantiles"):
+        thresholds.append(severity_marginal_quantile(q, model, nodes))
     rules = []
     for entry in cfg.get("rules", []):
         if "step" in entry or "threshold" in entry:
@@ -192,10 +202,8 @@ def parse_history(cfg: dict) -> ClaimHistory:
         raise ConfigError("no claim history configured")
     try:
         if isinstance(section, dict):
-            history = ClaimHistory(section.get("counts", []), section.get("aggregates"))
-        else:
-            history = ClaimHistory([row[0] for row in section], [row[1] for row in section])
-        return history.validate()
+            return ClaimHistory(section.get("counts", []), section.get("aggregates"))
+        return ClaimHistory([row[0] for row in section], [row[1] for row in section])
     except (TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"bad claim history: {exc}") from exc
 
@@ -322,10 +330,10 @@ def cmd_hmse_scan(cfg: dict, args) -> int:
     model = parse_model(cfg)
     nodes = cfg["quadrature_nodes"]
     precision = cfg["precision"]
-    quantiles = [float(q) for q in cfg.get("quantiles", [])]
+    quantiles = _floats(cfg, "quantiles")
     entries = [e for e in cfg.get("rules", []) if "step" not in e]
     templates = [_parse_rule(e, 1.0) for e in entries]
-    thresholds = [float(t) for t in cfg.get("thresholds", [])]
+    thresholds = _floats(cfg, "thresholds")
     thresholds += [t.threshold for e, t in zip(entries, templates) if "threshold" in e]
     quantile_of = {}
     for q in quantiles:
@@ -397,15 +405,14 @@ def cmd_simulate(cfg: dict, args) -> int:
     model = parse_model(cfg)
     nodes = cfg["quadrature_nodes"]
     rule = resolve_rules(cfg, model, nodes)[0]
-    sim = cfg.get("simulation", {})
     summary = simulate_paths(
         SimConfig(
             model,
             rule,
-            int(sim.get("paths", 100_000)),
-            int(sim.get("seed", 0)),
-            burn_in_years=int(sim.get("burn_in_years", 120)),
-            start_level=int(sim.get("start_level", 0)),
+            _sim_int(cfg, "paths", 100_000),
+            _sim_int(cfg, "seed", 0),
+            burn_in_years=_sim_int(cfg, "burn_in_years", 120),
+            start_level=_sim_int(cfg, "start_level", 0),
         )
     )
     precision = cfg["precision"]
@@ -431,11 +438,10 @@ def cmd_verify(cfg: dict, args) -> int:
     model = parse_model(cfg)
     nodes = cfg["quadrature_nodes"]
     rules = resolve_rules(cfg, model, nodes)
-    sim = cfg.get("simulation", {})
     report = oracle_agreement_battery(
         [(model, rule) for rule in rules],
-        n_paths=int(sim.get("paths", 1_000_000)),
-        seed=int(sim.get("seed", 20260809)),
+        n_paths=_sim_int(cfg, "paths", 1_000_000),
+        seed=_sim_int(cfg, "seed", 20260809),
         nodes=max(nodes, 64),
     )
     for line in report.lines():

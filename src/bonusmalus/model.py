@@ -5,8 +5,9 @@ and expected claim size) and a pair of unobserved mean-one multipliers
 ``(theta1, theta2)`` acting on frequency and severity respectively.  The joint
 law of the multipliers induces dependence between claim counts and claim sizes.
 
-All types here are immutable after validation and safe to share across
-concurrent workers.
+Every type validates its values on construction, raising a
+``ModelValidationError`` subclass that names the value it rejects; instances
+are immutable and safe to share across concurrent workers.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ WEIGHT_SUM_TOL = 1e-9
 EFFECT_MEAN_TOL = 1e-8
 MIXTURE_MEAN_TOL = 1e-12
 MAX_CLAIM_COUNT = 2**53
+MAX_LEVEL = 1000  # bounds max_level and steps; a jump law holds profiles * max_level**2 floats
 
 
 @dataclass(frozen=True)
@@ -51,15 +53,34 @@ class RiskClass:
     freq_rate: float
     sev_rate: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.weight <= 1.0:
+            raise NonUnitWeightsError(f"class weight {self.weight} outside (0, 1]")
+        for name, value in (("frequency rate", self.freq_rate), ("severity rate", self.sev_rate)):
+            if not 0.0 < value < math.inf:
+                raise ModelValidationError(f"{name} {value} must be positive and finite")
+        # The engines square both rates into premium factors.
+        for rate in (self.freq_rate, self.freq_rate * self.sev_rate):
+            if not 0.0 < rate * rate < math.inf:
+                raise ModelValidationError(f"{self}: a squared premium rate leaves float range")
+
 
 @dataclass(frozen=True)
 class Portfolio:
-    """Non-empty ordered collection of risk classes with weights summing to one."""
+    """Non-empty ordered risk classes; weights summing to within 1e-9 of one are renormalized."""
 
     classes: tuple[RiskClass, ...]
 
     def __init__(self, classes) -> None:
-        object.__setattr__(self, "classes", tuple(classes))
+        classes = tuple(classes)
+        if not classes:
+            raise ModelValidationError("portfolio has no risk classes")
+        total = math.fsum(c.weight for c in classes)
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise NonUnitWeightsError(f"class weights sum to {total!r}, expected 1")
+        if total != 1.0:
+            classes = tuple(replace(c, weight=c.weight / total) for c in classes)
+        object.__setattr__(self, "classes", classes)
 
     @property
     def weights(self) -> np.ndarray:
@@ -83,6 +104,12 @@ class GammaSeverity:
     """
 
     dispersion: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.dispersion < math.inf and self.shape < math.inf):
+            raise ModelValidationError(
+                "gamma severity dispersion and its inverse must be positive and finite"
+            )
 
     @property
     def shape(self) -> float:
@@ -117,6 +144,22 @@ class LognormalCopulaEffects:
     log_var1: float
     log_var2: float
 
+    def __post_init__(self) -> None:
+        if not -1.0 <= self.corr <= 1.0:
+            raise ModelValidationError(f"copula correlation {self.corr} outside [-1, 1]")
+        if not (0.0 <= self.log_var1 < math.inf and 0.0 <= self.log_var2 < math.inf):
+            raise ModelValidationError("log-variances must be nonnegative and finite")
+        # Location -log_var/2 makes the marginal means exactly one; confirm by
+        # quadrature as a guard against a misconfigured grid.
+        from .quadrature import build_grid
+
+        grid = build_grid(self, 32)
+        for mean in (grid.weights @ grid.theta1, grid.weights @ grid.theta2):
+            if not abs(mean - 1.0) <= EFFECT_MEAN_TOL:
+                raise NonUnitEffectMeanError(
+                    f"quadrature marginal mean {mean!r} differs from 1 beyond {EFFECT_MEAN_TOL}"
+                )
+
 
 @dataclass(frozen=True)
 class MixtureExponentialEffects:
@@ -131,6 +174,19 @@ class MixtureExponentialEffects:
     weight1: float
     rate1: float
     rate2: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.weight1 <= 1.0:
+            raise ModelValidationError(f"mixture weight {self.weight1} outside [0, 1]")
+        if not (0 < self.rate1 < math.inf and 0 < self.rate2 < math.inf):
+            raise ModelValidationError("mixture rates must be positive and finite")
+        if abs(self.marginal_mean() - 1.0) > MIXTURE_MEAN_TOL:
+            raise NonUnitEffectMeanError(
+                f"mixture marginal mean {self.marginal_mean()!r} is not 1: "
+                "require weight1/rate1 + (1-weight1)/rate2 == 1"
+            )
+        if 0.0 < self.weight1 < 1.0 and not self.rate1 > self.rate2:
+            raise ModelValidationError("interior mixtures require rate1 > rate2")
 
     def marginal_mean(self) -> float:
         return self.weight1 / self.rate1 + (1.0 - self.weight1) / self.rate2
@@ -151,6 +207,9 @@ class FreqRule:
     max_level: int
     step: int
 
+    def __post_init__(self) -> None:
+        _check_scale(self.max_level, self.step)
+
     @property
     def levels(self) -> int:
         return self.max_level + 1
@@ -170,6 +229,15 @@ class SeverityRule:
     large_step: int
     threshold: float
 
+    def __post_init__(self) -> None:
+        _check_scale(self.max_level, self.small_step, self.large_step)
+        if self.large_step < self.small_step:
+            raise InvalidRuleError(
+                f"large-claim step {self.large_step} must be >= small-claim step {self.small_step}"
+            )
+        if not self.threshold > 0:
+            raise InvalidRuleError("claim-size threshold must be positive")
+
     @property
     def levels(self) -> int:
         return self.max_level + 1
@@ -181,14 +249,22 @@ class SeverityRule:
 BmsRule = Union[FreqRule, SeverityRule]
 
 
+def _check_scale(max_level: int, *steps: int) -> None:
+    if not 1 <= max_level <= MAX_LEVEL:
+        raise InvalidRuleError(f"need 2 to {MAX_LEVEL + 1} levels, got max_level={max_level}")
+    for step in steps:
+        if not 1 <= step <= MAX_LEVEL:
+            raise InvalidRuleError(f"penalty step {step} is not an integer in [1, {MAX_LEVEL}]")
+
+
 @dataclass(frozen=True)
 class ClaimHistory:
     """Observed per-year claim counts and, optionally, aggregate severities.
 
     Counts must be whole numbers in [0, 2**53] (exact in floating point) and
-    aggregates finite non-negative numbers; anything else, booleans and
-    strings included, raises ``InconsistentHistoryError`` on construction.
-    ``validate`` checks that the two sequences agree.
+    aggregates finite non-negative numbers, one per count, zero in claim-free
+    years and with a finite total; anything else, booleans and strings
+    included, raises ``InconsistentHistoryError`` on construction.
     """
 
     counts: tuple[int, ...]
@@ -200,6 +276,16 @@ class ClaimHistory:
             aggregates = tuple(_history_entry(s, whole=False) for s in aggregates)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "aggregates", aggregates)
+        if aggregates is not None:
+            if len(aggregates) != len(counts):
+                raise InconsistentHistoryError("counts and aggregates differ in length")
+            for t, (n, s) in enumerate(zip(counts, aggregates)):
+                if n == 0 and s > 0:
+                    raise InconsistentHistoryError(
+                        f"year {t + 1} has no claims but positive aggregate severity"
+                    )
+            if not math.isfinite(self.total_aggregate):
+                raise InconsistentHistoryError("aggregate severities overflow when summed")
 
     @property
     def years(self) -> int:
@@ -214,19 +300,6 @@ class ClaimHistory:
         if self.aggregates is None:
             raise InconsistentHistoryError("history carries no aggregate severities")
         return sum(self.aggregates)
-
-    def validate(self) -> "ClaimHistory":
-        if self.aggregates is not None:
-            if len(self.aggregates) != len(self.counts):
-                raise InconsistentHistoryError("counts and aggregates differ in length")
-            for t, (n, s) in enumerate(zip(self.counts, self.aggregates)):
-                if n == 0 and s > 0:
-                    raise InconsistentHistoryError(
-                        f"year {t + 1} has no claims but positive aggregate severity"
-                    )
-            if not math.isfinite(self.total_aggregate):
-                raise InconsistentHistoryError("aggregate severities overflow when summed")
-        return self
 
 
 def _history_entry(value, whole: bool):
@@ -253,92 +326,6 @@ class ModelSpec:
     severity: SeverityLaw
     effects: RandomEffectJoint
 
-
-def _validate_rule(rule: BmsRule) -> None:
-    if rule.max_level < 1:
-        raise InvalidRuleError(f"need at least two levels, got max_level={rule.max_level}")
-    if isinstance(rule, FreqRule):
-        if rule.step < 1:
-            raise InvalidRuleError("per-claim step must be a positive integer")
-    elif isinstance(rule, SeverityRule):
-        if rule.small_step < 1:
-            raise InvalidRuleError("small-claim step must be a positive integer")
-        if rule.large_step < rule.small_step:
-            raise InvalidRuleError(
-                f"large-claim step {rule.large_step} must be >= small-claim step {rule.small_step}"
-            )
-        if not rule.threshold > 0:
-            raise InvalidRuleError("claim-size threshold must be positive")
-    else:
-        raise InvalidRuleError(f"unknown rule type {type(rule).__name__}")
-
-
-def validate_rule(rule: BmsRule) -> BmsRule:
-    """Check a transition rule's structural constraints and return it."""
-    _validate_rule(rule)
-    return rule
-
-
-def _validate_effects(effects: RandomEffectJoint) -> None:
-    if isinstance(effects, DegenerateEffects):
-        return
-    if isinstance(effects, LognormalCopulaEffects):
-        if not -1.0 <= effects.corr <= 1.0:
-            raise ModelValidationError(f"copula correlation {effects.corr} outside [-1, 1]")
-        if effects.log_var1 < 0 or effects.log_var2 < 0:
-            raise ModelValidationError("log-variances must be nonnegative")
-        # Location -log_var/2 makes the marginal means exactly one; confirm by
-        # quadrature as a guard against a misconfigured grid.
-        from .quadrature import build_grid
-
-        grid = build_grid(effects, 32)
-        for mean in (grid.weights @ grid.theta1, grid.weights @ grid.theta2):
-            if abs(mean - 1.0) > EFFECT_MEAN_TOL:
-                raise NonUnitEffectMeanError(
-                    f"quadrature marginal mean {mean!r} differs from 1 beyond {EFFECT_MEAN_TOL}"
-                )
-        return
-    if isinstance(effects, MixtureExponentialEffects):
-        if not 0.0 <= effects.weight1 <= 1.0:
-            raise ModelValidationError(f"mixture weight {effects.weight1} outside [0, 1]")
-        if not (0 < effects.rate1 < math.inf and 0 < effects.rate2 < math.inf):
-            raise ModelValidationError("mixture rates must be positive and finite")
-        if abs(effects.marginal_mean() - 1.0) > MIXTURE_MEAN_TOL:
-            raise NonUnitEffectMeanError(
-                f"mixture marginal mean {effects.marginal_mean()!r} is not 1: "
-                "require weight1/rate1 + (1-weight1)/rate2 == 1"
-            )
-        if 0.0 < effects.weight1 < 1.0 and not effects.rate1 > effects.rate2:
-            raise ModelValidationError("interior mixtures require rate1 > rate2")
-        return
-    raise ModelValidationError(f"unknown effects type {type(effects).__name__}")
-
-
-def validate_model(spec: ModelSpec) -> ModelSpec:
-    """Validate a model specification and return a normalized copy.
-
-    Weights are renormalized when their sum is within 1e-9 of one, otherwise
-    the portfolio is rejected.  Effect laws must have mean-one marginals
-    (analytically for the mixture, by quadrature for the lognormal family).
-    """
-    classes = spec.portfolio.classes
-    if not classes:
-        raise ModelValidationError("portfolio has no risk classes")
-    for cls in classes:
-        if not 0.0 < cls.weight <= 1.0:
-            raise NonUnitWeightsError(f"class weight {cls.weight} outside (0, 1]")
-        if cls.freq_rate <= 0:
-            raise ModelValidationError(f"frequency rate {cls.freq_rate} must be positive")
-        if cls.sev_rate <= 0:
-            raise ModelValidationError(f"severity rate {cls.sev_rate} must be positive")
-    total = math.fsum(c.weight for c in classes)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise NonUnitWeightsError(f"class weights sum to {total!r}, expected 1")
-    if total != 1.0:
-        classes = tuple(replace(c, weight=c.weight / total) for c in classes)
-
-    if isinstance(spec.severity, GammaSeverity) and spec.severity.dispersion <= 0:
-        raise ModelValidationError("gamma severity dispersion must be positive")
-
-    _validate_effects(spec.effects)
-    return replace(spec, portfolio=Portfolio(classes))
+    def __post_init__(self) -> None:
+        if not isinstance(self.effects, RandomEffectJoint):
+            raise ModelValidationError(f"unknown effects type {type(self.effects).__name__}")

@@ -27,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientOccupancyError
+from .errors import InsufficientOccupancyError, InvalidRuleError
 from .model import (
+    BmsRule,
     DegenerateEffects,
     LognormalCopulaEffects,
-    MixtureExponentialEffects,
     ModelSpec,
     SeverityRule,
-    validate_rule,
 )
 from .transition import exceedance_profile
 
@@ -53,12 +52,26 @@ class SimConfig:
     """
 
     model: ModelSpec
-    rule: object
+    rule: BmsRule
     n_paths: int
     seed: int
     burn_in_years: int = 120
     sample_years: int = 1
     start_level: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.rule, BmsRule):
+            raise InvalidRuleError(f"unknown rule type {type(self.rule).__name__}")
+        if self.n_paths < 1:
+            raise ValueError(f"need at least one path, got n_paths={self.n_paths}")
+        if self.burn_in_years < 0:
+            raise ValueError(f"burn-in cannot be negative, got burn_in_years={self.burn_in_years}")
+        if self.sample_years < 1:
+            raise ValueError(
+                f"need at least one sampled year, got sample_years={self.sample_years}"
+            )
+        if not 0 <= self.start_level <= self.rule.max_level:
+            raise ValueError("start level outside the level range")
 
 
 @dataclass(frozen=True)
@@ -127,13 +140,11 @@ def _draw_profile(model: ModelSpec, rng: np.random.Generator, size: int):
         s2 = math.sqrt(effects.log_var2)
         theta1 = np.exp(-0.5 * effects.log_var1 + s1 * z1)
         theta2 = np.exp(-0.5 * effects.log_var2 + s2 * z2)
-    elif isinstance(effects, MixtureExponentialEffects):
+    else:  # a ModelSpec admits only the three effect laws
         second = rng.random(size) >= effects.weight1
         rates = np.where(second, effects.rate2, effects.rate1)
         theta1 = rng.exponential(1.0, size) / rates
         theta2 = rng.exponential(1.0, size) / rates
-    else:
-        raise TypeError(f"cannot simulate effects of type {type(effects).__name__}")
     return cls_idx, theta1, theta2
 
 
@@ -202,17 +213,9 @@ def _large_claims(v, n, exceed) -> np.ndarray:
 
 def simulate_paths(cfg: SimConfig) -> SimSummary:
     """Evolve policyholder level chains and collect stationary statistics."""
-    rule = validate_rule(cfg.rule)
-    if cfg.n_paths < 1:
-        raise ValueError(f"need at least one path, got n_paths={cfg.n_paths}")
-    if cfg.burn_in_years < 0:
-        raise ValueError(f"burn-in cannot be negative, got burn_in_years={cfg.burn_in_years}")
-    if cfg.sample_years < 1:
-        raise ValueError(f"need at least one sampled year, got sample_years={cfg.sample_years}")
+    rule = cfg.rule
     z = rule.max_level
     levels = rule.levels
-    if not 0 <= cfg.start_level <= z:
-        raise ValueError("start level outside the level range")
     if isinstance(rule, SeverityRule):
         small, large = rule.small_step, rule.large_step
     else:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from ._distributions import poisson_cdf
-from .model import FreqRule, SeverityLaw, validate_rule
+from .model import FreqRule, SeverityLaw
 from .quadrature import severity_cdf
 
 
@@ -60,7 +60,6 @@ def _jump_law(rule, freq_means, exceed, upper: bool):
     Sums over the large-claim count; with ``upper`` the counts that reach g
     alone enter as the large-claim upper tail, so nothing is subtracted.
     """
-    validate_rule(rule)
     freq = isinstance(rule, FreqRule)
     small, large = (rule.step, rule.step) if freq else (rule.small_step, rule.large_step)
     means, exceed = np.broadcast_arrays(*np.atleast_1d(freq_means, exceed))

@@ -14,7 +14,6 @@ from bonusmalus import (
     ModelSpec,
     Portfolio,
     RiskClass,
-    validate_model,
 )
 
 SEV_RATE = math.exp(8.8)
@@ -29,22 +28,18 @@ def study_model(
     sev_rate: float = SEV_RATE,
 ) -> ModelSpec:
     """Single-class lognormal-copula model used throughout the numeric study."""
-    return validate_model(
-        ModelSpec(
-            Portfolio([RiskClass(1.0, freq_rate, sev_rate)]),
-            GammaSeverity(1.0 / GAMMA_SHAPE),
-            LognormalCopulaEffects(corr, log_var1, log_var2),
-        )
+    return ModelSpec(
+        Portfolio([RiskClass(1.0, freq_rate, sev_rate)]),
+        GammaSeverity(1.0 / GAMMA_SHAPE),
+        LognormalCopulaEffects(corr, log_var1, log_var2),
     )
 
 
 def degenerate_model(freq_rate: float = 0.5, sev_rate: float = SEV_RATE) -> ModelSpec:
-    return validate_model(
-        ModelSpec(
-            Portfolio([RiskClass(1.0, freq_rate, sev_rate)]),
-            GammaSeverity(1.0 / GAMMA_SHAPE),
-            DegenerateEffects(),
-        )
+    return ModelSpec(
+        Portfolio([RiskClass(1.0, freq_rate, sev_rate)]),
+        GammaSeverity(1.0 / GAMMA_SHAPE),
+        DegenerateEffects(),
     )
 
 

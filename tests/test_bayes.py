@@ -50,15 +50,16 @@ def random_histories(count: int, seed: int, mean_count=1.0, mean_size=3.0):
 class TestModelValidation:
     @pytest.mark.parametrize(
         "freq_rate,sev_rate,effects",
+        # Effects are built inside the test: an invalid one raises on construction.
         [
-            (0.5, 3.0, MixtureExponentialEffects(1.5, 2.0, 2.0 / 3.0)),
-            (0.5, 3.0, MixtureExponentialEffects(0.5, 2.0, 1.0)),
-            (0.5, 3.0, MixtureExponentialEffects(0.5, -2.0, 2.0 / 3.0)),
-            (0.5, 3.0, MixtureExponentialEffects(1.0, math.nan, 5.0)),
-            (-0.5, 3.0, INTERIOR),
-            (0.5, -3.0, INTERIOR),
-            (0.5, math.nan, INTERIOR),
-            (0.5, 3.0, LognormalCopulaEffects(0.0, 0.5, 0.5)),
+            (0.5, 3.0, lambda: MixtureExponentialEffects(1.5, 2.0, 2.0 / 3.0)),
+            (0.5, 3.0, lambda: MixtureExponentialEffects(0.5, 2.0, 1.0)),
+            (0.5, 3.0, lambda: MixtureExponentialEffects(0.5, -2.0, 2.0 / 3.0)),
+            (0.5, 3.0, lambda: MixtureExponentialEffects(1.0, math.nan, 5.0)),
+            (-0.5, 3.0, lambda: INTERIOR),
+            (0.5, -3.0, lambda: INTERIOR),
+            (0.5, math.nan, lambda: INTERIOR),
+            (0.5, 3.0, lambda: LognormalCopulaEffects(0.0, 0.5, 0.5)),
         ],
         ids=[
             "weight",
@@ -73,7 +74,7 @@ class TestModelValidation:
     )
     def test_invalid_models_rejected(self, freq_rate, sev_rate, effects):
         with pytest.raises(ModelValidationError):
-            MixtureBayesModel(freq_rate, sev_rate, effects)
+            MixtureBayesModel(freq_rate, sev_rate, effects())
 
 
 class TestFrequencyPremium:
@@ -204,6 +205,14 @@ class TestAggregatePremiumFullHistory:
     def test_inconsistent_history_rejected(self):
         with pytest.raises(InconsistentHistoryError):
             bayes_agg_premium_fullhist(ClaimHistory([0, 2], [3.0, 1.0]), interior_model())
+
+    def test_overflowing_posterior_weights_rejected(self):
+        # shape2 * log(rate2) overflows in every component: no weight is finite.
+        history = ClaimHistory([1, 0, 2], [1e308, 0, 5])
+        with pytest.raises(InconsistentHistoryError, match=r"total aggregate 1e\+308"):
+            bayes_agg_premium_fullhist(history, interior_model())
+        with pytest.raises(InconsistentHistoryError, match=r"total aggregate 1e\+308"):
+            posterior_density(1.0, 1.0, history, interior_model())
 
 
 class TestPosteriorDensity:

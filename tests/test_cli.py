@@ -53,6 +53,10 @@ def run(argv) -> int:
     return cli.main(argv)
 
 
+def _set_class(payload: dict, **values) -> None:
+    payload["model"]["classes"][0].update(values)
+
+
 class TestRelativities:
     def test_writes_one_csv_per_rule(self, tmp_path):
         config = write_config(tmp_path, SMALL_MODEL)
@@ -210,6 +214,16 @@ class TestBayesInputs:
         assert "Traceback" not in err and "Warning" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_posterior_weights_exit_2(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(BAYES_CONFIG))
+        payload["history"] = {"counts": [1, 0, 2], "aggregates": [1e308, 0, 5]}
+        config = write_config(tmp_path, payload)
+        assert run(["bayes", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "posterior weights overflow at total aggregate 1e+308" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not (tmp_path / "out").exists()
+
 
 _JSON_LEAF = st.one_of(
     st.integers(min_value=-(10**400), max_value=10**400),
@@ -250,6 +264,45 @@ class TestBayesFuzz:
             with contextlib.redirect_stderr(err):
                 code = run(["bayes", "--config", str(path), "--out", str(Path(tmp) / "out")])
         assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+
+
+MIXTURE_EFFECTS = {"kind": "mixture_exponential", "weight1": 0.5, "rate1": 2.0, "rate2": 2.0 / 3.0}
+
+
+@st.composite
+def _relativities_configs(draw):
+    """SMALL_MODEL, or its mixture variant, with one to three of its numbers fuzzed."""
+    payload = json.loads(json.dumps(SMALL_MODEL))
+    model = payload["model"]
+    if draw(st.booleans()):
+        model["effects"] = dict(MIXTURE_EFFECTS)
+    freq_rule, sev_rule = payload["rules"]
+    slots = [(model["classes"][0], key) for key in ("weight", "freq_rate", "sev_rate")]
+    slots.append((model["severity"], "dispersion"))
+    slots += [(model["effects"], key) for key in model["effects"] if key != "kind"]
+    slots += [(freq_rule, key) for key in ("max_level", "step")]
+    slots += [(sev_rule, key) for key in ("max_level", "small_step", "large_step", "threshold")]
+    slots.append((payload["thresholds"], 0))
+    indexes = st.lists(st.integers(0, len(slots) - 1), min_size=1, max_size=3, unique=True)
+    for index in draw(indexes):
+        section, key = slots[index]
+        section[key] = draw(_JSON_LEAF)
+    return payload
+
+
+class TestRelativitiesFuzz:
+    @given(_relativities_configs())
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    def test_exits_0_2_or_3_without_traceback(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(payload))
+            argv = ["relativities", "--config", str(path), "--quadrature-nodes", "8"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run([*argv, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
 
 
@@ -344,6 +397,68 @@ class TestConfigHandling:
         config = write_config(tmp_path, payload)
         assert run([verb, "--config", config, "--out", str(tmp_path / "out")]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "verb,edit,named",
+        [
+            ("relativities", lambda p: _set_class(p, freq_rate=math.nan), "model"),
+            ("relativities", lambda p: _set_class(p, freq_rate=math.inf), "model"),
+            ("relativities", lambda p: _set_class(p, sev_rate=math.nan), "model"),
+            ("relativities", lambda p: p["model"]["severity"].update(dispersion=math.nan), "model"),
+            ("relativities", lambda p: p["model"]["effects"].update(log_var1=math.inf), "model"),
+            ("relativities", lambda p: _set_class(p, freq_rate=1e160), "model"),
+            ("relativities", lambda p: _set_class(p, sev_rate=1e200), "model"),
+            ("relativities", lambda p: _set_class(p, freq_rate=10**400), "model"),
+            (
+                "relativities",
+                lambda p: p["model"].update(
+                    classes_template=p["model"]["classes"], weights=[10**400]
+                ),
+                "model",
+            ),
+            ("relativities", lambda p: p["rules"][1].update(threshold=10**400), "rule"),
+            ("relativities", lambda p: p["rules"][0].update(max_level=math.inf), "rule"),
+            ("relativities", lambda p: p.update(thresholds=[10**400]), "'thresholds'"),
+            ("relativities", lambda p: p.update(quantiles=[10**400]), "'quantiles'"),
+            ("hmse-scan", lambda p: p.update(thresholds=[10**400]), "'thresholds'"),
+            ("hmse-scan", lambda p: p.update(quantiles=[10**400]), "'quantiles'"),
+            ("simulate", lambda p: p.update(simulation={"paths": math.inf}), "'simulation.paths'"),
+            ("simulate", lambda p: p.update(simulation={"burn_in_years": math.inf}), "burn_in"),
+            ("verify", lambda p: p.update(simulation={"paths": math.inf}), "'simulation.paths'"),
+        ],
+        ids=[
+            "freq_rate_nan",
+            "freq_rate_inf",
+            "sev_rate_nan",
+            "dispersion_nan",
+            "log_var1_inf",
+            "freq_rate_square_overflow",
+            "premium_square_overflow",
+            "class_rate_beyond_float",
+            "class_weight_beyond_float",
+            "rule_threshold_beyond_float",
+            "rule_max_level_infinite",
+            "thresholds_beyond_float",
+            "quantiles_beyond_float",
+            "scan_thresholds_beyond_float",
+            "scan_quantiles_beyond_float",
+            "simulate_paths_infinite",
+            "simulate_burn_in_infinite",
+            "verify_paths_infinite",
+        ],
+    )
+    def test_out_of_range_numbers_exit_2(self, tmp_path, capsys, verb, edit, named):
+        # Non-finite model numbers once failed late (exit 3, or exit 2 after a
+        # file was written), and numbers past float or int range escaped as
+        # OverflowError tracebacks.
+        payload = json.loads(json.dumps(SMALL_MODEL))
+        edit(payload)
+        config = write_config(tmp_path, payload)
+        assert run([verb, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_numeric_failures_exit_3(self, tmp_path, monkeypatch):

@@ -23,7 +23,6 @@ from bonusmalus import (
     optimal_relativity_severity,
     rule_dominance_check,
     threshold_scan,
-    validate_model,
 )
 from conftest import degenerate_model, study_model
 
@@ -72,12 +71,10 @@ class TestHmseEval:
         # The per-level moment route (the table's own score) against the
         # node-by-node double integral, over random single-class models.
         sev_rate = math.exp(8.8)
-        model = validate_model(
-            ModelSpec(
-                Portfolio([RiskClass(1.0, freq_rate, sev_rate)]),
-                GammaSeverity(dispersion),
-                LognormalCopulaEffects(corr, log_var1, log_var2),
-            )
+        model = ModelSpec(
+            Portfolio([RiskClass(1.0, freq_rate, sev_rate)]),
+            GammaSeverity(dispersion),
+            LognormalCopulaEffects(corr, log_var1, log_var2),
         )
         threshold = sev_rate * -math.log1p(-quantile)
         rule = SeverityRule(max_level, small, small + extra, threshold)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,14 +18,13 @@ from bonusmalus import (
     LognormalCopulaEffects,
     MixtureExponentialEffects,
     ModelSpec,
+    ModelValidationError,
     NonUnitEffectMeanError,
     NonUnitWeightsError,
     Portfolio,
     RiskClass,
     SeverityRule,
     build_grid,
-    validate_model,
-    validate_rule,
 )
 from conftest import SEV_RATE
 from oracles import poisson_truncation_bound
@@ -37,96 +37,158 @@ def _spec(classes, effects=DegenerateEffects()):
 class TestPortfolio:
     def test_weights_renormalized_within_tolerance(self):
         eps = 4e-10
-        spec = validate_model(
-            _spec([RiskClass(0.5, 1.0, 10.0), RiskClass(0.5 + eps, 2.0, 20.0)])
-        )
+        spec = _spec([RiskClass(0.5, 1.0, 10.0), RiskClass(0.5 + eps, 2.0, 20.0)])
         assert abs(math.fsum(spec.portfolio.weights) - 1.0) <= 1e-12
 
     def test_weights_off_by_too_much_rejected(self):
         with pytest.raises(NonUnitWeightsError):
-            validate_model(_spec([RiskClass(0.5, 1.0, 10.0), RiskClass(0.6, 2.0, 20.0)]))
+            _spec([RiskClass(0.5, 1.0, 10.0), RiskClass(0.6, 2.0, 20.0)])
 
     def test_empty_portfolio_rejected(self):
         with pytest.raises(Exception):
-            validate_model(_spec([]))
+            _spec([])
+
+    def test_half_weight_portfolio_rejected(self):
+        with pytest.raises(NonUnitWeightsError):
+            Portfolio([RiskClass(0.5, 0.5, SEV_RATE)])
 
     def test_nonpositive_rates_rejected(self):
         with pytest.raises(Exception):
-            validate_model(_spec([RiskClass(1.0, 0.0, 10.0)]))
+            _spec([RiskClass(1.0, 0.0, 10.0)])
         with pytest.raises(Exception):
-            validate_model(_spec([RiskClass(1.0, 1.0, -5.0)]))
+            _spec([RiskClass(1.0, 1.0, -5.0)])
+
+
+NON_FINITE_VALUES = [
+    pytest.param(lambda: RiskClass(1.0, math.nan, 10.0), id="freq_rate_nan"),
+    pytest.param(lambda: RiskClass(1.0, math.inf, 10.0), id="freq_rate_inf"),
+    pytest.param(lambda: RiskClass(1.0, 0.5, math.nan), id="sev_rate_nan"),
+    pytest.param(lambda: RiskClass(1.0, 0.5, math.inf), id="sev_rate_inf"),
+    pytest.param(lambda: GammaSeverity(math.nan), id="dispersion_nan"),
+    pytest.param(lambda: GammaSeverity(math.inf), id="dispersion_inf"),
+    pytest.param(lambda: LognormalCopulaEffects(math.nan, 0.5, 0.5), id="corr_nan"),
+    pytest.param(lambda: LognormalCopulaEffects(0.0, math.inf, 0.5), id="log_var1_inf"),
+    pytest.param(lambda: LognormalCopulaEffects(0.0, 0.5, math.nan), id="log_var2_nan"),
+    pytest.param(lambda: MixtureExponentialEffects(math.nan, 2.0, 2.0 / 3.0), id="weight1_nan"),
+    pytest.param(lambda: MixtureExponentialEffects(0.5, math.inf, 0.5), id="rate1_inf"),
+]
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("build", NON_FINITE_VALUES)
+    def test_rejected_on_construction(self, build):
+        with pytest.raises(ModelValidationError):
+            build()
+
+    @pytest.mark.parametrize(
+        "freq_rate,sev_rate",
+        [(1e160, 1e-200), (0.5, 1e200), (1e-170, 1e200), (0.5, 1e-320)],
+        ids=["freq_rate_overflow", "premium_overflow", "freq_rate_underflow", "premium_underflow"],
+    )
+    def test_class_whose_squared_premium_rate_leaves_float_range_rejected(
+        self, freq_rate, sev_rate
+    ):
+        # The engines square freq_rate and freq_rate * sev_rate.
+        named = re.escape(f"RiskClass(weight=1.0, freq_rate={freq_rate!r}")
+        with pytest.raises(ModelValidationError, match=named):
+            RiskClass(1.0, freq_rate, sev_rate)
+
+    def test_largest_class_rates_accepted(self):
+        RiskClass(1.0, 1e150, 1e-150)
+        RiskClass(1.0, 1.0, 1e154)
 
 
 class TestEffects:
+    def test_unknown_effects_type_rejected(self):
+        with pytest.raises(ModelValidationError, match="unknown effects type"):
+            _spec([RiskClass(1.0, 0.5, 10.0)], object())
+
     def test_mixture_mean_one_accepted(self):
         # 0.5/2 + 0.5*1.5 == 1 exactly.
         effects = MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0)
-        spec = validate_model(_spec([RiskClass(1.0, 0.5, 10.0)], effects))
+        spec = _spec([RiskClass(1.0, 0.5, 10.0)], effects)
         assert spec.effects is effects
 
     def test_mixture_mean_violation_rejected(self):
         with pytest.raises(NonUnitEffectMeanError):
-            validate_model(
-                _spec([RiskClass(1.0, 0.5, 10.0)], MixtureExponentialEffects(0.5, 2.0, 0.5))
-            )
+            _spec([RiskClass(1.0, 0.5, 10.0)], MixtureExponentialEffects(0.5, 2.0, 0.5))
 
     def test_mixture_rate_order_enforced_for_interior_weight(self):
         # Mean-one but rate1 < rate2.
         with pytest.raises(Exception):
-            validate_model(
-                _spec(
-                    [RiskClass(1.0, 0.5, 10.0)],
-                    MixtureExponentialEffects(0.5, 2.0 / 3.0, 2.0),
-                )
+            _spec(
+                [RiskClass(1.0, 0.5, 10.0)],
+                MixtureExponentialEffects(0.5, 2.0 / 3.0, 2.0),
             )
 
     def test_lognormal_copula_accepted_with_unit_means(self):
         effects = LognormalCopulaEffects(-0.8, 0.99, 0.29)
-        validate_model(_spec([RiskClass(1.0, 0.5, SEV_RATE)], effects))
+        _spec([RiskClass(1.0, 0.5, SEV_RATE)], effects)
         grid = build_grid(effects, 32)
         assert abs(grid.weights @ grid.theta1 - 1.0) < 1e-8
         assert abs(grid.weights @ grid.theta2 - 1.0) < 1e-8
 
     def test_correlation_bounds(self):
         with pytest.raises(Exception):
-            validate_model(
-                _spec([RiskClass(1.0, 0.5, 10.0)], LognormalCopulaEffects(-1.2, 0.5, 0.5))
-            )
+            _spec([RiskClass(1.0, 0.5, 10.0)], LognormalCopulaEffects(-1.2, 0.5, 0.5))
 
 
 class TestRules:
     def test_severity_rule_step_order(self):
         with pytest.raises(InvalidRuleError):
-            validate_rule(SeverityRule(9, 2, 1, 100.0))
+            SeverityRule(9, 2, 1, 100.0)
 
     def test_minimum_levels(self):
         with pytest.raises(InvalidRuleError):
-            validate_rule(FreqRule(0, 1))
+            FreqRule(0, 1)
 
     def test_positive_threshold(self):
         with pytest.raises(InvalidRuleError):
-            validate_rule(SeverityRule(9, 1, 2, 0.0))
+            SeverityRule(9, 1, 2, 0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FreqRule(1001, 1),
+            lambda: FreqRule(9, 1001),
+            lambda: FreqRule(9, 10**400),
+            lambda: SeverityRule(9, 1, 1001, 1.0),
+        ],
+        ids=["levels", "step", "huge_step", "large_step"],
+    )
+    def test_scale_bounded(self, build):
+        with pytest.raises(InvalidRuleError):
+            build()
+
+    def test_largest_scale_accepted(self):
+        assert FreqRule(1000, 1000).levels == 1001
+        assert SeverityRule(1000, 1000, 1000, 1.0).levels == 1001
+
+    def test_derived_rules_checked(self):
+        with pytest.raises(InvalidRuleError):
+            SeverityRule(9, 1, 2, 1.0).with_threshold(math.nan)
+        with pytest.raises(InvalidRuleError):
+            SeverityRule(9, 2, 1, 1.0)
 
     def test_valid_rules_pass_through(self):
         rule = SeverityRule(9, 1, 2, 16800.0)
-        assert validate_rule(rule) is rule
         assert rule.levels == 10
 
 
 class TestClaimHistory:
     def test_empty_history_allowed(self):
-        assert ClaimHistory([]).validate().years == 0
+        assert ClaimHistory([]).years == 0
 
     def test_severity_without_claim_rejected(self):
         with pytest.raises(InconsistentHistoryError):
-            ClaimHistory([0, 1], [3.0, 2.0]).validate()
+            ClaimHistory([0, 1], [3.0, 2.0])
 
     def test_lengths_must_match(self):
         with pytest.raises(InconsistentHistoryError):
-            ClaimHistory([1, 2], [3.0]).validate()
+            ClaimHistory([1, 2], [3.0])
 
     def test_totals(self):
-        history = ClaimHistory([1, 0, 2], [4.0, 0.0, 5.0]).validate()
+        history = ClaimHistory([1, 0, 2], [4.0, 0.0, 5.0])
         assert history.total_count == 3
         assert history.total_aggregate == 9.0
 
@@ -171,7 +233,7 @@ class TestClaimHistory:
 
     def test_aggregate_total_must_stay_finite(self):
         with pytest.raises(InconsistentHistoryError):
-            ClaimHistory([1, 1], [1e308, 1e308]).validate()
+            ClaimHistory([1, 1], [1e308, 1e308])
 
     def test_whole_floats_and_numpy_scalars_accepted(self):
         history = ClaimHistory([2.0, np.int64(3), np.float32(1.0)], [np.float64(4.5), 5, 1])

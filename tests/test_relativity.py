@@ -24,7 +24,6 @@ from bonusmalus import (
     optimal_relativity_frequency,
     optimal_relativity_severity,
     simulate_paths,
-    validate_model,
 )
 from conftest import degenerate_model, study_model
 
@@ -214,17 +213,15 @@ class TestMultiClassPortfolios:
 
         second_rate = 2.0 if distinct else 0.5
         second_sev = 0.5 * SEV_RATE if distinct else SEV_RATE
-        return validate_model(
-            ModelSpec(
-                Portfolio(
-                    [
-                        RiskClass(split, 0.5, SEV_RATE),
-                        RiskClass(1.0 - split, second_rate, second_sev),
-                    ]
-                ),
-                GammaSeverity(1.0 / GAMMA_SHAPE),
-                LognormalCopulaEffects(-0.8, 0.99, 0.29),
-            )
+        return ModelSpec(
+            Portfolio(
+                [
+                    RiskClass(split, 0.5, SEV_RATE),
+                    RiskClass(1.0 - split, second_rate, second_sev),
+                ]
+            ),
+            GammaSeverity(1.0 / GAMMA_SHAPE),
+            LognormalCopulaEffects(-0.8, 0.99, 0.29),
         )
 
     def test_identical_classes_collapse_to_single_class(self, base_model):
@@ -257,12 +254,10 @@ class TestMultiClassPortfolios:
         effects = mixed.effects
         singles = []
         for cls in mixed.portfolio.classes:
-            only = validate_model(
-                ModelSpec(
-                    Portfolio([RiskClass(1.0, cls.freq_rate, cls.sev_rate)]),
-                    GammaSeverity(1.0 / GAMMA_SHAPE),
-                    effects,
-                )
+            only = ModelSpec(
+                Portfolio([RiskClass(1.0, cls.freq_rate, cls.sev_rate)]),
+                GammaSeverity(1.0 / GAMMA_SHAPE),
+                effects,
             )
             singles.append(unconditional_level_distribution(only, rule, nodes=16))
         combined = 0.3 * singles[0] + 0.7 * singles[1]
@@ -273,12 +268,10 @@ class TestMultiClassPortfolios:
 
 class TestUndefinedLevels:
     def test_unreachable_levels_reported_as_undefined(self):
-        model = validate_model(
-            ModelSpec(
-                Portfolio([RiskClass(1.0, 1e-12, 100.0)]),
-                GammaSeverity(1.0),
-                DegenerateEffects(),
-            )
+        model = ModelSpec(
+            Portfolio([RiskClass(1.0, 1e-12, 100.0)]),
+            GammaSeverity(1.0),
+            DegenerateEffects(),
         )
         table = optimal_relativity_dependent(model, FreqRule(3, 1))
         assert table.undefined_levels

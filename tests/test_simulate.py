@@ -74,6 +74,14 @@ class TestSimulatePaths:
         with pytest.raises(ValueError):
             simulate_paths(SimConfig(base_model, FreqRule(9, 1), 10, seed=1, **years))
 
+    def test_path_count_validated(self, base_model):
+        with pytest.raises(ValueError):
+            SimConfig(base_model, FreqRule(9, 1), 0, seed=1)
+
+    def test_rule_type_validated(self, base_model):
+        with pytest.raises(InvalidRuleError):
+            SimConfig(base_model, object(), 10, seed=1)
+
     def test_start_level_validated(self, base_model):
         with pytest.raises(ValueError):
             simulate_paths(SimConfig(base_model, FreqRule(9, 1), 10, seed=1, start_level=11))
@@ -92,10 +100,10 @@ class TestSimulatePaths:
         "model",
         [
             pytest.param(degenerate_model(freq_rate=1e20), id="finite"),
-            # At 1e308 the conditional mean of every path with a frequency
-            # effect above one overflows, and so do the premium moments.
+            # At 1e150, near the largest rate a class accepts, the squared
+            # premium factor's own square overflows in the premium moments.
             pytest.param(
-                study_model(0.0, freq_rate=1e308),
+                study_model(0.0, freq_rate=1e150),
                 id="overflowing",
                 marks=pytest.mark.filterwarnings("ignore:overflow encountered"),
             ),

@@ -27,7 +27,6 @@ from bonusmalus import (
     optimal_relativity_severity,
     simulate_paths,
     threshold_scan,
-    validate_model,
 )
 from oracles import (
     enumeration_matrix,
@@ -220,12 +219,10 @@ class TestRuleValidation:
 
 
 def _one_class_model(severity, sev_rate):
-    return validate_model(
-        ModelSpec(
-            Portfolio([RiskClass(1.0, 0.5, sev_rate)]),
-            severity,
-            LognormalCopulaEffects(-0.8, 0.99, 0.29),
-        )
+    return ModelSpec(
+        Portfolio([RiskClass(1.0, 0.5, sev_rate)]),
+        severity,
+        LognormalCopulaEffects(-0.8, 0.99, 0.29),
     )
 
 
@@ -250,12 +247,12 @@ class TestExtremeThresholds:
     @pytest.mark.parametrize("severity,sev_rate", EXTREME_LAWS)
     @pytest.mark.parametrize("threshold", [math.nan, -math.inf], ids=["nan", "-inf"])
     def test_nan_and_negative_infinite_thresholds_rejected(self, severity, sev_rate, threshold):
+        # No such rule can be built, nor derived from a valid one by a scan.
         model = _one_class_model(severity, sev_rate)
-        rule = SeverityRule(9, 1, 2, threshold)
         with pytest.raises(InvalidRuleError):
-            optimal_relativity_severity(model, rule, 16)
+            SeverityRule(9, 1, 2, threshold)
         with pytest.raises(InvalidRuleError):
-            simulate_paths(SimConfig(model, rule, 1_000, seed=1))
+            threshold_scan(model, SeverityRule(9, 1, 2, 1.0), [threshold], 16)
 
     def test_infinite_threshold_simulates(self):
         model = _one_class_model(PoissonSeverity(), 3.0)
