@@ -94,6 +94,17 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
     return cfg
 
 
+def _number(value, key: str, cast=float):
+    """``cast(value)``; a JSON boolean is not a number, though ``float(True)`` is 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"'{key}' must be a number, got {value!r}")
+    return cast(value)
+
+
+def _fields(section: dict, *keys: str, cast=float) -> list:
+    return [_number(section[key], key, cast) for key in keys]
+
+
 def parse_model(cfg: dict) -> ModelSpec:
     try:
         section = cfg["model"]
@@ -108,18 +119,18 @@ def parse_model(cfg: dict) -> ModelSpec:
             if len(weights) != len(cells):
                 raise ConfigError(f"expected {len(cells)} weights, got {len(weights)}")
             classes = [
-                RiskClass(float(w), float(c["freq_rate"]), float(c["sev_rate"]))
+                RiskClass(_number(w, "weights"), *_fields(c, "freq_rate", "sev_rate"))
                 for w, c in zip(weights, cells)
             ]
         else:
             classes = [
-                RiskClass(float(c["weight"]), float(c["freq_rate"]), float(c["sev_rate"]))
+                RiskClass(*_fields(c, "weight", "freq_rate", "sev_rate"))
                 for c in section["classes"]
             ]
         sev_cfg = section["severity"]
         kind = sev_cfg.get("kind", "gamma")
         if kind == "gamma":
-            severity = GammaSeverity(float(sev_cfg["dispersion"]))
+            severity = GammaSeverity(*_fields(sev_cfg, "dispersion"))
         elif kind == "poisson":
             severity = PoissonSeverity()
         else:
@@ -127,15 +138,9 @@ def parse_model(cfg: dict) -> ModelSpec:
         eff_cfg = section["effects"]
         eff_kind = eff_cfg.get("kind", "lognormal_copula")
         if eff_kind == "lognormal_copula":
-            effects = LognormalCopulaEffects(
-                float(eff_cfg["corr"]),
-                float(eff_cfg["log_var1"]),
-                float(eff_cfg["log_var2"]),
-            )
+            effects = LognormalCopulaEffects(*_fields(eff_cfg, "corr", "log_var1", "log_var2"))
         elif eff_kind == "mixture_exponential":
-            effects = MixtureExponentialEffects(
-                float(eff_cfg["weight1"]), float(eff_cfg["rate1"]), float(eff_cfg["rate2"])
-            )
+            effects = MixtureExponentialEffects(*_fields(eff_cfg, "weight1", "rate1", "rate2"))
         elif eff_kind == "degenerate":
             effects = DegenerateEffects()
         else:
@@ -151,12 +156,10 @@ def _parse_rule(entry: dict, threshold: float | None = None):
     """One rule; a severity entry without its own threshold takes ``threshold``."""
     try:
         if "step" in entry:
-            return FreqRule(int(entry["max_level"]), int(entry["step"]))
+            return FreqRule(*_fields(entry, "max_level", "step", cast=int))
         return SeverityRule(
-            int(entry["max_level"]),
-            int(entry["small_step"]),
-            int(entry["large_step"]),
-            float(entry.get("threshold", threshold)),
+            *_fields(entry, "max_level", "small_step", "large_step", cast=int),
+            _number(entry.get("threshold", threshold), "threshold"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad rule entry {entry!r}: {exc}") from exc
@@ -164,14 +167,14 @@ def _parse_rule(entry: dict, threshold: float | None = None):
 
 def _floats(cfg: dict, key: str) -> list[float]:
     try:
-        return [float(value) for value in cfg.get(key, [])]
+        return [_number(value, key) for value in cfg.get(key, [])]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad '{key}' entry: {exc}") from exc
 
 
 def _sim_int(cfg: dict, key: str, default: int) -> int:
     try:
-        return int(cfg.get("simulation", {}).get(key, default))
+        return _number(cfg.get("simulation", {}).get(key, default), key, int)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad 'simulation.{key}': {exc}") from exc
 
@@ -211,15 +214,11 @@ def parse_history(cfg: dict) -> ClaimHistory:
 def parse_bayes_model(cfg: dict) -> MixtureBayesModel:
     try:
         section = cfg["bayes"]
-        effects = MixtureExponentialEffects(
-            float(section["weight1"]), float(section["rate1"]), float(section["rate2"])
-        )
+        effects = MixtureExponentialEffects(*_fields(section, "weight1", "rate1", "rate2"))
         unit = section.get("unit_severity_effect", False)
         if not isinstance(unit, bool):
             raise ConfigError(f"'unit_severity_effect' must be true or false, got {unit!r}")
-        model = MixtureBayesModel(
-            float(section["freq_rate"]), float(section["sev_rate"]), effects, unit
-        )
+        model = MixtureBayesModel(*_fields(section, "freq_rate", "sev_rate"), effects, unit)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad bayes model configuration: {exc}") from exc
     return model

@@ -44,8 +44,6 @@ class QuadratureGrid:
     theta1: np.ndarray
     theta2: np.ndarray
     weights: np.ndarray
-    scheme: str
-    nodes_per_dim: int
 
     @property
     def size(self) -> int:
@@ -91,7 +89,7 @@ def build_grid(effects: RandomEffectJoint, n: int = DEFAULT_NODES) -> Quadrature
     """
     if isinstance(effects, DegenerateEffects):
         one = np.array([1.0])
-        return QuadratureGrid(one, one.copy(), one.copy(), "degenerate", 1)
+        return QuadratureGrid(one, one.copy(), one.copy())
     if n < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} nodes per dimension, got {n}")
     if isinstance(effects, LognormalCopulaEffects):
@@ -103,7 +101,7 @@ def build_grid(effects: RandomEffectJoint, n: int = DEFAULT_NODES) -> Quadrature
         z2 = rho * z1 + math.sqrt(max(1.0 - rho * rho, 0.0)) * z2_orth
         theta1 = _lognormal(effects.log_var1, z1)
         theta2 = _lognormal(effects.log_var2, z2)
-        return QuadratureGrid(theta1, theta2, weights, "gauss-hermite", n)
+        return QuadratureGrid(theta1, theta2, weights)
     if isinstance(effects, MixtureExponentialEffects):
         t, v = _laguerre_nodes(n)
         parts = []
@@ -116,7 +114,7 @@ def build_grid(effects: RandomEffectJoint, n: int = DEFAULT_NODES) -> Quadrature
         theta1 = np.concatenate([p[0] for p in parts])
         theta2 = np.concatenate([p[1] for p in parts])
         weights = np.concatenate([p[2] for p in parts])
-        return QuadratureGrid(theta1, theta2, weights, "gauss-laguerre-mixture", n)
+        return QuadratureGrid(theta1, theta2, weights)
     raise UnsupportedEffectsError(f"no quadrature scheme for {type(effects).__name__}")
 
 

@@ -15,6 +15,10 @@ Three families are provided:
   between the two effects.
 * ``optimal_relativity_severity`` -- severity-aware chain, aggregate-loss
   premium target; the level itself carries claim-size history.
+
+All three integrate over the same joint effect law: one stationary field per
+(model, rule, node count) serves every family, which differ only in the
+target they track and in their premium factor.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import LevelMismatchError
 from .model import BmsRule, FreqRule, ModelSpec, SeverityRule
-from .quadrature import DEFAULT_NODES, QuadratureGrid, _read_only, build_grid, marginal_grid
+from .quadrature import DEFAULT_NODES, _read_only, build_grid
 from .stationary import conditional_stationary_field
 
 MASS_FLOOR = 1e-14
@@ -123,36 +127,25 @@ def _joint_stationary(model: ModelSpec, rule: BmsRule, nodes: int):
 def _moment_field(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> _MomentField:
     """Per-level moments of one relativity family; cached, with read-only arrays.
 
-    The ``"frequency"`` family targets the frequency effect with premium
-    factor ``freq_rate**2`` and integrates over the frequency marginal alone,
-    held as a grid whose severity effect is 1 (so the effect product is the
-    frequency effect exactly).  The ``"aggregate"`` family targets the effect
-    product with premium factor ``(freq_rate * sev_rate)**2`` on the joint grid.
+    Every family reads the one joint stationary field of ``(model, rule,
+    nodes)`` and contracts it over nodes, then classes, with no loop.  The
+    ``"frequency"`` family targets the frequency effect with premium factor
+    ``freq_rate**2``; the ``"aggregate"`` family targets the effect product
+    with premium factor ``(freq_rate * sev_rate)**2``.
     """
+    grid, field = _joint_stationary(model, rule, nodes)
+    portfolio = model.portfolio
     if family == "frequency":
-        theta1, w1 = marginal_grid(model.effects, 1, nodes)
-        grid = QuadratureGrid(theta1, np.ones_like(theta1), w1, "frequency-marginal", nodes)
-        field = conditional_stationary_field(model, rule, grid)
+        target, rate = grid.theta1, portfolio.freq_rates
     else:
-        grid, field = _joint_stationary(model, rule, nodes)
-    prod = grid.theta1 * grid.theta2
-    levels = rule.levels
-    mass = np.zeros(levels)
-    prem = np.zeros(levels)
-    target = np.zeros(levels)
-    second = np.zeros(levels)
-    norm = 0.0
-    for ci, cls in enumerate(model.portfolio.classes):
-        rate = cls.freq_rate if family == "frequency" else cls.freq_rate * cls.sev_rate
-        lam_sq = rate**2
-        pis = field[ci]
-        mass += cls.weight * (grid.weights @ pis)
-        prem += cls.weight * lam_sq * (grid.weights @ pis)
-        target += cls.weight * lam_sq * ((grid.weights * prod) @ pis)
-        second += cls.weight * lam_sq * ((grid.weights * prod**2) @ pis)
-        norm += cls.weight * lam_sq
-    _read_only(mass, prem, target, second)
-    return _MomentField(mass, prem, target, second, norm)
+        target, rate = grid.theta1 * grid.theta2, portfolio.freq_rates * portfolio.sev_rates
+    prem_sq = portfolio.weights * rate**2
+    w = grid.weights
+    by_class = np.stack([w, w * target, w * target**2]) @ field  # (class, moment, level)
+    mass = portfolio.weights @ by_class[:, 0]
+    prem, first, second = np.tensordot(prem_sq, by_class, axes=1)
+    _read_only(mass, prem, first, second)
+    return _MomentField(mass, prem, first, second, float(np.sum(prem_sq)))
 
 
 def unconditional_level_distribution(
@@ -160,11 +153,10 @@ def unconditional_level_distribution(
 ) -> np.ndarray:
     """Level distribution of a randomly drawn policyholder in steady state.
 
-    Frequency-driven rules integrate over the frequency effect marginal only;
-    severity-aware rules require the full joint grid.  Read-only.
+    The mass of the joint stationary field; every relativity table of
+    ``(model, rule, nodes)`` carries these values as ``stationary``.  Read-only.
     """
-    family = "frequency" if isinstance(rule, FreqRule) else "aggregate"
-    return _moment_field(model, rule, nodes, family).mass
+    return _moment_field(model, rule, nodes, "aggregate").mass
 
 
 def _ratio(field: _MomentField) -> np.ndarray:
@@ -181,6 +173,13 @@ def _hmse_from_field(field: _MomentField, relativities: np.ndarray) -> tuple[flo
     return raw, raw / field.norm
 
 
+def _table(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> RelativityTable:
+    field = _moment_field(model, rule, nodes, family)
+    r = _ratio(field)
+    raw, normalized = _hmse_from_field(field, r)
+    return RelativityTable(rule, r, field.mass, raw, normalized, family, nodes)
+
+
 def optimal_relativity_frequency(
     model: ModelSpec, rule: FreqRule, nodes: int = DEFAULT_NODES
 ) -> RelativityTable:
@@ -192,10 +191,7 @@ def optimal_relativity_frequency(
     """
     if not isinstance(rule, FreqRule):
         raise LevelMismatchError("frequency relativities require a frequency-driven rule")
-    field = _moment_field(model, rule, nodes, "frequency")
-    r = _ratio(field)
-    raw, normalized = _hmse_from_field(field, r)
-    return RelativityTable(rule, r, field.mass, raw, normalized, "frequency", nodes)
+    return _table(model, rule, nodes, "frequency")
 
 
 def optimal_relativity_dependent(
@@ -204,10 +200,7 @@ def optimal_relativity_dependent(
     """Optimal aggregate-loss relativities under a frequency-driven chain."""
     if not isinstance(rule, FreqRule):
         raise LevelMismatchError("the dependence-adjusted family requires a frequency-driven rule")
-    field = _moment_field(model, rule, nodes, "aggregate")
-    r = _ratio(field)
-    raw, normalized = _hmse_from_field(field, r)
-    return RelativityTable(rule, r, field.mass, raw, normalized, "aggregate", nodes)
+    return _table(model, rule, nodes, "aggregate")
 
 
 def optimal_relativity_severity(
@@ -216,10 +209,7 @@ def optimal_relativity_severity(
     """Optimal aggregate-loss relativities under a severity-aware chain."""
     if not isinstance(rule, SeverityRule):
         raise LevelMismatchError("the severity family requires a severity-aware rule")
-    field = _moment_field(model, rule, nodes, "aggregate")
-    r = _ratio(field)
-    raw, normalized = _hmse_from_field(field, r)
-    return RelativityTable(rule, r, field.mass, raw, normalized, "aggregate", nodes)
+    return _table(model, rule, nodes, "aggregate")
 
 
 def balance_check(model: ModelSpec, table: RelativityTable) -> BalanceReport:

@@ -73,7 +73,13 @@ def _jump_law(rule, freq_means, exceed, upper: bool):
         law1 = _poisson_pmf(np.arange(z // small + 1), m1)
     law1 = np.concatenate([law1, np.zeros((means.size, 1))], axis=1)
     counts = _small_counts(z, small, large, upper)
-    law = (_poisson_pmf(np.arange(z // large + 1), m2)[:, None, :] * law1[:, counts]).sum(axis=2)
+    law2 = _poisson_pmf(np.arange(z // large + 1), m2)
+    law = np.zeros((means.size, z))
+    # One large-claim count at a time keeps the memory at profiles x z.  A
+    # count of zero probability for every profile adds nothing; under a
+    # frequency rule that is every count but 0.
+    for k2 in np.flatnonzero(law2.any(axis=0)):
+        law += law2[:, k2, None] * law1[:, counts[:, k2]]
     if upper:
         tail2 = poisson_cdf(np.arange((z - 1) // large + 1), m2[:, None], upper=True)
         law += tail2[:, np.arange(z) // large]

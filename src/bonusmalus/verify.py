@@ -19,7 +19,6 @@ from .relativity import (
     RelativityTable,
     optimal_relativity_dependent,
     optimal_relativity_severity,
-    unconditional_level_distribution,
 )
 from .simulate import (
     MIN_LEVEL_VISITS,
@@ -76,7 +75,6 @@ def check_rule(
     nodes: int = 64,
     burn_in_years: int = 120,
     perturb: dict[int, float] | None = None,
-    label: str | None = None,
 ) -> OracleCheck:
     """Run one analytic-versus-simulation comparison.
 
@@ -97,7 +95,7 @@ def check_rule(
     if perturb:
         for lvl, delta in perturb.items():
             relativities[lvl] += delta
-    analytic_levels = unconditional_level_distribution(model, rule, nodes)
+    analytic_levels = table.stationary
     analytic_hmse = hmse_eval(model, relativities, rule, nodes).hmse_raw
 
     summary = simulate_paths(
@@ -140,7 +138,7 @@ def check_rule(
         )
 
     return OracleCheck(
-        label or _default_label(rule),
+        _rule_label(rule),
         not failures,
         tuple(failures),
         float(np.max(level_sigmas)),
@@ -151,7 +149,7 @@ def check_rule(
     )
 
 
-def _default_label(rule) -> str:
+def _rule_label(rule) -> str:
     if isinstance(rule, SeverityRule):
         return (
             f"-1/+{rule.small_step}/+{rule.large_step} at threshold {rule.threshold:g}"

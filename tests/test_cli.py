@@ -306,6 +306,22 @@ class TestRelativitiesFuzz:
         assert "Traceback" not in err.getvalue()
 
 
+class TestScanAndTableFuzz:
+    @pytest.mark.parametrize("verb", ["hmse-scan", "reproduce-table"])
+    @given(payload=_relativities_configs())
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    def test_exits_0_2_or_3_without_traceback(self, verb, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(payload))
+            argv = [verb, "--config", str(path), "--quadrature-nodes", "8"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run([*argv, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
+
 class TestSimulateVerb:
     def test_writes_summary(self, tmp_path):
         payload = json.loads(json.dumps(SMALL_MODEL))
@@ -459,6 +475,37 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "verb,edit,named",
+        [
+            ("relativities", lambda p: _set_class(p, weight=True), "'weight'"),
+            ("relativities", lambda p: p["rules"][0].update(max_level=True), "'max_level'"),
+            ("relativities", lambda p: p.update(thresholds=[True]), "'thresholds'"),
+            ("relativities", lambda p: p["model"]["effects"].update(corr=True), "'corr'"),
+            ("hmse-scan", lambda p: p["rules"][1].update(large_step=False), "'large_step'"),
+            ("simulate", lambda p: p.update(simulation={"paths": True}), "'paths'"),
+            ("bayes", lambda p: p["bayes"].update(freq_rate=True), "'freq_rate'"),
+        ],
+        ids=[
+            "class_weight",
+            "rule_max_level",
+            "thresholds",
+            "effects_corr",
+            "scan_large_step",
+            "simulation_paths",
+            "bayes_freq_rate",
+        ],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, verb, edit, named):
+        # float(True) is 1.0, so a boolean once read as the number 1.
+        payload = json.loads(json.dumps(BAYES_CONFIG if verb == "bayes" else SMALL_MODEL))
+        edit(payload)
+        config = write_config(tmp_path, payload)
+        assert run([verb, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{named} must be a number" in err
         assert not (tmp_path / "out").exists()
 
     def test_numeric_failures_exit_3(self, tmp_path, monkeypatch):

@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 
 from bonusmalus import (
     FreqRule,
+    QuadratureGrid,
     SeverityRule,
     SingularSystemError,
-    build_grid,
     build_matrices,
+    conditional_stationary_field,
     exceedance_profile,
+    marginal_grid,
+    optimal_relativity_dependent,
+    optimal_relativity_frequency,
     unconditional_level_distribution,
 )
 from bonusmalus.stationary import _stationary_batch
@@ -164,13 +168,34 @@ class TestUnconditionalLevels:
         assert np.array_equal(a, b)
 
     def test_matches_joint_grid_route_for_freq_rule(self):
-        # The frequency-marginal shortcut and the full joint grid agree.
+        # A frequency rule's chain depends on the frequency effect alone, so a
+        # grid over the frequency marginal (severity effect held at 1) gives
+        # the same level distribution as the joint route.
         model = study_model(-0.8)
         rule = FreqRule(5, 1)
-        marginal_route = unconditional_level_distribution(model, rule, nodes=16)
-        grid = build_grid(model.effects, 16)
-        from bonusmalus import conditional_stationary_field
-
-        field = conditional_stationary_field(model, rule, grid)
-        joint_route = np.einsum("n,knl->l", grid.weights, field)
+        theta1, w1 = marginal_grid(model.effects, 1, 16)
+        marginal = QuadratureGrid(theta1, np.ones_like(theta1), w1)
+        field = conditional_stationary_field(model, rule, marginal)
+        marginal_route = np.einsum("n,knl->l", w1, field)
+        joint_route = unconditional_level_distribution(model, rule, nodes=16)
         assert np.max(np.abs(marginal_route - joint_route)) < 1e-12
+
+    def test_freq_rule_tables_and_levels_share_one_field(self, monkeypatch):
+        from bonusmalus import relativity
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return conditional_stationary_field(*args)
+
+        monkeypatch.setattr(relativity, "conditional_stationary_field", counted)
+        relativity._joint_stationary.cache_clear()
+        relativity._moment_field.cache_clear()
+        model, rule = study_model(-0.8), FreqRule(9, 1)
+        freq = optimal_relativity_frequency(model, rule, 16)
+        dep = optimal_relativity_dependent(model, rule, 16)
+        levels = unconditional_level_distribution(model, rule, 16)
+        assert calls == [rule]
+        assert levels is dep.stationary
+        assert np.array_equal(freq.stationary, levels)

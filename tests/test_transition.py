@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from bonusmalus import (
     simulate_paths,
     threshold_scan,
 )
+from bonusmalus.transition import jump_tails
 from oracles import (
     enumeration_matrix,
     gamma_tail_by_quadrature,
@@ -206,6 +208,23 @@ class TestBuildMatrices:
         for P, (mean, q) in zip(stack, profiles):
             assert np.array_equal(P, build_matrices(rule, mean, q)[0])
             assert np.allclose(P, enumeration_matrix(rule, mean, q), atol=1e-10)
+
+
+class TestJumpLawMemory:
+    def test_peak_allocation_stays_a_few_results(self):
+        # Gathering every large-claim count at once held profiles x z x
+        # (z // large_step + 1) floats: 79 MiB here for a 0.2 MiB result, and
+        # gigabytes for a 1000-level scale on a 32-node grid.
+        rule = SeverityRule(400, 1, 2, 1.0)
+        means, exceed = np.linspace(0.1, 3.0, 64), np.linspace(0.0, 1.0, 64)
+        jump_tails(rule, means, exceed)  # fills the cached index tables
+        tracemalloc.start()
+        try:
+            _, tails = jump_tails(rule, means, exceed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * tails.nbytes
 
 
 class TestRuleValidation:
