@@ -1,10 +1,11 @@
 """Bonus-malus system design under a dependent frequency-severity risk model.
 
-The package computes transition matrices and stationary level distributions
-for frequency-driven and severity-aware bonus-malus rules, optimal per-level
-relativities and their scores, closed-form credibility premiums for the
-companion Poisson-Poisson mixture model, and ships a seeded Monte Carlo
-simulator used as an independent verification oracle.
+The package computes the jump laws and stationary level distributions of
+severity-aware bonus-malus rules, of which a frequency-driven rule is the
+equal-step case, optimal per-level relativities and their scores,
+closed-form credibility premiums for the companion Poisson-Poisson mixture
+model, and ships a seeded Monte Carlo simulator used as an independent
+verification oracle.
 """
 
 from .bayes import (
@@ -74,7 +75,7 @@ from .simulate import (
     simulate_paths,
 )
 from .stationary import conditional_stationary_field
-from .transition import build_matrices, exceedance_profile
+from .transition import build_matrices
 from .verify import BatteryReport, OracleCheck, check_rule, oracle_agreement_battery
 
 __version__ = "0.1.0"
@@ -124,7 +125,6 @@ __all__ = [
     "conditional_stationary_field",
     "empirical_frequency_relativity",
     "empirical_relativity",
-    "exceedance_profile",
     "hmse_empirical",
     "hmse_eval",
     "marginal_grid",

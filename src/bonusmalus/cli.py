@@ -95,9 +95,15 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
 
 
 def _number(value, key: str, cast=float):
-    """``cast(value)``; a JSON boolean is not a number, though ``float(True)`` is 1.0."""
-    if isinstance(value, bool):
+    """``cast(value)`` of a JSON number; ``cast=int`` takes no fraction.
+
+    A JSON boolean or string is not a number, though ``float(True)`` and
+    ``float("1")`` are 1.0, and ``int(1.9)`` would truncate.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"'{key}' must be a number, got {value!r}")
+    if cast is int and value != int(value):
+        raise ValueError(f"'{key}' must be an integer, got {value!r}")
     return cast(value)
 
 
@@ -453,6 +459,8 @@ def cmd_reproduce_table(cfg: dict, args) -> int:
     nodes = cfg["quadrature_nodes"]
     precision = cfg["precision"]
     rules = resolve_rules(cfg, model, nodes)
+    if cfg["format"] == "csv" and len({rule.max_level for rule in rules}) > 1:
+        raise ConfigError("a CSV table needs every rule on the same number of levels")
     tables = [(rule, _compute_table(model, rule, "aggregate", nodes)) for rule in rules]
     out = Path(args.out)
     if cfg["format"] == "csv":

@@ -41,9 +41,7 @@ class RuleDominanceReport:
 
     @property
     def severity_no_worse(self) -> bool:
-        return self.severity_best.hmse_raw <= self.freq_best.hmse_raw + 1e-12 * max(
-            self.freq_best.hmse_raw, 1.0
-        )
+        return self.severity_best.hmse_raw <= self.freq_best.hmse_raw
 
 
 def hmse_eval(

@@ -202,17 +202,28 @@ RandomEffectJoint = Union[LognormalCopulaEffects, MixtureExponentialEffects, Deg
 
 @dataclass(frozen=True)
 class FreqRule:
-    """Frequency-driven transition rule: down 1 per claim-free year, up ``step`` per claim."""
+    """Frequency-driven transition rule: down 1 per claim-free year, up ``step`` per claim.
+
+    It reads as the severity-aware rule whose small and large steps are both ``step``.
+    """
 
     max_level: int
     step: int
 
     def __post_init__(self) -> None:
-        _check_scale(self.max_level, self.step)
+        _check_scale(self, "step")
 
     @property
     def levels(self) -> int:
         return self.max_level + 1
+
+    @property
+    def small_step(self) -> int:
+        return self.step
+
+    @property
+    def large_step(self) -> int:
+        return self.step
 
 
 @dataclass(frozen=True)
@@ -230,13 +241,15 @@ class SeverityRule:
     threshold: float
 
     def __post_init__(self) -> None:
-        _check_scale(self.max_level, self.small_step, self.large_step)
+        _check_scale(self, "small_step", "large_step")
         if self.large_step < self.small_step:
             raise InvalidRuleError(
                 f"large-claim step {self.large_step} must be >= small-claim step {self.small_step}"
             )
-        if not self.threshold > 0:
-            raise InvalidRuleError("claim-size threshold must be positive")
+        threshold = self.threshold
+        real = isinstance(threshold, numbers.Real) and not isinstance(threshold, bool)
+        if not (real and threshold > 0):
+            raise InvalidRuleError(f"claim-size threshold {threshold!r} must be a positive number")
 
     @property
     def levels(self) -> int:
@@ -249,12 +262,24 @@ class SeverityRule:
 BmsRule = Union[FreqRule, SeverityRule]
 
 
-def _check_scale(max_level: int, *steps: int) -> None:
-    if not 1 <= max_level <= MAX_LEVEL:
-        raise InvalidRuleError(f"need 2 to {MAX_LEVEL + 1} levels, got max_level={max_level}")
-    for step in steps:
-        if not 1 <= step <= MAX_LEVEL:
-            raise InvalidRuleError(f"penalty step {step} is not an integer in [1, {MAX_LEVEL}]")
+def _whole(value) -> int | None:
+    """``value`` as an ``int`` if it is a whole number, else None; a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    return int(value) if math.isfinite(value) and value == int(value) else None
+
+
+def _check_scale(rule, *steps: str) -> None:
+    """Store ``max_level`` and the named steps as ints in [1, MAX_LEVEL], or raise."""
+    for name in ("max_level", *steps):
+        value = _whole(getattr(rule, name))
+        if value is None or not 1 <= value <= MAX_LEVEL:
+            raise InvalidRuleError(
+                f"{name} {getattr(rule, name)!r} is not an integer in [1, {MAX_LEVEL}]"
+            )
+        object.__setattr__(rule, name, value)
 
 
 @dataclass(frozen=True)

@@ -28,14 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientOccupancyError, InvalidRuleError
-from .model import (
-    BmsRule,
-    DegenerateEffects,
-    LognormalCopulaEffects,
-    ModelSpec,
-    SeverityRule,
-)
-from .transition import exceedance_profile
+from .model import BmsRule, DegenerateEffects, LognormalCopulaEffects, ModelSpec, _whole
+from .quadrature import severity_cdf
 
 CHUNK = 1 << 16
 MIN_LEVEL_VISITS = 1000
@@ -62,6 +56,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.rule, BmsRule):
             raise InvalidRuleError(f"unknown rule type {type(self.rule).__name__}")
+        for name in ("n_paths", "seed", "burn_in_years", "sample_years", "start_level"):
+            value = _whole(getattr(self, name))
+            if value is None:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got seed={self.seed}")
         if self.n_paths < 1:
             raise ValueError(f"need at least one path, got n_paths={self.n_paths}")
         if self.burn_in_years < 0:
@@ -79,15 +80,20 @@ class SimSummary:
     """Per-level occupancy counts and premium-weighted moment sums.
 
     ``prem_sq*`` columns accumulate powers of the squared a priori premium
-    factor ``q = (freq_rate * sev_rate)**2`` and the effect product
+    factor ``q = (freq_rate * sev_rate)**2 / 2**q_exp`` and the effect product
     ``t = theta1 * theta2`` per observation; they are sufficient for the
     level distribution, conditional-mean relativities, the empirical score of
-    any relativity vector, and all their standard errors.
+    any relativity vector, and all their standard errors.  ``q_exp`` and
+    ``f_exp`` put the largest class's factors in [0.5, 1), so the squares
+    cannot overflow; a power of two scales exactly, so no estimate depends on
+    it.
     """
 
     levels: int
     n_observations: int
     seed: int
+    q_exp: int
+    f_exp: int
     counts: np.ndarray
     prem_sq: np.ndarray          # sum of q
     prem_sq_t: np.ndarray        # sum of q * t
@@ -97,7 +103,7 @@ class SimSummary:
     prem_sq2_t2: np.ndarray      # sum of q^2 * t^2
     prem_sq2_t3: np.ndarray      # sum of q^2 * t^3
     prem_sq2_t4: np.ndarray      # sum of q^2 * t^4
-    fprem: np.ndarray            # sum of f = freq_rate^2
+    fprem: np.ndarray            # sum of f = freq_rate^2 / 2**f_exp
     fprem_t1: np.ndarray         # sum of f * theta1
     fprem2: np.ndarray           # sum of f^2
     fprem2_t1: np.ndarray        # sum of f^2 * theta1
@@ -216,15 +222,14 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
     rule = cfg.rule
     z = rule.max_level
     levels = rule.levels
-    if isinstance(rule, SeverityRule):
-        small, large = rule.small_step, rule.large_step
-    else:
-        small = large = rule.step
+    small, large = rule.small_step, rule.large_step
     # That many claims reach the top level whatever their sizes.
     cap = -(-z // small)
     model = cfg.model
     freq_rates = model.portfolio.freq_rates
     sev_rates = model.portfolio.sev_rates
+    q_exp = int(np.frexp(np.max((freq_rates * sev_rates) ** 2))[1])
+    f_exp = int(np.frexp(np.max(freq_rates**2))[1])
 
     counts = np.zeros(levels, dtype=np.int64)
     sums = np.zeros((13, levels))
@@ -239,17 +244,14 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
         # A mean that overflows acts as the largest finite one: no pmf term of
         # the count inversion survives, so the count reaches the cap.
         freq_mean = np.minimum(freq_rates[cls_idx] * theta1, np.finfo(float).max)
-        if isinstance(rule, SeverityRule):
-            exceed = exceedance_profile(
-                rule.threshold, sev_rates[cls_idx] * theta2, model.severity
-            )
-        else:
-            exceed = None
+        if large > small:  # claim sizes move the level only then
+            sev_mean = sev_rates[cls_idx] * theta2
+            exceed = severity_cdf(rule.threshold, sev_mean, model.severity, upper=True)
         p0 = np.exp(-freq_mean)
         level = np.full(size, cfg.start_level, dtype=np.int64)
-        q = (freq_rates[cls_idx] * sev_rates[cls_idx]) ** 2
+        q = np.ldexp((freq_rates[cls_idx] * sev_rates[cls_idx]) ** 2, -q_exp)
         t = theta1 * theta2
-        f = freq_rates[cls_idx] ** 2
+        f = np.ldexp(freq_rates[cls_idx] ** 2, -f_exp)
         for year in range(1, total_years + 1):
             rng = _stream(cfg.seed, chunk_index, year)
             u = rng.random(size)
@@ -275,6 +277,8 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
         levels,
         cfg.n_paths * cfg.sample_years,
         cfg.seed,
+        q_exp,
+        f_exp,
         counts,
         *sums,
     )
@@ -346,4 +350,5 @@ def hmse_empirical(summary: SimSummary, relativities) -> tuple[float, float]:
     )
     mean = total / n_obs
     var = max(second / n_obs - mean**2, 0.0)
-    return float(mean), float(math.sqrt(var / n_obs))
+    score, se = np.ldexp([mean, math.sqrt(var / n_obs)], summary.q_exp)  # undo the scaling of q
+    return float(score), float(se)

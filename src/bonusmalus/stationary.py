@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import ModelSpec, SeverityRule
-from .quadrature import QuadratureGrid
-from .transition import exceedance_profile, jump_tails
+from .model import ModelSpec
+from .quadrature import QuadratureGrid, severity_cdf
+from .transition import jump_tails
 
 
 def _balance_residual(p0: np.ndarray, T: np.ndarray, pi: np.ndarray) -> float:
@@ -63,17 +63,19 @@ def conditional_stationary_field(
     """Stationary rows for every (risk class, quadrature node) pair.
 
     Returns an array of shape ``(classes, grid.size, levels)``.  A node
-    enters only through its claim mean and its exceedance (zero under a
-    frequency rule), so equal (mean, exceedance) pairs are solved once: a
-    frequency rule needs one chain per distinct frequency effect.
+    enters only through its claim mean and its exceedance, so equal (mean,
+    exceedance) pairs are solved once.  Claim sizes matter only where large
+    claims move further than small ones; a rule with equal steps, of either
+    type, needs one chain per distinct frequency effect.
     """
     classes = model.portfolio.classes
     out = np.empty((len(classes), grid.size, rule.levels))
     for ci, cls in enumerate(classes):
         freq_means = cls.freq_rate * grid.theta1
         exceed, keys = np.zeros_like(freq_means), freq_means
-        if isinstance(rule, SeverityRule):
-            exceed = exceedance_profile(rule.threshold, cls.sev_rate * grid.theta2, model.severity)
+        if rule.large_step > rule.small_step:
+            sev_means = cls.sev_rate * grid.theta2
+            exceed = severity_cdf(rule.threshold, sev_means, model.severity, upper=True)
             keys = freq_means + 1j * exceed  # one sort key per (mean, exceedance)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         p0, T = jump_tails(rule, freq_means[first], exceed[first])

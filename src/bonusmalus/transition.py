@@ -8,7 +8,8 @@ at the rule's threshold, so by Poisson thinning the small and large claim
 counts are independent Poisson counts.  A profile's chain is then fixed by
 the no-claim probability ``p0`` and the jump tails ``P(jump >= g)``, which do
 not depend on the level.  A frequency-driven rule is the severity-aware rule
-whose small and large claims move the same number of levels, so one jump law
+whose small and large claims move the same number of levels: every rule is
+read through ``max_level``, ``small_step`` and ``large_step``, so one jump law
 serves both families.
 """
 
@@ -20,17 +21,6 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from ._distributions import poisson_cdf
-from .model import FreqRule, SeverityLaw
-from .quadrature import severity_cdf
-
-
-def exceedance_profile(threshold: float, means: np.ndarray, law: SeverityLaw) -> np.ndarray:
-    """Probability that a single claim exceeds ``threshold``, per conditional mean.
-
-    Gamma sizes use the survival function of the mean-parameterized gamma;
-    Poisson sizes the discrete upper tail.  Decreasing in the threshold.
-    """
-    return severity_cdf(threshold, np.asarray(means, dtype=float), law, upper=True)
 
 
 @lru_cache(maxsize=128)
@@ -60,8 +50,7 @@ def _jump_law(rule, freq_means, exceed, upper: bool):
     Sums over the large-claim count; with ``upper`` the counts that reach g
     alone enter as the large-claim upper tail, so nothing is subtracted.
     """
-    freq = isinstance(rule, FreqRule)
-    small, large = (rule.step, rule.step) if freq else (rule.small_step, rule.large_step)
+    small, large = rule.small_step, rule.large_step
     means, exceed = np.broadcast_arrays(*np.atleast_1d(freq_means, exceed))
     if not np.all((exceed >= 0.0) & (exceed <= 1.0)):
         raise ValueError("exceedance probabilities must lie in [0, 1]")
@@ -76,8 +65,8 @@ def _jump_law(rule, freq_means, exceed, upper: bool):
     law2 = _poisson_pmf(np.arange(z // large + 1), m2)
     law = np.zeros((means.size, z))
     # One large-claim count at a time keeps the memory at profiles x z.  A
-    # count of zero probability for every profile adds nothing; under a
-    # frequency rule that is every count but 0.
+    # count of zero probability for every profile adds nothing; at exceedance
+    # 0 that is every count but 0.
     for k2 in np.flatnonzero(law2.any(axis=0)):
         law += law2[:, k2, None] * law1[:, counts[:, k2]]
     if upper:

@@ -106,7 +106,7 @@ def check_rule(
     emp_levels = summary.level_distribution
     level_se = np.maximum(summary.level_se, 1e-15)
     level_sigmas = np.abs(emp_levels - analytic_levels) / level_se
-    if np.max(level_sigmas) > SIGMAS:
+    if not np.max(level_sigmas) <= SIGMAS:  # a NaN gap fails too
         worst = int(np.argmax(level_sigmas))
         failures.append(
             f"level distribution off at level {worst}: "
@@ -120,7 +120,7 @@ def check_rule(
         emp_se = np.maximum(emp_se, 1e-15)
         gaps = np.abs(np.nan_to_num(relativities, nan=0.0) - emp_r) / emp_se
         rel_sigmas = float(np.max(gaps))
-        if rel_sigmas > SIGMAS:
+        if not rel_sigmas <= SIGMAS:
             worst = int(np.argmax(gaps))
             failures.append(
                 f"relativity off at level {worst}: analytic {relativities[worst]:.6f} "
@@ -131,7 +131,7 @@ def check_rule(
 
     emp_hmse, emp_hmse_se = hmse_empirical(summary, relativities)
     hmse_sigmas = abs(emp_hmse - analytic_hmse) / max(emp_hmse_se, 1e-300)
-    if hmse_sigmas > SIGMAS:
+    if not hmse_sigmas <= SIGMAS:
         failures.append(
             f"score off: analytic {analytic_hmse:.6e} vs simulated {emp_hmse:.6e} "
             f"({hmse_sigmas:.2f} sigma)"

@@ -137,7 +137,7 @@ def test_criterion_4_rule_collapse_identities():
     for step in (1, 2):
         sev = optimal_relativity_severity(model, SeverityRule(9, step, step, 16800.0))
         dep = optimal_relativity_dependent(model, FreqRule(9, step))
-        assert np.max(np.abs(sev.relativities - dep.relativities)) < 1e-10
+        np.testing.assert_array_equal(sev.relativities, dep.relativities)
     far = optimal_relativity_severity(model, SeverityRule(9, 1, 2, 1e13))
     dep1 = optimal_relativity_dependent(model, FreqRule(9, 1))
     assert np.max(np.abs(far.relativities - dep1.relativities)) < 1e-8

@@ -270,40 +270,82 @@ class TestBayesFuzz:
 MIXTURE_EFFECTS = {"kind": "mixture_exponential", "weight1": 0.5, "rate1": 2.0, "rate2": 2.0 / 3.0}
 
 
+_POSITIVE = st.floats(1e-3, 1e6)
+# Numbers inside each value's valid range, so that most fuzzed configs reach the engine.
+_VALID = {
+    "weight": st.floats(1.0 - 1e-10, 1.0),
+    "freq_rate": st.floats(1e-3, 20.0),
+    "sev_rate": _POSITIVE,
+    "dispersion": st.floats(0.05, 20.0),
+    "corr": st.floats(-1.0, 1.0),
+    "log_var1": st.floats(0.0, 4.0),
+    "log_var2": st.floats(0.0, 4.0),
+    "weight1": st.floats(0.0, 1.0),
+    "rate1": st.floats(0.1, 10.0),
+    "rate2": st.floats(0.1, 10.0),
+    "max_level": st.integers(1, 30),
+    "step": st.integers(1, 6),
+    "small_step": st.integers(1, 2),
+    "large_step": st.integers(2, 6),
+    "threshold": _POSITIVE,
+    0: _POSITIVE,
+    "paths": st.integers(1, 3000),
+    "seed": st.integers(0, 2**63),
+    "burn_in_years": st.integers(0, 150),
+    "start_level": st.integers(0, 9),
+}
+
+
 @st.composite
 def _relativities_configs(draw):
-    """SMALL_MODEL, or its mixture variant, with one to three of its numbers fuzzed."""
+    """SMALL_MODEL, or its mixture variant, with one to three of its numbers fuzzed.
+
+    A fuzzed number is drawn from the value's valid range seven times in
+    eight, else it is an arbitrary JSON leaf.  Either rule may come first,
+    and a small ``simulation`` section is fuzzed with the rest.
+    """
     payload = json.loads(json.dumps(SMALL_MODEL))
+    payload["simulation"] = {"paths": 2000, "seed": 1, "burn_in_years": 100}
     model = payload["model"]
     if draw(st.booleans()):
         model["effects"] = dict(MIXTURE_EFFECTS)
     freq_rule, sev_rule = payload["rules"]
+    if draw(st.booleans()):
+        payload["rules"].reverse()
     slots = [(model["classes"][0], key) for key in ("weight", "freq_rate", "sev_rate")]
     slots.append((model["severity"], "dispersion"))
     slots += [(model["effects"], key) for key in model["effects"] if key != "kind"]
     slots += [(freq_rule, key) for key in ("max_level", "step")]
     slots += [(sev_rule, key) for key in ("max_level", "small_step", "large_step", "threshold")]
     slots.append((payload["thresholds"], 0))
+    sim = payload["simulation"]
+    slots += [(sim, key) for key in ("paths", "seed", "burn_in_years", "start_level")]
     indexes = st.lists(st.integers(0, len(slots) - 1), min_size=1, max_size=3, unique=True)
     for index in draw(indexes):
         section, key = slots[index]
-        section[key] = draw(_JSON_LEAF)
+        arbitrary = draw(st.integers(0, 7)) == 7
+        section[key] = draw(_JSON_LEAF if arbitrary else _VALID[key])
     return payload
+
+
+def _run_fuzzed(verb: str, payload: dict) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(payload))
+        argv = [verb, "--config", str(path), "--quadrature-nodes", "8"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run([*argv, "--out", str(Path(tmp) / "out")])
+    return code, err.getvalue()
 
 
 class TestRelativitiesFuzz:
     @given(_relativities_configs())
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     def test_exits_0_2_or_3_without_traceback(self, payload):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "config.json"
-            path.write_text(json.dumps(payload))
-            argv = ["relativities", "--config", str(path), "--quadrature-nodes", "8"]
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run([*argv, "--out", str(Path(tmp) / "out")])
+        code, err = _run_fuzzed("relativities", payload)
         assert code in (0, 2, 3)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
 
 
 class TestScanAndTableFuzz:
@@ -311,15 +353,18 @@ class TestScanAndTableFuzz:
     @given(payload=_relativities_configs())
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     def test_exits_0_2_or_3_without_traceback(self, verb, payload):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "config.json"
-            path.write_text(json.dumps(payload))
-            argv = [verb, "--config", str(path), "--quadrature-nodes", "8"]
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run([*argv, "--out", str(Path(tmp) / "out")])
+        code, err = _run_fuzzed(verb, payload)
         assert code in (0, 2, 3)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+
+class TestSimulateFuzz:
+    @given(_relativities_configs())
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    def test_exits_0_2_or_3_without_traceback(self, payload):
+        code, err = _run_fuzzed("simulate", payload)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
 
 
 class TestSimulateVerb:
@@ -487,6 +532,9 @@ class TestConfigHandling:
             ("hmse-scan", lambda p: p["rules"][1].update(large_step=False), "'large_step'"),
             ("simulate", lambda p: p.update(simulation={"paths": True}), "'paths'"),
             ("bayes", lambda p: p["bayes"].update(freq_rate=True), "'freq_rate'"),
+            ("relativities", lambda p: _set_class(p, weight="1.0"), "'weight'"),
+            ("relativities", lambda p: p["rules"][0].update(step="2"), "'step'"),
+            ("relativities", lambda p: p.update(thresholds=["16800"]), "'thresholds'"),
         ],
         ids=[
             "class_weight",
@@ -496,16 +544,59 @@ class TestConfigHandling:
             "scan_large_step",
             "simulation_paths",
             "bayes_freq_rate",
+            "class_weight_string",
+            "rule_step_string",
+            "thresholds_string",
         ],
     )
     def test_booleans_are_not_numbers(self, tmp_path, capsys, verb, edit, named):
-        # float(True) is 1.0, so a boolean once read as the number 1.
+        # float(True) is 1.0, so a boolean once read as the number 1; and
+        # float("1.0") is 1.0, so a numeric string once read as a number.
         payload = json.loads(json.dumps(BAYES_CONFIG if verb == "bayes" else SMALL_MODEL))
         edit(payload)
         config = write_config(tmp_path, payload)
         assert run([verb, "--config", config, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and f"{named} must be a number" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "verb,edit,named",
+        [
+            ("relativities", lambda p: p["rules"][0].update(step=1.9), "'step'"),
+            ("relativities", lambda p: p["rules"][0].update(max_level=9.7), "'max_level'"),
+            ("relativities", lambda p: p["rules"][1].update(small_step=1.5), "'small_step'"),
+            ("hmse-scan", lambda p: p["rules"][1].update(large_step=2.5), "'large_step'"),
+            ("simulate", lambda p: p.update(simulation={"paths": 100_000.5}), "'paths'"),
+            ("simulate", lambda p: p.update(simulation={"seed": 1.5}), "'seed'"),
+            (
+                "simulate",
+                lambda p: p.update(simulation={"burn_in_years": 100.5}),
+                "'burn_in_years'",
+            ),
+            ("simulate", lambda p: p.update(simulation={"start_level": 0.5}), "'start_level'"),
+            ("verify", lambda p: p.update(simulation={"paths": 120_000.5}), "'paths'"),
+        ],
+        ids=[
+            "rule_step",
+            "rule_max_level",
+            "rule_small_step",
+            "scan_large_step",
+            "simulation_paths",
+            "simulation_seed",
+            "simulation_burn_in",
+            "simulation_start_level",
+            "verify_paths",
+        ],
+    )
+    def test_fractions_are_not_integers(self, tmp_path, capsys, verb, edit, named):
+        # int() truncates, so "step": 1.9 once ran the -1/+1 rule and exited 0.
+        payload = json.loads(json.dumps(SMALL_MODEL))
+        edit(payload)
+        config = write_config(tmp_path, payload)
+        assert run([verb, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{named} must be an integer" in err
         assert not (tmp_path / "out").exists()
 
     def test_numeric_failures_exit_3(self, tmp_path, monkeypatch):
@@ -577,3 +668,17 @@ class TestReproduceTable:
         assert lines[1].split(",")[0] == "9"
         assert lines[-2].split(",")[0] == "hmse_raw"
         assert lines[-1].split(",")[0] == "hmse_normalized"
+
+    @pytest.mark.parametrize("first_level", [10, 4])
+    def test_csv_rules_on_different_scales_exit_2(self, tmp_path, capsys, first_level):
+        # The rows follow the first rule's scale: a longer first scale once
+        # raised an IndexError traceback, a shorter one cut the other columns.
+        payload = json.loads(json.dumps(SMALL_MODEL))
+        payload["rules"][0]["max_level"] = first_level
+        config = write_config(tmp_path, payload)
+        assert run(["reproduce-table", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "same number of levels" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        argv = ["reproduce-table", "--config", config, "--format", "json"]
+        assert run([*argv, "--out", str(tmp_path / "json")]) == 0

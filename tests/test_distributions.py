@@ -26,7 +26,6 @@ from bonusmalus import (
     MixtureExponentialEffects,
     NonFiniteIntegrandError,
     PoissonSeverity,
-    exceedance_profile,
     posterior_density,
 )
 from bonusmalus import quadrature
@@ -66,7 +65,7 @@ class TestClaimSizeLaws:
                 expected = stats.gamma.sf(x, law.shape, scale=MEANS / law.shape)
             else:
                 expected = stats.poisson.sf(np.floor(x), MEANS)
-            assert _same(exceedance_profile(x, MEANS, law), expected)
+            assert _same(severity_cdf(x, MEANS, law, upper=True), expected)
 
     @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     @pytest.mark.parametrize("x", POINTS)
@@ -84,7 +83,7 @@ class TestClaimSizeLaws:
         for x in POINTS:
             for mean in (0.0, 0.5, 7.0, np.inf, np.nan):
                 with np.errstate(all="ignore"):
-                    tail = exceedance_profile(x, mean, law)
+                    tail = severity_cdf(x, mean, law, upper=True)
                     if isinstance(law, GammaSeverity):
                         expected = stats.gamma.sf(x, law.shape, scale=mean / law.shape)
                     else:

@@ -38,11 +38,11 @@ class TestHmseEval:
 
     def test_equal_steps_rule_identity(self, base_model):
         # Scoring any vector under the equal-steps severity rule equals the
-        # frequency-rule score: the chains coincide.
+        # frequency-rule score exactly: the chains are the same chain.
         r = np.linspace(0.4, 1.4, 10)
         sev = hmse_eval(base_model, r, SeverityRule(9, 2, 2, 16800.0))
         freq = hmse_eval(base_model, r, FreqRule(9, 2))
-        assert sev.hmse_raw == pytest.approx(freq.hmse_raw, rel=1e-12)
+        assert sev.hmse_raw == freq.hmse_raw
 
     def test_decomposition_routes_agree(self, base_model):
         # Per-level conditional decomposition (stored on the table) versus

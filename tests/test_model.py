@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -24,9 +25,10 @@ from bonusmalus import (
     Portfolio,
     RiskClass,
     SeverityRule,
+    SimConfig,
     build_grid,
 )
-from conftest import SEV_RATE
+from conftest import SEV_RATE, degenerate_model
 from oracles import poisson_truncation_bound
 
 
@@ -173,6 +175,70 @@ class TestRules:
     def test_valid_rules_pass_through(self):
         rule = SeverityRule(9, 1, 2, 16800.0)
         assert rule.levels == 10
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FreqRule(9, 1.5),
+            lambda: FreqRule(9.5, 1),
+            lambda: SeverityRule(9, 1, 2.5, 100.0),
+            lambda: FreqRule(True, True),
+            lambda: SeverityRule(9, True, 2, 100.0),
+            lambda: FreqRule(9, math.nan),
+            lambda: FreqRule("9", 1),
+            lambda: SeverityRule(9, 1, 2, True),
+            lambda: SeverityRule(9, 1, 2, "5"),
+        ],
+        ids=["fractional_step", "fractional_levels", "fractional_large_step", "booleans",
+             "boolean_small_step", "nan_step", "string_levels", "boolean_threshold",
+             "string_threshold"],
+    )
+    def test_ill_typed_values_rejected(self, build):
+        # These once constructed (or raised a raw TypeError), and the engine
+        # then raised a raw IndexError or TypeError.
+        with pytest.raises(InvalidRuleError):
+            build()
+
+    def test_whole_numbers_and_numpy_integers_stored_as_int(self):
+        rule = FreqRule(np.int64(9), 2.0)
+        assert rule == FreqRule(9, 2)
+        assert type(rule.max_level) is int and type(rule.step) is int
+        sev = SeverityRule(np.int32(9), np.uint8(1), 2.0, 100.0)
+        assert (sev.max_level, sev.small_step, sev.large_step) == (9, 1, 2)
+
+    def test_frequency_rule_reads_as_the_equal_step_rule(self):
+        rule = FreqRule(9, 3)
+        assert (rule.small_step, rule.large_step) == (3, 3)
+        assert rule == FreqRule(9, 3) and hash(rule) == hash(FreqRule(9, 3))
+        assert [f.name for f in dataclasses.fields(rule)] == ["max_level", "step"]
+
+
+class TestSimConfigValues:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"n_paths": 2000.5},
+            {"seed": 1.5},
+            {"burn_in_years": 3.5},
+            {"start_level": True},
+            {"sample_years": 1.5},
+            {"n_paths": True},
+            {"seed": -1},
+            {"seed": "1"},
+        ],
+        ids=["fractional_paths", "fractional_seed", "fractional_burn_in", "boolean_start",
+             "fractional_sample_years", "boolean_paths", "negative_seed", "string_seed"],
+    )
+    def test_integer_values_checked(self, values):
+        settings = {"n_paths": 2000, "seed": 1, **values}
+        with pytest.raises(ValueError):
+            SimConfig(degenerate_model(), FreqRule(9, 1), **settings)
+
+    def test_whole_numbers_stored_as_int(self):
+        rule = FreqRule(9, 1)
+        cfg = SimConfig(degenerate_model(), rule, 2000.0, np.int64(3), burn_in_years=100.0)
+        assert (cfg.n_paths, cfg.seed, cfg.burn_in_years) == (2000, 3, 100)
+        assert all(type(v) is int for v in (cfg.n_paths, cfg.seed, cfg.burn_in_years))
 
 
 class TestClaimHistory:

@@ -18,12 +18,11 @@ from bonusmalus import (
     SeverityRule,
     UnsupportedEffectsError,
     build_grid,
-    exceedance_profile,
     marginal_grid,
     optimal_relativity_severity,
     severity_marginal_quantile,
 )
-from bonusmalus.quadrature import _hermite_nodes, _laguerre_nodes
+from bonusmalus.quadrature import _hermite_nodes, _laguerre_nodes, severity_cdf
 from conftest import GAMMA_SHAPE, degenerate_model, study_model
 from oracles import expect
 
@@ -139,8 +138,8 @@ class TestSeverityMarginalQuantile:
         for p in (0.75, 0.9, 0.99):
             phi = severity_marginal_quantile(p, model)
             theta2, w2 = marginal_grid(model.effects, 2, 32)
-            tail = w2 @ exceedance_profile(
-                phi, model.portfolio.sev_rates[0] * theta2, model.severity
+            tail = w2 @ severity_cdf(
+                phi, model.portfolio.sev_rates[0] * theta2, model.severity, upper=True
             )
             assert tail == pytest.approx(1.0 - p, abs=1e-6)
 

@@ -13,6 +13,7 @@ from bonusmalus import (
     GammaSeverity,
     LevelMismatchError,
     LognormalCopulaEffects,
+    MixtureExponentialEffects,
     ModelSpec,
     Portfolio,
     RiskClass,
@@ -25,9 +26,28 @@ from bonusmalus import (
     optimal_relativity_severity,
     simulate_paths,
 )
-from conftest import degenerate_model, study_model
+from bonusmalus.cli import parse_model
+from bonusmalus.presets import get_preset
+from conftest import GAMMA_SHAPE, degenerate_model, study_model
 
 FAR_THRESHOLD = 1e13  # exceedance underflows to exactly zero for all profiles
+
+
+def _data_model_equal_weights() -> ModelSpec:
+    cfg = get_preset("dat")
+    cfg["model"]["weights"] = [1.0 / 18] * 18
+    return parse_model(cfg)
+
+
+EQUAL_STEP_MODELS = {
+    "lognormal": lambda: study_model(-0.8),
+    "dat": _data_model_equal_weights,
+    "mixture": lambda: ModelSpec(
+        Portfolio([RiskClass(0.4, 0.5, 5000.0), RiskClass(0.6, 1.5, 9000.0)]),
+        GammaSeverity(1.0 / GAMMA_SHAPE),
+        MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0),
+    ),
+}
 
 
 class TestCachedResults:
@@ -117,8 +137,22 @@ class TestSeverityFamily:
         rule = SeverityRule(9, step, step, 16800.0)
         sev = optimal_relativity_severity(base_model, rule)
         dep = optimal_relativity_dependent(base_model, FreqRule(9, step))
-        assert np.max(np.abs(sev.relativities - dep.relativities)) < 1e-10
-        assert np.max(np.abs(sev.stationary - dep.stationary)) < 1e-10
+        np.testing.assert_array_equal(sev.relativities, dep.relativities)
+        np.testing.assert_array_equal(sev.stationary, dep.stationary)
+
+    @pytest.mark.parametrize("threshold", [1.0, 16800.0, math.inf])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("model_id", ["lognormal", "dat", "mixture"])
+    def test_equal_step_table_is_the_frequency_table(self, model_id, step, threshold):
+        # An equal-step rule never reads claim sizes, so its table is the
+        # frequency rule's table bit for bit, whatever the threshold.
+        model = EQUAL_STEP_MODELS[model_id]()
+        sev = optimal_relativity_severity(model, SeverityRule(9, step, step, threshold))
+        dep = optimal_relativity_dependent(model, FreqRule(9, step))
+        np.testing.assert_array_equal(sev.relativities, dep.relativities)
+        np.testing.assert_array_equal(sev.stationary, dep.stationary)
+        assert sev.hmse_raw == dep.hmse_raw
+        assert sev.hmse_normalized == dep.hmse_normalized
 
     def test_infinite_threshold_collapses_to_small_step(self, base_model):
         sev = optimal_relativity_severity(base_model, SeverityRule(9, 1, 2, FAR_THRESHOLD))

@@ -21,7 +21,7 @@ from bonusmalus import (
     optimal_relativity_frequency,
     simulate_paths,
 )
-from bonusmalus.transition import exceedance_profile
+from bonusmalus.quadrature import severity_cdf
 from bonusmalus.verify import check_rule
 from conftest import SEV_RATE, degenerate_model, study_model
 from oracles import enumeration_matrix
@@ -141,7 +141,7 @@ def _one_year_tails(rule, freq_rate, start_level, oracle_level, seed=21):
     cfg = SimConfig(model, rule, n_paths, seed, burn_in_years=0, start_level=start_level)
     counts = simulate_paths(cfg).counts
     if isinstance(rule, SeverityRule):
-        exceed = float(exceedance_profile(rule.threshold, SEV_RATE, model.severity))
+        exceed = float(severity_cdf(rule.threshold, SEV_RATE, model.severity, upper=True))
     else:
         exceed = 0.0
     row = np.clip(enumeration_matrix(rule, freq_rate, exceed)[oracle_level], 0.0, 1.0)
@@ -156,7 +156,7 @@ class TestOneYearSampler:
     def test_thresholds_span_the_exceedance_range(self):
         law = degenerate_model().severity
         exceed = {
-            rule_id: float(exceedance_profile(rule.threshold, SEV_RATE, law))
+            rule_id: float(severity_cdf(rule.threshold, SEV_RATE, law, upper=True))
             for rule_id, rule in ONE_YEAR_RULES.items()
             if isinstance(rule, SeverityRule)
         }
@@ -205,6 +205,25 @@ class TestEmpiricalEstimates:
         with pytest.raises(InsufficientOccupancyError):
             empirical_frequency_relativity(summary)
 
+    def test_huge_premium_factor_leaves_estimates_exact(self):
+        # The moment sums once held q**2 = (freq_rate * sev_rate)**4, which is
+        # inf at sev_rate 2**490, so every relativity SE was NaN.  Scaled by a
+        # power of two, the two runs differ only in the score's units.
+        rule = FreqRule(9, 1)
+        small, huge = (
+            simulate_paths(SimConfig(study_model(-0.8, sev_rate=2.0**e), rule, 100_000, seed=1))
+            for e in (10, 490)
+        )
+        for (r_small, se_small), (r_huge, se_huge) in [
+            (empirical_relativity(small), empirical_relativity(huge)),
+            (empirical_frequency_relativity(small), empirical_frequency_relativity(huge)),
+        ]:
+            assert np.array_equal(r_small, r_huge) and np.array_equal(se_small, se_huge)
+            assert np.all(np.isfinite(se_huge))
+        r = np.linspace(0.4, 1.4, 10)
+        (score, se), (score_huge, se_huge) = hmse_empirical(small, r), hmse_empirical(huge, r)
+        assert (score_huge, se_huge) == (score * 2.0**960, se * 2.0**960)
+
     def test_hmse_vector_length_checked(self, base_model):
         summary = simulate_paths(SimConfig(base_model, FreqRule(9, 1), 3_000, seed=10))
         with pytest.raises(ValueError):
@@ -228,6 +247,21 @@ class TestOracleChecks:
         )
         assert not result.passed
         assert any("relativity" in msg or "score" in msg for msg in result.failures)
+
+    def test_negative_control_fails_at_huge_premium_factor(self):
+        # The NaN sigma gaps of an overflowed run once let this control pass.
+        model = study_model(-0.8, sev_rate=2.0**490)
+        result = check_rule(model, FreqRule(9, 1), n_paths=100_000, seed=1, perturb={0: 0.5})
+        assert not result.passed
+        assert math.isfinite(result.relativity_gap_sigmas)
+
+    def test_non_finite_gap_fails(self, monkeypatch):
+        from bonusmalus import verify
+
+        monkeypatch.setattr(verify, "hmse_empirical", lambda summary, r: (math.nan, math.nan))
+        result = check_rule(degenerate_model(), FreqRule(9, 1), n_paths=100_000, seed=15)
+        assert not result.passed
+        assert any("score" in msg for msg in result.failures)
 
     def test_degenerate_model_passes_with_unit_relativities(self):
         result = check_rule(degenerate_model(), FreqRule(9, 1), n_paths=120_000, seed=15)

@@ -16,12 +16,12 @@ from bonusmalus import (
     SingularSystemError,
     build_matrices,
     conditional_stationary_field,
-    exceedance_profile,
     marginal_grid,
     optimal_relativity_dependent,
     optimal_relativity_frequency,
     unconditional_level_distribution,
 )
+from bonusmalus.quadrature import severity_cdf
 from bonusmalus.stationary import _stationary_batch
 from bonusmalus.transition import jump_tails
 from conftest import degenerate_model, study_model
@@ -133,7 +133,7 @@ class TestUnconditionalLevels:
         model = degenerate_model(freq_rate=0.5, sev_rate=5000.0)
         rule = SeverityRule(9, 1, 2, 5000.0)
         mixed = unconditional_level_distribution(model, rule)
-        q = exceedance_profile(5000.0, 5000.0, model.severity)
+        q = severity_cdf(5000.0, 5000.0, model.severity, upper=True)
         single = stationary_distribution(build_matrices(rule, 0.5, q)[0])
         assert np.max(np.abs(mixed - single)) < 1e-12
 

@@ -23,12 +23,12 @@ from bonusmalus import (
     SeverityRule,
     SimConfig,
     build_matrices,
-    exceedance_profile,
     optimal_relativity_dependent,
     optimal_relativity_severity,
     simulate_paths,
     threshold_scan,
 )
+from bonusmalus.quadrature import severity_cdf
 from bonusmalus.transition import jump_tails
 from oracles import (
     enumeration_matrix,
@@ -74,20 +74,21 @@ class TestSeverityExceedance:
     LAW = GammaSeverity(1.0 / 0.67)
 
     def test_zero_threshold_is_certain(self):
-        assert exceedance_profile(0.0, 123.4, self.LAW) == 1.0
+        assert severity_cdf(0.0, 123.4, self.LAW, upper=True) == 1.0
 
     def test_far_tail_vanishes(self):
         mean = 50.0
-        assert exceedance_profile(mean * 1e6, mean, self.LAW) < 1e-12
+        assert severity_cdf(mean * 1e6, mean, self.LAW, upper=True) < 1e-12
 
     def test_matches_density_integration_at_the_mean(self):
         mean = 6634.24
         oracle = gamma_tail_by_quadrature(mean, mean, self.LAW.shape)
-        assert exceedance_profile(mean, mean, self.LAW) == pytest.approx(oracle, rel=1e-9)
+        assert severity_cdf(mean, mean, self.LAW, upper=True) == pytest.approx(oracle, rel=1e-9)
 
     def test_strictly_decreasing_in_threshold(self):
         mean = 100.0
-        values = [exceedance_profile(phi, mean, self.LAW) for phi in (0.0, 10.0, 100.0, 1000.0)]
+        phis = (0.0, 10.0, 100.0, 1000.0)
+        values = [severity_cdf(phi, mean, self.LAW, upper=True) for phi in phis]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
