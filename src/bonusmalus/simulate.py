@@ -15,6 +15,12 @@ longer than ``cap``.  Under a severity rule with distinct steps the claimants
 alone draw a second uniform, inverted into their binomial number of large
 claims.
 
+Accumulator: each sampled year adds up, per (risk class, level), the count
+and the effect powers ``t``..``t**4`` (``t = theta1 * theta2``), ``theta1``
+and ``theta1**2``.  A premium family weights its target's powers by each
+class's squared premium factor: ``(freq_rate * sev_rate)**2`` for the
+aggregate family, ``freq_rate**2`` for the frequency family.
+
 Determinism: paths are processed in fixed-size chunks and every (chunk, year)
 pair owns its own counter-based random stream derived from the master seed,
 so results are bit-identical regardless of how chunks are scheduled.
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientOccupancyError, InvalidRuleError
+from .errors import InsufficientOccupancyError, InvalidRuleError, LevelMismatchError
 from .model import BmsRule, DegenerateEffects, LognormalCopulaEffects, ModelSpec, _whole
 from .quadrature import severity_cdf
 
@@ -77,37 +83,21 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimSummary:
-    """Per-level occupancy counts and premium-weighted moment sums.
+    """Per-level occupancy counts and per-(class, level) effect power sums.
 
-    ``prem_sq*`` columns accumulate powers of the squared a priori premium
-    factor ``q = (freq_rate * sev_rate)**2 / 2**q_exp`` and the effect product
-    ``t = theta1 * theta2`` per observation; they are sufficient for the
-    level distribution, conditional-mean relativities, the empirical score of
-    any relativity vector, and all their standard errors.  ``q_exp`` and
-    ``f_exp`` put the largest class's factors in [0.5, 1), so the squares
-    cannot overflow; a power of two scales exactly, so no estimate depends on
-    it.
+    ``sums[row, class, level]`` holds the rows count, t, t**2, t**3, t**4,
+    theta1 and theta1**2; with the class rates they are sufficient for the
+    level distribution, both families' relativities, the empirical score of
+    any relativity vector, and all their standard errors.
     """
 
     levels: int
     n_observations: int
     seed: int
-    q_exp: int
-    f_exp: int
     counts: np.ndarray
-    prem_sq: np.ndarray          # sum of q
-    prem_sq_t: np.ndarray        # sum of q * t
-    prem_sq_t2: np.ndarray       # sum of q * t^2
-    prem_sq2: np.ndarray         # sum of q^2
-    prem_sq2_t: np.ndarray       # sum of q^2 * t
-    prem_sq2_t2: np.ndarray      # sum of q^2 * t^2
-    prem_sq2_t3: np.ndarray      # sum of q^2 * t^3
-    prem_sq2_t4: np.ndarray      # sum of q^2 * t^4
-    fprem: np.ndarray            # sum of f = freq_rate^2 / 2**f_exp
-    fprem_t1: np.ndarray         # sum of f * theta1
-    fprem2: np.ndarray           # sum of f^2
-    fprem2_t1: np.ndarray        # sum of f^2 * theta1
-    fprem2_t12: np.ndarray       # sum of f^2 * theta1^2
+    sums: np.ndarray  # (7, classes, levels)
+    freq_rates: np.ndarray
+    sev_rates: np.ndarray
 
     @property
     def level_distribution(self) -> np.ndarray:
@@ -154,19 +144,11 @@ def _draw_profile(model: ModelSpec, rng: np.random.Generator, size: int):
     return cls_idx, theta1, theta2
 
 
-def _observables(q, t, f, theta1):
-    """The 13 moment columns of ``SimSummary``, in field order, one at a time.
-
-    Yielded lazily, so a chunk never holds all of them at once.
-    """
-    for power in range(3):
-        yield q * t**power
-    for power in range(5):
-        yield q**2 * t**power
-    yield f
-    yield f * theta1
-    for power in range(3):
-        yield f**2 * theta1**power
+def _powers(t, theta1):
+    """The weights of the rows of ``SimSummary.sums`` (none for the count), one at a time."""
+    yield None
+    yield from (t**power for power in range(1, 5))
+    yield from (theta1, theta1**2)
 
 
 def _claim_counts(u, p0, lam, cap: int) -> np.ndarray:
@@ -228,11 +210,8 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
     model = cfg.model
     freq_rates = model.portfolio.freq_rates
     sev_rates = model.portfolio.sev_rates
-    q_exp = int(np.frexp(np.max((freq_rates * sev_rates) ** 2))[1])
-    f_exp = int(np.frexp(np.max(freq_rates**2))[1])
-
-    counts = np.zeros(levels, dtype=np.int64)
-    sums = np.zeros((13, levels))
+    classes = len(freq_rates)
+    sums = np.zeros((7, classes, levels))
     total_years = cfg.burn_in_years + cfg.sample_years
 
     done = 0
@@ -249,9 +228,7 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
             exceed = severity_cdf(rule.threshold, sev_mean, model.severity, upper=True)
         p0 = np.exp(-freq_mean)
         level = np.full(size, cfg.start_level, dtype=np.int64)
-        q = np.ldexp((freq_rates[cls_idx] * sev_rates[cls_idx]) ** 2, -q_exp)
         t = theta1 * theta2
-        f = np.ldexp(freq_rates[cls_idx] ** 2, -f_exp)
         for year in range(1, total_years + 1):
             rng = _stream(cfg.seed, chunk_index, year)
             u = rng.random(size)
@@ -267,20 +244,17 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
                     up += (large - small) * _large_claims(v, n, exceed[claimants])
                 level[claimants] = np.minimum(moved + up, z)
             if year > cfg.burn_in_years:
-                counts += np.bincount(level, minlength=levels)
-                for row, values in enumerate(_observables(q, t, f, theta1)):
-                    sums[row] += np.bincount(level, weights=values, minlength=levels)
+                cell = cls_idx * levels + level
+                for row, values in enumerate(_powers(t, theta1)):
+                    sums[row] += np.bincount(
+                        cell, weights=values, minlength=classes * levels
+                    ).reshape(classes, levels)
         done += size
         chunk_index += 1
 
+    counts = sums[0].sum(axis=0).astype(np.int64)  # whole numbers, summed exactly
     return SimSummary(
-        levels,
-        cfg.n_paths * cfg.sample_years,
-        cfg.seed,
-        q_exp,
-        f_exp,
-        counts,
-        *sums,
+        levels, cfg.n_paths * cfg.sample_years, cfg.seed, counts, sums, freq_rates, sev_rates
     )
 
 
@@ -292,15 +266,36 @@ def _require_occupancy(summary: SimSummary) -> None:
         )
 
 
-def _ratio_estimate(counts, sum_x, sum_y, sum_x2, sum_xy, sum_y2):
-    """Per-level ratio of means with the delta-method standard error."""
-    n = counts.astype(float)
-    mean_y = sum_y / n
-    estimate = (sum_x / n) / mean_y
+# Rows of ``SimSummary.sums`` holding x**0, x**1, ... of each family's target x.
+_AGGREGATE_ROWS = [0, 1, 2, 3, 4]  # t = theta1 * theta2
+_FREQUENCY_ROWS = [0, 5, 6]  # theta1
+
+
+def _family_sums(summary: SimSummary, rows, factor):
+    """Per-level sums of ``p * x**k`` and ``p**2 * x**k`` of one family, with the scale of ``p``.
+
+    ``x`` is the family's target, its powers in ``rows`` of ``summary.sums``,
+    and ``p = factor**2 / 2**exp`` the squared premium factor of each class.
+    ``exp`` puts the largest class's ``p`` in [0.5, 1), so the squares cannot
+    overflow; a power of two scales exactly, so no ratio depends on it.
+    """
+    exp = int(np.frexp(np.max(factor**2))[1])
+    p = np.ldexp(factor**2, -exp)
+    powers = summary.sums[rows]  # (k, classes, levels)
+    return np.tensordot(p, powers, axes=(0, 1)), np.tensordot(p**2, powers, axes=(0, 1)), exp
+
+
+def _ratio_estimate(summary: SimSummary, rows, factor):
+    """Per-level premium-weighted mean of a family's target, with its delta-method SE."""
+    _require_occupancy(summary)
+    first, second, _ = _family_sums(summary, rows, factor)
+    n = summary.counts.astype(float)
+    mean_p = first[0] / n
+    estimate = (first[1] / n) / mean_p
     var_resid = np.maximum(
-        sum_x2 / n - 2.0 * estimate * (sum_xy / n) + estimate**2 * (sum_y2 / n), 0.0
+        second[2] / n - 2.0 * estimate * (second[1] / n) + estimate**2 * (second[0] / n), 0.0
     )
-    se = np.sqrt(var_resid / n) / mean_y
+    se = np.sqrt(var_resid / n) / mean_p
     return estimate, se
 
 
@@ -310,45 +305,31 @@ def empirical_relativity(summary: SimSummary) -> tuple[np.ndarray, np.ndarray]:
     Estimates the premium-weighted conditional mean of the effect product
     given the level; each level must have been visited at least 1000 times.
     """
-    _require_occupancy(summary)
-    return _ratio_estimate(
-        summary.counts,
-        summary.prem_sq_t,
-        summary.prem_sq,
-        summary.prem_sq2_t2,
-        summary.prem_sq2_t,
-        summary.prem_sq2,
-    )
+    return _ratio_estimate(summary, _AGGREGATE_ROWS, summary.freq_rates * summary.sev_rates)
 
 
 def empirical_frequency_relativity(summary: SimSummary) -> tuple[np.ndarray, np.ndarray]:
     """Frequency relativity estimates (conditional mean of the frequency effect)."""
-    _require_occupancy(summary)
-    return _ratio_estimate(
-        summary.counts,
-        summary.fprem_t1,
-        summary.fprem,
-        summary.fprem2_t12,
-        summary.fprem2_t1,
-        summary.fprem2,
-    )
+    return _ratio_estimate(summary, _FREQUENCY_ROWS, summary.freq_rates)
 
 
 def hmse_empirical(summary: SimSummary, relativities) -> tuple[float, float]:
     """Empirical score of a relativity vector with its standard error."""
     r = np.nan_to_num(np.asarray(relativities, dtype=float), nan=0.0)
     if r.shape != (summary.levels,):
-        raise ValueError("relativity vector length does not match the level count")
+        raise LevelMismatchError(f"{r.size} relativities for a run of {summary.levels} levels")
+    factor = summary.freq_rates * summary.sev_rates
+    first, second, exp = _family_sums(summary, _AGGREGATE_ROWS, factor)
     n_obs = summary.n_observations
-    total = np.sum(summary.prem_sq_t2 - 2.0 * r * summary.prem_sq_t + r**2 * summary.prem_sq)
-    second = np.sum(
-        summary.prem_sq2_t4
-        - 4.0 * r * summary.prem_sq2_t3
-        + 6.0 * r**2 * summary.prem_sq2_t2
-        - 4.0 * r**3 * summary.prem_sq2_t
-        + r**4 * summary.prem_sq2
+    total = np.sum(first[2] - 2.0 * r * first[1] + r**2 * first[0])
+    fourth = np.sum(
+        second[4]
+        - 4.0 * r * second[3]
+        + 6.0 * r**2 * second[2]
+        - 4.0 * r**3 * second[1]
+        + r**4 * second[0]
     )
     mean = total / n_obs
-    var = max(second / n_obs - mean**2, 0.0)
-    score, se = np.ldexp([mean, math.sqrt(var / n_obs)], summary.q_exp)  # undo the scaling of q
+    var = max(fourth / n_obs - mean**2, 0.0)
+    score, se = np.ldexp([mean, math.sqrt(var / n_obs)], exp)  # undo the scaling of p
     return float(score), float(se)

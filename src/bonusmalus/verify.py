@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hmse import hmse_eval
-from .model import FreqRule, ModelSpec, SeverityRule
+from .model import FreqRule, ModelSpec, SeverityRule, _whole
 from .relativity import (
     RelativityTable,
     optimal_relativity_dependent,
@@ -79,22 +79,23 @@ def check_rule(
     """Run one analytic-versus-simulation comparison.
 
     ``perturb`` adds offsets to the analytic relativities before comparison
-    (negative control); the check is expected to fail then.
+    (negative control); the check is expected to fail then.  Its keys must be
+    levels, whole numbers in ``[0, max_level]``.
     """
     if n_paths < 100_000:
         raise ValueError("oracle comparisons need at least 1e5 paths")
     if burn_in_years < 100:
         raise ValueError("stationary estimates need at least 100 burn-in years")
+    if not isinstance(rule, (FreqRule, SeverityRule)):
+        raise TypeError(f"unknown rule type {type(rule).__name__}")
+    perturb = {_perturbed_level(rule, lvl): delta for lvl, delta in (perturb or {}).items()}
     if isinstance(rule, SeverityRule):
         table = optimal_relativity_severity(model, rule, nodes)
-    elif isinstance(rule, FreqRule):
-        table = optimal_relativity_dependent(model, rule, nodes)
     else:
-        raise TypeError(f"unknown rule type {type(rule).__name__}")
+        table = optimal_relativity_dependent(model, rule, nodes)
     relativities = table.relativities.copy()
-    if perturb:
-        for lvl, delta in perturb.items():
-            relativities[lvl] += delta
+    for lvl, delta in perturb.items():
+        relativities[lvl] += delta
     analytic_levels = table.stationary
     analytic_hmse = hmse_eval(model, relativities, rule, nodes).hmse_raw
 
@@ -147,6 +148,13 @@ def check_rule(
         table,
         summary,
     )
+
+
+def _perturbed_level(rule, level) -> int:
+    whole = _whole(level)
+    if whole is None or not 0 <= whole <= rule.max_level:
+        raise ValueError(f"perturbed level {level!r} is not a level in [0, {rule.max_level}]")
+    return whole
 
 
 def _rule_label(rule) -> str:

@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import bonusmalus.simulate
 from bonusmalus import (
     FreqRule,
+    GammaSeverity,
     InsufficientOccupancyError,
     InvalidRuleError,
+    LevelMismatchError,
+    LognormalCopulaEffects,
+    ModelSpec,
+    Portfolio,
+    RiskClass,
     SeverityRule,
     SimConfig,
     empirical_frequency_relativity,
@@ -23,7 +32,7 @@ from bonusmalus import (
 )
 from bonusmalus.quadrature import severity_cdf
 from bonusmalus.verify import check_rule
-from conftest import SEV_RATE, degenerate_model, study_model
+from conftest import GAMMA_SHAPE, SEV_RATE, degenerate_model, study_model
 from oracles import enumeration_matrix
 
 EPS = np.finfo(float).eps
@@ -101,7 +110,7 @@ class TestSimulatePaths:
         [
             pytest.param(degenerate_model(freq_rate=1e20), id="finite"),
             # At 1e150, near the largest rate a class accepts, the squared
-            # premium factor's own square overflows in the premium moments.
+            # premium factor's own square overflows a float unless scaled.
             pytest.param(
                 study_model(0.0, freq_rate=1e150),
                 id="overflowing",
@@ -179,6 +188,55 @@ class TestOneYearSampler:
         assert float(np.min(tails)) < FOUR_SIGMA_TAIL
 
 
+class TestSummaryLayout:
+    """``sums[row, class, level]``: count, t, t**2, t**3, t**4, theta1, theta1**2."""
+
+    def test_count_row_adds_up_to_the_level_counts(self, base_model):
+        rule = SeverityRule(9, 1, 2, 16800.0)
+        summary = simulate_paths(SimConfig(base_model, rule, 30_000, seed=16, sample_years=2))
+        assert summary.sums.shape == (7, 1, summary.levels)
+        assert np.array_equal(summary.sums[0].sum(axis=0), summary.counts)
+
+    def test_degenerate_effects_make_every_power_row_the_count_row(self):
+        summary = simulate_paths(SimConfig(degenerate_model(), FreqRule(9, 1), 20_000, seed=17))
+        for row in summary.sums[1:]:
+            assert np.array_equal(row, summary.sums[0])
+
+    def test_two_classes_keep_their_own_rows(self):
+        classes = [RiskClass(0.3, 0.05, SEV_RATE), RiskClass(0.7, 2.0, 2.0 * SEV_RATE)]
+        model = ModelSpec(
+            Portfolio(classes),
+            GammaSeverity(1.0 / GAMMA_SHAPE),
+            LognormalCopulaEffects(-0.8, 0.99, 0.29),
+        )
+        n_paths = 100_000
+        summary = simulate_paths(SimConfig(model, FreqRule(9, 1), n_paths, seed=18))
+        assert summary.sums.shape == (7, 2, summary.levels)
+        per_class = summary.sums[0].sum(axis=1)
+        share_se = math.sqrt(0.3 * 0.7 / n_paths)
+        assert abs(per_class[0] / n_paths - 0.3) < 4.0 * share_se
+        # The rare claimants gather at the bottom, the frequent ones higher up.
+        mean_level = summary.sums[0] @ np.arange(summary.levels) / per_class
+        assert mean_level[0] < 1.0 and mean_level[1] > 5.0
+        # A family weights each class's rows by that class's squared premium factor.
+        weighted = np.array([0.05, 2.0]) ** 2 @ summary.sums[[0, 5]]
+        estimate, _ = empirical_frequency_relativity(summary)
+        assert np.allclose(estimate, weighted[1] / weighted[0], rtol=1e-12, atol=0.0)
+
+    def test_simulator_imports_no_analytic_module(self):
+        # The simulator is the oracle for the analytic engine, so it must not
+        # reach any of the engine's modules.
+        tree = ast.parse(Path(bonusmalus.simulate.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(part for alias in node.names for part in alias.name.split("."))
+            elif isinstance(node, ast.Import):
+                imported.update(part for alias in node.names for part in alias.name.split("."))
+        assert not imported & {"transition", "stationary", "relativity", "hmse"}
+
+
 class TestEmpiricalEstimates:
     def test_degenerate_effects_give_unit_relativities_everywhere(self):
         model = degenerate_model(freq_rate=0.5)
@@ -229,6 +287,11 @@ class TestEmpiricalEstimates:
         with pytest.raises(ValueError):
             hmse_empirical(summary, np.ones(4))
 
+    def test_hmse_vector_length_is_a_level_mismatch(self, base_model):
+        summary = simulate_paths(SimConfig(base_model, FreqRule(9, 1), 3_000, seed=10))
+        with pytest.raises(LevelMismatchError, match="10 levels"):
+            hmse_empirical(summary, np.ones(11))
+
 
 class TestOracleChecks:
     def test_base_case_agreement(self, base_model):
@@ -267,6 +330,13 @@ class TestOracleChecks:
         result = check_rule(degenerate_model(), FreqRule(9, 1), n_paths=120_000, seed=15)
         assert result.passed, result.failures
         assert np.allclose(result.analytic.relativities, 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "level", [-1, 10, 2.5, True], ids=["negative", "above", "fraction", "bool"]
+    )
+    def test_perturbed_level_outside_the_scale_rejected(self, base_model, level):
+        with pytest.raises(ValueError, match=f"perturbed level {level!r} "):
+            check_rule(base_model, FreqRule(9, 1), n_paths=100_000, seed=1, perturb={level: 0.5})
 
     def test_undersized_runs_rejected_for_oracle_use(self, base_model):
         with pytest.raises(ValueError):
