@@ -75,7 +75,6 @@ from .simulate import (
     simulate_paths,
 )
 from .stationary import conditional_stationary_field
-from .transition import build_matrices
 from .verify import BatteryReport, OracleCheck, check_rule, oracle_agreement_battery
 
 __version__ = "0.1.0"
@@ -120,7 +119,6 @@ __all__ = [
     "bayes_agg_premium_fullhist",
     "bayes_freq_premium",
     "build_grid",
-    "build_matrices",
     "check_rule",
     "conditional_stationary_field",
     "empirical_frequency_relativity",

@@ -28,7 +28,7 @@ class InconsistentHistoryError(ModelValidationError):
 
 
 class SingularSystemError(BonusMalusError):
-    """The stationary linear system is singular (chain is not unichain)."""
+    """Stationary rows fail the fixed-point check (the chain is not unichain)."""
 
 
 class UnsupportedEffectsError(BonusMalusError):

@@ -220,9 +220,7 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
         size = min(CHUNK, cfg.n_paths - done)
         init = _stream(cfg.seed, chunk_index, 0)
         cls_idx, theta1, theta2 = _draw_profile(model, init, size)
-        # A mean that overflows acts as the largest finite one: no pmf term of
-        # the count inversion survives, so the count reaches the cap.
-        freq_mean = np.minimum(freq_rates[cls_idx] * theta1, np.finfo(float).max)
+        freq_mean = freq_rates[cls_idx] * theta1
         if large > small:  # claim sizes move the level only then
             sev_mean = sev_rates[cls_idx] * theta2
             exceed = severity_cdf(rule.threshold, sev_mean, model.severity, upper=True)

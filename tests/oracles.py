@@ -1,10 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the production code paths: transition
-masses come from brute-force enumeration over claim-count pairs with the
-level-update indicator, stationary rows from repeated squaring of the
-transition matrix or from a rank-corrected linear solve on any matrix,
-posterior means from adaptive quadrature of the prior times the
+masses and jump tails come from brute-force enumeration over claim-count
+pairs with the level-update indicator, stationary rows from repeated
+squaring of the transition matrix or from a rank-corrected linear solve on
+any matrix, posterior means from adaptive quadrature of the prior times the
 likelihood, and severity tails from direct density integration.
 """
 
@@ -122,6 +122,17 @@ def enumeration_matrix(rule, freq_mean: float, exceed: float, tail: float = 1e-1
                 split = math.comb(n, k2) * exceed**k2 * (1.0 - exceed) ** k1
                 P[level, indicator_level_update(level, k1, k2, rule)] += pn * split
     return P
+
+
+def enumeration_tails(rule, freq_mean: float, exceed: float) -> tuple[float, np.ndarray]:
+    """No-claim mass ``p0`` and jump tails ``T[g-1] = P(jump >= g)``, g = 1..z.
+
+    Read off row 0 of the enumerated matrix: from the bottom level a
+    claim-free year stays put and a jump of g lands on level g, the top
+    taking every longer jump, so a tail is the row's mass at or above g.
+    """
+    row = enumeration_matrix(rule, freq_mean, exceed)[0]
+    return row[0], np.cumsum(row[:0:-1])[::-1]
 
 
 def pair_set_upmove(gap: int, small: int, large: int, q1, exceed: float) -> float:

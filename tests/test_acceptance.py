@@ -202,17 +202,22 @@ def test_criterion_6_oracle_agreement_battery():
 
 def test_criterion_7_invariant_suite():
     """Spot re-run of the structural invariants at their stated tolerances."""
-    from bonusmalus import balance_check, build_matrices, posterior_density
-    from oracles import stationary_distribution
+    from bonusmalus import balance_check, posterior_density
+    from bonusmalus.stationary import _stationary_batch
+    from bonusmalus.transition import jump_tails
+    from oracles import enumeration_matrix
     from scipy import integrate
 
-    # Row stochasticity and fixed-point residuals across the test grid.
+    # Total jump mass and fixed-point residuals on the enumerated chain
+    # across the test grid.
     for z, small, large in ((3, 1, 2), (9, 1, 2), (9, 2, 3), (9, 3, 3)):
         for mean in (0.1, 0.5, 2.0):
             for exceed in (0.0, 0.1, 0.5, 1.0):
-                P = build_matrices(SeverityRule(z, small, large, 1.0), mean, exceed)[0]
-                assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
-                pi = stationary_distribution(P)
+                rule = SeverityRule(z, small, large, 1.0)
+                p0, T = jump_tails(rule, mean, exceed)
+                assert np.max(np.abs(p0 + T[:, 0] - 1.0)) < 1e-12
+                pi = _stationary_batch(p0, T)[0]
+                P = enumeration_matrix(rule, mean, exceed)
                 assert np.max(np.abs(pi @ P - pi)) < 1e-10
 
     # Normal-equation residuals of an optimal table.

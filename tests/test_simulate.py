@@ -19,6 +19,7 @@ from bonusmalus import (
     InvalidRuleError,
     LevelMismatchError,
     LognormalCopulaEffects,
+    MixtureExponentialEffects,
     ModelSpec,
     Portfolio,
     RiskClass,
@@ -111,16 +112,25 @@ class TestSimulatePaths:
             pytest.param(degenerate_model(freq_rate=1e20), id="finite"),
             # At 1e150, near the largest rate a class accepts, the squared
             # premium factor's own square overflows a float unless scaled.
+            pytest.param(study_model(0.0, freq_rate=1e150), id="overflowing"),
+            # A class rate just below the largest a class accepts, and a
+            # mixture whose second rate, 2**-39, is the least that keeps the
+            # marginal mean at one: the widest claim means a model admits.
             pytest.param(
-                study_model(0.0, freq_rate=1e150),
-                id="overflowing",
-                marks=pytest.mark.filterwarnings("ignore:overflow encountered"),
+                ModelSpec(
+                    Portfolio([RiskClass(1.0, 1.3e154, 1.0)]),
+                    GammaSeverity(1.0 / GAMMA_SHAPE),
+                    MixtureExponentialEffects(1.0 - 2.0**-40, 2.0, 2.0**-40 / (0.5 + 2.0**-41)),
+                ),
+                id="largest-mean",
             ),
         ],
     )
     def test_extreme_claim_rate_fills_the_top_level(self, model, rule):
-        # One year from the bottom: every path must jump straight to the top.
-        summary = simulate_paths(SimConfig(model, rule, 5_000, seed=4, burn_in_years=0))
+        # One year from the bottom: every path must jump straight to the top,
+        # and no claim mean may overflow on the way.
+        with np.errstate(over="raise", invalid="raise"):
+            summary = simulate_paths(SimConfig(model, rule, 5_000, seed=4, burn_in_years=0))
         assert summary.counts[-1] == summary.n_observations
 
 

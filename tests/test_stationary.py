@@ -14,7 +14,6 @@ from bonusmalus import (
     QuadratureGrid,
     SeverityRule,
     SingularSystemError,
-    build_matrices,
     conditional_stationary_field,
     marginal_grid,
     optimal_relativity_dependent,
@@ -30,20 +29,20 @@ from oracles import enumeration_matrix, power_iteration_stationary, stationary_d
 
 class TestStationaryDistribution:
     def test_always_move_down_chain(self):
-        pi = stationary_distribution(build_matrices(FreqRule(9, 1), 1e-14, 0.0)[0])
+        pi = stationary_distribution(enumeration_matrix(FreqRule(9, 1), 1e-14, 0.0))
         expected = np.zeros(10)
         expected[0] = 1.0
         assert np.allclose(pi, expected, atol=1e-9)
 
     def test_agrees_with_power_iteration(self):
-        P = build_matrices(FreqRule(9, 1), 0.5, 0.0)[0]
+        P = enumeration_matrix(FreqRule(9, 1), 0.5, 0.0)
         pi = stationary_distribution(P)
         assert np.max(np.abs(pi - power_iteration_stationary(P))) < 1e-9
 
     @pytest.mark.parametrize("mean", [0.1, 0.5, 2.0])
     @pytest.mark.parametrize("z,small,large", [(3, 1, 2), (9, 1, 2), (9, 2, 3)])
     def test_fixed_point_residual(self, z, small, large, mean):
-        P = build_matrices(SeverityRule(z, small, large, 1.0), mean, 0.3)[0]
+        P = enumeration_matrix(SeverityRule(z, small, large, 1.0), mean, 0.3)
         pi = stationary_distribution(P)
         assert np.max(np.abs(pi @ P - pi)) < 1e-10
         assert pi.sum() == pytest.approx(1.0, abs=1e-10)
@@ -126,7 +125,7 @@ class TestUnconditionalLevels:
         model = degenerate_model(freq_rate=0.5)
         rule = FreqRule(9, 1)
         mixed = unconditional_level_distribution(model, rule)
-        single = stationary_distribution(build_matrices(rule, 0.5, 0.0)[0])
+        single = stationary_distribution(enumeration_matrix(rule, 0.5, 0.0))
         assert np.max(np.abs(mixed - single)) < 1e-12
 
     def test_degenerate_effects_severity_rule(self):
@@ -134,7 +133,7 @@ class TestUnconditionalLevels:
         rule = SeverityRule(9, 1, 2, 5000.0)
         mixed = unconditional_level_distribution(model, rule)
         q = severity_cdf(5000.0, 5000.0, model.severity, upper=True)
-        single = stationary_distribution(build_matrices(rule, 0.5, q)[0])
+        single = stationary_distribution(enumeration_matrix(rule, 0.5, q))
         assert np.max(np.abs(mixed - single)) < 1e-12
 
     def test_study_base_case_levels(self):

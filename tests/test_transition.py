@@ -1,9 +1,11 @@
-"""Transition-matrix construction against enumeration oracles."""
+"""Jump tails of the level chains against enumeration oracles."""
 
 from __future__ import annotations
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import bonusmalus
 from bonusmalus import (
     FreqRule,
     GammaSeverity,
@@ -22,7 +25,6 @@ from bonusmalus import (
     RiskClass,
     SeverityRule,
     SimConfig,
-    build_matrices,
     optimal_relativity_dependent,
     optimal_relativity_severity,
     simulate_paths,
@@ -31,7 +33,7 @@ from bonusmalus import (
 from bonusmalus.quadrature import severity_cdf
 from bonusmalus.transition import jump_tails
 from oracles import (
-    enumeration_matrix,
+    enumeration_tails,
     gamma_tail_by_quadrature,
     pair_set_upmove,
     poisson_truncation_bound,
@@ -42,22 +44,36 @@ GRID_MEANS = [0.1, 0.5, 2.0]
 GRID_EXCEED = [0.0, 0.1, 0.5, 1.0]
 
 
-def claim_count_pmf(k: int, mean: float) -> float:
-    # From level 0 of a -1/+1 chain, k claims land on level k (below the top).
-    return build_matrices(FreqRule(k + 1, 1), mean, 0)[0, 0, k]
+def claim_count_tail(k: int, mean: float) -> float:
+    # Under a -1/+1 rule with top level k + 1, more than k claims jump k + 1 or more.
+    return jump_tails(FreqRule(k + 1, 1), mean, 0)[1][0, k]
+
+
+def assert_stochastic(p0, T):
+    """Each profile's law: no-claim mass plus the tail of all jumps is one, tails fall in g."""
+    assert np.max(np.abs(p0 + T[:, 0] - 1.0)) < 1e-12
+    assert np.min(T) >= 0.0 and np.max(T) <= 1.0
+    assert np.all(np.diff(T, axis=1) <= 0.0)
+
+
+def max_gap(a, b) -> float:
+    return max(np.max(np.abs(a[0] - b[0])), np.max(np.abs(a[1] - b[1])))
 
 
 class TestClaimCountPmf:
+    """The claim-count law enters the chain through ``p0`` and its upper tails."""
+
     def test_zero_claims(self):
-        assert claim_count_pmf(0, 0.5) == pytest.approx(math.exp(-0.5), abs=1e-15)
+        p0, _ = jump_tails(FreqRule(1, 1), 0.5, 0)
+        assert p0[0] == pytest.approx(math.exp(-0.5), abs=1e-15)
 
     def test_two_claims_unit_mean(self):
-        assert claim_count_pmf(2, 1.0) == pytest.approx(math.exp(-1.0) / 2.0, abs=1e-15)
+        # More than two claims at mean one: 1 - e^-1 (1 + 1 + 1/2).
+        assert claim_count_tail(2, 1.0) == pytest.approx(1.0 - 2.5 * math.exp(-1.0), abs=1e-15)
 
     def test_truncated_sum_mean_two(self):
         n_max = poisson_truncation_bound(2.0, 1e-12)
-        total = math.fsum(claim_count_pmf(k, 2.0) for k in range(n_max + 1))
-        assert 0.0 < 1.0 - total < 1e-12
+        assert 0.0 < claim_count_tail(n_max, 2.0) < 1e-12
 
     @given(
         st.integers(min_value=0, max_value=150),
@@ -65,9 +81,9 @@ class TestClaimCountPmf:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_pmf(self, k, mean):
-        assert claim_count_pmf(k, mean) == pytest.approx(
-            float(stats.poisson.pmf(k, mean)), rel=1e-12, abs=1e-300
-        )
+        p0, T = jump_tails(FreqRule(k + 1, 1), mean, 0)
+        assert p0[0] == pytest.approx(float(stats.poisson.pmf(0, mean)), rel=1e-12, abs=1e-300)
+        assert T[0, k] == pytest.approx(float(stats.poisson.sf(k, mean)), rel=1e-12, abs=1e-300)
 
 
 class TestSeverityExceedance:
@@ -93,101 +109,101 @@ class TestSeverityExceedance:
 
 
 class TestFreqMatrix:
+    """The jump law of a frequency rule's chain."""
+
     def test_no_claim_limit_is_pure_downshift(self):
-        P = build_matrices(FreqRule(5, 1), 1e-14, 0.0)[0]
-        expected = np.zeros((6, 6))
-        for lvl in range(6):
-            expected[lvl, max(lvl - 1, 0)] = 1.0
-        assert np.allclose(P, expected, atol=1e-10)
+        p0, T = jump_tails(FreqRule(5, 1), 1e-14, 0.0)
+        assert np.allclose(p0, 1.0, atol=1e-10)
+        assert np.allclose(T, 0.0, atol=1e-10)
 
     def test_closed_form_row(self):
-        P = build_matrices(FreqRule(3, 1), 0.5, 0.0)[0]
+        p0, T = jump_tails(FreqRule(3, 1), 0.5, 0.0)
         e = math.exp(-0.5)
-        assert P[1, 0] == pytest.approx(e, abs=1e-15)
-        assert P[1, 2] == pytest.approx(0.5 * e, abs=1e-15)
-        assert P[1, 3] == pytest.approx(1.0 - 1.5 * e, abs=1e-15)
+        assert p0[0] == pytest.approx(e, abs=1e-15)
+        assert T[0, 0] - T[0, 1] == pytest.approx(0.5 * e, abs=1e-15)  # exactly one claim
+        assert T[0, 1] == pytest.approx(1.0 - 1.5 * e, abs=1e-15)
 
     def test_rows_sum_to_one(self):
-        P = build_matrices(FreqRule(9, 2), 3.0, 0.0)[0]
-        assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
+        p0, T = jump_tails(FreqRule(9, 2), 3.0, 0.0)
+        assert np.max(np.abs(p0 + T[:, 0] - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("mean", GRID_MEANS)
     @pytest.mark.parametrize("step", [1, 2, 3])
     def test_matches_enumeration(self, step, mean):
         rule = FreqRule(9, step)
-        P = build_matrices(rule, mean, 0.0)[0]
-        oracle = enumeration_matrix(rule, mean, 0.0)
-        assert np.allclose(P, oracle, atol=1e-10)
+        p0, T = jump_tails(rule, mean, 0.0)
+        oracle_p0, oracle_T = enumeration_tails(rule, mean, 0.0)
+        assert p0[0] == pytest.approx(oracle_p0, abs=1e-10)
+        assert np.allclose(T[0], oracle_T, atol=1e-10)
 
 
 class TestSeverityMatrix:
+    """The jump law of a severity-aware rule's chain."""
+
     def test_no_large_claims_collapses_to_small_step(self):
         rule = SeverityRule(9, 1, 3, 100.0)
-        P = build_matrices(rule, 0.7, 0.0)[0]
-        Q = build_matrices(FreqRule(9, 1), 0.7, 0.0)[0]
-        assert np.max(np.abs(P - Q)) < 1e-14
+        assert max_gap(jump_tails(rule, 0.7, 0.0), jump_tails(FreqRule(9, 1), 0.7, 0.0)) < 1e-14
 
     def test_all_large_claims_collapses_to_large_step(self):
         rule = SeverityRule(9, 1, 3, 100.0)
-        P = build_matrices(rule, 0.7, 1.0)[0]
-        Q = build_matrices(FreqRule(9, 3), 0.7, 0.0)[0]
-        assert np.max(np.abs(P - Q)) < 1e-14
+        assert max_gap(jump_tails(rule, 0.7, 1.0), jump_tails(FreqRule(9, 3), 0.7, 0.0)) < 1e-14
 
     def test_matches_indicator_enumeration(self):
         rule = SeverityRule(4, 1, 2, 100.0)
-        P = build_matrices(rule, 0.5, 0.3)[0]
-        oracle = enumeration_matrix(rule, 0.5, 0.3)
-        assert np.allclose(P, oracle, atol=1e-10)
+        p0, T = jump_tails(rule, 0.5, 0.3)
+        oracle_p0, oracle_T = enumeration_tails(rule, 0.5, 0.3)
+        assert p0[0] == pytest.approx(oracle_p0, abs=1e-10)
+        assert np.allclose(T[0], oracle_T, atol=1e-10)
 
     @pytest.mark.parametrize("exceed", GRID_EXCEED)
     @pytest.mark.parametrize("mean", GRID_MEANS)
     @pytest.mark.parametrize("z,small,large", GRID_RULES)
     def test_grid_row_stochastic_and_nonnegative(self, z, small, large, mean, exceed):
-        P = build_matrices(SeverityRule(z, small, large, 1.0), mean, exceed)[0]
-        assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
-        assert np.min(P) >= 0.0
+        assert_stochastic(*jump_tails(SeverityRule(z, small, large, 1.0), mean, exceed))
 
     @pytest.mark.parametrize("exceed", GRID_EXCEED)
     @pytest.mark.parametrize("mean", GRID_MEANS)
     @pytest.mark.parametrize("step", [1, 2, 3])
     def test_equal_steps_collapse_for_any_exceedance(self, step, mean, exceed):
-        P = build_matrices(SeverityRule(9, step, step, 1.0), mean, exceed)[0]
-        Q = build_matrices(FreqRule(9, step), mean, 0.0)[0]
-        assert np.max(np.abs(P - Q)) < 1e-14
+        sev = jump_tails(SeverityRule(9, step, step, 1.0), mean, exceed)
+        assert max_gap(sev, jump_tails(FreqRule(9, step), mean, 0.0)) < 1e-14
 
     @pytest.mark.parametrize("mean", GRID_MEANS)
     @pytest.mark.parametrize("z,small,large", GRID_RULES)
     def test_remainder_route_equals_pair_set_route(self, z, small, large, mean):
         # The production sum iterates large-claim counts with an exact integer
-        # remainder; the pair-set route enumerates (k1, k2) directly.
+        # remainder; the pair-set route enumerates (k1, k2) directly.  A jump
+        # of exactly g that stays below the top is the difference of tails.
         rule = SeverityRule(z, small, large, 1.0)
         exceed = 0.37
-        P = build_matrices(rule, mean, exceed)[0]
-        q1 = [claim_count_pmf(k, mean) for k in range(z // small + 2)]
-        for lvl in range(z + 1):
-            for target in range(lvl + 1, z):
-                expected = pair_set_upmove(target - lvl, small, large, q1, exceed)
-                assert P[lvl, target] == pytest.approx(expected, abs=1e-15)
+        _, T = jump_tails(rule, mean, exceed)
+        q1 = [float(stats.poisson.pmf(k, mean)) for k in range(z // small + 2)]
+        for gap in range(1, z):
+            expected = pair_set_upmove(gap, small, large, q1, exceed)
+            assert T[0, gap - 1] - T[0, gap] == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("z,small,large", GRID_RULES)
     def test_sparsity_pattern(self, z, small, large):
-        P = build_matrices(SeverityRule(z, small, large, 1.0), 0.8, 0.25)[0]
-        for lvl in range(z + 1):
-            for target in range(z + 1):
-                below_subdiagonal = target < max(lvl - 1, 0)
-                stay_put_interior = target == lvl and 0 < lvl < z
-                if below_subdiagonal or stay_put_interior:
-                    assert P[lvl, target] == 0.0
+        # A jump below the top carries mass exactly when some claim pair
+        # makes it, in the production tails as in the enumerated chain.
+        rule = SeverityRule(z, small, large, 1.0)
+        _, T = jump_tails(rule, 0.8, 0.25)
+        _, oracle_T = enumeration_tails(rule, 0.8, 0.25)
+        reachable = {small * k1 + large * k2 for k1 in range(z + 1) for k2 in range(z + 1)}
+        for gap in range(1, z):
+            for tails in (T[0], oracle_T):
+                if gap in reachable:
+                    assert tails[gap - 1] > tails[gap]
+                else:
+                    assert tails[gap - 1] == tails[gap]
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=1e-3, max_value=30.0))
     @settings(max_examples=60, deadline=None)
     def test_random_profiles_stay_stochastic(self, exceed, mean):
-        P = build_matrices(SeverityRule(6, 1, 2, 1.0), mean, exceed)[0]
-        assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
-        assert np.min(P) >= 0.0
+        assert_stochastic(*jump_tails(SeverityRule(6, 1, 2, 1.0), mean, exceed))
 
 
-class TestBuildMatrices:
+class TestStackedProfiles:
     @given(
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=1, max_value=4),
@@ -201,14 +217,51 @@ class TestBuildMatrices:
         ),
     )
     @settings(max_examples=40, deadline=None)
-    def test_stack_matches_enumeration_and_single_builds(self, z, small, extra, profiles):
+    def test_stack_matches_enumeration_and_single_calls(self, z, small, extra, profiles):
         rule = SeverityRule(z, small, small + extra, 1.0)
         means, exceed = (np.array(v) for v in zip(*profiles))
-        stack = build_matrices(rule, means, exceed)
-        assert stack.shape == (len(profiles), z + 1, z + 1)
-        for P, (mean, q) in zip(stack, profiles):
-            assert np.array_equal(P, build_matrices(rule, mean, q)[0])
-            assert np.allclose(P, enumeration_matrix(rule, mean, q), atol=1e-10)
+        p0, T = jump_tails(rule, means, exceed)
+        assert p0.shape == (len(profiles),) and T.shape == (len(profiles), z)
+        for i, (mean, q) in enumerate(profiles):
+            single_p0, single_T = jump_tails(rule, mean, q)
+            assert p0[i] == single_p0[0] and np.array_equal(T[i], single_T[0])
+            oracle_p0, oracle_T = enumeration_tails(rule, mean, q)
+            assert p0[i] == pytest.approx(oracle_p0, abs=1e-10)
+            assert np.allclose(T[i], oracle_T, atol=1e-10)
+
+
+class TestJumpTailInputs:
+    @pytest.mark.parametrize("exceed", [-0.1, 1.1, math.nan])
+    def test_exceedance_outside_unit_interval_rejected(self, exceed):
+        with pytest.raises(ValueError):
+            jump_tails(SeverityRule(9, 1, 2, 1.0), 0.5, exceed)
+
+
+class TestEngineSurface:
+    def test_engine_functions_have_a_production_caller(self):
+        # A public function of the transition or stationary layer that only
+        # the package namespace or the tests import is verification code,
+        # which belongs in tests/.
+        package = Path(bonusmalus.__file__).parent
+        engine = {"transition", "stationary"}
+        defined = {
+            (name, node.name)
+            for name in engine
+            for node in ast.parse((package / f"{name}.py").read_text()).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        }
+        used = set()
+        for path in package.glob("*.py"):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    module = node.module.rsplit(".", 1)[-1]
+                    used.update((module, alias.name) for alias in node.names)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    used.add((node.value.id, node.attr))  # after "from . import stationary"
+        unused = defined - used
+        assert not unused, f"no src/ module imports {sorted(unused)}"
 
 
 class TestJumpLawMemory:
