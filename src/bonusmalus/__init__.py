@@ -75,13 +75,12 @@ from .simulate import (
     simulate_paths,
 )
 from .stationary import conditional_stationary_field
-from .verify import BatteryReport, OracleCheck, check_rule, oracle_agreement_battery
+from .verify import OracleCheck, check_rule
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BalanceReport",
-    "BatteryReport",
     "BonusMalusError",
     "BracketingFailureError",
     "ClaimHistory",
@@ -130,7 +129,6 @@ __all__ = [
     "optimal_relativity_dependent",
     "optimal_relativity_frequency",
     "optimal_relativity_severity",
-    "oracle_agreement_battery",
     "posterior_density",
     "rule_dominance_check",
     "severity_marginal_quantile",

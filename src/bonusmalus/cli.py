@@ -45,7 +45,7 @@ from .relativity import (
     optimal_relativity_severity,
 )
 from .simulate import SimConfig, empirical_relativity, simulate_paths
-from .verify import oracle_agreement_battery
+from .verify import check_rule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -185,11 +185,16 @@ def _sim_int(cfg: dict, key: str, default: int) -> int:
         raise ConfigError(f"bad 'simulation.{key}': {exc}") from exc
 
 
+def _thresholds(cfg: dict, model: ModelSpec, nodes: int) -> list[tuple[float, float | None]]:
+    """``(threshold, quantile level or None)``: the listed thresholds, then one per level."""
+    listed = [(phi, None) for phi in _floats(cfg, "thresholds")]
+    levels = _floats(cfg, "quantiles")
+    return listed + [(severity_marginal_quantile(q, model, nodes), q) for q in levels]
+
+
 def resolve_rules(cfg: dict, model: ModelSpec, nodes: int) -> list:
     """Instantiate rules; severity rules fan out over thresholds and quantiles."""
-    thresholds = _floats(cfg, "thresholds")
-    for q in _floats(cfg, "quantiles"):
-        thresholds.append(severity_marginal_quantile(q, model, nodes))
+    thresholds = [phi for phi, _ in _thresholds(cfg, model, nodes)]
     rules = []
     for entry in cfg.get("rules", []):
         if "step" in entry or "threshold" in entry:
@@ -246,8 +251,6 @@ def _fmt(x, precision: int) -> str:
 
 
 def _jnum(x, precision: int):
-    if x is None:
-        return None
     x = float(x)
     if np.isnan(x):
         return None
@@ -260,10 +263,15 @@ def _rule_tag(rule) -> str:
     return f"h{rule.small_step}_{rule.large_step}_phi{rule.threshold:g}"
 
 
-def _rule_name(rule) -> str:
+def _steps(rule) -> str:
     if isinstance(rule, FreqRule):
         return f"-1/+{rule.step}"
-    return f"-1/+{rule.small_step}/+{rule.large_step} (threshold {rule.threshold:g})"
+    return f"-1/+{rule.small_step}/+{rule.large_step}"
+
+
+def _rule_name(rule) -> str:
+    threshold = "" if isinstance(rule, FreqRule) else f" (threshold {rule.threshold:g})"
+    return _steps(rule) + threshold
 
 
 def _write(path: Path, text: str) -> None:
@@ -284,8 +292,12 @@ def _table_csv(table, precision: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_json(table, precision: int) -> str:
-    payload = {
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _table_payload(table, precision: int) -> dict:
+    return {
         "rule": _rule_name(table.rule),
         "threshold": table.threshold,
         "family": table.family,
@@ -301,7 +313,6 @@ def _table_json(table, precision: int) -> str:
         "hmse_raw": _jnum(table.hmse_raw, precision),
         "hmse_normalized": _jnum(table.hmse_normalized, precision),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _compute_table(model: ModelSpec, rule, family: str, nodes: int):
@@ -327,7 +338,7 @@ def cmd_relativities(cfg: dict, args) -> int:
         if cfg["format"] == "csv":
             _write(out / name, _table_csv(table, cfg["precision"]))
         else:
-            _write(out / name, _table_json(table, cfg["precision"]))
+            _write(out / name, _json(_table_payload(table, cfg["precision"])))
     return EXIT_OK
 
 
@@ -335,17 +346,13 @@ def cmd_hmse_scan(cfg: dict, args) -> int:
     model = parse_model(cfg)
     nodes = cfg["quadrature_nodes"]
     precision = cfg["precision"]
-    quantiles = _floats(cfg, "quantiles")
     entries = [e for e in cfg.get("rules", []) if "step" not in e]
     templates = [_parse_rule(e, 1.0) for e in entries]
-    thresholds = _floats(cfg, "thresholds")
+    pairs = _thresholds(cfg, model, nodes)
+    quantile_of = {phi: q for phi, q in pairs if q is not None}
+    thresholds = [phi for phi, q in pairs if q is None]
     thresholds += [t.threshold for e, t in zip(entries, templates) if "threshold" in e]
-    quantile_of = {}
-    for q in quantiles:
-        phi = severity_marginal_quantile(q, model, nodes)
-        quantile_of[phi] = q
-        thresholds.append(phi)
-    thresholds = list(dict.fromkeys(thresholds))
+    thresholds = list(dict.fromkeys(thresholds + list(quantile_of)))
     if not thresholds:
         raise ConfigError("hmse-scan needs 'thresholds', 'quantiles', or explicit rule thresholds")
     if not templates:
@@ -362,7 +369,7 @@ def cmd_hmse_scan(cfg: dict, args) -> int:
         for table in tables:
             q = quantile_of.get(table.threshold)
             lines.append(
-                f"-1/+{table.rule.small_step}/+{table.rule.large_step},"
+                f"{_steps(table.rule)},"
                 f"{_fmt(table.threshold, precision)},{'' if q is None else q},"
                 f"{_fmt(table.hmse_raw, precision)},"
                 f"{_fmt(table.hmse_normalized, precision)}"
@@ -371,7 +378,7 @@ def cmd_hmse_scan(cfg: dict, args) -> int:
     else:
         payload = [
             {
-                "rule": f"-1/+{table.rule.small_step}/+{table.rule.large_step}",
+                "rule": _steps(table.rule),
                 "threshold": _jnum(table.threshold, precision),
                 "quantile": quantile_of.get(table.threshold),
                 "hmse_raw": _jnum(table.hmse_raw, precision),
@@ -425,16 +432,13 @@ def cmd_simulate(cfg: dict, args) -> int:
     ses = summary.level_se
     try:
         rel, rel_se = empirical_relativity(summary)
-    except BonusMalusError:
-        rel = rel_se = None
+    except BonusMalusError:  # the relativity columns stay empty
+        rel = rel_se = [None] * len(dist)
     out = Path(args.out)
     lines = ["level,stationary_prob,stationary_se,relativity,relativity_se"]
     for lvl in range(rule.max_level, -1, -1):
-        rel_s = "" if rel is None else _fmt(rel[lvl], precision)
-        rel_se_s = "" if rel_se is None else _fmt(rel_se[lvl], precision)
-        lines.append(
-            f"{lvl},{_fmt(dist[lvl], precision)},{_fmt(ses[lvl], precision)},{rel_s},{rel_se_s}"
-        )
+        cells = (dist[lvl], ses[lvl], rel[lvl], rel_se[lvl])
+        lines.append(",".join([str(lvl)] + [_fmt(x, precision) for x in cells]))
     _write(out / f"simulation_{_rule_tag(rule)}.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -443,15 +447,23 @@ def cmd_verify(cfg: dict, args) -> int:
     model = parse_model(cfg)
     nodes = cfg["quadrature_nodes"]
     rules = resolve_rules(cfg, model, nodes)
-    report = oracle_agreement_battery(
-        [(model, rule) for rule in rules],
-        n_paths=_sim_int(cfg, "paths", 1_000_000),
-        seed=_sim_int(cfg, "seed", 20260809),
-        nodes=max(nodes, 64),
-    )
-    for line in report.lines():
-        print(line)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    n_paths = _sim_int(cfg, "paths", 1_000_000)
+    seed = _sim_int(cfg, "seed", 20260809)
+    burn_in_years = _sim_int(cfg, "burn_in_years", 120)
+    checks = [
+        check_rule(model, rule, n_paths, seed + index, max(nodes, 64), burn_in_years)
+        for index, rule in enumerate(rules)
+    ]
+    # Printed only once every check has run, so a failure leaves no partial report.
+    for c in checks:
+        status = "pass" if c.passed else "FAIL"
+        print(
+            f"[{status}] {c.label}: levels {c.level_gap_sigmas:.2f} sigma, "
+            f"relativities {c.relativity_gap_sigmas:.2f} sigma, score {c.hmse_gap_sigmas:.2f} sigma"
+        )
+        for msg in c.failures:
+            print(f"    {msg}")
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY
 
 
 def cmd_reproduce_table(cfg: dict, args) -> int:
@@ -484,8 +496,8 @@ def cmd_reproduce_table(cfg: dict, args) -> int:
             lines.append(",".join(row))
         _write(out / f"table_{args.preset or 'custom'}.csv", "\n".join(lines) + "\n")
     else:
-        payload = [json.loads(_table_json(table, precision)) for _, table in tables]
-        _write(out / f"table_{args.preset or 'custom'}.json", json.dumps(payload, indent=2) + "\n")
+        payload = [_table_payload(table, precision) for _, table in tables]
+        _write(out / f"table_{args.preset or 'custom'}.json", _json(payload))
     return EXIT_OK
 
 

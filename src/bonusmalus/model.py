@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -123,8 +123,6 @@ class PoissonSeverity:
     Used by the closed-form credibility model; the compound of Poisson counts
     with Poisson sizes is the classical Neyman type A aggregate.
     """
-
-    kind: str = field(default="poisson", init=False)
 
 
 SeverityLaw = Union[GammaSeverity, PoissonSeverity]

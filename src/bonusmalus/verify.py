@@ -1,10 +1,10 @@
-"""Oracle-agreement battery: analytic results versus the seeded simulator.
+"""Oracle agreement: analytic results versus the seeded simulator.
 
-For each configured rule the battery computes the analytic stationary level
+For one rule, ``check_rule`` computes the analytic stationary level
 distribution, optimal relativities, and score, simulates the same model, and
 requires agreement within three standard errors everywhere.  A deliberately
 perturbed relativity table must fail, which the negative-control hook makes
-testable.
+testable.  The ``verify`` verb runs it once per configured rule.
 """
 
 from __future__ import annotations
@@ -44,27 +44,6 @@ class OracleCheck:
     hmse_gap_sigmas: float
     analytic: RelativityTable
     summary: SimSummary
-
-
-@dataclass(frozen=True)
-class BatteryReport:
-    checks: tuple[OracleCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            out.append(
-                f"[{status}] {c.label}: levels {c.level_gap_sigmas:.2f} sigma, "
-                f"relativities {c.relativity_gap_sigmas:.2f} sigma, "
-                f"score {c.hmse_gap_sigmas:.2f} sigma"
-            )
-            out.extend(f"    {msg}" for msg in c.failures)
-        return out
 
 
 def check_rule(
@@ -163,18 +142,3 @@ def _rule_label(rule) -> str:
             f"-1/+{rule.small_step}/+{rule.large_step} at threshold {rule.threshold:g}"
         )
     return f"-1/+{rule.step}"
-
-
-def oracle_agreement_battery(
-    model_rules,
-    n_paths: int = 1_000_000,
-    seed: int = 20260809,
-    nodes: int = 64,
-) -> BatteryReport:
-    """Run agreement checks for a sequence of (model, rule) pairs."""
-    checks = []
-    for index, (model, rule) in enumerate(model_rules):
-        checks.append(
-            check_rule(model, rule, n_paths=n_paths, seed=seed + index, nodes=nodes)
-        )
-    return BatteryReport(tuple(checks))

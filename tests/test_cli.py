@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bonusmalus import cli
+from bonusmalus.model import FreqRule, SeverityRule
+from bonusmalus.verify import OracleCheck
 
 BAYES_CONFIG = {
     "bayes": {
@@ -389,16 +391,58 @@ class TestVerifyVerb:
         assert "[pass]" in capsys.readouterr().out
 
     def test_failing_battery_exits_4(self, tmp_path, monkeypatch, capsys):
-        from bonusmalus.verify import BatteryReport, OracleCheck
+        def fake_check(model, rule, *args, **kwargs):
+            return OracleCheck("stub", False, ("forced",), 9.0, 9.0, 9.0, None, None)
 
-        def fake_battery(model_rules, **kwargs):
-            check = OracleCheck("stub", False, ("forced",), 9.0, 9.0, 9.0, None, None)
-            return BatteryReport((check,))
-
-        monkeypatch.setattr(cli, "oracle_agreement_battery", fake_battery)
+        monkeypatch.setattr(cli, "check_rule", fake_check)
         config = write_config(tmp_path, SMALL_MODEL)
         assert run(["verify", "--config", config, "--out", str(tmp_path)]) == 4
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_report_bytes(self, tmp_path, monkeypatch, capsys):
+        # perfbench parses these lines; the failures sit indented under their rule.
+        checks = iter(
+            [
+                OracleCheck("-1/+1", True, (), 0.5, 1.25, 2.0, None, None),
+                OracleCheck("-1/+1/+2 at 16800", False, ("a", "b"), 3.5, 0.0, 10.0, None, None),
+            ]
+        )
+        monkeypatch.setattr(cli, "check_rule", lambda *args, **kwargs: next(checks))
+        config = write_config(tmp_path, SMALL_MODEL)
+        assert run(["verify", "--config", config, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().out == (
+            "[pass] -1/+1: levels 0.50 sigma, relativities 1.25 sigma, score 2.00 sigma\n"
+            "[FAIL] -1/+1/+2 at 16800: levels 3.50 sigma, relativities 0.00 sigma, "
+            "score 10.00 sigma\n"
+            "    a\n"
+            "    b\n"
+        )
+
+    @pytest.mark.parametrize("nodes, used", [(16, 64), (80, 80)])
+    def test_passes_simulation_settings_to_each_check(self, tmp_path, monkeypatch, nodes, used):
+        calls = []
+
+        def recorder(model, rule, n_paths, seed, nodes, burn_in_years):
+            calls.append((rule, n_paths, seed, nodes, burn_in_years))
+            return OracleCheck("stub", True, (), 0.0, 0.0, 0.0, None, None)
+
+        monkeypatch.setattr(cli, "check_rule", recorder)
+        payload = json.loads(json.dumps(SMALL_MODEL))
+        payload["quadrature_nodes"] = nodes
+        payload["simulation"] = {"paths": 200_000, "seed": 7, "burn_in_years": 150}
+        config = write_config(tmp_path, payload)
+        assert run(["verify", "--config", config, "--out", str(tmp_path)]) == 0
+        assert calls == [
+            (FreqRule(9, 1), 200_000, 7, used, 150),
+            (SeverityRule(9, 1, 2, 16800.0), 200_000, 8, used, 150),
+        ]
+
+    def test_short_burn_in_exits_2(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(SMALL_MODEL))
+        payload["simulation"] = {"paths": 100_000, "burn_in_years": 50}
+        config = write_config(tmp_path, payload)
+        assert run(["verify", "--config", config, "--out", str(tmp_path)]) == 2
+        assert "at least 100 burn-in years" in capsys.readouterr().err
 
 
 class TestConfigHandling:

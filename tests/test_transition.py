@@ -239,11 +239,11 @@ class TestJumpTailInputs:
 
 class TestEngineSurface:
     def test_engine_functions_have_a_production_caller(self):
-        # A public function of the transition or stationary layer that only
-        # the package namespace or the tests import is verification code,
-        # which belongs in tests/.
+        # A public function of the transition, stationary or verify layer
+        # that only the package namespace or the tests import is verification
+        # code, which belongs in tests/.
         package = Path(bonusmalus.__file__).parent
-        engine = {"transition", "stationary"}
+        engine = {"transition", "stationary", "verify"}
         defined = {
             (name, node.name)
             for name in engine
