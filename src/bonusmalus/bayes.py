@@ -162,10 +162,11 @@ def posterior_density(theta1, theta2, history: ClaimHistory, model: MixtureBayes
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
     out = np.zeros(np.broadcast(theta1, theta2).shape)
-    for weight, r1, r2 in zip(weights[:, 0], rate1[:, 0], rate2[:, 0]):
-        out = out + weight * gamma_pdf(theta1, shape1, 1.0 / r1) * gamma_pdf(
-            theta2, shape2, 1.0 / r2
-        )
+    # One density call per effect covers every component.
+    dens1 = gamma_pdf(theta1[None], shape1, 1.0 / rate1.reshape((-1,) + (1,) * theta1.ndim))
+    dens2 = gamma_pdf(theta2[None], shape2, 1.0 / rate2.reshape((-1,) + (1,) * theta2.ndim))
+    for weight, d1, d2 in zip(weights[:, 0], dens1, dens2):
+        out = out + weight * d1 * d2
     return out if out.shape else float(out)
 
 

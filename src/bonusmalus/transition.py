@@ -12,16 +12,24 @@ no transition matrix is built.  A frequency-driven rule is the severity-aware
 rule whose small and large claims move the same number of levels: every rule
 is read through ``max_level``, ``small_step`` and ``large_step``, so one jump
 law serves both families.
+
+The claim-count tails take no special function: each profile's Poisson
+probabilities come by ratios of neighbours, one top tail per profile comes
+from positive terms, and the lower tails follow by adding probabilities.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
-from ._distributions import poisson_cdf
+from ._distributions import _accumulate, _prefactor, _rising_series
+
+# Above this mean exp(-m) nears the underflow bound, so a mean's pmf starts
+# from its top count instead of from zero claims.
+_TOP_START = 700.0
 
 
 @lru_cache(maxsize=128)
@@ -37,8 +45,56 @@ def _small_counts(z: int, small: int, large: int) -> np.ndarray:
     return counts
 
 
-def _poisson_pmf(k, means):  # log space; xlogy(0, 0) = 0 puts a zero mean on 0 claims
-    return np.exp(xlogy(k, means[:, None]) - means[:, None] - gammaln(k + 1))
+def _poisson_pmf(means: np.ndarray, kmax: int) -> np.ndarray:
+    """Poisson probabilities of 0..kmax claims by ratios of neighbours, level-major.
+
+    Row ``k`` holds ``pmf(k)`` for every mean.  A column runs up from
+    ``exp(-m)`` by ``m / k``; where ``exp(-m)`` would underflow it runs down by
+    ``k / m`` from the top probability ``pmf(kmax)``, whose exponent
+    ``kmax ln m - m - lgamma(kmax + 1)`` is taken in double where it lies below
+    -600 and exactly (the kernel's prefactor) nearer the mean.
+    """
+    rows = np.empty((kmax + 1, means.size))
+    rows[0] = np.exp(-means)
+    np.divide(means, np.arange(1.0, kmax + 1.0)[:, None], out=rows[1:])
+    _accumulate(np.multiply, rows)
+    high = means > _TOP_START
+    if high.any():
+        m = means[high]
+        with np.errstate(invalid="ignore"):  # an infinite mean has no mass below the top
+            log_top = kmax * np.log(m) - m - math.lgamma(kmax + 1.0)
+            # Far below the mass near the mean the exponent in double serves;
+            # nearer, the top probability needs the exact one.
+            if np.max(log_top) < -600.0:
+                top = np.exp(log_top)
+            else:
+                top = _prefactor(kmax + 1.0, m) / m
+            down = np.empty((kmax + 1, m.size))
+            down[0] = top
+            down[1:] = np.arange(kmax, 0.0, -1.0)[:, None] / m
+        rows[:, high] = _accumulate(np.multiply, down)[::-1]
+    return rows
+
+
+def _upper_tails(means: np.ndarray, kmax: int) -> np.ndarray:
+    """``P(N > k)`` for ``k = 0..kmax`` and every Poisson mean, level-major, from positive terms.
+
+    The top tail is ``1 - P(N <= kmax)`` where that is at least 1/2, and
+    otherwise the upward series of the probabilities above ``kmax``; the rest
+    follow down by ``P(N > k - 1) = P(N > k) + pmf(k)``, capped at 1 against
+    the rounding of the sums.
+    """
+    pmf = _poisson_pmf(means, kmax + 1)
+    terms = np.empty((kmax + 1, means.size))
+    terms[1:] = pmf[kmax:0:-1]
+    below = _accumulate(np.add, pmf[: kmax + 1])[-1]  # in level order, whatever the batch
+    large = below < 0.5
+    terms[0] = 1.0 - below
+    if not large.all():
+        # P(N > kmax) = pmf(kmax + 1) sum_n m**n / ((kmax+2)...(kmax+1+n)), below kmax + 1
+        m = np.where(large, 0.0, means)
+        terms[0] = np.where(large, terms[0], pmf[kmax + 1] * _rising_series(kmax + 1.0, m))
+    return np.minimum(_accumulate(np.add, terms)[::-1], 1.0)
 
 
 def jump_tails(rule, freq_means, exceed) -> tuple[np.ndarray, np.ndarray]:
@@ -57,17 +113,17 @@ def jump_tails(rule, freq_means, exceed) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("exceedance probabilities must lie in [0, 1]")
     z = rule.max_level
     m1, m2 = means * (1.0 - exceed), means * exceed  # small and large claim means
-    # A tail index never exceeds (z - 1) // step.
-    tail1 = poisson_cdf(np.arange((z - 1) // small + 1), m1[:, None], upper=True)
-    tail1 = np.concatenate([tail1, np.zeros((means.size, 1))], axis=1)
+    # A tail index never exceeds (z - 1) // step; index -1 is a row of zeros.
+    tail1 = _upper_tails(m1, (z - 1) // small)
+    tail1 = np.concatenate([tail1, np.zeros((1, means.size))])
     counts = _small_counts(z, small, large)
-    law2 = _poisson_pmf(np.arange(z // large + 1), m2)
-    tails = np.zeros((means.size, z))
+    law2 = _poisson_pmf(m2, z // large)
+    tails = np.zeros((z, means.size))
     # One large-claim count at a time keeps the memory at profiles x z.  A
     # count of zero probability for every profile adds nothing; at exceedance
     # 0 that is every count but 0.
-    for k2 in np.flatnonzero(law2.any(axis=0)):
-        tails += law2[:, k2, None] * tail1[:, counts[:, k2]]
-    tail2 = poisson_cdf(np.arange((z - 1) // large + 1), m2[:, None], upper=True)
-    tails += tail2[:, np.arange(z) // large]
-    return np.exp(-means), tails
+    for k2 in np.flatnonzero(law2.any(axis=1)):
+        tails += law2[k2] * tail1[counts[:, k2]]
+    if m2.any():  # with no large claims the upper tail is all zeros
+        tails += _upper_tails(m2, (z - 1) // large)[np.arange(z) // large]
+    return np.exp(-means), tails.T

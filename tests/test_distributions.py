@@ -1,24 +1,34 @@
-"""Distribution functions and the quantile root finder against scipy oracles.
+"""Distribution functions and the quantile root finder against 50-digit and scipy oracles.
 
-The package evaluates claim-size laws and the posterior gamma density on
-``scipy.special`` alone and finds quantile roots with its own port of Brent's
-method.  ``scipy.stats`` and ``scipy.optimize`` stay here as test-only
-oracles: every value must agree bitwise, NaN included.
+The package evaluates the claim-size laws and the posterior gamma density on
+numpy alone, with its own regularized incomplete gamma, and finds quantile
+roots with its own port of Brent's method.  ``mpmath`` at 50 digits is the
+reference for every value, and ``scipy.stats`` and ``scipy.optimize`` stay
+here as test-only oracles: at the edges (0, 1, NaN, infinities, invalid
+parameters) and in the result type the package must agree with
+``scipy.stats`` exactly, and elsewhere its largest error on each grid must not
+exceed that of ``scipy.stats`` on the same grid.  Errors are relative where
+the reference is a normal double and absolute below that.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import optimize, stats
 
 from bonusmalus import (
+    BonusMalusError,
     BracketingFailureError,
     ClaimHistory,
     GammaSeverity,
@@ -28,9 +38,9 @@ from bonusmalus import (
     PoissonSeverity,
     posterior_density,
 )
-from bonusmalus import quadrature
-from bonusmalus._distributions import gamma_pdf
-from bonusmalus.cli import parse_model
+from bonusmalus import _distributions, quadrature
+from bonusmalus._distributions import gamma_cdf, gamma_pdf
+from bonusmalus.cli import main, parse_model
 from bonusmalus.presets import PRESETS
 from bonusmalus.quadrature import severity_cdf, severity_marginal_quantile
 
@@ -48,6 +58,7 @@ POINTS = [-np.inf, -1.0, -0.0, 0.0, 5e-324, 0.3, 1.0, 2.5, 16800.0, 1e300, np.in
 GAMMA_SHAPES = [0.67, 1.0, 2.5, 40.0]
 LAWS = [GammaSeverity(1.0 / a) for a in GAMMA_SHAPES] + [PoissonSeverity()]
 LAW_IDS = [f"gamma{a}" for a in GAMMA_SHAPES] + ["poisson"]
+TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def _same(actual, expected) -> bool:
@@ -56,71 +67,248 @@ def _same(actual, expected) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def regularized_gamma(a: float, x: float) -> tuple:
+    """50-digit ``(P(a, x), Q(a, x))`` for ``a > 0`` and finite ``x > 0``.
+
+    The smaller side is evaluated and the other is its complement.  A side
+    that a float bound puts below ``e**-850`` (far under the smallest
+    subnormal) is taken as 0.  Above shapes of 1e15 the two-term uniform
+    expansion (DLMF 8.12.3, ``c_0``) stands in, its relative error ``O(1/a)``.
+    """
+    with mp.workdps(50):
+        if x < a:
+            log_bound = a * math.log(x) - x - math.lgamma(a + 1.0) + math.log1p(x / (a + 1.0 - x))
+            if log_bound < -850.0:
+                return mp.mpf(0), mp.mpf(1)
+        elif (a - 1.0) * math.log(x) - x - math.lgamma(a) + math.log(x / (x - a + 1.0)) < -850.0:
+            return mp.mpf(1), mp.mpf(0)
+        big_a, big_x = mp.mpf(a), mp.mpf(x)
+        if a > 1e15:
+            mu = big_x / big_a - 1
+            if mu == 0:
+                q = mp.mpf(0.5) - 1 / (3 * mp.sqrt(2 * mp.pi * big_a))
+            else:
+                eta = mp.sign(mu) * mp.sqrt(2 * (mu - mp.log1p(mu)))
+                q = mp.erfc(eta * mp.sqrt(big_a / 2)) / 2 + mp.exp(-big_a * eta**2 / 2) / mp.sqrt(
+                    2 * mp.pi * big_a
+                ) * (1 / mu - 1 / eta)
+            return 1 - q, q
+        if x < a:
+            p = mp.gammainc(big_a, 0, big_x, regularized=True)
+            return p, 1 - p
+        q = mp.gammainc(big_a, big_x, mp.inf, regularized=True)
+        return 1 - q, q
+
+
+def kernel_arguments(law, x, means):
+    """Shape, standardized arguments and the entries the incomplete gamma computes.
+
+    A gamma law sees ``x / (mean / shape)``; a Poisson CDF at ``k`` is ``Q(k + 1, mean)``.
+    The other entries are edges, whose values are exact.
+    """
+    with np.errstate(all="ignore"):
+        if isinstance(law, GammaSeverity):
+            scale = means / law.shape
+            y = np.asarray(x / scale, dtype=float)
+            return law.shape, y, (scale > 0) & (y > 0) & (y < np.inf)
+        k = math.floor(x) if math.isfinite(x) else x
+        inside = (means > 0) & (means < np.inf) & (k >= 0) & (k < np.inf)
+        return (k + 1.0 if math.isfinite(k) else k), means, inside
+
+
+def reference(law, x, means, upper: bool):
+    """50-digit law values at the computed entries, and the mask of those entries."""
+    a, y, inside = kernel_arguments(law, x, means)
+    # The Poisson CDF is the upper incomplete gamma.
+    side = int(upper) if isinstance(law, GammaSeverity) else int(not upper)
+    values = [regularized_gamma(a, float(v))[side] for v in y[inside]]
+    return values, inside
+
+
+def largest_errors(values, refs) -> tuple[float, float]:
+    """Largest relative error where the reference is a normal double, and largest absolute one below."""
+    rel = absolute = 0.0
+    with mp.workdps(50):
+        for value, ref in zip(values, refs):
+            gap = abs(mp.mpf(float(value)) - ref)
+            if ref >= TINY:
+                rel = max(rel, float(gap / ref))
+            else:
+                absolute = max(absolute, float(gap))
+    return rel, absolute
+
+
+def scipy_law(law, x, means, upper: bool):
+    with np.errstate(all="ignore"):
+        if isinstance(law, GammaSeverity):
+            dist = stats.gamma(law.shape, scale=means / law.shape)
+            return dist.sf(x) if upper else dist.cdf(x)
+        return stats.poisson.sf(np.floor(x), means) if upper else stats.poisson.cdf(np.floor(x), means)
+
+
+def judge_law(law, x, means, upper: bool):
+    """Exact edges, and interior errors within scipy's largest on the law's whole edge grid."""
+    with np.errstate(all="ignore"):
+        actual = severity_cdf(x, means, law, upper=upper)
+    expected = scipy_law(law, x, means, upper)
+    refs, inside = reference(law, x, means, upper)
+    assert _same(actual[~inside], expected[~inside]) and actual.shape == expected.shape
+    port = largest_errors(actual[inside], refs)
+    gate = law_gate(LAW_IDS[LAWS.index(law)], upper)
+    assert port[0] <= gate[0] and port[1] <= gate[1], (port, gate)
+
+
+@functools.lru_cache(maxsize=None)
+def law_gate(law_id: str, upper: bool) -> tuple[float, float]:
+    """Scipy's largest relative and absolute errors for one law and side over the whole edge grid."""
+    law = LAWS[LAW_IDS.index(law_id)]
+    rel = absolute = 0.0
+    for x in POINTS:
+        refs, inside = reference(law, x, MEANS, upper)
+        oracle = largest_errors(scipy_law(law, x, MEANS, upper)[inside], refs)
+        rel, absolute = max(rel, oracle[0]), max(absolute, oracle[1])
+    return rel, absolute
+
+
 class TestClaimSizeLaws:
     @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     @pytest.mark.parametrize("x", POINTS)
     def test_exceedance_matches_scipy_stats(self, law, x):
-        with np.errstate(all="ignore"):
-            if isinstance(law, GammaSeverity):
-                expected = stats.gamma.sf(x, law.shape, scale=MEANS / law.shape)
-            else:
-                expected = stats.poisson.sf(np.floor(x), MEANS)
-            assert _same(severity_cdf(x, MEANS, law, upper=True), expected)
+        judge_law(law, x, MEANS, upper=True)
 
     @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     @pytest.mark.parametrize("x", POINTS)
     def test_cdf_matches_scipy_stats(self, law, x):
-        means = MEANS.reshape(2, -1)
-        with np.errstate(all="ignore"):
-            if isinstance(law, GammaSeverity):
-                expected = stats.gamma.cdf(x, law.shape, scale=means / law.shape)
-            else:
-                expected = stats.poisson.cdf(np.floor(x), means)
-            assert _same(severity_cdf(x, means, law), expected)
+        judge_law(law, x, MEANS.reshape(2, -1), upper=False)
 
     @pytest.mark.parametrize("law", LAWS, ids=LAW_IDS)
     def test_scalar_in_scalar_out(self, law):
+        gate = law_gate(LAW_IDS[LAWS.index(law)], True)
         for x in POINTS:
             for mean in (0.0, 0.5, 7.0, np.inf, np.nan):
                 with np.errstate(all="ignore"):
                     tail = severity_cdf(x, mean, law, upper=True)
-                    if isinstance(law, GammaSeverity):
-                        expected = stats.gamma.sf(x, law.shape, scale=mean / law.shape)
-                    else:
-                        expected = stats.poisson.sf(np.floor(x), mean)
+                expected = scipy_law(law, x, mean, upper=True)
                 assert type(tail) is type(expected)
-                assert _same(tail, expected)
+                refs, inside = reference(law, x, np.array([mean]), upper=True)
+                if not inside[0]:
+                    assert _same(tail, expected)
+                    continue
+                rel, absolute = largest_errors([tail], refs)
+                assert rel <= gate[0] and absolute <= gate[1]
+
+
+def density_reference(x, shape: float, scale: float):
+    """50-digit gamma densities at ``x``.
+
+    ``None`` marks an edge: a NaN or infinite argument, an invalid scale, or a
+    density beyond the largest double, which must come out as ``inf``; there
+    the package must equal ``scipy.stats`` exactly.
+    """
+    out = []
+    with mp.workdps(50), np.errstate(all="ignore"):
+        for v in x:
+            y = v / scale
+            if not (scale > 0 and -math.inf < y < math.inf):
+                out.append(None)
+                continue
+            big_y, big_a = mp.mpf(float(y)), mp.mpf(shape)
+            if y < 0 or (y == 0 and shape > 1):
+                ref = mp.mpf(0)
+            elif y == 0:
+                ref = mp.inf if shape < 1 else 1 / mp.mpf(scale)
+            else:
+                ref = mp.exp((big_a - 1) * mp.log(big_y) - big_y - mp.loggamma(big_a)) / mp.mpf(scale)
+            out.append(ref if ref <= np.finfo(float).max else None)
+    return out
+
+
+def judge_density(actual, expected, refs, gate):
+    inside = np.array([r is not None for r in refs])
+    assert _same(actual[~inside], expected[~inside])
+    port = largest_errors(actual[inside], [r for r in refs if r is not None])
+    assert port[0] <= gate[0] and port[1] <= gate[1], (port, gate)
+
+
+def _scipy_errors(expected, refs) -> tuple[float, float]:
+    inside = np.array([r is not None for r in refs])
+    return largest_errors(expected[inside], [r for r in refs if r is not None])
+
+
+HISTORIES = {
+    "empty": ClaimHistory([]),
+    "small": ClaimHistory([1, 0, 2], [4, 0, 5]),
+    "heavy": ClaimHistory([30, 41], [90, 160]),
+}
+DENSITY_SHAPES = [1.0, 2.5, 31.0]
+DENSITY_SCALES = [0.0, 5e-324, 0.37, 1e300, np.inf, np.nan, -1.0]
+DENSITY_X = np.concatenate([MEANS, POINTS])
+
+
+@functools.lru_cache(maxsize=None)
+def posterior_case(name: str):
+    """Package values, the scipy.stats version and 50-digit references for one history.
+
+    Both sides use the component weights the package computes; scipy.stats or
+    mpmath supplies every gamma density.
+    """
+    history = HISTORIES[name]
+    model = MixtureBayesModel(0.5, 3.0, MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0))
+    theta1 = DENSITY_X
+    theta2 = theta1[::-1].copy()
+    n = history.total_count
+    s = history.total_aggregate if history.years else 0.0
+    with np.errstate(all="ignore"):
+        actual = posterior_density(theta1, theta2, history, model)
+        expected = np.zeros(theta1.shape)
+        refs = [mp.mpf(0)] * theta1.size
+        for weight, (_, c) in zip(_component_weights(model, history), model.components()):
+            scale1 = 1.0 / (c + model.freq_rate * history.years)
+            scale2 = 1.0 / (c + model.sev_rate * n)
+            expected = expected + weight * stats.gamma.pdf(
+                theta1, n + 1.0, scale=scale1
+            ) * stats.gamma.pdf(theta2, s + 1.0, scale=scale2)
+            d1 = density_reference(theta1, n + 1.0, scale1)
+            d2 = density_reference(theta2, s + 1.0, scale2)
+            with mp.workdps(50):
+                refs = [
+                    None if None in (r, u, v) else r + mp.mpf(float(weight)) * u * v
+                    for r, u, v in zip(refs, d1, d2)
+                ]
+    return actual, expected, refs
+
+
+@functools.lru_cache(maxsize=None)
+def density_case(shape: float, scale: float):
+    with np.errstate(all="ignore"):
+        actual = gamma_pdf(DENSITY_X, shape, scale)
+        expected = stats.gamma.pdf(DENSITY_X, shape, scale=scale)
+    return actual, expected, density_reference(DENSITY_X, shape, scale)
+
+
+@functools.lru_cache(maxsize=None)
+def density_gate(posterior: bool) -> tuple[float, float]:
+    """Scipy's largest errors over every case of one density test."""
+    cases = (
+        [posterior_case(name) for name in HISTORIES]
+        if posterior
+        else [density_case(a, b) for a in DENSITY_SHAPES for b in DENSITY_SCALES]
+    )
+    errors = [_scipy_errors(expected, refs) for _, expected, refs in cases]
+    return max(e[0] for e in errors), max(e[1] for e in errors)
 
 
 class TestPosteriorGammaDensity:
-    @pytest.mark.parametrize(
-        "history",
-        [ClaimHistory([]), ClaimHistory([1, 0, 2], [4, 0, 5]), ClaimHistory([30, 41], [90, 160])],
-        ids=["empty", "small", "heavy"],
-    )
+    @pytest.mark.parametrize("history", list(HISTORIES.values()), ids=list(HISTORIES))
     def test_matches_scipy_stats(self, history):
-        model = MixtureBayesModel(0.5, 3.0, MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0))
-        theta1 = np.concatenate([MEANS, POINTS])
-        theta2 = theta1[::-1].copy()
-        n = history.total_count
-        s = history.total_aggregate if history.years else 0.0
-        with np.errstate(all="ignore"):
-            actual = posterior_density(theta1, theta2, history, model)
-            # Reference: the component weights the package computes, with
-            # scipy.stats supplying every gamma density.
-            expected = np.zeros(theta1.shape)
-            for weight, (_, c) in zip(_component_weights(model, history), model.components()):
-                expected = expected + weight * stats.gamma.pdf(
-                    theta1, n + 1.0, scale=1.0 / (c + model.freq_rate * history.years)
-                ) * stats.gamma.pdf(theta2, s + 1.0, scale=1.0 / (c + model.sev_rate * n))
-        assert _same(actual, expected)
+        name = next(k for k, v in HISTORIES.items() if v is history)
+        judge_density(*posterior_case(name), density_gate(True))
 
-    @pytest.mark.parametrize("shape", [1.0, 2.5, 31.0])
-    @pytest.mark.parametrize("scale", [0.0, 5e-324, 0.37, 1e300, np.inf, np.nan, -1.0])
+    @pytest.mark.parametrize("shape", DENSITY_SHAPES)
+    @pytest.mark.parametrize("scale", DENSITY_SCALES)
     def test_gamma_density_edges(self, shape, scale):
-        x = np.concatenate([MEANS, POINTS])
-        with np.errstate(all="ignore"):
-            assert _same(gamma_pdf(x, shape, scale), stats.gamma.pdf(x, shape, scale=scale))
+        judge_density(*density_case(shape, scale), density_gate(False))
 
 
 def _component_weights(model, history):
@@ -199,16 +387,134 @@ class TestBrentPort:
             quadrature._brentq(math.sin, 1.0, 4.0, maxiter=2)
 
 
-def test_cli_imports_neither_scipy_stats_nor_scipy_optimize():
+def test_cli_imports_neither_scipy_stats_nor_scipy_optimize(tmp_path):
+    # No scipy module at all: after the import and after a verb has run, so a
+    # lazy import inside a function fails too.
     code = (
-        "import sys, bonusmalus.cli\n"
-        "heavy = sorted(m for m in sys.modules"
-        " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize']))\n"
-        "print(','.join(heavy))\n"
+        "import io, sys, contextlib, bonusmalus.cli as cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['relativities', '--preset', 'ex2a'])\n"
+        "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(code, ','.join(sorted(set(loaded))))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == ""
+    assert result.stdout.strip() == "0"
+
+
+def _temme_table(rows: int, cols: int) -> list:
+    """Temme's ``d[k][n]`` (DLMF 8.12.11-14) as exact rationals.
+
+    ``mu(eta)`` solves ``eta**2 / 2 = mu - ln(1 + mu)``, so ``eta (1 + mu) =
+    mu mu'``; ``eta / mu = sum r_n eta**n`` gives ``d[0][n] = r_{n+1}`` and the
+    Stirling coefficients ``g_k = (2k - 1)!! r_{2k}``, and ``d[k][n] =
+    (-1)**k g_k d[0][n] + (n + 2) d[k-1][n+2]``.
+    """
+    size = cols + 2 * rows + 2
+    mu = [Fraction(0), Fraction(1)]
+    for n in range(2, size + 2):
+        inner = sum(mu[i] * (n + 1 - i) * mu[n + 1 - i] for i in range(2, n))
+        mu.append((mu[n - 1] - inner) / (n + 1))
+    ratio = [Fraction(1)]  # eta / mu = 1 / (mu / eta)
+    for n in range(1, size + 1):
+        ratio.append(-sum(mu[j + 1] * ratio[n - j] for j in range(1, n + 1)))
+    stirling = [ratio[2 * k] * math.prod(range(2 * k - 1, 0, -2)) for k in range(rows)]
+    table = [[ratio[n + 1] for n in range(size - 1)]]
+    for k in range(1, rows):
+        prev = table[-1]
+        table.append(
+            [(-1) ** k * stirling[k] * table[0][n] + (n + 2) * prev[n + 2] for n in range(len(prev) - 2)]
+        )
+    return table
+
+
+class TestIncompleteGammaKernel:
+    def test_temme_coefficients_are_the_exact_rationals(self):
+        exact = _temme_table(25, 25)
+        assert exact[0][:4] == [Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135), Fraction(1, 864)]
+        assert exact[1][0] == Fraction(-1, 540)
+        rows, cols = _distributions._TEMME.shape
+        kept = np.array([[float(exact[k][n]) for n in range(cols)] for k in range(rows)])
+        assert np.array_equal(_distributions._TEMME, kept)  # bit for bit
+        # Where the expansion runs, a > 20 and |eta| < 0.34: the 25 x 25 terms
+        # left out sum to less than 1e-20.
+        dropped = sum(
+            abs(float(exact[k][n])) * 0.34**n / 20.0**k
+            for k in range(25)
+            for n in range(25)
+            if k >= rows or n >= cols
+        )
+        assert dropped < 1e-20
+
+    def test_log_table_is_the_rounded_logarithms(self):
+        with mp.workdps(50):
+            for i, (hi, lo) in enumerate(_distributions._LOG_TABLE.T):
+                exact = mp.log(1 + mp.mpf(i - 10) / 32)
+                assert hi == float(exact) and lo == float(exact - mp.mpf(hi))
+
+    @pytest.mark.parametrize("a", [1e-6, 0.67, 1.0, 3.5, 19.9, 25.0, 400.0])
+    def test_fraction_depth_bound_holds(self, a):
+        # The bottom-up fraction at its bound depth against the same fraction
+        # run 600 levels deep at 30 digits, over the fraction's region.
+        lo = max(1.1, a) if a <= 20.0 else 1.3 * a
+        x = lo * np.geomspace(1.0, 300.0, 25)
+        got = 1.0 / _distributions._fraction(a, x, np.ones_like(x))
+        with mp.workdps(30):
+            for xi, ui in zip(x, got):
+                u = mp.mpf(xi) - a + 1201
+                for k in range(600, 0, -1):
+                    u = (mp.mpf(xi) - a + 2 * k - 1) - k * (k - mp.mpf(a)) / u
+                assert abs(ui - u) / u < 4e-16
+
+    @pytest.mark.parametrize("a", [3e6, 1e10, 1e14])
+    def test_large_shapes_near_the_transition(self, a):
+        # Above shapes of 1e6 the deviance is a series in (x - a) / (x + a).
+        # The reference integrates the density at 40 digits from a - 40 sqrt(a).
+        x = a + np.array([-8.0, -2.0, 0.0, 1.0, 5.0]) * math.sqrt(a)
+        p, q = gamma_cdf(x, a, 1.0), gamma_cdf(x, a, 1.0, upper=True)
+        with mp.workdps(40):
+            big_a = mp.mpf(a)
+            log_gamma, start = mp.loggamma(big_a), big_a - 40 * mp.sqrt(big_a)
+            for xi, pi, qi in zip(x, p, q):
+                nodes = [start + (mp.mpf(float(xi)) - start) * i / 16 for i in range(17)]
+                ref = mp.quad(lambda t: mp.exp((big_a - 1) * mp.log(t) - t - log_gamma), nodes)
+                assert abs(pi - ref) <= 1e-15 * ref and abs(qi - (1 - ref)) <= 1e-15 * (1 - ref)
+
+    def test_long_arrays_run_in_blocks(self):
+        # The simulator asks for 65,536 exceedances at once; the fraction's
+        # levels would take depth x size floats, so the kernel works in blocks.
+        x = np.geomspace(1e-3, 1e3, 1 << 16)
+        tracemalloc.start()
+        try:
+            tail = gamma_cdf(x, 0.67, 1.0, upper=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = _distributions._BLOCK
+        parts = [gamma_cdf(x[i : i + block], 0.67, 1.0, upper=True) for i in range(0, x.size, block)]
+        assert np.array_equal(tail, np.concatenate(parts))
+        assert peak < 16 * 2**20, peak
+
+    def test_non_convergence_names_shape_and_argument(self, monkeypatch):
+        monkeypatch.setattr(_distributions, "MAX_TERMS", 5)
+        with pytest.raises(BonusMalusError, match=r"shape a=0\.67 and x=3\.35"):
+            gamma_cdf(5.0, 0.67, 1.0 / 0.67)
+
+    def test_non_convergence_exits_3(self, monkeypatch, capsys, tmp_path):
+        # A threshold and node count no other test uses, so no cached table answers.
+        config = tmp_path / "config.json"
+        config.write_text('{"thresholds": [12345.678], "quadrature_nodes": 11}')
+        monkeypatch.setattr(_distributions, "MAX_TERMS", 5)
+        args = ["relativities", "--preset", "ex2a", "--config", str(config), "--out", str(tmp_path)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: the incomplete gamma") and "Traceback" not in err

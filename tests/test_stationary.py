@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from bonusmalus import (
     optimal_relativity_frequency,
     unconditional_level_distribution,
 )
-from bonusmalus.quadrature import severity_cdf
+from bonusmalus.cli import parse_model
+from bonusmalus.presets import PRESETS
+from bonusmalus.quadrature import build_grid, severity_cdf
 from bonusmalus.stationary import _stationary_batch
 from bonusmalus.transition import jump_tails
 from conftest import degenerate_model, study_model
@@ -198,3 +201,76 @@ class TestUnconditionalLevels:
         assert calls == [rule]
         assert levels is dep.stationary
         assert np.array_equal(freq.stationary, levels)
+
+
+def _exact_stationary(rule, freq_mean: float, exceed) -> list:
+    """Stationary level masses of the chain ``(freq_mean, exceed)`` at the working precision.
+
+    The jump law comes from the two Poisson claim counts of the thinning, and
+    the masses from the balance of flows across each cut, ``pi[l+1] p0 =
+    sum_{i<=l} pi[i] P(jump >= l+1-i)``, which involves no subtraction.
+    """
+    z, small, large = rule.max_level, rule.small_step, rule.large_step
+    m = mp.mpf(freq_mean)
+    m1, m2 = m * (1 - exceed), m * exceed
+
+    def pmf(mean, kmax):
+        return [mp.exp(-mean) * mean**k / mp.factorial(k) for k in range(kmax + 1)]
+
+    law1, law2 = pmf(m1, z // small), pmf(m2, z // large)
+    below = [mp.mpf(0)] * (z + 1)  # P(jump = j) for j <= z
+    for n1, p1 in enumerate(law1):
+        for n2, p2 in enumerate(law2):
+            jump = small * n1 + large * n2
+            if jump <= z:
+                below[jump] += p1 * p2
+    tails = [1 - mp.fsum(below[:g]) for g in range(1, z + 1)]  # P(jump >= g)
+    pi = [mp.mpf(1)]
+    for level in range(z):
+        pi.append(mp.fsum(pi[i] * tails[level - i] for i in range(level + 1)) / below[0])
+    total = mp.fsum(pi)
+    return [p / total for p in pi]
+
+
+class TestHighPrecisionStationary:
+    """Level masses of ``ex3c`` at 16 nodes against a 400-digit solve of each node's chain.
+
+    The chain of a node is the one its double-precision claim mean and
+    exceedance define; the exceedance is the gamma tail at the threshold,
+    evaluated at 50 digits from the double sizes mean.  Every mass above
+    1e-290 must be within the relative error the engine reached on the same
+    reference while its tails came from ``scipy.special.pdtrc``: 6.04e-15 for
+    the frequency rule and 1.94e-14 for the severity rule.
+    """
+
+    @pytest.mark.parametrize(
+        ("rule", "bound"),
+        [(FreqRule(19, 1), 6.05e-15), (SeverityRule(9, 1, 2, 16800.0), 1.94e-14)],
+        ids=["freq19", "sev9"],
+    )
+    def test_level_masses_match_400_digit_reference(self, rule, bound):
+        model = parse_model(PRESETS["ex3c"])
+        grid = build_grid(model.effects, 16)
+        field = conditional_stationary_field(model, rule, grid)[0]
+        cls, shape = model.portfolio.classes[0], model.severity.shape
+        freq_means = cls.freq_rate * grid.theta1
+        sev_means = cls.sev_rate * grid.theta2
+        solved, worst = {}, 0.0
+        with mp.workdps(400):
+            for node in range(grid.size):
+                key = (float(freq_means[node]), float(sev_means[node]) if rule.large_step > rule.small_step else 0.0)
+                if key not in solved:
+                    exceed = mp.mpf(0)
+                    if key[1]:
+                        with mp.workdps(50):  # the tail to 50 digits moves no mass visibly
+                            exceed = +mp.gammainc(
+                                mp.mpf(shape),
+                                mp.mpf(rule.threshold) * mp.mpf(shape) / mp.mpf(key[1]),
+                                mp.inf,
+                                regularized=True,
+                            )
+                    solved[key] = _exact_stationary(rule, key[0], exceed)
+                for mass, ref in zip(field[node], solved[key]):
+                    if ref > mp.mpf("1e-290"):
+                        worst = max(worst, float(abs(mp.mpf(float(mass)) - ref) / ref))
+        assert worst <= bound, worst

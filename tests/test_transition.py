@@ -7,6 +7,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,3 +334,49 @@ class TestExtremeThresholds:
             SimConfig(model, SeverityRule(9, 1, 2, math.inf), 1_000, seed=1, burn_in_years=5)
         )
         assert summary.counts.sum() == 1_000
+
+
+def _reference_tails(mean: float, kmax: int) -> list:
+    """``P(N > k)`` for ``k = 0..kmax`` at 50 digits, from positive terms.
+
+    Below the top count the tail starts from the upward sum of probabilities
+    above ``kmax``; above it, from one minus the distribution function.  Either
+    way the rest follow down by adding probabilities.
+    """
+    with mp.workdps(50):
+        m = mp.mpf(mean)
+        pmf = [mp.exp(-m)]
+        for k in range(1, kmax + 1):
+            pmf.append(pmf[-1] * m / k)
+        if m > kmax + 1:
+            top = 1 - mp.fsum(pmf)
+        else:
+            term, top, k = pmf[-1], mp.mpf(0), kmax
+            while True:
+                k += 1
+                term = term * m / k
+                top += term
+                if term < top * mp.mpf("1e-60") or term == 0:
+                    break
+        tails = [top]
+        for k in range(kmax, 0, -1):
+            tails.append(tails[-1] + pmf[k])
+        return tails[::-1]
+
+
+class TestTailRecurrence:
+    """Claim-count tails summed from the Poisson pmf against 50-digit references."""
+
+    MEANS = [0.0, 1e-300] + [10.0**e for e in range(-6, 7)] + [1e20]
+
+    @pytest.mark.parametrize("z", [1, 2, 9, 40, 200, 1000])
+    def test_tails_match_50_digit_reference(self, z):
+        _, T = jump_tails(FreqRule(z, 1), np.array(self.MEANS), 0.0)
+        assert np.min(T) >= 0.0 and np.max(T) <= 1.0
+        assert np.all(np.diff(T, axis=1) <= 0.0)
+        worst = 0.0
+        for row, mean in zip(T, self.MEANS):
+            for value, ref in zip(row, _reference_tails(mean, z - 1)):
+                if ref >= np.finfo(float).tiny:
+                    worst = max(worst, float(abs(mp.mpf(float(value)) - ref) / ref))
+        assert worst <= 1e-13, worst
