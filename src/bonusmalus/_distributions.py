@@ -11,23 +11,28 @@ for Q, and Temme's uniform expansion (DLMF 8.12) where ``a > 20`` and
 shape).  Each element is computed on the side, P or Q, that its region gives
 directly; the other side is its complement, which is about 1/2 or more, so no
 small value comes from a subtraction.  The fraction runs bottom-up and the
-series are sums of cumulative products, each to a depth bounded in advance
-from the slowest element; a depth above ``MAX_TERMS`` raises
-``BonusMalusError``.
+series are sums of cumulative products, each to a depth bounded in advance; a
+depth above ``MAX_TERMS`` raises ``BonusMalusError``.  Every choice of region,
+path and depth is made per element, so no value depends on the other
+arguments in its call.
 
-Near underflow the error comes from the exponent of ``x**a e**-x / Gamma(a)``,
-which reaches about 745 in magnitude.  Its parts are kept exact: ``x`` itself,
-``lgamma(a)`` from ``decimal`` once per shape, and ``a ln x`` in double-double
-arithmetic from a table-driven logarithm, so the exponent's absolute error is
-near ``a * 1e-22``.  Temme's expansion reads the deviance
-``bd0(a, x) = a ln(a / x) + x - a``, Loader's saddle-point term, as
-``C(a)`` minus that exponent with ``C(a) = a ln a - a - lgamma(a)``; above
+The prefactor ``x**a e**-x / Gamma(a)`` is the product of ``x**a``,
+``e**-x`` (scaled by ``e**700`` above ``x = 700``) and ``1 / Gamma(a)``
+wherever those and their product are normal doubles.  Near underflow and
+at large shapes the error comes from its exponent, which reaches about 745 in
+magnitude; there the parts of the exponent are kept exact: ``x`` itself,
+``lgamma(a)`` from ``decimal`` once per shape, and, wherever ``a |ln x| > 8``,
+``a ln x`` in double-double arithmetic from a table-driven logarithm, so the
+exponent's absolute error is near ``a * 1e-22``.  Temme's expansion reads
+the deviance ``bd0(a, x) = a ln(a / x) + x - a``, Loader's saddle-point term,
+as ``C(a)`` minus that exponent with ``C(a) = a ln a - a - lgamma(a)``; above
 shapes of 1e6 it comes from a series in ``(x - a) / (x + a)`` instead.
 
 The public functions keep the edge handling of ``scipy.stats.gamma`` and
 ``scipy.stats.poisson``: NaN for an invalid parameter or a NaN argument, the
 limits at the support edges and at +-inf.  A 0-d result comes back as a numpy
-scalar, as from ``scipy.stats``.
+scalar, as from ``scipy.stats``.  The density takes a shape per argument, so
+one call serves several gamma laws.
 """
 
 from __future__ import annotations
@@ -161,6 +166,7 @@ _LN2_HI = 6.93147180369123816490e-01  # ln 2 to 32 bits, so e * _LN2_HI is exact
 _LN2_LO = 1.90821492927058770002e-10
 _SQRT_HALF = math.sqrt(0.5)
 _TINY = np.finfo(float).tiny
+_EXP_M700 = math.exp(-700.0)  # the double nearest e**-700
 _LN_SQRT_2PI = Decimal("0.91893853320467274178032973640561763986139747363778")
 _EULER = Decimal("0.57721566490153286060651209008240243104215933593992")
 # lgamma(1 + a) = -euler a + sum_k (-1)**k zeta(k) / k a**k; the k = 2, 3, 4 terms
@@ -221,10 +227,10 @@ def _split(a):
     return hi, a - hi
 
 
-def _split_scalar(a: float) -> tuple[float, float]:
-    """Dekker's split of one float, exact for every finite ``a``."""
-    m, e = math.frexp(a)
-    hi = math.ldexp(math.floor(m * 67108864.0) / 67108864.0, e)
+def _split_exact(a):
+    """Dekker's split, exact for every finite ``a``, however large."""
+    m, e = np.frexp(a)
+    hi = np.ldexp(np.floor(m * 67108864.0) / 67108864.0, e)
     return hi, a - hi
 
 
@@ -243,34 +249,43 @@ def _dd(value: Decimal) -> tuple[float, float]:
 
 def _stirlerr(b: Decimal) -> Decimal:
     """``lgamma(b) - ((b - 1/2) ln b - b + ln sqrt(2 pi))`` for ``b >= 30``."""
-    return sum(Decimal(num) / (den * b ** (2 * k + 1)) for k, (num, den) in enumerate(_STIRLING))
-
-
-def _lgamma(a: Decimal) -> Decimal:
-    shift = max(0, 30 - int(a))  # Stirling's series at a + shift >= 30
-    b = a + shift
-    product = Decimal(1)
-    for j in range(shift):
-        product *= a + j
-    return (b - Decimal("0.5")) * b.ln() - b + _LN_SQRT_2PI + _stirlerr(b) - product.ln()
+    inv = 1 / b
+    inv2, total = inv * inv, Decimal(0)
+    for num, den in reversed(_STIRLING):
+        total = total * inv2 + Decimal(num) / den
+    return total * inv
 
 
 @lru_cache(maxsize=256)
 def _shape_terms(a: float):
-    """``lgamma(a)`` and ``C(a) = a ln a - a - lgamma(a)`` as double-doubles; ``lgamma(1 + a)``."""
+    """Per-shape constants, from 40-digit ``decimal`` arithmetic.
+
+    The prefactor's ``(lgamma(a), its low part, 1 / Gamma(a))``, with
+    ``lgamma`` as a double-double; ``C(a) = a ln a - a - lgamma(a)`` as a
+    double-double; ``lgamma(1 + a)``.
+    """
     with localcontext() as ctx:
         ctx.prec = 40
         d = Decimal(a)
-        ln_a, lgamma = d.ln(), _lgamma(d)
-        if d >= 30:  # the closed form has no cancellation at large shapes
-            c = ln_a / 2 - _LN_SQRT_2PI - _stirlerr(d)
-        else:
+        ln_a = d.ln()
+        shift = max(0, 30 - int(d))  # Stirling's series at d + shift >= 30
+        if shift:
+            b, product = d + shift, Decimal(1)
+            for j in range(shift):
+                product *= d + j
+            lgamma = (b - Decimal("0.5")) * b.ln() - b + _LN_SQRT_2PI + _stirlerr(b)
+            lgamma -= product.ln()
             c = d * ln_a - d - lgamma
+        else:  # the closed form of C has no cancellation at large shapes
+            stirlerr = _stirlerr(d)
+            lgamma = (d - Decimal("0.5")) * ln_a - d + _LN_SQRT_2PI + stirlerr
+            c = ln_a / 2 - _LN_SQRT_2PI - stirlerr
         if d < Decimal("1e-5"):  # lgamma(a) + ln a would cancel
             lgamma1p = -_EULER * d + sum(t * d ** (k + 2) for k, t in enumerate(_LGAMMA1P))
         else:
             lgamma1p = lgamma + ln_a
-        return _dd(lgamma), _dd(c), float(lgamma1p)
+        rgamma = float((-lgamma).exp()) if lgamma < 745 else 0.0
+        return (*_dd(lgamma), rgamma), _dd(c), float(lgamma1p)
 
 
 def _log_dd(x):
@@ -300,29 +315,24 @@ def _log_dd(x):
     return hi, err + err2 + e * _LN2_LO + table_lo[idx] + 2.0 * v_lo + tail
 
 
-def _log_prefactor(a: float, x):
-    """``ln(x**a e**-x / Gamma(a))`` for positive ``x`` as a double-double.
+def _log_prefactor(a, x, terms):
+    """``ln(x**a e**-x / Gamma(a))`` for positive finite ``x`` as a double-double.
 
-    ``x`` and ``lgamma(a)`` are exact and ``a ln x`` is a double-double, so the
-    absolute error is near ``a * 1e-22``; where ``a |ln x| <= 8`` at every
-    ``x`` whose prefactor can exceed the underflow bound, ``ln x`` in double
-    serves, adding at most about ``12 * 2**-53``.  When every ``x`` lies within
-    ``0.1 a`` of ``a`` the exponent is ``C(a) - bd0(a, x)`` from the deviance's
-    series, with no logarithm.
+    ``a`` is a scalar or an array like ``x``, and ``terms`` its prefactor
+    terms from ``_shape_terms``.  ``x`` and ``lgamma(a)`` are exact and,
+    wherever ``a |ln x| > 8``, ``a ln x`` is a double-double, so the absolute
+    error is near ``a * 1e-22``; elsewhere ``ln x`` in double adds at most
+    about ``12 * 2**-53``.  The choice is made per element.
     """
-    (lgamma, lgamma_lo), (c, c_lo), _ = _shape_terms(a)
-    if np.all(np.abs(x - a) < 0.1 * a):  # near the mode the deviance needs no logarithm
-        v, v_lo = _deviance_near(a, x)
-        hi, lo = _two_sum(c, -v)
-        return hi, lo + c_lo - v_lo
+    lgamma, lgamma_lo = terms[0], terms[1]
     lx = np.log(x)
-    # Above x = a + 1000 the prefactor underflows whatever its exponent's error.
-    if np.any((a * np.abs(lx) > 8.0) & (x < a + 1000.0)):
-        lx, lx_lo = _log_dd(x)
-        y, y_lo = _two_prod(a, lx, _split_scalar(a))
-        y, y_lo = _two_sum(y, y_lo + a * lx_lo)
-    else:
-        y, y_lo = a * lx, 0.0
+    y, y_lo = a * lx, np.zeros_like(lx)
+    exact = a * np.abs(lx) > 8.0
+    if exact.any():
+        a_exact = _take(a, exact)
+        lx_hi, lx_lo = _log_dd(x[exact])
+        p, p_lo = _two_prod(a_exact, lx_hi, _split_exact(a_exact))
+        y[exact], y_lo[exact] = _two_sum(p, p_lo + a_exact * lx_lo)
     hi, lo = _two_sum(y, -x)
     hi, lo2 = _two_sum(hi, -lgamma)
     return hi, lo + lo2 + y_lo - lgamma_lo
@@ -333,10 +343,41 @@ def _exp_dd(hi, lo):
     return np.where(hi < -760.0, 0.0, np.exp(hi) * (1.0 + lo))
 
 
-def _prefactor(a: float, x):
-    """``x**a e**-x / Gamma(a)`` for positive ``x``, 0 at ``x = inf``."""
-    with np.errstate(invalid="ignore"):
-        return _exp_dd(*_log_prefactor(a, x))
+def _prefactor(a, x, terms):
+    """``x**a e**-x / Gamma(a)`` for positive ``x``, 0 at ``x = inf``.
+
+    ``a`` and ``terms`` as for ``_log_prefactor``.  Where ``x**a``,
+    ``e**-(x - s)``, ``1 / Gamma(a)`` and their product are normal doubles it
+    is that product times ``e**-s``, with ``s = 0`` below ``x = 700`` and
+    ``s = 700`` above, so ``e**-x`` need not be a normal double: within about
+    2.5 ulps below ``x = 700`` and 3.6 ulps above (``pow`` and ``exp`` round
+    to within 0.55 ulp).  Elsewhere it is the exponential of the
+    double-double exponent, or 0 where the exponent in double lies below
+    -746.  The choice is made per element.
+    """
+    lgamma, rgamma = terms[0], terms[2]
+    with np.errstate(all="ignore"):
+        lx = np.log(x)
+        power = a * lx
+        exponent = power - x - lgamma  # in double
+        shift = np.where(x < 700.0, 0.0, 700.0)
+        direct = (np.abs(power) < 700.0) & (x < 1400.0) & (exponent + shift > -700.0)
+        direct &= rgamma >= _TINY
+        out = np.zeros_like(x)
+        if direct.any():
+            xd, sd = x[direct], shift[direct]
+            product = xd ** _take(a, direct) * np.exp(sd - xd) * _take(rgamma, direct)
+            out[direct] = product * np.where(sd > 0.0, _EXP_M700, 1.0)
+    # Below an exponent of -746 the value rounds to 0 whatever its error.
+    far = ~direct & (exponent > -746.0)
+    if far.any():
+        out[far] = _exp_dd(*_log_prefactor(_take(a, far), x[far], [_take(t, far) for t in terms]))
+    return out
+
+
+def _take(value, mask):
+    """``value[mask]``, or a scalar as it is."""
+    return value[mask] if np.ndim(value) else value
 
 
 def _deviance(a: float, x, log_prefactor):
@@ -470,18 +511,19 @@ def _fraction(a: float, x, f):
     Bottom-up: ``u_{k-1} = (x - a + 2k - 1) - k (k - a) / u_k`` and ``Q = f / u_0``.
     Where ``n >= 4 max(x, a)`` the run starts from the tail's expansion
     ``u_n = n + sum_j c_j n**((1 - j) / 2)``, ``j < 6``, and elsewhere from
-    ``x - a + 2n + 1``.  Its depth is a bound, fitted with a margin of 3.6 or
-    more over ``a`` in (0, 20], ``x >= max(1.1, a)`` and over ``a > 20``,
-    ``x >= 1.3 a``, on the depth at which truncation moves Q by 2**-55; the
-    slowest element has the smallest ``x``.
+    ``x - a + 2n + 1``.  Its depth ``n`` is a bound, fitted with a margin of
+    3.6 or more over ``a`` in (0, 20], ``x >= max(1.1, a)`` and over
+    ``a > 20``, ``x >= 1.3 a``, on the depth at which truncation moves Q by
+    2**-55.  It falls as ``x`` grows, so the run takes it at the region's
+    smallest ``x`` for every element: no value depends on the batch.
     """
     live = f > 0.0
     if not live.any():
         return f
-    x_min = float(np.min(x[live]))
-    depth = math.ceil(8.0 + 38.0 / math.sqrt(x_min) + min(a, 20.0) * math.sqrt(min(1.0, a / x_min)))
+    x0 = max(1.1, a) if a <= 20.0 else 1.3 * a
+    depth = math.ceil(8.0 + 38.0 / math.sqrt(x0) + min(a, 20.0) * math.sqrt(min(1.0, a / x0)))
     if depth > MAX_TERMS:
-        raise _too_deep(a, x_min, "continued fraction", depth)
+        raise _too_deep(a, float(np.min(x[live])), "continued fraction", depth)
     level = (x - a) + np.arange(1.0, 2.0 * depth + 2.0, 2.0)[:, None]
     u = level[depth].copy()
     if a <= 0.25 * depth:
@@ -517,7 +559,7 @@ def _fraction_tail(a: float, x, n: int):
 
 def _upper_series(a: float, x):
     """Q for small x (DLMF 8.7.3): ``1 - x**a / Gamma(1 + a)`` plus the alternating remainder."""
-    _, _, lgamma1p = _shape_terms(a)
+    lgamma1p = _shape_terms(a)[2]
     # Below x = 1.1 the terms x**n / n! fall under 2**-58 by n = 20.
     n = np.arange(1.0, 21.0)[:, None]
     powers = _accumulate(np.multiply, x / -n)  # (-x)**n / n!
@@ -533,11 +575,12 @@ def _erfcx(z):
     zs = z[small]
     sq, sq_lo = _two_prod(zs, zs)
     out[small] = np.array([math.erfc(v) for v in zs.tolist()]) * np.exp(sq) * (1.0 + sq_lo)
-    r = 0.5 / np.square(z[~small])  # asymptotic series, 8 terms
-    poly = np.zeros_like(r)
-    for n in range(7, 0, -1):
-        poly = (poly + 1.0) * (1 - 2 * n) * r
-    out[~small] = (1.0 + poly) / (z[~small] * math.sqrt(math.pi))
+    if not small.all():
+        r = 0.5 / np.square(z[~small])  # asymptotic series, 8 terms
+        poly = np.zeros_like(r)
+        for n in range(7, 0, -1):
+            poly = (poly + 1.0) * (1 - 2 * n) * r
+        out[~small] = (1.0 + poly) / (z[~small] * math.sqrt(math.pi))
     return out
 
 
@@ -552,7 +595,14 @@ def _temme(a: float, x, deviance):
     sign = np.where(x >= a, 1.0, -1.0)
     coef = _TEMME.T @ a ** -np.arange(_TEMME.shape[0], dtype=float)
     eta = sign * np.sqrt(2.0 * v / a)
-    r = np.vander(eta, coef.size, increasing=True) @ coef
+    # Estrin's scheme, element by element: pair the terms and square eta
+    # until one term is left; the zero padding adds exact zeros.
+    r = np.concatenate([coef, np.zeros(32 - coef.size)])[:, None]
+    power = eta
+    while len(r) > 1:
+        r = r[0::2] + r[1::2] * power
+        power = power * power
+    r = r[0]
     body = 0.5 * _erfcx(np.sqrt(v)) + sign * r / math.sqrt(2.0 * math.pi * a)
     return _exp_dd(-v, -v_lo) * body
 
@@ -584,15 +634,17 @@ def _incomplete_gamma(a: float, x, upper: bool):
     with np.errstate(all="ignore"):
         if small_x.any():
             out[small_x] = _upper_series(a, x[small_x])
-        if not small_x.all():
-            e, e_lo = _log_prefactor(a, x)
-            f = _exp_dd(e, e_lo)  # x**a e**-x / Gamma(a)
-            for region, kernel in ((fraction, _fraction), (series, _lower_series)):
-                if region.any():
-                    out[region] = kernel(a, x[region], f[region])
-            if temme is not None and temme.any():
-                xt = x[temme]
-                out[temme] = _temme(a, xt, _deviance(a, xt, (e[temme], e_lo[temme])))
+        terms = _shape_terms(a)[0]
+        f = np.zeros_like(x)  # x**a e**-x / Gamma(a), where the fraction or the series needs it
+        needed = fraction | series
+        if needed.any():
+            f[needed] = _prefactor(a, x[needed], terms)
+        for region, kernel in ((fraction, _fraction), (series, _lower_series)):
+            if region.any():
+                out[region] = kernel(a, x[region], f[region])
+        if temme is not None and temme.any():
+            xt = x[temme]
+            out[temme] = _temme(a, xt, _deviance(a, xt, _log_prefactor(a, xt, terms)))
     np.subtract(1.0, out, out=out, where=~gives_q if upper else gives_q)
     return out
 
@@ -625,32 +677,45 @@ def _xlogy(a, y):
     return np.where(a == 0, 0.0, a * np.log(y))
 
 
-def gamma_pdf(x, shape: float, scale):
-    """Gamma density at ``x``."""
+def gamma_pdf(x, shape, scale):
+    """Gamma density at ``x``; ``shape`` broadcasts to ``x / scale``.
+
+    Inside the support it is the prefactor ``y**a e**-y / Gamma(a)`` over
+    ``y = x / scale``, or, where ``y**a`` underflows and ``y**(a - 1)`` need
+    not, the exponential of the prefactor's exponent less ``ln y``.  At
+    ``y = 0`` and ``y = inf``, and at an infinite shape, it is
+    ``exp(xlogy(a - 1, y) - y - lgamma(a))``.
+    """
     y, valid = _standardized(x, shape, scale)
-    inside = valid & (y >= 0)
+    a = np.broadcast_to(np.asarray(shape, dtype=float), y.shape)
     out = np.zeros(y.shape)
     out[~valid | np.isnan(y)] = np.nan
-    y_in = y[inside]
+    interior = valid & (y > 0) & (y < np.inf) & (a < np.inf)
+    edge = valid & (y >= 0) & ~interior
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_pdf = _xlogy(shape - 1.0, y_in) - y_in - math.lgamma(shape)
-        pdf = np.exp(log_pdf)
-        interior = (y_in > 0) & (y_in < np.inf)
-        if math.isfinite(shape) and interior.any():
-            # x**(a-1) e**-x / Gamma(a) is the prefactor over x, or its
-            # exponent less ln x where x**a underflows and x**(a-1) need not.
-            y_mid = y_in[interior]
-            e, e_lo = _log_prefactor(float(shape), y_mid)
-            dens = _exp_dd(e, e_lo) / y_mid
-            low = (dens * y_mid < _TINY) & (y_mid < 1.0)
-            if low.any():
-                lx, lx_lo = _log_dd(y_mid[low])
-                hi, lo = _two_sum(e[low], -lx)
-                hi, lo = _two_sum(hi, lo + e_lo[low] - lx_lo)
-                dens[low] = np.where(hi > 710.0, np.inf, _exp_dd(hi, lo))
-            pdf[interior] = dens
-    out[inside] = pdf / np.broadcast_to(scale, y.shape)[inside]
-    return out[()]
+        if edge.any():
+            y_edge, a_edge = y[edge], a[edge]
+            lgamma = np.array([math.lgamma(v) for v in a_edge.tolist()])
+            out[edge] = np.exp(_xlogy(a_edge - 1.0, y_edge) - y_edge - lgamma)
+        if interior.any():
+            out[interior] = _density(a[interior], y[interior])
+    return (out / scale)[()]  # 0 and NaN stay as they are outside
+
+
+def _density(a, y):
+    """``y**(a - 1) e**-y / Gamma(a)`` at positive finite ``y`` and finite shapes ``a``."""
+    terms = np.array([_shape_terms(shape)[0] for shape in a.tolist()]).T
+    prefactor = _prefactor(a, y, terms)
+    dens = prefactor / y
+    low = (prefactor < _TINY) & (y < 1.0)
+    if low.any():
+        y_low = y[low]
+        e, e_lo = _log_prefactor(a[low], y_low, terms[:, low])
+        lx, lx_lo = _log_dd(y_low)
+        hi, lo = _two_sum(e, -lx)
+        hi, lo = _two_sum(hi, lo + e_lo - lx_lo)
+        dens[low] = np.where(hi > 710.0, np.inf, _exp_dd(hi, lo))
+    return dens
 
 
 def poisson_cdf(k, mean, upper: bool = False):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,18 +157,36 @@ def posterior_density(theta1, theta2, history: ClaimHistory, model: MixtureBayes
     if model.unit_severity_effect:
         raise InconsistentHistoryError("posterior density undefined for a unit severity effect")
     aggregate = _observed_aggregate(history, "posterior density")
-    weights, (shape1, rate1), (shape2, rate2) = _posterior(
+    weights, shapes, scales = _density_mixture(
         model, history.total_count, history.years, aggregate
     )
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    out = np.zeros(np.broadcast(theta1, theta2).shape)
-    # One density call per effect covers every component.
-    dens1 = gamma_pdf(theta1[None], shape1, 1.0 / rate1.reshape((-1,) + (1,) * theta1.ndim))
-    dens2 = gamma_pdf(theta2[None], shape2, 1.0 / rate2.reshape((-1,) + (1,) * theta2.ndim))
-    for weight, d1, d2 in zip(weights[:, 0], dens1, dens2):
+    theta = np.stack(np.broadcast_arrays(np.asarray(theta1, float), np.asarray(theta2, float)))
+    out = np.zeros(theta.shape[1:])
+    # One density call covers both effects (axis 0) and every component (axis 1).
+    axes = (1,) * out.ndim
+    dens1, dens2 = gamma_pdf(
+        theta[:, None], shapes.reshape(shapes.shape + axes), scales.reshape(scales.shape + axes)
+    )
+    for weight, d1, d2 in zip(weights, dens1, dens2):
         out = out + weight * d1 * d2
     return out if out.shape else float(out)
+
+
+@lru_cache(maxsize=64)
+def _density_mixture(model: MixtureBayesModel, total_count, years, total_aggregate):
+    """Component weights, and the gamma shapes and scales of both effects stacked on axis 0.
+
+    They depend on the history only through its totals, so a density
+    integrated point by point computes them once.  Read-only.
+    """
+    weights, (shape1, rate1), (shape2, rate2) = _posterior(
+        model, total_count, years, total_aggregate
+    )
+    shapes = np.reshape([shape1, shape2], (2, 1))
+    parts = weights[:, 0], shapes, 1.0 / np.reshape([rate1, rate2], (2, -1))
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 @dataclass(frozen=True)

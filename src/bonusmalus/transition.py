@@ -20,12 +20,11 @@ from positive terms, and the lower tails follow by adding probabilities.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-from ._distributions import _accumulate, _prefactor, _rising_series
+from ._distributions import _accumulate, _prefactor, _rising_series, _shape_terms
 
 # Above this mean exp(-m) nears the underflow bound, so a mean's pmf starts
 # from its top count instead of from zero claims.
@@ -50,9 +49,8 @@ def _poisson_pmf(means: np.ndarray, kmax: int) -> np.ndarray:
 
     Row ``k`` holds ``pmf(k)`` for every mean.  A column runs up from
     ``exp(-m)`` by ``m / k``; where ``exp(-m)`` would underflow it runs down by
-    ``k / m`` from the top probability ``pmf(kmax)``, whose exponent
-    ``kmax ln m - m - lgamma(kmax + 1)`` is taken in double where it lies below
-    -600 and exactly (the kernel's prefactor) nearer the mean.
+    ``k / m`` from the top probability ``pmf(kmax)``, the kernel's prefactor
+    ``m**(kmax + 1) e**-m / kmax!`` over ``m``.
     """
     rows = np.empty((kmax + 1, means.size))
     rows[0] = np.exp(-means)
@@ -61,34 +59,27 @@ def _poisson_pmf(means: np.ndarray, kmax: int) -> np.ndarray:
     high = means > _TOP_START
     if high.any():
         m = means[high]
-        with np.errstate(invalid="ignore"):  # an infinite mean has no mass below the top
-            log_top = kmax * np.log(m) - m - math.lgamma(kmax + 1.0)
-            # Far below the mass near the mean the exponent in double serves;
-            # nearer, the top probability needs the exact one.
-            if np.max(log_top) < -600.0:
-                top = np.exp(log_top)
-            else:
-                top = _prefactor(kmax + 1.0, m) / m
-            down = np.empty((kmax + 1, m.size))
-            down[0] = top
-            down[1:] = np.arange(kmax, 0.0, -1.0)[:, None] / m
+        down = np.empty((kmax + 1, m.size))
+        down[0] = _prefactor(kmax + 1.0, m, _shape_terms(kmax + 1.0)[0]) / m
+        down[1:] = np.arange(kmax, 0.0, -1.0)[:, None] / m
         rows[:, high] = _accumulate(np.multiply, down)[::-1]
     return rows
 
 
-def _upper_tails(means: np.ndarray, kmax: int) -> np.ndarray:
+def _upper_tails(means: np.ndarray, pmf: np.ndarray) -> np.ndarray:
     """``P(N > k)`` for ``k = 0..kmax`` and every Poisson mean, level-major, from positive terms.
 
-    The top tail is ``1 - P(N <= kmax)`` where that is at least 1/2, and
-    otherwise the upward series of the probabilities above ``kmax``; the rest
-    follow down by ``P(N > k - 1) = P(N > k) + pmf(k)``, capped at 1 against
-    the rounding of the sums.
+    ``pmf`` holds the probabilities of ``0..kmax + 1`` claims.  The top tail
+    is ``1 - P(N <= kmax)`` where that is at least 1/2, and otherwise the
+    upward series of the probabilities above ``kmax``; the rest follow down by
+    ``P(N > k - 1) = P(N > k) + pmf(k)``, capped at 1 against the rounding of
+    the sums.
     """
-    pmf = _poisson_pmf(means, kmax + 1)
+    kmax = len(pmf) - 2
     terms = np.empty((kmax + 1, means.size))
     terms[1:] = pmf[kmax:0:-1]
     below = _accumulate(np.add, pmf[: kmax + 1])[-1]  # in level order, whatever the batch
-    large = below < 0.5
+    large = ~(below >= 0.5)  # and NaN, from an infinite mean
     terms[0] = 1.0 - below
     if not large.all():
         # P(N > kmax) = pmf(kmax + 1) sum_n m**n / ((kmax+2)...(kmax+1+n)), below kmax + 1
@@ -114,16 +105,18 @@ def jump_tails(rule, freq_means, exceed) -> tuple[np.ndarray, np.ndarray]:
     z = rule.max_level
     m1, m2 = means * (1.0 - exceed), means * exceed  # small and large claim means
     # A tail index never exceeds (z - 1) // step; index -1 is a row of zeros.
-    tail1 = _upper_tails(m1, (z - 1) // small)
+    tail1 = _upper_tails(m1, _poisson_pmf(m1, (z - 1) // small + 1))
     tail1 = np.concatenate([tail1, np.zeros((1, means.size))])
     counts = _small_counts(z, small, large)
-    law2 = _poisson_pmf(m2, z // large)
+    # The large-claim counts 0..z // large and the large-claim upper tails
+    # read one pmf, as z // large <= (z - 1) // large + 1.
+    law2 = _poisson_pmf(m2, (z - 1) // large + 1)
     tails = np.zeros((z, means.size))
     # One large-claim count at a time keeps the memory at profiles x z.  A
     # count of zero probability for every profile adds nothing; at exceedance
     # 0 that is every count but 0.
-    for k2 in np.flatnonzero(law2.any(axis=1)):
+    for k2 in np.flatnonzero(law2[: z // large + 1].any(axis=1)):
         tails += law2[k2] * tail1[counts[:, k2]]
     if m2.any():  # with no large claims the upper tail is all zeros
-        tails += _upper_tails(m2, (z - 1) // large)[np.arange(z) // large]
+        tails += _upper_tails(m2, law2)[np.arange(z) // large]
     return np.exp(-means), tails.T

@@ -67,15 +67,26 @@ def _same(actual, expected) -> bool:
     )
 
 
+def double_double(ref) -> tuple[float, float]:
+    """A 50-digit reference as the pair ``(hi, lo)`` of doubles with ``hi + lo`` nearest it."""
+    with mp.workdps(50):
+        hi = float(ref)
+        return hi, float(ref - mp.mpf(hi))
+
+
 @functools.lru_cache(maxsize=None)
 def regularized_gamma(a: float, x: float) -> tuple:
-    """50-digit ``(P(a, x), Q(a, x))`` for ``a > 0`` and finite ``x > 0``.
+    """50-digit ``(P(a, x), Q(a, x))`` for ``a > 0`` and finite ``x > 0``, as double-doubles.
 
     The smaller side is evaluated and the other is its complement.  A side
     that a float bound puts below ``e**-850`` (far under the smallest
     subnormal) is taken as 0.  Above shapes of 1e15 the two-term uniform
     expansion (DLMF 8.12.3, ``c_0``) stands in, its relative error ``O(1/a)``.
     """
+    return tuple(double_double(side) for side in _regularized_gamma(a, x))
+
+
+def _regularized_gamma(a: float, x: float) -> tuple:
     with mp.workdps(50):
         if x < a:
             log_bound = a * math.log(x) - x - math.lgamma(a + 1.0) + math.log1p(x / (a + 1.0 - x))
@@ -127,16 +138,20 @@ def reference(law, x, means, upper: bool):
 
 
 def largest_errors(values, refs) -> tuple[float, float]:
-    """Largest relative error where the reference is a normal double, and largest absolute one below."""
-    rel = absolute = 0.0
-    with mp.workdps(50):
-        for value, ref in zip(values, refs):
-            gap = abs(mp.mpf(float(value)) - ref)
-            if ref >= TINY:
-                rel = max(rel, float(gap / ref))
-            else:
-                absolute = max(absolute, float(gap))
-    return rel, absolute
+    """Largest relative error where the reference is a normal double, and largest absolute one below.
+
+    ``refs`` are double-double pairs; ``value - hi`` is exact wherever the
+    error is below 1/2, so each error is good to a rounding of its own size.
+    A NaN value makes the errors NaN, which fails every gate.
+    """
+    values = np.asarray(values, dtype=float)
+    hi, lo = np.reshape(np.asarray(refs, dtype=float), (-1, 2)).T
+    gap = np.abs((values - hi) - lo)
+    normal = hi >= TINY
+    return (
+        float(np.max(gap[normal] / hi[normal], initial=0.0)),
+        float(np.max(gap[~normal], initial=0.0)),
+    )
 
 
 def scipy_law(law, x, means, upper: bool):
@@ -200,7 +215,7 @@ class TestClaimSizeLaws:
 
 
 def density_reference(x, shape: float, scale: float):
-    """50-digit gamma densities at ``x``.
+    """50-digit gamma densities at ``x``, as mpmath numbers.
 
     ``None`` marks an edge: a NaN or infinite argument, an invalid scale, or a
     density beyond the largest double, which must come out as ``inf``; there
@@ -276,7 +291,7 @@ def posterior_case(name: str):
                     None if None in (r, u, v) else r + mp.mpf(float(weight)) * u * v
                     for r, u, v in zip(refs, d1, d2)
                 ]
-    return actual, expected, refs
+    return actual, expected, [None if r is None else double_double(r) for r in refs]
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,7 +299,8 @@ def density_case(shape: float, scale: float):
     with np.errstate(all="ignore"):
         actual = gamma_pdf(DENSITY_X, shape, scale)
         expected = stats.gamma.pdf(DENSITY_X, shape, scale=scale)
-    return actual, expected, density_reference(DENSITY_X, shape, scale)
+    refs = density_reference(DENSITY_X, shape, scale)
+    return actual, expected, [None if r is None else double_double(r) for r in refs]
 
 
 @functools.lru_cache(maxsize=None)
@@ -488,6 +504,30 @@ class TestIncompleteGammaKernel:
                 nodes = [start + (mp.mpf(float(xi)) - start) * i / 16 for i in range(17)]
                 ref = mp.quad(lambda t: mp.exp((big_a - 1) * mp.log(t) - t - log_gamma), nodes)
                 assert abs(pi - ref) <= 1e-15 * ref and abs(qi - (1 - ref)) <= 1e-15 * (1 - ref)
+
+    @pytest.mark.parametrize("a", [0.67, 2.5, 40.0, 16801.0, 3e6])
+    def test_values_do_not_depend_on_the_batch(self, a):
+        # Each argument alone and inside a batch that spans every region,
+        # Temme's band near a and the far tails included: same bits, since
+        # every choice of algorithm is made per element.
+        near = a + math.sqrt(a) * np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
+        x = np.concatenate([a * np.geomspace(1e-3, 1e3, 41), near, a + np.array([1500.0, 3000.0])])
+        x = x[x > 0]
+        for upper in (False, True):
+            batch = gamma_cdf(x, a, 1.0, upper=upper)
+            assert np.array_equal(batch, [gamma_cdf(v, a, 1.0, upper=upper) for v in x])
+        with np.errstate(under="ignore"):
+            batch = gamma_pdf(x, a, 1.0)
+            assert np.array_equal(batch, [gamma_pdf(v, a, 1.0) for v in x])
+
+    @pytest.mark.parametrize("a", [700.0, 2000.0, 1e4])
+    def test_single_arguments_far_above_the_shape(self, a):
+        # Beyond x = a + 1000 the prefactor need not underflow at these
+        # shapes, so its exponent must stay exact for an argument alone too.
+        for x in a + np.array([1001.0, 1500.0, 2200.0, 3000.0]):
+            q = gamma_cdf(x, a, 1.0, upper=True)
+            hi, lo = regularized_gamma(a, float(x))[1]
+            assert abs((q - hi) - lo) <= 2e-15 * hi, (x, q, hi)
 
     def test_long_arrays_run_in_blocks(self):
         # The simulator asks for 65,536 exceedances at once; the fraction's

@@ -230,6 +230,17 @@ class TestStackedProfiles:
             assert p0[i] == pytest.approx(oracle_p0, abs=1e-10)
             assert np.allclose(T[i], oracle_T, atol=1e-10)
 
+    @pytest.mark.parametrize("rule", [SeverityRule(9, 1, 2, 1.0), FreqRule(1000, 1)], ids=str)
+    def test_large_means_do_not_depend_on_the_batch(self, rule):
+        # Above a mean of 700 a pmf column runs down from its top probability;
+        # a profile's tails must not depend on the other profiles beside it.
+        means = np.array([0.5, 3.0, 650.0, 701.0, 703.5, 900.0, 5000.0, 16800.0, 1e6])
+        exceed = np.array([0.0, 0.3, 0.5, 0.0, 0.99, 1.0, 0.2, 0.7, 0.4])
+        p0, T = jump_tails(rule, means, exceed)
+        for i, (mean, q) in enumerate(zip(means, exceed)):
+            single_p0, single_T = jump_tails(rule, mean, q)
+            assert p0[i] == single_p0[0] and np.array_equal(T[i], single_T[0]), mean
+
 
 class TestJumpTailInputs:
     @pytest.mark.parametrize("exceed", [-0.1, 1.1, math.nan])
