@@ -15,7 +15,6 @@ from .bayes import (
     bayes_agg_premium_fullhist,
     bayes_freq_premium,
     mse_comparison_mc,
-    posterior_density,
 )
 from .errors import (
     BonusMalusError,
@@ -69,7 +68,6 @@ from .relativity import (
 from .simulate import (
     SimConfig,
     SimSummary,
-    empirical_frequency_relativity,
     empirical_relativity,
     hmse_empirical,
     simulate_paths,
@@ -120,7 +118,6 @@ __all__ = [
     "build_grid",
     "check_rule",
     "conditional_stationary_field",
-    "empirical_frequency_relativity",
     "empirical_relativity",
     "hmse_empirical",
     "hmse_eval",
@@ -129,7 +126,6 @@ __all__ = [
     "optimal_relativity_dependent",
     "optimal_relativity_frequency",
     "optimal_relativity_severity",
-    "posterior_density",
     "rule_dominance_check",
     "severity_marginal_quantile",
     "simulate_paths",

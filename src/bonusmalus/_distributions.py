@@ -31,8 +31,7 @@ shapes of 1e6 it comes from a series in ``(x - a) / (x + a)`` instead.
 The public functions keep the edge handling of ``scipy.stats.gamma`` and
 ``scipy.stats.poisson``: NaN for an invalid parameter or a NaN argument, the
 limits at the support edges and at +-inf.  A 0-d result comes back as a numpy
-scalar, as from ``scipy.stats``.  The density takes a shape per argument, so
-one call serves several gamma laws.
+scalar, as from ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -318,21 +317,20 @@ def _log_dd(x):
 def _log_prefactor(a, x, terms):
     """``ln(x**a e**-x / Gamma(a))`` for positive finite ``x`` as a double-double.
 
-    ``a`` is a scalar or an array like ``x``, and ``terms`` its prefactor
-    terms from ``_shape_terms``.  ``x`` and ``lgamma(a)`` are exact and,
-    wherever ``a |ln x| > 8``, ``a ln x`` is a double-double, so the absolute
-    error is near ``a * 1e-22``; elsewhere ``ln x`` in double adds at most
-    about ``12 * 2**-53``.  The choice is made per element.
+    ``terms`` are the prefactor terms of the shape ``a`` from ``_shape_terms``.
+    ``x`` and ``lgamma(a)`` are exact and, wherever ``a |ln x| > 8``,
+    ``a ln x`` is a double-double, so the absolute error is near
+    ``a * 1e-22``; elsewhere ``ln x`` in double adds at most about
+    ``12 * 2**-53``.  The choice is made per element.
     """
     lgamma, lgamma_lo = terms[0], terms[1]
     lx = np.log(x)
     y, y_lo = a * lx, np.zeros_like(lx)
     exact = a * np.abs(lx) > 8.0
     if exact.any():
-        a_exact = _take(a, exact)
         lx_hi, lx_lo = _log_dd(x[exact])
-        p, p_lo = _two_prod(a_exact, lx_hi, _split_exact(a_exact))
-        y[exact], y_lo[exact] = _two_sum(p, p_lo + a_exact * lx_lo)
+        p, p_lo = _two_prod(a, lx_hi, _split_exact(a))
+        y[exact], y_lo[exact] = _two_sum(p, p_lo + a * lx_lo)
     hi, lo = _two_sum(y, -x)
     hi, lo2 = _two_sum(hi, -lgamma)
     return hi, lo + lo2 + y_lo - lgamma_lo
@@ -346,14 +344,14 @@ def _exp_dd(hi, lo):
 def _prefactor(a, x, terms):
     """``x**a e**-x / Gamma(a)`` for positive ``x``, 0 at ``x = inf``.
 
-    ``a`` and ``terms`` as for ``_log_prefactor``.  Where ``x**a``,
-    ``e**-(x - s)``, ``1 / Gamma(a)`` and their product are normal doubles it
-    is that product times ``e**-s``, with ``s = 0`` below ``x = 700`` and
-    ``s = 700`` above, so ``e**-x`` need not be a normal double: within about
-    2.5 ulps below ``x = 700`` and 3.6 ulps above (``pow`` and ``exp`` round
-    to within 0.55 ulp).  Elsewhere it is the exponential of the
-    double-double exponent, or 0 where the exponent in double lies below
-    -746.  The choice is made per element.
+    ``terms`` as for ``_log_prefactor``.  Where ``x**a``, ``e**-(x - s)``,
+    ``1 / Gamma(a)`` and their product are normal doubles it is that product
+    times ``e**-s``, with ``s = 0`` below ``x = 700`` and ``s = 700`` above,
+    so ``e**-x`` need not be a normal double: within about 2.5 ulps below
+    ``x = 700`` and 3.6 ulps above (``pow`` and ``exp`` round to within 0.55
+    ulp).  Elsewhere it is the exponential of the double-double exponent, or
+    0 where the exponent in double lies below -746.  The choice is made per
+    element.
     """
     lgamma, rgamma = terms[0], terms[2]
     with np.errstate(all="ignore"):
@@ -366,18 +364,13 @@ def _prefactor(a, x, terms):
         out = np.zeros_like(x)
         if direct.any():
             xd, sd = x[direct], shift[direct]
-            product = xd ** _take(a, direct) * np.exp(sd - xd) * _take(rgamma, direct)
+            product = xd**a * np.exp(sd - xd) * rgamma
             out[direct] = product * np.where(sd > 0.0, _EXP_M700, 1.0)
     # Below an exponent of -746 the value rounds to 0 whatever its error.
     far = ~direct & (exponent > -746.0)
     if far.any():
-        out[far] = _exp_dd(*_log_prefactor(_take(a, far), x[far], [_take(t, far) for t in terms]))
+        out[far] = _exp_dd(*_log_prefactor(a, x[far], terms))
     return out
-
-
-def _take(value, mask):
-    """``value[mask]``, or a scalar as it is."""
-    return value[mask] if np.ndim(value) else value
 
 
 def _deviance(a: float, x, log_prefactor):
@@ -671,51 +664,6 @@ def gamma_cdf(x, shape: float, scale, upper: bool = False):
     elif inside.any():
         out[inside] = _incomplete_gamma(float(shape), y[inside], upper)
     return out[()]
-
-
-def _xlogy(a, y):
-    return np.where(a == 0, 0.0, a * np.log(y))
-
-
-def gamma_pdf(x, shape, scale):
-    """Gamma density at ``x``; ``shape`` broadcasts to ``x / scale``.
-
-    Inside the support it is the prefactor ``y**a e**-y / Gamma(a)`` over
-    ``y = x / scale``, or, where ``y**a`` underflows and ``y**(a - 1)`` need
-    not, the exponential of the prefactor's exponent less ``ln y``.  At
-    ``y = 0`` and ``y = inf``, and at an infinite shape, it is
-    ``exp(xlogy(a - 1, y) - y - lgamma(a))``.
-    """
-    y, valid = _standardized(x, shape, scale)
-    a = np.broadcast_to(np.asarray(shape, dtype=float), y.shape)
-    out = np.zeros(y.shape)
-    out[~valid | np.isnan(y)] = np.nan
-    interior = valid & (y > 0) & (y < np.inf) & (a < np.inf)
-    edge = valid & (y >= 0) & ~interior
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if edge.any():
-            y_edge, a_edge = y[edge], a[edge]
-            lgamma = np.array([math.lgamma(v) for v in a_edge.tolist()])
-            out[edge] = np.exp(_xlogy(a_edge - 1.0, y_edge) - y_edge - lgamma)
-        if interior.any():
-            out[interior] = _density(a[interior], y[interior])
-    return (out / scale)[()]  # 0 and NaN stay as they are outside
-
-
-def _density(a, y):
-    """``y**(a - 1) e**-y / Gamma(a)`` at positive finite ``y`` and finite shapes ``a``."""
-    terms = np.array([_shape_terms(shape)[0] for shape in a.tolist()]).T
-    prefactor = _prefactor(a, y, terms)
-    dens = prefactor / y
-    low = (prefactor < _TINY) & (y < 1.0)
-    if low.any():
-        y_low = y[low]
-        e, e_lo = _log_prefactor(a[low], y_low, terms[:, low])
-        lx, lx_lo = _log_dd(y_low)
-        hi, lo = _two_sum(e, -lx)
-        hi, lo = _two_sum(hi, lo + e_lo - lx_lo)
-        dens[low] = np.where(hi > 710.0, np.inf, _exp_dd(hi, lo))
-    return dens
 
 
 def poisson_cdf(k, mean, upper: bool = False):

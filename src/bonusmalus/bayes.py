@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._distributions import gamma_pdf
 from .errors import InconsistentHistoryError, ModelValidationError
 from .model import ClaimHistory, MixtureExponentialEffects
 from .quadrature import _branches
@@ -100,14 +98,6 @@ def _premium(model: MixtureBayesModel, total_count, years, total_aggregate=None,
     return scale * np.sum(weights * (shape1 / rate1) * theta2_mean, axis=0)
 
 
-def _observed_aggregate(history: ClaimHistory, what: str) -> float:
-    if history.years == 0:
-        return 0.0
-    if history.aggregates is None:
-        raise InconsistentHistoryError(f"{what} needs aggregate severities")
-    return history.total_aggregate
-
-
 def bayes_freq_premium(history: ClaimHistory, model: MixtureBayesModel) -> float:
     """Expected next-year claim count given the count history.
 
@@ -143,50 +133,10 @@ def bayes_agg_premium_fullhist(history: ClaimHistory, model: MixtureBayesModel) 
     Under ``unit_severity_effect`` claim sizes are uninformative and the
     premium equals ``bayes_agg_premium_freqhist`` exactly, for every history.
     """
-    aggregate = _observed_aggregate(history, "full-history premium")
+    if history.years and history.aggregates is None:
+        raise InconsistentHistoryError("full-history premium needs aggregate severities")
+    aggregate = history.total_aggregate if history.years else 0.0
     return float(_premium(model, history.total_count, history.years, aggregate)[0])
-
-
-def posterior_density(theta1, theta2, history: ClaimHistory, model: MixtureBayesModel):
-    """Joint posterior density of the effects given a full claim history.
-
-    A two-component mixture of products of gamma densities; with an empty
-    history it reduces to the prior.  Not defined for the unit-severity
-    variant, whose severity effect is a point mass.
-    """
-    if model.unit_severity_effect:
-        raise InconsistentHistoryError("posterior density undefined for a unit severity effect")
-    aggregate = _observed_aggregate(history, "posterior density")
-    weights, shapes, scales = _density_mixture(
-        model, history.total_count, history.years, aggregate
-    )
-    theta = np.stack(np.broadcast_arrays(np.asarray(theta1, float), np.asarray(theta2, float)))
-    out = np.zeros(theta.shape[1:])
-    # One density call covers both effects (axis 0) and every component (axis 1).
-    axes = (1,) * out.ndim
-    dens1, dens2 = gamma_pdf(
-        theta[:, None], shapes.reshape(shapes.shape + axes), scales.reshape(scales.shape + axes)
-    )
-    for weight, d1, d2 in zip(weights, dens1, dens2):
-        out = out + weight * d1 * d2
-    return out if out.shape else float(out)
-
-
-@lru_cache(maxsize=64)
-def _density_mixture(model: MixtureBayesModel, total_count, years, total_aggregate):
-    """Component weights, and the gamma shapes and scales of both effects stacked on axis 0.
-
-    They depend on the history only through its totals, so a density
-    integrated point by point computes them once.  Read-only.
-    """
-    weights, (shape1, rate1), (shape2, rate2) = _posterior(
-        model, total_count, years, total_aggregate
-    )
-    shapes = np.reshape([shape1, shape2], (2, 1))
-    parts = weights[:, 0], shapes, 1.0 / np.reshape([rate1, rate2], (2, -1))
-    for part in parts:
-        part.flags.writeable = False
-    return parts
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
             raise ConfigError(f"config file not found: {path}")
         try:
             user = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
@@ -247,13 +247,16 @@ def _fmt(x, precision: int) -> str:
         return "undefined"
     if precision < 0:
         return repr(x)
-    return f"{x:.{precision}f}"
+    try:
+        return f"{x:.{precision}f}"
+    except ValueError as exc:  # a precision beyond what str.format takes
+        raise ConfigError(f"bad 'precision' {precision}: {exc}") from exc
 
 
 def _jnum(x, precision: int):
-    x = float(x)
-    if np.isnan(x):
+    if x is None or np.isnan(x):
         return None
+    x = float(x)
     return x if precision < 0 else round(x, precision)
 
 
@@ -299,7 +302,7 @@ def _json(payload) -> str:
 def _table_payload(table, precision: int) -> dict:
     return {
         "rule": _rule_name(table.rule),
-        "threshold": table.threshold,
+        "threshold": _jnum(table.threshold, precision),
         "family": table.family,
         "quadrature_nodes": table.nodes,
         "levels": [
@@ -586,9 +589,6 @@ def main(argv=None) -> int:
     except BonusMalusError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

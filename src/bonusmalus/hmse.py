@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelMismatchError
+from .errors import LevelMismatchError, ModelValidationError
 from .model import ModelSpec, SeverityRule
 from .quadrature import DEFAULT_NODES
 from .relativity import (
@@ -98,7 +98,7 @@ def threshold_scan(
     """
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
-        raise ValueError("need at least one threshold candidate")
+        raise ModelValidationError("need at least one threshold candidate")
     tables = [
         optimal_relativity_severity(model, rule.with_threshold(phi), nodes)
         for phi in thresholds
@@ -121,11 +121,11 @@ def rule_dominance_check(
     freq_rules = list(freq_rules)
     severity_rules = list(severity_rules)
     if not freq_rules or not severity_rules:
-        raise ValueError("both rule grids must be non-empty")
+        raise ModelValidationError("both rule grids must be non-empty")
     diagonal = {(r.max_level, r.small_step, r.large_step) for r in severity_rules}
     for fr in freq_rules:
         if (fr.max_level, fr.step, fr.step) not in diagonal:
-            raise ValueError(
+            raise ModelValidationError(
                 f"severity grid must contain the equal-step rule matching {fr}"
             )
     freq_best = min(

@@ -17,7 +17,12 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
 from ._distributions import gamma_cdf, poisson_cdf
-from .errors import BracketingFailureError, NonFiniteIntegrandError, UnsupportedEffectsError
+from .errors import (
+    BracketingFailureError,
+    ModelValidationError,
+    NonFiniteIntegrandError,
+    UnsupportedEffectsError,
+)
 from .model import (
     DegenerateEffects,
     GammaSeverity,
@@ -56,16 +61,28 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _gauss_rule(build, n: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's rule ``build(n)``, refused where building it overflows (past a few hundred nodes)."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            rule = build(n)
+    except FloatingPointError:
+        rule = (np.array([math.nan]),)
+    if not all(np.all(np.isfinite(part)) for part in rule):
+        raise ModelValidationError(f"quadrature_nodes={n} overflows numpy's {name} rule")
+    return rule
+
+
 @lru_cache(maxsize=16)
 def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     # Nodes/weights for a standard normal: integrate f(z) phi(z) dz.
-    x, w = hermgauss(n)
+    x, w = _gauss_rule(hermgauss, n, "Gauss-Hermite")
     return _read_only(math.sqrt(2.0) * x, w / math.sqrt(math.pi))
 
 
 @lru_cache(maxsize=16)
 def _laguerre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _read_only(*laggauss(n))
+    return _read_only(*_gauss_rule(laggauss, n, "Gauss-Laguerre"))
 
 
 def _branches(effects: MixtureExponentialEffects) -> list[tuple[float, float]]:
@@ -85,13 +102,14 @@ def build_grid(effects: RandomEffectJoint, n: int = DEFAULT_NODES) -> Quadrature
     """Build the joint quadrature grid for a random-effect law.
 
     ``n`` is the node count per dimension (and per mixture branch) and must be
-    at least 8 for the mean-one checks to hold at their stated tolerances.
+    at least 8 for the mean-one checks to hold at their stated tolerances,
+    and no more than numpy's Gauss rule builds without overflow.
     """
     if isinstance(effects, DegenerateEffects):
         one = np.array([1.0])
         return QuadratureGrid(one, one.copy(), one.copy())
     if n < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes per dimension, got {n}")
+        raise ModelValidationError(f"need at least {MIN_NODES} nodes per dimension, got {n}")
     if isinstance(effects, LognormalCopulaEffects):
         z, w = _hermite_nodes(n)
         z1 = np.repeat(z, n)
@@ -123,11 +141,11 @@ def marginal_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted nodes for one effect marginal (``component`` is 1 or 2)."""
     if component not in (1, 2):
-        raise ValueError("component must be 1 or 2")
+        raise ModelValidationError("component must be 1 or 2")
     if isinstance(effects, DegenerateEffects):
         return np.array([1.0]), np.array([1.0])
     if n < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes per dimension, got {n}")
+        raise ModelValidationError(f"need at least {MIN_NODES} nodes per dimension, got {n}")
     if isinstance(effects, LognormalCopulaEffects):
         log_var = effects.log_var1 if component == 1 else effects.log_var2
         if log_var == 0.0:
@@ -165,10 +183,10 @@ def severity_marginal_quantile(
     classes (portfolio weights) and over the severity effect marginal.  The
     root is found by Brent's method on ``[0, hi]`` with absolute tolerance
     1e-12 and relative tolerance 1e-10.  A level the claim-size mass at zero
-    already reaches has no positive quantile and raises ``ValueError``.
+    already reaches has no positive quantile and raises ``ModelValidationError``.
     """
     if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {p}")
+        raise ModelValidationError(f"quantile level must lie in (0, 1), got {p}")
     theta2, w2 = marginal_grid(model.effects, 2, n)
     class_w = model.portfolio.weights
     means = np.outer(model.portfolio.sev_rates, theta2)  # (K, nodes)
@@ -179,7 +197,7 @@ def severity_marginal_quantile(
 
     at_zero = cdf(0.0)
     if at_zero >= p:
-        raise ValueError(
+        raise ModelValidationError(
             f"quantile level {p} is unattainable: the claim-size mass at zero is {at_zero:.6g}"
         )
     hi = float(np.max(means)) or 1.0

@@ -33,7 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientOccupancyError, InvalidRuleError, LevelMismatchError
+from .errors import (
+    InsufficientOccupancyError,
+    InvalidRuleError,
+    LevelMismatchError,
+    ModelValidationError,
+)
 from .model import BmsRule, DegenerateEffects, LognormalCopulaEffects, ModelSpec, _whole
 from .quadrature import severity_cdf
 
@@ -62,23 +67,16 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.rule, BmsRule):
             raise InvalidRuleError(f"unknown rule type {type(self.rule).__name__}")
-        for name in ("n_paths", "seed", "burn_in_years", "sample_years", "start_level"):
+        floors = {"n_paths": 1, "seed": 0, "burn_in_years": 0, "sample_years": 1, "start_level": 0}
+        for name, floor in floors.items():
             value = _whole(getattr(self, name))
-            if value is None:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            if value is None or value < floor:
+                raise ModelValidationError(
+                    f"{name} must be an integer of at least {floor}, got {getattr(self, name)!r}"
+                )
             object.__setattr__(self, name, value)
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got seed={self.seed}")
-        if self.n_paths < 1:
-            raise ValueError(f"need at least one path, got n_paths={self.n_paths}")
-        if self.burn_in_years < 0:
-            raise ValueError(f"burn-in cannot be negative, got burn_in_years={self.burn_in_years}")
-        if self.sample_years < 1:
-            raise ValueError(
-                f"need at least one sampled year, got sample_years={self.sample_years}"
-            )
-        if not 0 <= self.start_level <= self.rule.max_level:
-            raise ValueError("start level outside the level range")
+        if self.start_level > self.rule.max_level:
+            raise ModelValidationError("start level outside the level range")
 
 
 @dataclass(frozen=True)
@@ -264,9 +262,8 @@ def _require_occupancy(summary: SimSummary) -> None:
         )
 
 
-# Rows of ``SimSummary.sums`` holding x**0, x**1, ... of each family's target x.
+# Rows of ``SimSummary.sums`` holding x**0, x**1, ... of the aggregate target x.
 _AGGREGATE_ROWS = [0, 1, 2, 3, 4]  # t = theta1 * theta2
-_FREQUENCY_ROWS = [0, 5, 6]  # theta1
 
 
 def _family_sums(summary: SimSummary, rows, factor):
@@ -304,11 +301,6 @@ def empirical_relativity(summary: SimSummary) -> tuple[np.ndarray, np.ndarray]:
     given the level; each level must have been visited at least 1000 times.
     """
     return _ratio_estimate(summary, _AGGREGATE_ROWS, summary.freq_rates * summary.sev_rates)
-
-
-def empirical_frequency_relativity(summary: SimSummary) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency relativity estimates (conditional mean of the frequency effect)."""
-    return _ratio_estimate(summary, _FREQUENCY_ROWS, summary.freq_rates)
 
 
 def hmse_empirical(summary: SimSummary, relativities) -> tuple[float, float]:

@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._distributions import _accumulate, _prefactor, _rising_series, _shape_terms
+from .errors import ModelValidationError
 
 # Above this mean exp(-m) nears the underflow bound, so a mean's pmf starts
 # from its top count instead of from zero claims.
@@ -101,7 +102,7 @@ def jump_tails(rule, freq_means, exceed) -> tuple[np.ndarray, np.ndarray]:
     small, large = rule.small_step, rule.large_step
     means, exceed = np.broadcast_arrays(*np.atleast_1d(freq_means, exceed))
     if not np.all((exceed >= 0.0) & (exceed <= 1.0)):
-        raise ValueError("exceedance probabilities must lie in [0, 1]")
+        raise ModelValidationError("exceedance probabilities must lie in [0, 1]")
     z = rule.max_level
     m1, m2 = means * (1.0 - exceed), means * exceed  # small and large claim means
     # A tail index never exceeds (z - 1) // step; index -1 is a row of zeros.

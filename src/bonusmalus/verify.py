@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidRuleError, ModelValidationError
 from .hmse import hmse_eval
 from .model import FreqRule, ModelSpec, SeverityRule, _whole
 from .relativity import (
@@ -62,11 +63,11 @@ def check_rule(
     levels, whole numbers in ``[0, max_level]``.
     """
     if n_paths < 100_000:
-        raise ValueError("oracle comparisons need at least 1e5 paths")
+        raise ModelValidationError("oracle comparisons need at least 1e5 paths")
     if burn_in_years < 100:
-        raise ValueError("stationary estimates need at least 100 burn-in years")
+        raise ModelValidationError("stationary estimates need at least 100 burn-in years")
     if not isinstance(rule, (FreqRule, SeverityRule)):
-        raise TypeError(f"unknown rule type {type(rule).__name__}")
+        raise InvalidRuleError(f"unknown rule type {type(rule).__name__}")
     perturb = {_perturbed_level(rule, lvl): delta for lvl, delta in (perturb or {}).items()}
     if isinstance(rule, SeverityRule):
         table = optimal_relativity_severity(model, rule, nodes)
@@ -132,7 +133,9 @@ def check_rule(
 def _perturbed_level(rule, level) -> int:
     whole = _whole(level)
     if whole is None or not 0 <= whole <= rule.max_level:
-        raise ValueError(f"perturbed level {level!r} is not a level in [0, {rule.max_level}]")
+        raise ModelValidationError(
+            f"perturbed level {level!r} is not a level in [0, {rule.max_level}]"
+        )
     return whole
 
 

@@ -6,6 +6,13 @@ pairs with the level-update indicator, stationary rows from repeated
 squaring of the transition matrix or from a rank-corrected linear solve on
 any matrix, posterior means from adaptive quadrature of the prior times the
 likelihood, and severity tails from direct density integration.
+
+Two helpers wrap package internals instead, as test-only conveniences: the
+posterior density is a plain mixture of gamma densities on the package's own
+posterior weights, shapes and rates, which its tests integrate back to 1 and
+to the closed-form premium; and the frequency-family estimator wraps the
+simulator's own ratio estimate on the rows of its accumulator that hold the
+powers of the frequency effect.
 """
 
 from __future__ import annotations
@@ -17,7 +24,9 @@ import numpy as np
 from scipy import integrate, stats
 
 from bonusmalus import NonFiniteIntegrandError, SingularSystemError
+from bonusmalus.bayes import _posterior
 from bonusmalus.model import FreqRule
+from bonusmalus.simulate import _ratio_estimate
 
 COND_WARN = 1e12
 RESIDUAL_TOL = 1e-10
@@ -232,3 +241,36 @@ def joint_posterior_moment_quad(history, model, use_sizes: bool, power1=1, power
     den = float(np.sum(weight * posterior))
     num = float(np.sum(weight * posterior * T1**power1 * T2**power2))
     return num / den
+
+
+def _log_gamma_density(t, log_t, shape: float, rate: float):
+    return shape * math.log(rate) + (shape - 1.0) * log_t - rate * t - math.lgamma(shape)
+
+
+def posterior_density(theta1, theta2, history, model):
+    """Joint posterior density of the effects at positive ``(theta1, theta2)``.
+
+    Each component of ``bayes._posterior`` contributes its weight times a
+    gamma density per effect, summed from log space.
+    """
+    aggregate = history.total_aggregate if history.years else 0.0
+    weights, (shape1, rate1), (shape2, rate2) = _posterior(
+        model, history.total_count, history.years, aggregate
+    )
+    t1, t2 = np.broadcast_arrays(np.asarray(theta1, float), np.asarray(theta2, float))
+    log_t1, log_t2 = np.log(t1), np.log(t2)
+    total = np.zeros(t1.shape)
+    for weight, r1, r2 in zip(weights[:, 0], rate1[:, 0], rate2[:, 0]):
+        log_term = math.log(weight) + _log_gamma_density(t1, log_t1, float(shape1), r1)
+        total = total + np.exp(log_term + _log_gamma_density(t2, log_t2, float(shape2), r2))
+    return total if total.shape else float(total)
+
+
+def empirical_frequency_relativity(summary):
+    """Simulated frequency relativities with delta-method standard errors.
+
+    The simulator's ratio estimate of the premium-weighted mean of the
+    frequency effect per level: rows 0, 5 and 6 of ``summary.sums`` hold its
+    powers 0, 1 and 2, weighted by the squared frequency rates.
+    """
+    return _ratio_estimate(summary, [0, 5, 6], summary.freq_rates)

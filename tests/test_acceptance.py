@@ -202,10 +202,10 @@ def test_criterion_6_oracle_agreement_battery():
 
 def test_criterion_7_invariant_suite():
     """Spot re-run of the structural invariants at their stated tolerances."""
-    from bonusmalus import balance_check, posterior_density
+    from bonusmalus import balance_check
     from bonusmalus.stationary import _stationary_batch
     from bonusmalus.transition import jump_tails
-    from oracles import enumeration_matrix
+    from oracles import enumeration_matrix, posterior_density
     from scipy import integrate
 
     # Total jump mass and fixed-point residuals on the enumerated chain

@@ -20,9 +20,8 @@ from bonusmalus import (
     bayes_freq_premium,
     ModelValidationError,
     mse_comparison_mc,
-    posterior_density,
 )
-from oracles import freq_posterior_mean_quad, joint_posterior_moment_quad
+from oracles import freq_posterior_mean_quad, joint_posterior_moment_quad, posterior_density
 
 INTERIOR = MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0)
 SINGLE = MixtureExponentialEffects(1.0, 1.0, 5.0)  # boundary: one exponential component

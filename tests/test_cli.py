@@ -7,10 +7,12 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bonusmalus import cli
@@ -95,6 +97,25 @@ class TestRelativities:
         assert payload["levels"][0]["level"] == int(top[0])
         assert payload["levels"][0]["relativity"] == float(top[1])
         assert payload["levels"][0]["stationary_prob"] == float(top[2])
+
+    @pytest.mark.parametrize("precision", [3, -1])
+    def test_json_thresholds_rounded_like_the_scan(self, tmp_path, precision):
+        # A quantile threshold has more digits than the precision keeps.
+        payload = json.loads(json.dumps(SMALL_MODEL))
+        payload["quantiles"] = [0.9]
+        config = write_config(tmp_path, payload)
+        args = ["--config", config, "--format", "json", "--precision", str(precision)]
+        assert run(["relativities", *args, "--out", str(tmp_path / "tables")]) == 0
+        assert run(["hmse-scan", *args, "--out", str(tmp_path / "scan")]) == 0
+        tables = [json.loads(p.read_text()) for p in sorted((tmp_path / "tables").glob("*.json"))]
+        scan = json.loads((tmp_path / "scan" / "hmse_scan.json").read_text())
+        thresholds = [t["threshold"] for t in tables if t["threshold"] is not None]
+        assert [t["threshold"] for t in tables].count(None) == 1  # the frequency rule
+        assert sorted(thresholds) == sorted(row["threshold"] for row in scan)
+        if precision >= 0:
+            assert all(t == round(t, precision) for t in thresholds)
+        else:
+            assert any(t != round(t, 3) for t in thresholds)
 
     def test_frequency_rule_alone_needs_no_thresholds(self, tmp_path):
         payload = json.loads(json.dumps(SMALL_MODEL))
@@ -367,6 +388,42 @@ class TestSimulateFuzz:
         code, err = _run_fuzzed("simulate", payload)
         assert code in (0, 2, 3)
         assert "Traceback" not in err
+
+
+@st.composite
+def _verify_configs(draw):
+    """A fuzzed relativities config with its node count drawn, and at times a quantile level.
+
+    A quantile makes the verb resolve a threshold on the effect grid before
+    any check runs, so the node count reaches numpy's Gauss rules.
+    """
+    payload = draw(_relativities_configs())
+    payload["quadrature_nodes"] = draw(st.integers(8, 4096))
+    if draw(st.booleans()):
+        payload["quantiles"] = [0.9]
+    return payload
+
+
+def _record_checks(model, rule, n_paths, seed, nodes, burn_in_years):
+    return OracleCheck("stub", True, (), 0.0, 0.0, 0.0, None, None)
+
+
+class TestVerifyFuzz:
+    @given(_verify_configs())
+    @example({**SMALL_MODEL, "quadrature_nodes": 512, "quantiles": [0.9]})
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    def test_exits_0_2_3_or_4_without_traceback(self, payload):
+        # The checks themselves are recorded, not run, so no example simulates.
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            cli, "check_rule", _record_checks
+        ):
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(payload))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(["verify", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSimulateVerb:
@@ -642,6 +699,39 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "configuration error" in err and f"{named} must be an integer" in err
         assert not (tmp_path / "out").exists()
+
+    def test_node_count_beyond_numpy_rule_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["relativities", "--preset", "ex2a", "--quadrature-nodes", "512", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: quadrature_nodes=512 ")
+        assert not out.exists()
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run(["relativities", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config file is not valid JSON" in capsys.readouterr().err
+
+    def test_precision_beyond_str_format_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_MODEL)
+        argv = ["relativities", "--config", config, "--precision", str(10**11)]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "bad 'precision'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_exit_code_follows_the_exception_type_alone(self, tmp_path, monkeypatch):
+        # No catch-all: a bare ValueError is a defect to type where it is raised.
+        def untyped(*args, **kwargs):
+            raise ValueError("untyped")
+
+        monkeypatch.setattr(cli, "parse_model", untyped)
+        config = write_config(tmp_path, SMALL_MODEL)
+        with pytest.raises(ValueError, match="untyped"):
+            run(["relativities", "--config", config, "--out", str(tmp_path)])
 
     def test_numeric_failures_exit_3(self, tmp_path, monkeypatch):
         from bonusmalus.errors import BracketingFailureError

@@ -22,13 +22,20 @@ from bonusmalus import (
     ModelValidationError,
     NonUnitEffectMeanError,
     NonUnitWeightsError,
+    PoissonSeverity,
     Portfolio,
     RiskClass,
     SeverityRule,
     SimConfig,
     build_grid,
+    check_rule,
+    marginal_grid,
+    rule_dominance_check,
+    severity_marginal_quantile,
+    threshold_scan,
 )
-from conftest import SEV_RATE, degenerate_model
+from bonusmalus.transition import jump_tails
+from conftest import SEV_RATE, degenerate_model, study_model
 from oracles import poisson_truncation_bound
 
 
@@ -239,6 +246,43 @@ class TestSimConfigValues:
         cfg = SimConfig(degenerate_model(), rule, 2000.0, np.int64(3), burn_in_years=100.0)
         assert (cfg.n_paths, cfg.seed, cfg.burn_in_years) == (2000, 3, 100)
         assert all(type(v) is int for v in (cfg.n_paths, cfg.seed, cfg.burn_in_years))
+
+
+# Poisson claim sizes of mean 0.5 put about 0.6 of the mass on 0.
+POISSON_SIZES_MOSTLY_ZERO = dataclasses.replace(
+    degenerate_model(sev_rate=0.5), severity=PoissonSeverity()
+)
+
+
+class TestInputErrorsAreTyped:
+    # The CLI maps exceptions to exit codes by type alone, so a bad input
+    # value raises ModelValidationError (exit 2), never a bare ValueError.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: build_grid(m.effects, 4),
+            lambda m: marginal_grid(m.effects, 3),
+            lambda m: severity_marginal_quantile(1.0, m),
+            lambda m: severity_marginal_quantile(0.3, POISSON_SIZES_MOSTLY_ZERO),
+            lambda m: threshold_scan(m, SeverityRule(9, 1, 2, 1.0), []),
+            lambda m: rule_dominance_check(m, [], [SeverityRule(9, 1, 1, 1.0)]),
+            lambda m: rule_dominance_check(m, [FreqRule(9, 1)], [SeverityRule(9, 1, 2, 1.0)]),
+            lambda m: jump_tails(SeverityRule(9, 1, 2, 1.0), 0.5, 1.5),
+            lambda m: SimConfig(m, FreqRule(9, 1), 0, 1),
+            lambda m: check_rule(m, FreqRule(9, 1), n_paths=50_000),
+            lambda m: check_rule(m, FreqRule(9, 1), n_paths=100_000, burn_in_years=50),
+            lambda m: check_rule(m, "h1", n_paths=100_000),
+            lambda m: check_rule(m, FreqRule(9, 1), n_paths=100_000, perturb={10: 0.1}),
+        ],
+        ids=[
+            "nodes", "component", "quantile_level", "unattainable_quantile", "empty_scan",
+            "empty_grid", "no_diagonal", "exceedance", "sim_paths", "check_paths",
+            "check_burn_in", "check_rule_type", "check_perturbed_level",
+        ],
+    )
+    def test_bad_values_raise_model_validation_error(self, call):
+        with pytest.raises(ModelValidationError):
+            call(study_model(-0.8))
 
 
 class TestClaimHistory:

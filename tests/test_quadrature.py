@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bonusmalus import (
     DegenerateEffects,
     LognormalCopulaEffects,
     MixtureExponentialEffects,
+    ModelValidationError,
     NonFiniteIntegrandError,
     PoissonSeverity,
     SeverityRule,
@@ -22,9 +24,12 @@ from bonusmalus import (
     optimal_relativity_severity,
     severity_marginal_quantile,
 )
-from bonusmalus.quadrature import _hermite_nodes, _laguerre_nodes, severity_cdf
+from bonusmalus.quadrature import _gauss_rule, _hermite_nodes, _laguerre_nodes, severity_cdf
 from conftest import GAMMA_SHAPE, degenerate_model, study_model
 from oracles import expect
+
+LOGNORMAL = LognormalCopulaEffects(-0.8, 0.99, 0.29)
+MIXTURE = MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0)
 
 
 class TestBuildGrid:
@@ -85,6 +90,36 @@ class TestBuildGrid:
 
 
 class TestGaussRules:
+    @pytest.mark.parametrize(
+        "effects, n", [(LOGNORMAL, 512), (MIXTURE, 187)], ids=["hermite", "laguerre"]
+    )
+    def test_node_count_beyond_double_precision_rejected(self, effects, n):
+        # numpy's rules overflow there and return non-finite nodes or weights.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelValidationError, match=f"quadrature_nodes={n} "):
+                build_grid(effects, n)
+
+    def test_finite_rule_built_through_an_overflow_refused(self):
+        # numpy 2.4's 371-node Gauss-Hermite rule overflows on the way and
+        # comes back finite, with every weight 0.
+        def overflowing(n):
+            big = np.full(n, 1e308)
+            return big, np.minimum(big * 10.0, 0.0)
+
+        with pytest.raises(ModelValidationError, match="quadrature_nodes=9 "):
+            _gauss_rule(overflowing, 9, "test")
+
+    @pytest.mark.parametrize(
+        "effects, n", [(LOGNORMAL, 370), (MIXTURE, 186)], ids=["hermite", "laguerre"]
+    )
+    def test_largest_finite_rules_still_build(self, effects, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nodes, weights = marginal_grid(effects, 2, n)
+        assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("rule", [_hermite_nodes, _laguerre_nodes])
     def test_built_once_per_node_count_and_read_only(self, rule):
         nodes, weights = rule(16)

@@ -20,7 +20,6 @@ from bonusmalus import (
     SeverityRule,
     SimConfig,
     balance_check,
-    empirical_frequency_relativity,
     optimal_relativity_dependent,
     optimal_relativity_frequency,
     optimal_relativity_severity,
@@ -29,6 +28,7 @@ from bonusmalus import (
 from bonusmalus.cli import parse_model
 from bonusmalus.presets import get_preset
 from conftest import GAMMA_SHAPE, degenerate_model, study_model
+from oracles import empirical_frequency_relativity
 
 FAR_THRESHOLD = 1e13  # exceedance underflows to exactly zero for all profiles
 

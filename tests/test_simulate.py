@@ -25,7 +25,6 @@ from bonusmalus import (
     RiskClass,
     SeverityRule,
     SimConfig,
-    empirical_frequency_relativity,
     empirical_relativity,
     hmse_empirical,
     optimal_relativity_frequency,
@@ -34,7 +33,7 @@ from bonusmalus import (
 from bonusmalus.quadrature import severity_cdf
 from bonusmalus.verify import check_rule
 from conftest import GAMMA_SHAPE, SEV_RATE, degenerate_model, study_model
-from oracles import enumeration_matrix
+from oracles import empirical_frequency_relativity, enumeration_matrix
 
 EPS = np.finfo(float).eps
 

