@@ -19,16 +19,10 @@ from .bayes import (
 from .errors import (
     BonusMalusError,
     BracketingFailureError,
-    InconsistentHistoryError,
     InsufficientOccupancyError,
-    InvalidRuleError,
-    LevelMismatchError,
     ModelValidationError,
     NonFiniteIntegrandError,
-    NonUnitEffectMeanError,
-    NonUnitWeightsError,
     SingularSystemError,
-    UnsupportedEffectsError,
 )
 from .hmse import (
     HmseReport,
@@ -86,10 +80,7 @@ __all__ = [
     "FreqRule",
     "GammaSeverity",
     "HmseReport",
-    "InconsistentHistoryError",
     "InsufficientOccupancyError",
-    "InvalidRuleError",
-    "LevelMismatchError",
     "LognormalCopulaEffects",
     "MixtureBayesModel",
     "MixtureExponentialEffects",
@@ -97,8 +88,6 @@ __all__ = [
     "ModelValidationError",
     "MseComparison",
     "NonFiniteIntegrandError",
-    "NonUnitEffectMeanError",
-    "NonUnitWeightsError",
     "OracleCheck",
     "PoissonSeverity",
     "Portfolio",
@@ -110,7 +99,6 @@ __all__ = [
     "SimConfig",
     "SimSummary",
     "SingularSystemError",
-    "UnsupportedEffectsError",
     "balance_check",
     "bayes_agg_premium_freqhist",
     "bayes_agg_premium_fullhist",

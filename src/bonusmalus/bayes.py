@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentHistoryError, ModelValidationError
-from .model import ClaimHistory, MixtureExponentialEffects
+from .errors import ModelValidationError
+from .model import ClaimHistory, MixtureExponentialEffects, _at_least, _store_numbers
 from .quadrature import _branches
 
 
@@ -44,10 +44,15 @@ class MixtureBayesModel:
             raise ModelValidationError(
                 f"closed-form premiums need mixture effects, got {type(self.effects).__name__}"
             )
+        _store_numbers(self, "freq_rate", "sev_rate")
         for name in ("freq_rate", "sev_rate"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ModelValidationError(f"{name} {value!r} must be positive and finite")
+        if not isinstance(self.unit_severity_effect, bool):
+            raise ModelValidationError(
+                f"'unit_severity_effect' must be true or false, got {self.unit_severity_effect!r}"
+            )
 
     def components(self) -> tuple[tuple[float, float], ...]:
         """(weight, rate) pairs of the active mixture components."""
@@ -78,7 +83,7 @@ def _posterior(model: MixtureBayesModel, total_count, years, total_aggregate=Non
             log_w = log_w - shape2 * np.log(rate2)
     top = np.max(log_w, axis=0, keepdims=True)
     if not np.all(np.isfinite(top)):
-        raise InconsistentHistoryError(
+        raise ModelValidationError(
             f"posterior weights overflow at total aggregate {total_aggregate!r}"
         )
     weights = np.exp(log_w - top)
@@ -134,7 +139,7 @@ def bayes_agg_premium_fullhist(history: ClaimHistory, model: MixtureBayesModel) 
     premium equals ``bayes_agg_premium_freqhist`` exactly, for every history.
     """
     if history.years and history.aggregates is None:
-        raise InconsistentHistoryError("full-history premium needs aggregate severities")
+        raise ModelValidationError("full-history premium needs aggregate severities")
     aggregate = history.total_aggregate if history.years else 0.0
     return float(_premium(model, history.total_count, history.years, aggregate)[0])
 
@@ -166,6 +171,9 @@ def mse_comparison_mc(
     with a one-sided confidence bound on their gap.  Deterministic per seed;
     paths use independent chunked streams so chunking cannot change results.
     """
+    years = _at_least(years, "years", 0)
+    n_paths = _at_least(n_paths, "n_paths", 1)
+    seed = _at_least(seed, "seed", 0)
     chunk = 1 << 16
     sq_full = 0.0
     sq_freq = 0.0

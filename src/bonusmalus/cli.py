@@ -22,7 +22,7 @@ from .bayes import (
     bayes_agg_premium_fullhist,
     bayes_freq_premium,
 )
-from .errors import BonusMalusError, ModelValidationError
+from .errors import BonusMalusError, InsufficientOccupancyError, ModelValidationError
 from .hmse import threshold_scan
 from .model import (
     ClaimHistory,
@@ -36,6 +36,7 @@ from .model import (
     Portfolio,
     RiskClass,
     SeverityRule,
+    _number,
 )
 from .presets import get_preset
 from .quadrature import severity_marginal_quantile
@@ -53,10 +54,6 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # configuration loading
 
@@ -72,76 +69,65 @@ def _deep_merge(base: dict, overlay: dict) -> dict:
 
 
 def load_config(preset: str | None, config_path: str | None) -> dict:
-    cfg: dict = {}
-    if preset:
-        try:
-            cfg = get_preset(preset)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+    cfg = get_preset(preset) if preset else {}
     if config_path:
         path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             user = json.loads(path.read_text())
+        except OSError as exc:  # missing, a directory, or not readable by this process
+            raise ModelValidationError(f"cannot read config file {path}: {exc}") from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
-        cfg = _deep_merge(cfg, user)
+            raise ModelValidationError(f"config file is not valid JSON: {exc}") from exc
+        cfg = _deep_merge(cfg, _shaped(user, "config root"))
     if not cfg:
-        raise ConfigError("no configuration given; pass --config and/or --preset")
+        raise ModelValidationError("no configuration given; pass --config and/or --preset")
     return cfg
 
 
-def _number(value, key: str, cast=float):
-    """``cast(value)`` of a JSON number; ``cast=int`` takes no fraction.
-
-    A JSON boolean or string is not a number, though ``float(True)`` and
-    ``float("1")`` are 1.0, and ``int(1.9)`` would truncate.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"'{key}' must be a number, got {value!r}")
-    if cast is int and value != int(value):
-        raise ValueError(f"'{key}' must be an integer, got {value!r}")
-    return cast(value)
+def _shaped(value, key: str, kind: type = dict):
+    """``value`` if it is a JSON object (``dict``) or array (``list``), else an input error."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ModelValidationError(f"'{key}' must be a JSON {name}, got {value!r}")
+    return value
 
 
-def _fields(section: dict, *keys: str, cast=float) -> list:
-    return [_number(section[key], key, cast) for key in keys]
+def _fields(section: dict, *keys: str) -> list:
+    if not isinstance(section, dict):
+        raise ModelValidationError(f"expected a JSON object of {', '.join(keys)}, got {section!r}")
+    return [section[key] for key in keys]
 
 
 def parse_model(cfg: dict) -> ModelSpec:
     try:
-        section = cfg["model"]
+        section = _shaped(cfg["model"], "model")
         if "classes_template" in section:
             weights = section.get("weights") or cfg.get("weights")
-            cells = section["classes_template"]
+            cells = _shaped(section["classes_template"], "classes_template", list)
             if not weights:
-                raise ConfigError(
+                raise ModelValidationError(
                     "this preset needs class weights: supply 'model.weights' "
                     f"({len(cells)} values, one per listed cell)"
                 )
-            if len(weights) != len(cells):
-                raise ConfigError(f"expected {len(cells)} weights, got {len(weights)}")
+            if len(_shaped(weights, "weights", list)) != len(cells):
+                raise ModelValidationError(f"expected {len(cells)} weights, got {len(weights)}")
             classes = [
-                RiskClass(_number(w, "weights"), *_fields(c, "freq_rate", "sev_rate"))
-                for w, c in zip(weights, cells)
+                RiskClass(w, *_fields(c, "freq_rate", "sev_rate")) for w, c in zip(weights, cells)
             ]
         else:
             classes = [
                 RiskClass(*_fields(c, "weight", "freq_rate", "sev_rate"))
-                for c in section["classes"]
+                for c in _shaped(section["classes"], "classes", list)
             ]
-        sev_cfg = section["severity"]
+        sev_cfg = _shaped(section["severity"], "severity")
         kind = sev_cfg.get("kind", "gamma")
         if kind == "gamma":
             severity = GammaSeverity(*_fields(sev_cfg, "dispersion"))
         elif kind == "poisson":
             severity = PoissonSeverity()
         else:
-            raise ConfigError(f"unknown severity kind {kind!r}")
-        eff_cfg = section["effects"]
+            raise ModelValidationError(f"unknown severity kind {kind!r}")
+        eff_cfg = _shaped(section["effects"], "effects")
         eff_kind = eff_cfg.get("kind", "lognormal_copula")
         if eff_kind == "lognormal_copula":
             effects = LognormalCopulaEffects(*_fields(eff_cfg, "corr", "log_var1", "log_var2"))
@@ -150,45 +136,36 @@ def parse_model(cfg: dict) -> ModelSpec:
         elif eff_kind == "degenerate":
             effects = DegenerateEffects()
         else:
-            raise ConfigError(f"unknown effects kind {eff_kind!r}")
+            raise ModelValidationError(f"unknown effects kind {eff_kind!r}")
         return ModelSpec(Portfolio(classes), severity, effects)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad model configuration: {exc}") from exc
+    except (KeyError, ModelValidationError) as exc:
+        raise ModelValidationError(f"bad model configuration: {exc}") from exc
 
 
 def _parse_rule(entry: dict, threshold: float | None = None):
     """One rule; a severity entry without its own threshold takes ``threshold``."""
     try:
         if "step" in entry:
-            return FreqRule(*_fields(entry, "max_level", "step", cast=int))
+            return FreqRule(*_fields(entry, "max_level", "step"))
         return SeverityRule(
-            *_fields(entry, "max_level", "small_step", "large_step", cast=int),
-            _number(entry.get("threshold", threshold), "threshold"),
+            *_fields(entry, "max_level", "small_step", "large_step"),
+            entry.get("threshold", threshold),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad rule entry {entry!r}: {exc}") from exc
-
-
-def _floats(cfg: dict, key: str) -> list[float]:
-    try:
-        return [_number(value, key) for value in cfg.get(key, [])]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad '{key}' entry: {exc}") from exc
+    except (KeyError, ModelValidationError) as exc:
+        raise ModelValidationError(f"bad rule entry {entry!r}: {exc}") from exc
 
 
 def _sim_int(cfg: dict, key: str, default: int) -> int:
     try:
-        return _number(cfg.get("simulation", {}).get(key, default), key, int)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad 'simulation.{key}': {exc}") from exc
+        return _number(cfg.get("simulation", {}).get(key, default), key, whole=True)
+    except ModelValidationError as exc:
+        raise ModelValidationError(f"bad 'simulation.{key}': {exc}") from exc
 
 
 def _thresholds(cfg: dict, model: ModelSpec, nodes: int) -> list[tuple[float, float | None]]:
     """``(threshold, quantile level or None)``: the listed thresholds, then one per level."""
-    listed = [(phi, None) for phi in _floats(cfg, "thresholds")]
-    levels = _floats(cfg, "quantiles")
+    listed = [(_number(phi, "thresholds"), None) for phi in cfg.get("thresholds", [])]
+    levels = [_number(q, "quantiles") for q in cfg.get("quantiles", [])]
     return listed + [(severity_marginal_quantile(q, model, nodes), q) for q in levels]
 
 
@@ -200,39 +177,37 @@ def resolve_rules(cfg: dict, model: ModelSpec, nodes: int) -> list:
         if "step" in entry or "threshold" in entry:
             rules.append(_parse_rule(entry))
         elif not thresholds:
-            raise ConfigError(
+            raise ModelValidationError(
                 "severity rule without explicit threshold needs 'thresholds' or 'quantiles'"
             )
         else:
             rules.extend(_parse_rule(entry, phi) for phi in thresholds)
     if not rules:
-        raise ConfigError("no transition rules configured")
+        raise ModelValidationError("no transition rules configured")
     return rules
 
 
 def parse_history(cfg: dict) -> ClaimHistory:
     section = cfg.get("history")
     if section is None:
-        raise ConfigError("no claim history configured")
+        raise ModelValidationError("no claim history configured")
     try:
         if isinstance(section, dict):
             return ClaimHistory(section.get("counts", []), section.get("aggregates"))
-        return ClaimHistory([row[0] for row in section], [row[1] for row in section])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"bad claim history: {exc}") from exc
+        rows = [_shaped(row, "history", list) for row in _shaped(section, "history", list)]
+        return ClaimHistory([row[0] for row in rows], [row[1] for row in rows])
+    except (IndexError, ModelValidationError) as exc:
+        raise ModelValidationError(f"bad claim history: {exc}") from exc
 
 
 def parse_bayes_model(cfg: dict) -> MixtureBayesModel:
     try:
-        section = cfg["bayes"]
+        section = _shaped(cfg["bayes"], "bayes")
         effects = MixtureExponentialEffects(*_fields(section, "weight1", "rate1", "rate2"))
         unit = section.get("unit_severity_effect", False)
-        if not isinstance(unit, bool):
-            raise ConfigError(f"'unit_severity_effect' must be true or false, got {unit!r}")
-        model = MixtureBayesModel(*_fields(section, "freq_rate", "sev_rate"), effects, unit)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad bayes model configuration: {exc}") from exc
-    return model
+        return MixtureBayesModel(*_fields(section, "freq_rate", "sev_rate"), effects, unit)
+    except (KeyError, ModelValidationError) as exc:
+        raise ModelValidationError(f"bad bayes model configuration: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +225,7 @@ def _fmt(x, precision: int) -> str:
     try:
         return f"{x:.{precision}f}"
     except ValueError as exc:  # a precision beyond what str.format takes
-        raise ConfigError(f"bad 'precision' {precision}: {exc}") from exc
+        raise ModelValidationError(f"bad 'precision' {precision}: {exc}") from exc
 
 
 def _jnum(x, precision: int):
@@ -357,9 +332,11 @@ def cmd_hmse_scan(cfg: dict, args) -> int:
     thresholds += [t.threshold for e, t in zip(entries, templates) if "threshold" in e]
     thresholds = list(dict.fromkeys(thresholds + list(quantile_of)))
     if not thresholds:
-        raise ConfigError("hmse-scan needs 'thresholds', 'quantiles', or explicit rule thresholds")
+        raise ModelValidationError(
+            "hmse-scan needs 'thresholds', 'quantiles', or explicit rule thresholds"
+        )
     if not templates:
-        raise ConfigError("hmse-scan needs at least one severity-aware rule")
+        raise ModelValidationError("hmse-scan needs at least one severity-aware rule")
     tables = [
         table
         for template in templates
@@ -435,7 +412,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     ses = summary.level_se
     try:
         rel, rel_se = empirical_relativity(summary)
-    except BonusMalusError:  # the relativity columns stay empty
+    except InsufficientOccupancyError:  # the relativity columns stay empty
         rel = rel_se = [None] * len(dist)
     out = Path(args.out)
     lines = ["level,stationary_prob,stationary_se,relativity,relativity_se"]
@@ -475,7 +452,7 @@ def cmd_reproduce_table(cfg: dict, args) -> int:
     precision = cfg["precision"]
     rules = resolve_rules(cfg, model, nodes)
     if cfg["format"] == "csv" and len({rule.max_level for rule in rules}) > 1:
-        raise ConfigError("a CSV table needs every rule on the same number of levels")
+        raise ModelValidationError("a CSV table needs every rule on the same number of levels")
     tables = [(rule, _compute_table(model, rule, "aggregate", nodes)) for rule in rules]
     out = Path(args.out)
     if cfg["format"] == "csv":
@@ -562,20 +539,17 @@ def _apply_overrides(cfg: dict, args) -> dict:
 
 
 def _check_settings(cfg: dict) -> None:
-    """Reject ill-typed run settings before a verb reads them."""
+    """Reject ill-typed run settings before a verb reads them; whole numbers are stored as ints."""
     for key, allowed in (("format", ("csv", "json")), ("family", ("aggregate", "frequency"))):
         if cfg.get(key, allowed[0]) not in allowed:
-            raise ConfigError(f"'{key}' must be one of {allowed}, got {cfg[key]!r}")
+            raise ModelValidationError(f"'{key}' must be one of {allowed}, got {cfg[key]!r}")
     for key in ("precision", "quadrature_nodes"):
-        if type(cfg[key]) is not int:
-            raise ConfigError(f"'{key}' must be an integer, got {cfg[key]!r}")
+        cfg[key] = _number(cfg[key], key, whole=True)
     for key in ("rules", "thresholds", "quantiles"):
-        if not isinstance(cfg.get(key, []), list):
-            raise ConfigError(f"'{key}' must be a JSON array")
-    if not isinstance(cfg.get("simulation", {}), dict):
-        raise ConfigError("'simulation' must be a JSON object")
+        _shaped(cfg.get(key, []), key, list)
+    _shaped(cfg.get("simulation", {}), "simulation")
     if not all(isinstance(entry, dict) for entry in cfg.get("rules", [])):
-        raise ConfigError("every entry of 'rules' must be a JSON object")
+        raise ModelValidationError("every entry of 'rules' must be a JSON object")
 
 
 def main(argv=None) -> int:
@@ -583,7 +557,7 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.preset, args.config), args)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ModelValidationError) as exc:
+    except ModelValidationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BonusMalusError as exc:

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the bonusmalus package."""
+"""Exceptions: ``ModelValidationError`` for any wrong input, the rest for failed computations."""
 
 from __future__ import annotations
 
@@ -8,31 +8,11 @@ class BonusMalusError(Exception):
 
 
 class ModelValidationError(BonusMalusError, ValueError):
-    """A model specification violates a structural invariant."""
-
-
-class NonUnitWeightsError(ModelValidationError):
-    """Portfolio class weights do not sum to one."""
-
-
-class NonUnitEffectMeanError(ModelValidationError):
-    """A random-effect marginal does not have mean one."""
-
-
-class InvalidRuleError(ModelValidationError):
-    """A transition rule violates its constraints (level count, penalty steps)."""
-
-
-class InconsistentHistoryError(ModelValidationError):
-    """A claim history is malformed or reports positive severity in a claim-free year."""
+    """A wrong input value: a model, rule, history, setting or argument; the message names it."""
 
 
 class SingularSystemError(BonusMalusError):
     """Stationary rows fail the fixed-point check (the chain is not unichain)."""
-
-
-class UnsupportedEffectsError(BonusMalusError):
-    """No quadrature scheme is available for the given random-effect law."""
 
 
 class NonFiniteIntegrandError(BonusMalusError):
@@ -41,10 +21,6 @@ class NonFiniteIntegrandError(BonusMalusError):
 
 class BracketingFailureError(BonusMalusError):
     """A root-finding bracket could not be established."""
-
-
-class LevelMismatchError(BonusMalusError, ValueError):
-    """A relativity table's level count does not match the rule it is scored under."""
 
 
 class InsufficientOccupancyError(BonusMalusError):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelMismatchError, ModelValidationError
-from .model import ModelSpec, SeverityRule
+from .errors import ModelValidationError
+from .model import ModelSpec, SeverityRule, _number, _sequence, _vector
 from .quadrature import DEFAULT_NODES
 from .relativity import (
     RelativityTable,
@@ -60,12 +60,12 @@ def hmse_eval(
     if isinstance(relativities, RelativityTable):
         r = relativities.scoring_relativities()
     else:
-        r = np.nan_to_num(np.asarray(relativities, dtype=float), nan=0.0)
+        r = np.nan_to_num(_vector(relativities, "relativities"), nan=0.0)
     if r.shape != (rule.levels,):
-        raise LevelMismatchError(
+        raise ModelValidationError(
             f"table has {r.shape[0]} levels but the rule has {rule.levels}"
         )
-    grid, field = _joint_stationary(model, rule, nodes)
+    grid, field = _joint_stationary(model, rule, _number(nodes, "nodes", whole=True))
     prod = grid.theta1 * grid.theta2
     gaps = (prod[:, None] - r[None, :]) ** 2  # (nodes, levels)
     raw = 0.0
@@ -94,9 +94,11 @@ def threshold_scan(
     """The optimal table at each candidate threshold, best score first.
 
     Tables are ranked by their own ``hmse_raw``, ties broken by the smaller
-    threshold.
+    threshold.  Each threshold passes ``SeverityRule``'s checks as it is.
     """
-    thresholds = [float(t) for t in thresholds]
+    if not isinstance(rule, SeverityRule):
+        raise ModelValidationError("a threshold scan needs a severity-aware rule")
+    thresholds = _sequence(thresholds, "thresholds")
     if not thresholds:
         raise ModelValidationError("need at least one threshold candidate")
     tables = [

@@ -5,9 +5,9 @@ and expected claim size) and a pair of unobserved mean-one multipliers
 ``(theta1, theta2)`` acting on frequency and severity respectively.  The joint
 law of the multipliers induces dependence between claim counts and claim sizes.
 
-Every type validates its values on construction, raising a
-``ModelValidationError`` subclass that names the value it rejects; instances
-are immutable and safe to share across concurrent workers.
+Every type validates its values on construction, each number through one gate
+(``_number``), raising a ``ModelValidationError`` that names the value it
+rejects; instances are immutable and safe to share across concurrent workers.
 """
 
 from __future__ import annotations
@@ -15,24 +15,65 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .errors import (
-    InconsistentHistoryError,
-    InvalidRuleError,
-    ModelValidationError,
-    NonUnitEffectMeanError,
-    NonUnitWeightsError,
-)
+from .errors import ModelValidationError
 
 WEIGHT_SUM_TOL = 1e-9
 EFFECT_MEAN_TOL = 1e-8
 MIXTURE_MEAN_TOL = 1e-12
 MAX_CLAIM_COUNT = 2**53
 MAX_LEVEL = 1000  # bounds max_level and steps; a jump law holds profiles * max_level**2 floats
+
+
+def _number(value, name: str, whole: bool = False):
+    """``value`` as a float, or an int when ``whole``; range checks stay with the caller.
+
+    A boolean, a string, ``None`` or an int beyond float range is not a number
+    (though ``float(True)`` is 1.0); a fraction, NaN or infinity is not an integer.
+    """
+    integral = isinstance(value, numbers.Integral)
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or (integral and abs(value) > sys.float_info.max):
+        raise ModelValidationError(f"'{name}' must be a number, got {value!r}")
+    if not whole:
+        return float(value)
+    if integral or float(value).is_integer():
+        return int(value)
+    raise ModelValidationError(f"'{name}' must be an integer, got {value!r}")
+
+
+def _at_least(value, name: str, floor: int) -> int:
+    """``value`` as an int of at least ``floor``."""
+    value = _number(value, name, whole=True)
+    if value < floor:
+        raise ModelValidationError(f"{name} must be an integer of at least {floor}, got {value!r}")
+    return value
+
+
+def _store_numbers(obj, *names: str, whole: bool = False) -> None:
+    """Replace each named field of the frozen dataclass ``obj`` by its ``_number``."""
+    for name in names:
+        object.__setattr__(obj, name, _number(getattr(obj, name), name, whole))
+
+
+def _sequence(values, name: str) -> tuple:
+    """The entries of ``values``; a string or a scalar is not a sequence."""
+    if isinstance(values, Iterable) and not isinstance(values, str):
+        return tuple(values)
+    raise ModelValidationError(f"'{name}' must be a sequence, got {values!r}")
+
+
+def _vector(values, name: str) -> np.ndarray:
+    """``values`` as a float array; an array of booleans, strings or objects is refused."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ModelValidationError(f"'{name}' must hold numbers, got an array of {array.dtype}")
+    return array.astype(float)
 
 
 @dataclass(frozen=True)
@@ -54,8 +95,9 @@ class RiskClass:
     sev_rate: float
 
     def __post_init__(self) -> None:
+        _store_numbers(self, "weight", "freq_rate", "sev_rate")
         if not 0.0 < self.weight <= 1.0:
-            raise NonUnitWeightsError(f"class weight {self.weight} outside (0, 1]")
+            raise ModelValidationError(f"class weight {self.weight} outside (0, 1]")
         for name, value in (("frequency rate", self.freq_rate), ("severity rate", self.sev_rate)):
             if not 0.0 < value < math.inf:
                 raise ModelValidationError(f"{name} {value} must be positive and finite")
@@ -72,12 +114,14 @@ class Portfolio:
     classes: tuple[RiskClass, ...]
 
     def __init__(self, classes) -> None:
-        classes = tuple(classes)
+        classes = _sequence(classes, "classes")
         if not classes:
             raise ModelValidationError("portfolio has no risk classes")
+        if not all(isinstance(c, RiskClass) for c in classes):
+            raise ModelValidationError(f"portfolio classes {classes!r} are not all RiskClass")
         total = math.fsum(c.weight for c in classes)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise NonUnitWeightsError(f"class weights sum to {total!r}, expected 1")
+            raise ModelValidationError(f"class weights sum to {total!r}, expected 1")
         if total != 1.0:
             classes = tuple(replace(c, weight=c.weight / total) for c in classes)
         object.__setattr__(self, "classes", classes)
@@ -106,6 +150,7 @@ class GammaSeverity:
     dispersion: float
 
     def __post_init__(self) -> None:
+        _store_numbers(self, "dispersion")
         if not (0.0 < self.dispersion < math.inf and self.shape < math.inf):
             raise ModelValidationError(
                 "gamma severity dispersion and its inverse must be positive and finite"
@@ -120,8 +165,9 @@ class GammaSeverity:
 class PoissonSeverity:
     """Integer claim sizes, Poisson with conditional mean ``sev_rate * theta2``.
 
-    Used by the closed-form credibility model; the compound of Poisson counts
-    with Poisson sizes is the classical Neyman type A aggregate.
+    The severity rules read it like the gamma law; the compound of Poisson
+    counts with Poisson sizes is the classical Neyman type A aggregate, whose
+    closed-form premiums ``MixtureBayesModel`` prices on its own.
     """
 
 
@@ -143,6 +189,7 @@ class LognormalCopulaEffects:
     log_var2: float
 
     def __post_init__(self) -> None:
+        _store_numbers(self, "corr", "log_var1", "log_var2")
         if not -1.0 <= self.corr <= 1.0:
             raise ModelValidationError(f"copula correlation {self.corr} outside [-1, 1]")
         if not (0.0 <= self.log_var1 < math.inf and 0.0 <= self.log_var2 < math.inf):
@@ -154,7 +201,7 @@ class LognormalCopulaEffects:
         grid = build_grid(self, 32)
         for mean in (grid.weights @ grid.theta1, grid.weights @ grid.theta2):
             if not abs(mean - 1.0) <= EFFECT_MEAN_TOL:
-                raise NonUnitEffectMeanError(
+                raise ModelValidationError(
                     f"quadrature marginal mean {mean!r} differs from 1 beyond {EFFECT_MEAN_TOL}"
                 )
 
@@ -174,12 +221,13 @@ class MixtureExponentialEffects:
     rate2: float
 
     def __post_init__(self) -> None:
+        _store_numbers(self, "weight1", "rate1", "rate2")
         if not 0.0 <= self.weight1 <= 1.0:
             raise ModelValidationError(f"mixture weight {self.weight1} outside [0, 1]")
         if not (0 < self.rate1 < math.inf and 0 < self.rate2 < math.inf):
             raise ModelValidationError("mixture rates must be positive and finite")
         if abs(self.marginal_mean() - 1.0) > MIXTURE_MEAN_TOL:
-            raise NonUnitEffectMeanError(
+            raise ModelValidationError(
                 f"mixture marginal mean {self.marginal_mean()!r} is not 1: "
                 "require weight1/rate1 + (1-weight1)/rate2 == 1"
             )
@@ -241,13 +289,14 @@ class SeverityRule:
     def __post_init__(self) -> None:
         _check_scale(self, "small_step", "large_step")
         if self.large_step < self.small_step:
-            raise InvalidRuleError(
+            raise ModelValidationError(
                 f"large-claim step {self.large_step} must be >= small-claim step {self.small_step}"
             )
-        threshold = self.threshold
-        real = isinstance(threshold, numbers.Real) and not isinstance(threshold, bool)
-        if not (real and threshold > 0):
-            raise InvalidRuleError(f"claim-size threshold {threshold!r} must be a positive number")
+        _store_numbers(self, "threshold")
+        if not self.threshold > 0:
+            raise ModelValidationError(
+                f"claim-size threshold {self.threshold!r} must be a positive number"
+            )
 
     @property
     def levels(self) -> int:
@@ -260,24 +309,14 @@ class SeverityRule:
 BmsRule = Union[FreqRule, SeverityRule]
 
 
-def _whole(value) -> int | None:
-    """``value`` as an ``int`` if it is a whole number, else None; a boolean is not a number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    return int(value) if math.isfinite(value) and value == int(value) else None
-
-
 def _check_scale(rule, *steps: str) -> None:
     """Store ``max_level`` and the named steps as ints in [1, MAX_LEVEL], or raise."""
+    _store_numbers(rule, "max_level", *steps, whole=True)
     for name in ("max_level", *steps):
-        value = _whole(getattr(rule, name))
-        if value is None or not 1 <= value <= MAX_LEVEL:
-            raise InvalidRuleError(
+        if not 1 <= getattr(rule, name) <= MAX_LEVEL:
+            raise ModelValidationError(
                 f"{name} {getattr(rule, name)!r} is not an integer in [1, {MAX_LEVEL}]"
             )
-        object.__setattr__(rule, name, value)
 
 
 @dataclass(frozen=True)
@@ -287,28 +326,29 @@ class ClaimHistory:
     Counts must be whole numbers in [0, 2**53] (exact in floating point) and
     aggregates finite non-negative numbers, one per count, zero in claim-free
     years and with a finite total; anything else, booleans and strings
-    included, raises ``InconsistentHistoryError`` on construction.
+    included, raises ``ModelValidationError`` on construction.
     """
 
     counts: tuple[int, ...]
     aggregates: tuple[float, ...] | None = None
 
     def __init__(self, counts, aggregates=None) -> None:
-        counts = tuple(_history_entry(n, whole=True) for n in counts)
+        counts = tuple(_history_entry(n, whole=True) for n in _sequence(counts, "counts"))
         if aggregates is not None:
+            aggregates = _sequence(aggregates, "aggregates")
             aggregates = tuple(_history_entry(s, whole=False) for s in aggregates)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "aggregates", aggregates)
         if aggregates is not None:
             if len(aggregates) != len(counts):
-                raise InconsistentHistoryError("counts and aggregates differ in length")
+                raise ModelValidationError("counts and aggregates differ in length")
             for t, (n, s) in enumerate(zip(counts, aggregates)):
                 if n == 0 and s > 0:
-                    raise InconsistentHistoryError(
+                    raise ModelValidationError(
                         f"year {t + 1} has no claims but positive aggregate severity"
                     )
             if not math.isfinite(self.total_aggregate):
-                raise InconsistentHistoryError("aggregate severities overflow when summed")
+                raise ModelValidationError("aggregate severities overflow when summed")
 
     @property
     def years(self) -> int:
@@ -321,24 +361,20 @@ class ClaimHistory:
     @property
     def total_aggregate(self) -> float:
         if self.aggregates is None:
-            raise InconsistentHistoryError("history carries no aggregate severities")
+            raise ModelValidationError("history carries no aggregate severities")
         return sum(self.aggregates)
 
 
 def _history_entry(value, whole: bool):
     """A claim count (``whole``) or an aggregate severity, checked and converted."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not 0 <= value <= (MAX_CLAIM_COUNT if whole else sys.float_info.max)
-        or (whole and value != int(value))
-    ):
-        raise InconsistentHistoryError(
+    value = _number(value, "counts" if whole else "aggregates", whole)
+    if not 0 <= value <= (MAX_CLAIM_COUNT if whole else sys.float_info.max):
+        raise ModelValidationError(
             f"claim count {value!r} is not a whole number in [0, 2**53]"
             if whole
             else f"aggregate severity {value!r} is not a finite non-negative number"
         )
-    return int(value) if whole else float(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -350,5 +386,8 @@ class ModelSpec:
     effects: RandomEffectJoint
 
     def __post_init__(self) -> None:
-        if not isinstance(self.effects, RandomEffectJoint):
-            raise ModelValidationError(f"unknown effects type {type(self.effects).__name__}")
+        for name, kind in (
+            ("portfolio", Portfolio), ("severity", SeverityLaw), ("effects", RandomEffectJoint)
+        ):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ModelValidationError(f"unknown {name} type {type(value).__name__}")

@@ -12,6 +12,8 @@ from __future__ import annotations
 import copy
 import math
 
+from .errors import ModelValidationError
+
 _STUDY_THRESHOLDS = [8200.0, 16800.0, 48100.0, 94300.0]
 
 
@@ -138,5 +140,6 @@ PRESETS: dict[str, dict] = {
 
 def get_preset(name: str) -> dict:
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+        available = ", ".join(sorted(PRESETS))
+        raise ModelValidationError(f"unknown preset {name!r}; available: {available}")
     return copy.deepcopy(PRESETS[name])

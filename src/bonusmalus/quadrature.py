@@ -17,12 +17,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
 from ._distributions import gamma_cdf, poisson_cdf
-from .errors import (
-    BracketingFailureError,
-    ModelValidationError,
-    NonFiniteIntegrandError,
-    UnsupportedEffectsError,
-)
+from .errors import BracketingFailureError, ModelValidationError, NonFiniteIntegrandError
 from .model import (
     DegenerateEffects,
     GammaSeverity,
@@ -32,6 +27,7 @@ from .model import (
     PoissonSeverity,
     RandomEffectJoint,
     SeverityLaw,
+    _number,
 )
 
 DEFAULT_NODES = 32
@@ -61,16 +57,22 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+# (rule, node count) pairs numpy cannot build: lru_cache keeps no exception.
+_REFUSED: set[tuple[str, int]] = set()
+
+
 def _gauss_rule(build, n: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     """numpy's rule ``build(n)``, refused where building it overflows (past a few hundred nodes)."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            rule = build(n)
-    except FloatingPointError:
-        rule = (np.array([math.nan]),)
-    if not all(np.all(np.isfinite(part)) for part in rule):
-        raise ModelValidationError(f"quadrature_nodes={n} overflows numpy's {name} rule")
-    return rule
+    if (name, n) not in _REFUSED:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                rule = build(n)
+        except FloatingPointError:
+            rule = (np.array([math.nan]),)
+        if all(np.all(np.isfinite(part)) for part in rule):
+            return rule
+        _REFUSED.add((name, n))
+    raise ModelValidationError(f"quadrature_nodes={n} overflows numpy's {name} rule")
 
 
 @lru_cache(maxsize=16)
@@ -105,6 +107,7 @@ def build_grid(effects: RandomEffectJoint, n: int = DEFAULT_NODES) -> Quadrature
     at least 8 for the mean-one checks to hold at their stated tolerances,
     and no more than numpy's Gauss rule builds without overflow.
     """
+    n = _number(n, "n", whole=True)
     if isinstance(effects, DegenerateEffects):
         one = np.array([1.0])
         return QuadratureGrid(one, one.copy(), one.copy())
@@ -133,14 +136,15 @@ def build_grid(effects: RandomEffectJoint, n: int = DEFAULT_NODES) -> Quadrature
         theta2 = np.concatenate([p[1] for p in parts])
         weights = np.concatenate([p[2] for p in parts])
         return QuadratureGrid(theta1, theta2, weights)
-    raise UnsupportedEffectsError(f"no quadrature scheme for {type(effects).__name__}")
+    raise ModelValidationError(f"no quadrature scheme for {type(effects).__name__}")
 
 
 def marginal_grid(
     effects: RandomEffectJoint, component: int, n: int = DEFAULT_NODES
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted nodes for one effect marginal (``component`` is 1 or 2)."""
-    if component not in (1, 2):
+    n = _number(n, "n", whole=True)
+    if _number(component, "component", whole=True) not in (1, 2):
         raise ModelValidationError("component must be 1 or 2")
     if isinstance(effects, DegenerateEffects):
         return np.array([1.0]), np.array([1.0])
@@ -159,7 +163,7 @@ def marginal_grid(
             values.append(t / rate)
             weights.append(branch_weight * v)
         return np.concatenate(values), np.concatenate(weights)
-    raise UnsupportedEffectsError(f"no quadrature scheme for {type(effects).__name__}")
+    raise ModelValidationError(f"no quadrature scheme for {type(effects).__name__}")
 
 
 def severity_cdf(x, mean, law: SeverityLaw, upper: bool = False):
@@ -169,7 +173,7 @@ def severity_cdf(x, mean, law: SeverityLaw, upper: bool = False):
         return gamma_cdf(x, shape, np.asarray(mean) / shape, upper)
     if isinstance(law, PoissonSeverity):
         return poisson_cdf(np.floor(x), mean, upper)
-    raise UnsupportedEffectsError(f"no claim-size law for {type(law).__name__}")
+    raise ModelValidationError(f"no claim-size law for {type(law).__name__}")
 
 
 def severity_marginal_quantile(
@@ -185,6 +189,7 @@ def severity_marginal_quantile(
     1e-12 and relative tolerance 1e-10.  A level the claim-size mass at zero
     already reaches has no positive quantile and raises ``ModelValidationError``.
     """
+    p = _number(p, "p")
     if not 0.0 < p < 1.0:
         raise ModelValidationError(f"quantile level must lie in (0, 1), got {p}")
     theta2, w2 = marginal_grid(model.effects, 2, n)

@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LevelMismatchError
-from .model import BmsRule, FreqRule, ModelSpec, SeverityRule
+from .errors import ModelValidationError
+from .model import BmsRule, FreqRule, ModelSpec, SeverityRule, _number
 from .quadrature import DEFAULT_NODES, _read_only, build_grid
 from .stationary import conditional_stationary_field
 
@@ -156,7 +156,7 @@ def unconditional_level_distribution(
     The mass of the joint stationary field; every relativity table of
     ``(model, rule, nodes)`` carries these values as ``stationary``.  Read-only.
     """
-    return _moment_field(model, rule, nodes, "aggregate").mass
+    return _moment_field(model, rule, _number(nodes, "nodes", whole=True), "aggregate").mass
 
 
 def _ratio(field: _MomentField) -> np.ndarray:
@@ -174,6 +174,7 @@ def _hmse_from_field(field: _MomentField, relativities: np.ndarray) -> tuple[flo
 
 
 def _table(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> RelativityTable:
+    nodes = _number(nodes, "nodes", whole=True)
     field = _moment_field(model, rule, nodes, family)
     r = _ratio(field)
     raw, normalized = _hmse_from_field(field, r)
@@ -190,7 +191,7 @@ def optimal_relativity_frequency(
     scores for such a table come from ``hmse_eval``.
     """
     if not isinstance(rule, FreqRule):
-        raise LevelMismatchError("frequency relativities require a frequency-driven rule")
+        raise ModelValidationError("frequency relativities require a frequency-driven rule")
     return _table(model, rule, nodes, "frequency")
 
 
@@ -199,7 +200,9 @@ def optimal_relativity_dependent(
 ) -> RelativityTable:
     """Optimal aggregate-loss relativities under a frequency-driven chain."""
     if not isinstance(rule, FreqRule):
-        raise LevelMismatchError("the dependence-adjusted family requires a frequency-driven rule")
+        raise ModelValidationError(
+            "the dependence-adjusted family requires a frequency-driven rule"
+        )
     return _table(model, rule, nodes, "aggregate")
 
 
@@ -208,7 +211,7 @@ def optimal_relativity_severity(
 ) -> RelativityTable:
     """Optimal aggregate-loss relativities under a severity-aware chain."""
     if not isinstance(rule, SeverityRule):
-        raise LevelMismatchError("the severity family requires a severity-aware rule")
+        raise ModelValidationError("the severity family requires a severity-aware rule")
     return _table(model, rule, nodes, "aggregate")
 
 

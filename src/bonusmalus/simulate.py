@@ -33,13 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientOccupancyError,
-    InvalidRuleError,
-    LevelMismatchError,
-    ModelValidationError,
+from .errors import InsufficientOccupancyError, ModelValidationError
+from .model import (
+    BmsRule,
+    DegenerateEffects,
+    LognormalCopulaEffects,
+    ModelSpec,
+    _at_least,
+    _vector,
 )
-from .model import BmsRule, DegenerateEffects, LognormalCopulaEffects, ModelSpec, _whole
 from .quadrature import severity_cdf
 
 CHUNK = 1 << 16
@@ -65,16 +67,12 @@ class SimConfig:
     start_level: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rule, BmsRule):
-            raise InvalidRuleError(f"unknown rule type {type(self.rule).__name__}")
+        for name, kind in (("model", ModelSpec), ("rule", BmsRule)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ModelValidationError(f"unknown {name} type {type(value).__name__}")
         floors = {"n_paths": 1, "seed": 0, "burn_in_years": 0, "sample_years": 1, "start_level": 0}
         for name, floor in floors.items():
-            value = _whole(getattr(self, name))
-            if value is None or value < floor:
-                raise ModelValidationError(
-                    f"{name} must be an integer of at least {floor}, got {getattr(self, name)!r}"
-                )
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _at_least(getattr(self, name), name, floor))
         if self.start_level > self.rule.max_level:
             raise ModelValidationError("start level outside the level range")
 
@@ -305,9 +303,9 @@ def empirical_relativity(summary: SimSummary) -> tuple[np.ndarray, np.ndarray]:
 
 def hmse_empirical(summary: SimSummary, relativities) -> tuple[float, float]:
     """Empirical score of a relativity vector with its standard error."""
-    r = np.nan_to_num(np.asarray(relativities, dtype=float), nan=0.0)
+    r = np.nan_to_num(_vector(relativities, "relativities"), nan=0.0)
     if r.shape != (summary.levels,):
-        raise LevelMismatchError(f"{r.size} relativities for a run of {summary.levels} levels")
+        raise ModelValidationError(f"{r.size} relativities for a run of {summary.levels} levels")
     factor = summary.freq_rates * summary.sev_rates
     first, second, exp = _family_sums(summary, _AGGREGATE_ROWS, factor)
     n_obs = summary.n_observations

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRuleError, ModelValidationError
+from .errors import ModelValidationError
 from .hmse import hmse_eval
-from .model import FreqRule, ModelSpec, SeverityRule, _whole
+from .model import ModelSpec, SeverityRule, _number
 from .relativity import (
     RelativityTable,
     optimal_relativity_dependent,
@@ -60,19 +60,17 @@ def check_rule(
 
     ``perturb`` adds offsets to the analytic relativities before comparison
     (negative control); the check is expected to fail then.  Its keys must be
-    levels, whole numbers in ``[0, max_level]``.
+    levels, whole numbers in ``[0, max_level]``, and its values numbers.
     """
-    if n_paths < 100_000:
+    if _number(n_paths, "n_paths", whole=True) < 100_000:
         raise ModelValidationError("oracle comparisons need at least 1e5 paths")
-    if burn_in_years < 100:
+    if _number(burn_in_years, "burn_in_years", whole=True) < 100:
         raise ModelValidationError("stationary estimates need at least 100 burn-in years")
-    if not isinstance(rule, (FreqRule, SeverityRule)):
-        raise InvalidRuleError(f"unknown rule type {type(rule).__name__}")
-    perturb = {_perturbed_level(rule, lvl): delta for lvl, delta in (perturb or {}).items()}
     if isinstance(rule, SeverityRule):
         table = optimal_relativity_severity(model, rule, nodes)
-    else:
+    else:  # refuses anything but a frequency rule
         table = optimal_relativity_dependent(model, rule, nodes)
+    perturb = dict(_perturbation(rule, lvl, delta) for lvl, delta in (perturb or {}).items())
     relativities = table.relativities.copy()
     for lvl, delta in perturb.items():
         relativities[lvl] += delta
@@ -130,13 +128,17 @@ def check_rule(
     )
 
 
-def _perturbed_level(rule, level) -> int:
-    whole = _whole(level)
+def _perturbation(rule, level, delta) -> tuple[int, float]:
+    """A level of ``rule`` and a number to add to its relativity."""
+    try:
+        whole = _number(level, "perturb", whole=True)
+    except ModelValidationError:
+        whole = None
     if whole is None or not 0 <= whole <= rule.max_level:
         raise ModelValidationError(
             f"perturbed level {level!r} is not a level in [0, {rule.max_level}]"
         )
-    return whole
+    return whole, _number(delta, "perturb")
 
 
 def _rule_label(rule) -> str:

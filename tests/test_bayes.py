@@ -11,7 +11,6 @@ from scipy import integrate
 
 from bonusmalus import (
     ClaimHistory,
-    InconsistentHistoryError,
     LognormalCopulaEffects,
     MixtureBayesModel,
     MixtureExponentialEffects,
@@ -198,19 +197,19 @@ class TestAggregatePremiumFullHistory:
             )
 
     def test_missing_aggregates_rejected(self):
-        with pytest.raises(InconsistentHistoryError):
+        with pytest.raises(ModelValidationError, match="needs aggregate severities"):
             bayes_agg_premium_fullhist(ClaimHistory([1, 2]), interior_model())
 
     def test_inconsistent_history_rejected(self):
-        with pytest.raises(InconsistentHistoryError):
+        with pytest.raises(ModelValidationError, match="no claims but positive aggregate"):
             bayes_agg_premium_fullhist(ClaimHistory([0, 2], [3.0, 1.0]), interior_model())
 
     def test_overflowing_posterior_weights_rejected(self):
         # shape2 * log(rate2) overflows in every component: no weight is finite.
         history = ClaimHistory([1, 0, 2], [1e308, 0, 5])
-        with pytest.raises(InconsistentHistoryError, match=r"total aggregate 1e\+308"):
+        with pytest.raises(ModelValidationError, match=r"total aggregate 1e\+308"):
             bayes_agg_premium_fullhist(history, interior_model())
-        with pytest.raises(InconsistentHistoryError, match=r"total aggregate 1e\+308"):
+        with pytest.raises(ModelValidationError, match=r"total aggregate 1e\+308"):
             posterior_density(1.0, 1.0, history, interior_model())
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bonusmalus import cli
+from bonusmalus import SingularSystemError, cli
 from bonusmalus.model import FreqRule, SeverityRule
 from bonusmalus.verify import OracleCheck
 
@@ -438,6 +438,21 @@ class TestSimulateVerb:
         assert len(lines) == 11
 
 
+    def test_failed_relativity_estimate_exits_3_without_a_file(self, tmp_path, monkeypatch):
+        # Only an under-visited level leaves the relativity columns blank;
+        # any other failure of the estimate is a numeric failure.
+        def singular(summary):
+            raise SingularSystemError("stub")
+
+        monkeypatch.setattr(cli, "empirical_relativity", singular)
+        payload = json.loads(json.dumps(SMALL_MODEL))
+        payload["simulation"] = {"paths": 2_000, "seed": 11, "burn_in_years": 100}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--out", str(out)]) == 3
+        assert not out.exists()
+
+
 class TestVerifyVerb:
     def test_passing_battery_exits_0(self, tmp_path, capsys):
         payload = json.loads(json.dumps(SMALL_MODEL))
@@ -709,6 +724,35 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: quadrature_nodes=512 ")
         assert not out.exists()
+
+    def test_config_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        # Reading it raised IsADirectoryError, which escaped as a traceback.
+        argv = ["relativities", "--config", str(tmp_path), "--out", str(tmp_path / "out")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {tmp_path}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "verb,edit,named",
+        [
+            ("relativities", lambda p: p["model"].update(severity=5), "'severity'"),
+            ("relativities", lambda p: p["model"].update(effects=[1]), "'effects'"),
+            ("relativities", lambda p: p["model"].update(classes=[5]), "JSON object of weight"),
+            ("relativities", lambda p: p.update(model="m"), "'model'"),
+            ("bayes", lambda p: p.update(bayes=[0.5]), "'bayes'"),
+            ("bayes", lambda p: p.update(history=[5]), "'history'"),
+        ],
+        ids=["severity", "effects", "class", "model", "bayes", "history_row"],
+    )
+    def test_sections_of_the_wrong_shape_exit_2(self, tmp_path, capsys, verb, edit, named):
+        # A non-object severity or effects section once raised an AttributeError traceback.
+        payload = json.loads(json.dumps(BAYES_CONFIG if verb == "bayes" else SMALL_MODEL))
+        edit(payload)
+        config = write_config(tmp_path, payload)
+        assert run([verb, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err and "Traceback" not in err
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from bonusmalus import (
     FreqRule,
     GammaSeverity,
-    LevelMismatchError,
     LognormalCopulaEffects,
     ModelSpec,
+    ModelValidationError,
     Portfolio,
     RiskClass,
     SeverityRule,
@@ -104,7 +104,7 @@ class TestHmseEval:
                 assert hmse_eval(base_model, bumped, rule).hmse_raw > best
 
     def test_level_count_mismatch_rejected(self, base_model):
-        with pytest.raises(LevelMismatchError):
+        with pytest.raises(ModelValidationError, match="table has 9 levels but the rule has 10"):
             hmse_eval(base_model, np.ones(9), FreqRule(9, 1))
 
     def test_normalization_is_premium_weighted(self, base_model):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -14,25 +15,31 @@ from bonusmalus import (
     DegenerateEffects,
     FreqRule,
     GammaSeverity,
-    InconsistentHistoryError,
-    InvalidRuleError,
     LognormalCopulaEffects,
+    MixtureBayesModel,
     MixtureExponentialEffects,
     ModelSpec,
     ModelValidationError,
-    NonUnitEffectMeanError,
-    NonUnitWeightsError,
     PoissonSeverity,
     Portfolio,
     RiskClass,
     SeverityRule,
     SimConfig,
+    bayes_agg_premium_fullhist,
     build_grid,
     check_rule,
+    hmse_empirical,
+    hmse_eval,
     marginal_grid,
+    mse_comparison_mc,
+    optimal_relativity_dependent,
+    optimal_relativity_frequency,
+    optimal_relativity_severity,
     rule_dominance_check,
     severity_marginal_quantile,
+    simulate_paths,
     threshold_scan,
+    unconditional_level_distribution,
 )
 from bonusmalus.transition import jump_tails
 from conftest import SEV_RATE, degenerate_model, study_model
@@ -50,7 +57,7 @@ class TestPortfolio:
         assert abs(math.fsum(spec.portfolio.weights) - 1.0) <= 1e-12
 
     def test_weights_off_by_too_much_rejected(self):
-        with pytest.raises(NonUnitWeightsError):
+        with pytest.raises(ModelValidationError, match="class weights sum to 1.1"):
             _spec([RiskClass(0.5, 1.0, 10.0), RiskClass(0.6, 2.0, 20.0)])
 
     def test_empty_portfolio_rejected(self):
@@ -58,7 +65,7 @@ class TestPortfolio:
             _spec([])
 
     def test_half_weight_portfolio_rejected(self):
-        with pytest.raises(NonUnitWeightsError):
+        with pytest.raises(ModelValidationError, match="class weights sum to 0.5"):
             Portfolio([RiskClass(0.5, 0.5, SEV_RATE)])
 
     def test_nonpositive_rates_rejected(self):
@@ -119,7 +126,7 @@ class TestEffects:
         assert spec.effects is effects
 
     def test_mixture_mean_violation_rejected(self):
-        with pytest.raises(NonUnitEffectMeanError):
+        with pytest.raises(ModelValidationError, match="mixture marginal mean"):
             _spec([RiskClass(1.0, 0.5, 10.0)], MixtureExponentialEffects(0.5, 2.0, 0.5))
 
     def test_mixture_rate_order_enforced_for_interior_weight(self):
@@ -144,29 +151,29 @@ class TestEffects:
 
 class TestRules:
     def test_severity_rule_step_order(self):
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match="large-claim step 1 must be >="):
             SeverityRule(9, 2, 1, 100.0)
 
     def test_minimum_levels(self):
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match="max_level 0 is not an integer"):
             FreqRule(0, 1)
 
     def test_positive_threshold(self):
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match="claim-size threshold 0.0"):
             SeverityRule(9, 1, 2, 0.0)
 
     @pytest.mark.parametrize(
-        "build",
+        "build,named",
         [
-            lambda: FreqRule(1001, 1),
-            lambda: FreqRule(9, 1001),
-            lambda: FreqRule(9, 10**400),
-            lambda: SeverityRule(9, 1, 1001, 1.0),
+            (lambda: FreqRule(1001, 1), "max_level 1001"),
+            (lambda: FreqRule(9, 1001), "step 1001"),
+            (lambda: FreqRule(9, 10**400), "'step' must be a number"),
+            (lambda: SeverityRule(9, 1, 1001, 1.0), "large_step 1001"),
         ],
         ids=["levels", "step", "huge_step", "large_step"],
     )
-    def test_scale_bounded(self, build):
-        with pytest.raises(InvalidRuleError):
+    def test_scale_bounded(self, build, named):
+        with pytest.raises(ModelValidationError, match=named):
             build()
 
     def test_largest_scale_accepted(self):
@@ -174,9 +181,9 @@ class TestRules:
         assert SeverityRule(1000, 1000, 1000, 1.0).levels == 1001
 
     def test_derived_rules_checked(self):
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match="claim-size threshold nan"):
             SeverityRule(9, 1, 2, 1.0).with_threshold(math.nan)
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match="large-claim step 1 must be >="):
             SeverityRule(9, 2, 1, 1.0)
 
     def test_valid_rules_pass_through(self):
@@ -184,26 +191,26 @@ class TestRules:
         assert rule.levels == 10
 
     @pytest.mark.parametrize(
-        "build",
+        "build,named",
         [
-            lambda: FreqRule(9, 1.5),
-            lambda: FreqRule(9.5, 1),
-            lambda: SeverityRule(9, 1, 2.5, 100.0),
-            lambda: FreqRule(True, True),
-            lambda: SeverityRule(9, True, 2, 100.0),
-            lambda: FreqRule(9, math.nan),
-            lambda: FreqRule("9", 1),
-            lambda: SeverityRule(9, 1, 2, True),
-            lambda: SeverityRule(9, 1, 2, "5"),
+            (lambda: FreqRule(9, 1.5), "'step' must be an integer"),
+            (lambda: FreqRule(9.5, 1), "'max_level' must be an integer"),
+            (lambda: SeverityRule(9, 1, 2.5, 100.0), "'large_step' must be an integer"),
+            (lambda: FreqRule(True, True), "'max_level' must be a number"),
+            (lambda: SeverityRule(9, True, 2, 100.0), "'small_step' must be a number"),
+            (lambda: FreqRule(9, math.nan), "'step' must be an integer"),
+            (lambda: FreqRule("9", 1), "'max_level' must be a number"),
+            (lambda: SeverityRule(9, 1, 2, True), "'threshold' must be a number"),
+            (lambda: SeverityRule(9, 1, 2, "5"), "'threshold' must be a number"),
         ],
         ids=["fractional_step", "fractional_levels", "fractional_large_step", "booleans",
              "boolean_small_step", "nan_step", "string_levels", "boolean_threshold",
              "string_threshold"],
     )
-    def test_ill_typed_values_rejected(self, build):
+    def test_ill_typed_values_rejected(self, build, named):
         # These once constructed (or raised a raw TypeError), and the engine
         # then raised a raw IndexError or TypeError.
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match=named):
             build()
 
     def test_whole_numbers_and_numpy_integers_stored_as_int(self):
@@ -285,16 +292,209 @@ class TestInputErrorsAreTyped:
             call(study_model(-0.8))
 
 
+NOT_NUMBERS = [True, "1.0", None, 10**400]  # a boolean, a numeric string, None, past float range
+NOT_FINITE = [math.nan, math.inf, -math.inf]
+NOT_WHOLE = [1.5, *NOT_FINITE]
+NOT_THRESHOLDS = [math.nan, -math.inf]  # an infinite threshold is the small-step rule
+MIXTURE = MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0)
+LOGNORMAL = LognormalCopulaEffects(-0.8, 0.99, 0.29)
+BAYES = MixtureBayesModel(0.5, 3.0, MIXTURE)
+STUDY = study_model(-0.8)
+H1 = FreqRule(9, 1)
+
+
+@functools.cache
+def _summary():
+    return simulate_paths(SimConfig(degenerate_model(), H1, 2_000, 1))
+
+
+def _sim(name):
+    return lambda v: SimConfig(degenerate_model(), H1, **{"n_paths": 2_000, "seed": 1, name: v})
+
+
+def _check(**values):
+    return check_rule(STUDY, H1, **{"n_paths": 100_000, **values})
+
+
+# (call with one value, regex of the message a non-number raises, out-of-range values)
+NUMBER_SLOTS = {
+    "RiskClass.weight": (lambda v: RiskClass(v, 0.5, 100.0), "'weight'", NOT_FINITE),
+    "RiskClass.freq_rate": (lambda v: RiskClass(1.0, v, 100.0), "'freq_rate'", NOT_FINITE),
+    "RiskClass.sev_rate": (lambda v: RiskClass(1.0, 0.5, v), "'sev_rate'", NOT_FINITE),
+    "GammaSeverity.dispersion": (GammaSeverity, "'dispersion'", NOT_FINITE),
+    "LognormalCopulaEffects.corr": (
+        lambda v: LognormalCopulaEffects(v, 0.99, 0.29), "'corr'", NOT_FINITE
+    ),
+    "LognormalCopulaEffects.log_var1": (
+        lambda v: LognormalCopulaEffects(-0.8, v, 0.29), "'log_var1'", NOT_FINITE
+    ),
+    "LognormalCopulaEffects.log_var2": (
+        lambda v: LognormalCopulaEffects(-0.8, 0.99, v), "'log_var2'", NOT_FINITE
+    ),
+    "MixtureExponentialEffects.weight1": (
+        lambda v: MixtureExponentialEffects(v, 2.0, 2.0 / 3.0), "'weight1'", NOT_FINITE
+    ),
+    "MixtureExponentialEffects.rate1": (
+        lambda v: MixtureExponentialEffects(0.5, v, 2.0 / 3.0), "'rate1'", NOT_FINITE
+    ),
+    "MixtureExponentialEffects.rate2": (
+        lambda v: MixtureExponentialEffects(0.5, 2.0, v), "'rate2'", NOT_FINITE
+    ),
+    "FreqRule.max_level": (lambda v: FreqRule(v, 1), "'max_level'", NOT_WHOLE),
+    "FreqRule.step": (lambda v: FreqRule(9, v), "'step'", NOT_WHOLE),
+    "SeverityRule.max_level": (lambda v: SeverityRule(v, 1, 2, 1.0), "'max_level'", NOT_WHOLE),
+    "SeverityRule.small_step": (lambda v: SeverityRule(9, v, 2, 1.0), "'small_step'", NOT_WHOLE),
+    "SeverityRule.large_step": (lambda v: SeverityRule(9, 1, v, 1.0), "'large_step'", NOT_WHOLE),
+    "SeverityRule.threshold": (lambda v: SeverityRule(9, 1, 2, v), "'threshold'", NOT_THRESHOLDS),
+    "ClaimHistory.counts": (lambda v: ClaimHistory([1, v]), "'counts'", NOT_WHOLE),
+    "ClaimHistory.aggregates": (
+        lambda v: ClaimHistory([1, 1], [2.0, v]), "'aggregates'", NOT_FINITE
+    ),
+    **{
+        f"SimConfig.{name}": (_sim(name), f"'{name}'", NOT_WHOLE)
+        for name in ("n_paths", "seed", "burn_in_years", "sample_years", "start_level")
+    },
+    "MixtureBayesModel.freq_rate": (
+        lambda v: MixtureBayesModel(v, 3.0, MIXTURE), "'freq_rate'", NOT_FINITE
+    ),
+    "MixtureBayesModel.sev_rate": (
+        lambda v: MixtureBayesModel(0.5, v, MIXTURE), "'sev_rate'", NOT_FINITE
+    ),
+    "build_grid.n": (lambda v: build_grid(LOGNORMAL, v), "'n'", NOT_WHOLE),
+    "marginal_grid.n": (lambda v: marginal_grid(MIXTURE, 1, v), "'n'", NOT_WHOLE),
+    "marginal_grid.component": (lambda v: marginal_grid(LOGNORMAL, v), "'component'", NOT_WHOLE),
+    "optimal_relativity_frequency.nodes": (
+        lambda v: optimal_relativity_frequency(STUDY, H1, v), "'nodes'", NOT_WHOLE
+    ),
+    "optimal_relativity_dependent.nodes": (
+        lambda v: optimal_relativity_dependent(STUDY, H1, v), "'nodes'", NOT_WHOLE
+    ),
+    "optimal_relativity_severity.nodes": (
+        lambda v: optimal_relativity_severity(STUDY, SeverityRule(9, 1, 2, 1e4), v),
+        "'nodes'",
+        NOT_WHOLE,
+    ),
+    "unconditional_level_distribution.nodes": (
+        lambda v: unconditional_level_distribution(STUDY, H1, v), "'nodes'", NOT_WHOLE
+    ),
+    "hmse_eval.nodes": (lambda v: hmse_eval(STUDY, np.ones(10), H1, v), "'nodes'", NOT_WHOLE),
+    "hmse_eval.relativities": (lambda v: hmse_eval(STUDY, [v] * 10, H1), "'relativities'", []),
+    "hmse_empirical.relativities": (
+        lambda v: hmse_empirical(_summary(), [v] * 10), "'relativities'", []
+    ),
+    "severity_marginal_quantile.p": (
+        lambda v: severity_marginal_quantile(v, STUDY), "'p'", NOT_FINITE
+    ),
+    "threshold_scan.thresholds": (
+        lambda v: threshold_scan(STUDY, SeverityRule(9, 1, 2, 1.0), [v]),
+        "'threshold'",
+        NOT_THRESHOLDS,
+    ),
+    "check_rule.n_paths": (lambda v: _check(n_paths=v), "'n_paths'", NOT_WHOLE),
+    "check_rule.seed": (lambda v: _check(seed=v), "'seed'", NOT_WHOLE),
+    "check_rule.nodes": (lambda v: _check(nodes=v), "'nodes'", NOT_WHOLE),
+    "check_rule.burn_in_years": (lambda v: _check(burn_in_years=v), "'burn_in_years'", NOT_WHOLE),
+    "check_rule.perturb_level": (lambda v: _check(perturb={v: 0.1}), "perturbed level", NOT_WHOLE),
+    "check_rule.perturb_delta": (lambda v: _check(perturb={0: v}), "'perturb'", []),
+    "mse_comparison_mc.years": (
+        lambda v: mse_comparison_mc(BAYES, v, 10, 1), "'years'", NOT_WHOLE
+    ),
+    "mse_comparison_mc.n_paths": (
+        lambda v: mse_comparison_mc(BAYES, 3, v, 1), "'n_paths'", NOT_WHOLE
+    ),
+    "mse_comparison_mc.seed": (lambda v: mse_comparison_mc(BAYES, 3, 10, v), "'seed'", NOT_WHOLE),
+}
+
+
+class TestOneInputGate:
+    # Every number a model value or an entry point takes passes one gate, so a
+    # wrong value raises ModelValidationError naming it: never a TypeError,
+    # AttributeError, OverflowError or ZeroDivisionError, and never a value
+    # that computes.  A raise of any other type fails the test.
+    @pytest.mark.parametrize("slot", NUMBER_SLOTS)
+    def test_non_numbers_rejected(self, slot):
+        call, named, _ = NUMBER_SLOTS[slot]
+        for value in NOT_NUMBERS:
+            with pytest.raises(ModelValidationError, match=named):
+                call(value)
+
+    @pytest.mark.parametrize("slot", [slot for slot, entry in NUMBER_SLOTS.items() if entry[2]])
+    def test_out_of_range_numbers_rejected(self, slot):
+        call, _, values = NUMBER_SLOTS[slot]
+        for value in values:
+            with pytest.raises(ModelValidationError):
+                call(value)
+
+    def test_numbers_stored_as_floats_and_ints(self):
+        risk = RiskClass(1, np.float32(0.5), np.int64(100))
+        assert [type(v) for v in (risk.weight, risk.freq_rate, risk.sev_rate)] == [float] * 3
+        rule = SeverityRule(np.int64(9), 1.0, np.uint8(2), 16800)
+        assert [type(v) for v in dataclasses.astuple(rule)] == [int, int, int, float]
+        sim = SimConfig(degenerate_model(), rule, 2_000.0, np.int32(1), start_level=0.0)
+        assert {type(v) for v in dataclasses.astuple(sim)[2:]} == {int}
+        bayes = MixtureBayesModel(1, 3, MixtureExponentialEffects(1, 1, 5))
+        assert {type(v) for v in (bayes.freq_rate, bayes.sev_rate, *bayes.components()[0])} == {
+            float
+        }
+
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda: ModelSpec("p", GammaSeverity(1.0), DegenerateEffects()), "portfolio type str"),
+            (lambda: ModelSpec(STUDY.portfolio, "gamma", LOGNORMAL), "severity type str"),
+            (lambda: ModelSpec(STUDY.portfolio, GammaSeverity(1.0), "ln"), "effects type str"),
+            (lambda: Portfolio(["class"]), "portfolio classes"),
+            (lambda: Portfolio(True), "'classes' must be a sequence"),
+            (lambda: ClaimHistory(None), "'counts' must be a sequence"),
+            (lambda: ClaimHistory([1], 3.0), "'aggregates' must be a sequence"),
+            (lambda: SimConfig("m", H1, 2_000, 1), "model type str"),
+            (lambda: SimConfig(STUDY, "h1", 2_000, 1), "rule type str"),
+            (lambda: threshold_scan(STUDY, H1, [1.0]), "severity-aware rule"),
+            (lambda: threshold_scan(STUDY, SeverityRule(9, 1, 2, 1.0), 150.0), "'thresholds'"),
+            (lambda: mse_comparison_mc(BAYES, 3, 0, 1), "n_paths must be an integer of at least 1"),
+        ],
+        ids=[
+            "spec_portfolio", "spec_severity", "spec_effects", "portfolio_entry",
+            "portfolio_scalar", "history_none", "aggregates_scalar", "sim_model", "sim_rule",
+            "scan_frequency_rule", "scan_scalar", "mse_no_paths",
+        ],
+    )
+    def test_wrong_types_rejected(self, build, named):
+        with pytest.raises(ModelValidationError, match=named):
+            build()
+
+    def test_unit_severity_flag_must_be_a_boolean(self):
+        # The string "false" once priced the unit-severity model: 2.447, not 10.254.
+        history = ClaimHistory([1, 0, 2], [5, 0, 30])
+        premium = {
+            flag: bayes_agg_premium_fullhist(history, MixtureBayesModel(0.5, 3.0, MIXTURE, flag))
+            for flag in (False, True)
+        }
+        assert premium[False] == pytest.approx(10.254, abs=5e-4)
+        assert premium[True] == pytest.approx(2.447, abs=5e-4)
+        for flag in ("false", "true", 0, 1.0, None):
+            with pytest.raises(ModelValidationError, match="'unit_severity_effect'"):
+                MixtureBayesModel(0.5, 3.0, MIXTURE, flag)
+
+    def test_whole_float_node_counts_accepted(self):
+        table = optimal_relativity_dependent(STUDY, H1, 16.0)
+        assert table.nodes == 16 and type(table.nodes) is int
+        np.testing.assert_array_equal(
+            table.relativities, optimal_relativity_dependent(STUDY, H1, 16).relativities
+        )
+        assert build_grid(LOGNORMAL, 8.0).size == 64
+
+
 class TestClaimHistory:
     def test_empty_history_allowed(self):
         assert ClaimHistory([]).years == 0
 
     def test_severity_without_claim_rejected(self):
-        with pytest.raises(InconsistentHistoryError):
+        with pytest.raises(ModelValidationError, match="year 1 has no claims"):
             ClaimHistory([0, 1], [3.0, 2.0])
 
     def test_lengths_must_match(self):
-        with pytest.raises(InconsistentHistoryError):
+        with pytest.raises(ModelValidationError, match="differ in length"):
             ClaimHistory([1, 2], [3.0])
 
     def test_totals(self):
@@ -338,11 +538,13 @@ class TestClaimHistory:
         ],
     )
     def test_malformed_entries_rejected_on_construction(self, counts, aggregates):
-        with pytest.raises(InconsistentHistoryError):
+        # The counts of the aggregate cases are valid, so the aggregates are named.
+        named = "aggregate" if aggregates is not None else "count"
+        with pytest.raises(ModelValidationError, match=named):
             ClaimHistory(counts, aggregates)
 
     def test_aggregate_total_must_stay_finite(self):
-        with pytest.raises(InconsistentHistoryError):
+        with pytest.raises(ModelValidationError, match="overflow when summed"):
             ClaimHistory([1, 1], [1e308, 1e308])
 
     def test_whole_floats_and_numpy_scalars_accepted(self):

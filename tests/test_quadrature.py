@@ -18,7 +18,6 @@ from bonusmalus import (
     NonFiniteIntegrandError,
     PoissonSeverity,
     SeverityRule,
-    UnsupportedEffectsError,
     build_grid,
     marginal_grid,
     optimal_relativity_severity,
@@ -43,7 +42,7 @@ class TestBuildGrid:
             build_grid(LognormalCopulaEffects(0.0, 0.5, 0.5), 4)
 
     def test_unsupported_effects(self):
-        with pytest.raises(UnsupportedEffectsError):
+        with pytest.raises(ModelValidationError, match="no quadrature scheme for object"):
             build_grid(object(), 32)
 
     @pytest.mark.parametrize(
@@ -119,6 +118,26 @@ class TestGaussRules:
             nodes, weights = marginal_grid(effects, 2, n)
         assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "effects, build",
+        [(LOGNORMAL, "hermgauss"), (MIXTURE, "laggauss")],
+        ids=["hermite", "laguerre"],
+    )
+    def test_refused_node_count_is_built_once(self, monkeypatch, effects, build):
+        # lru_cache keeps no exception, so a refused rule was rebuilt on every call.
+        calls = []
+
+        def overflowing(n):
+            calls.append(n)
+            return np.full(n, math.nan), np.ones(n)
+
+        monkeypatch.setattr(f"bonusmalus.quadrature.{build}", overflowing)
+        monkeypatch.setattr("bonusmalus.quadrature._REFUSED", set())
+        for _ in range(2):
+            with pytest.raises(ModelValidationError, match="quadrature_nodes=1024 "):
+                build_grid(effects, 1024)
+        assert calls == [1024]
 
     @pytest.mark.parametrize("rule", [_hermite_nodes, _laguerre_nodes])
     def test_built_once_per_node_count_and_read_only(self, rule):

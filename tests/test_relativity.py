@@ -11,10 +11,10 @@ from bonusmalus import (
     DegenerateEffects,
     FreqRule,
     GammaSeverity,
-    LevelMismatchError,
     LognormalCopulaEffects,
     MixtureExponentialEffects,
     ModelSpec,
+    ModelValidationError,
     Portfolio,
     RiskClass,
     SeverityRule,
@@ -91,7 +91,7 @@ class TestFrequencyFamily:
         assert float(np.max(gaps)) < 3.0
 
     def test_rejects_severity_rules(self, base_model):
-        with pytest.raises(LevelMismatchError):
+        with pytest.raises(ModelValidationError, match="frequency-driven rule"):
             optimal_relativity_frequency(base_model, SeverityRule(9, 1, 2, 100.0))
 
 
@@ -184,7 +184,7 @@ class TestSeverityFamily:
         assert table.stationary[9] == pytest.approx(0.143, abs=0.01)
 
     def test_rejects_frequency_rules(self, base_model):
-        with pytest.raises(LevelMismatchError):
+        with pytest.raises(ModelValidationError, match="severity-aware rule"):
             optimal_relativity_severity(base_model, FreqRule(9, 1))
 
 

@@ -16,11 +16,10 @@ from bonusmalus import (
     FreqRule,
     GammaSeverity,
     InsufficientOccupancyError,
-    InvalidRuleError,
-    LevelMismatchError,
     LognormalCopulaEffects,
     MixtureExponentialEffects,
     ModelSpec,
+    ModelValidationError,
     Portfolio,
     RiskClass,
     SeverityRule,
@@ -55,7 +54,7 @@ class TestSimulatePaths:
             simulate_paths(SimConfig(base_model, FreqRule(9, 1), 0, seed=1))
 
     def test_invalid_rule_rejected(self, base_model):
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match="large-claim step 1 must be >="):
             simulate_paths(SimConfig(base_model, SeverityRule(9, 2, 1, 100.0), 1_000, seed=1))
 
     def test_different_seed_changes_the_sample(self, base_model):
@@ -88,7 +87,7 @@ class TestSimulatePaths:
             SimConfig(base_model, FreqRule(9, 1), 0, seed=1)
 
     def test_rule_type_validated(self, base_model):
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match="unknown rule type object"):
             SimConfig(base_model, object(), 10, seed=1)
 
     def test_start_level_validated(self, base_model):
@@ -298,7 +297,7 @@ class TestEmpiricalEstimates:
 
     def test_hmse_vector_length_is_a_level_mismatch(self, base_model):
         summary = simulate_paths(SimConfig(base_model, FreqRule(9, 1), 3_000, seed=10))
-        with pytest.raises(LevelMismatchError, match="10 levels"):
+        with pytest.raises(ModelValidationError, match="10 levels"):
             hmse_empirical(summary, np.ones(11))
 
 

@@ -15,9 +15,9 @@ from scipy import stats
 from bonusmalus import (
     FreqRule,
     GammaSeverity,
-    InvalidRuleError,
     LognormalCopulaEffects,
     ModelSpec,
+    ModelValidationError,
     PoissonSeverity,
     Portfolio,
     RiskClass,
@@ -265,11 +265,11 @@ class TestJumpLawMemory:
 
 class TestRuleValidation:
     def test_inverted_steps_rejected(self, base_model):
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match="large-claim step 1 must be >="):
             optimal_relativity_severity(base_model, SeverityRule(9, 2, 1, 100.0))
 
     def test_negative_threshold_rejected(self, base_model):
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match="claim-size threshold -5.0"):
             threshold_scan(base_model, SeverityRule(9, 1, 2, 1.0), [-5.0])
 
 
@@ -304,9 +304,9 @@ class TestExtremeThresholds:
     def test_nan_and_negative_infinite_thresholds_rejected(self, severity, sev_rate, threshold):
         # No such rule can be built, nor derived from a valid one by a scan.
         model = _one_class_model(severity, sev_rate)
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match="claim-size threshold"):
             SeverityRule(9, 1, 2, threshold)
-        with pytest.raises(InvalidRuleError):
+        with pytest.raises(ModelValidationError, match="claim-size threshold"):
             threshold_scan(model, SeverityRule(9, 1, 2, 1.0), [threshold], 16)
 
     def test_infinite_threshold_simulates(self):
