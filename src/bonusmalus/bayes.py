@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelValidationError
-from .model import ClaimHistory, MixtureExponentialEffects, _at_least, _store_numbers
+from .model import ClaimHistory, MixtureExponentialEffects, _at_least, _instance, _store_numbers
 from .quadrature import _branches
 
 
@@ -90,6 +90,11 @@ def _posterior(model: MixtureBayesModel, total_count, years, total_aggregate=Non
     return weights / np.sum(weights, axis=0, keepdims=True), (shape1, rate1), (shape2, rate2)
 
 
+def _check_arguments(history, model) -> None:
+    _instance(history, ClaimHistory, "history")
+    _instance(model, MixtureBayesModel, "model")
+
+
 def _premium(model: MixtureBayesModel, total_count, years, total_aggregate=None, aggregate=True):
     """Posterior mean of next year's aggregate loss, or claim count unless ``aggregate``."""
     weights, (shape1, rate1), (shape2, rate2) = _posterior(
@@ -113,6 +118,7 @@ def bayes_freq_premium(history: ClaimHistory, model: MixtureBayesModel) -> float
     exactly: at ``freq_rate`` 0.37 and mixture 0.5/2.0/(2/3) it is off by
     -5.6e-17.
     """
+    _check_arguments(history, model)
     return float(_premium(model, history.total_count, history.years, aggregate=False)[0])
 
 
@@ -125,6 +131,7 @@ def bayes_agg_premium_freqhist(history: ClaimHistory, model: MixtureBayesModel) 
     reweights the components.  At the independent boundary mixtures this
     collapses to the severity rate times the frequency premium.
     """
+    _check_arguments(history, model)
     return float(_premium(model, history.total_count, history.years)[0])
 
 
@@ -138,6 +145,7 @@ def bayes_agg_premium_fullhist(history: ClaimHistory, model: MixtureBayesModel) 
     Under ``unit_severity_effect`` claim sizes are uninformative and the
     premium equals ``bayes_agg_premium_freqhist`` exactly, for every history.
     """
+    _check_arguments(history, model)
     if history.years and history.aggregates is None:
         raise ModelValidationError("full-history premium needs aggregate severities")
     aggregate = history.total_aggregate if history.years else 0.0
@@ -171,6 +179,7 @@ def mse_comparison_mc(
     with a one-sided confidence bound on their gap.  Deterministic per seed;
     paths use independent chunked streams so chunking cannot change results.
     """
+    _instance(model, MixtureBayesModel, "model")
     years = _at_least(years, "years", 0)
     n_paths = _at_least(n_paths, "n_paths", 1)
     seed = _at_least(seed, "seed", 0)

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelValidationError
-from .model import ModelSpec, SeverityRule, _number, _sequence, _vector
+from .model import (
+    BmsRule,
+    FreqRule,
+    ModelSpec,
+    SeverityRule,
+    _instance,
+    _number,
+    _sequence,
+    _vector,
+)
 from .quadrature import DEFAULT_NODES
 from .relativity import (
     RelativityTable,
@@ -57,6 +66,8 @@ def hmse_eval(
     independently of the per-level moment route used when tables are built,
     so the two must agree to roundoff.
     """
+    _instance(model, ModelSpec, "model")
+    _instance(rule, BmsRule, "rule")
     if isinstance(relativities, RelativityTable):
         r = relativities.scoring_relativities()
     else:
@@ -120,8 +131,10 @@ def rule_dominance_check(
     severity grid; the severity minimum then cannot exceed the frequency
     minimum, and the report keeps both best tables.
     """
-    freq_rules = list(freq_rules)
-    severity_rules = list(severity_rules)
+    freq_rules = [_instance(r, FreqRule, "frequency rule") for r in _sequence(freq_rules, "rules")]
+    severity_rules = [
+        _instance(r, SeverityRule, "severity rule") for r in _sequence(severity_rules, "rules")
+    ]
     if not freq_rules or not severity_rules:
         raise ModelValidationError("both rule grids must be non-empty")
     diagonal = {(r.max_level, r.small_step, r.large_step) for r in severity_rules}

@@ -68,9 +68,25 @@ def _sequence(values, name: str) -> tuple:
     raise ModelValidationError(f"'{name}' must be a sequence, got {values!r}")
 
 
+def _instance(value, kind, name: str):
+    """``value`` itself if it is a ``kind`` (a class or a ``Union``), else raise."""
+    if not isinstance(value, kind):
+        raise ModelValidationError(f"unknown {name} type {type(value).__name__}")
+    return value
+
+
 def _vector(values, name: str) -> np.ndarray:
-    """``values`` as a float array; an array of booleans, strings or objects is refused."""
-    array = np.asarray(values)
+    """``values`` as a one-dimensional float array.
+
+    A scalar, a nest of sequences, ragged or not, and an array of booleans,
+    strings or objects are refused.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy refuses a ragged nest of sequences
+        array = None
+    if array is None or array.ndim != 1:
+        raise ModelValidationError(f"'{name}' must be a flat sequence of numbers, got {values!r}")
     if array.dtype.kind not in "iuf":
         raise ModelValidationError(f"'{name}' must hold numbers, got an array of {array.dtype}")
     return array.astype(float)
@@ -389,5 +405,4 @@ class ModelSpec:
         for name, kind in (
             ("portfolio", Portfolio), ("severity", SeverityLaw), ("effects", RandomEffectJoint)
         ):
-            if not isinstance(value := getattr(self, name), kind):
-                raise ModelValidationError(f"unknown {name} type {type(value).__name__}")
+            _instance(getattr(self, name), kind, name)

@@ -27,6 +27,7 @@ from .model import (
     PoissonSeverity,
     RandomEffectJoint,
     SeverityLaw,
+    _instance,
     _number,
 )
 
@@ -189,6 +190,7 @@ def severity_marginal_quantile(
     1e-12 and relative tolerance 1e-10.  A level the claim-size mass at zero
     already reaches has no positive quantile and raises ``ModelValidationError``.
     """
+    _instance(model, ModelSpec, "model")
     p = _number(p, "p")
     if not 0.0 < p < 1.0:
         raise ModelValidationError(f"quantile level must lie in (0, 1), got {p}")

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ModelValidationError
-from .model import BmsRule, FreqRule, ModelSpec, SeverityRule, _number
+from .model import BmsRule, FreqRule, ModelSpec, SeverityRule, _instance, _number
 from .quadrature import DEFAULT_NODES, _read_only, build_grid
 from .stationary import conditional_stationary_field
 
@@ -156,6 +156,8 @@ def unconditional_level_distribution(
     The mass of the joint stationary field; every relativity table of
     ``(model, rule, nodes)`` carries these values as ``stationary``.  Read-only.
     """
+    _instance(model, ModelSpec, "model")
+    _instance(rule, BmsRule, "rule")
     return _moment_field(model, rule, _number(nodes, "nodes", whole=True), "aggregate").mass
 
 
@@ -174,6 +176,7 @@ def _hmse_from_field(field: _MomentField, relativities: np.ndarray) -> tuple[flo
 
 
 def _table(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> RelativityTable:
+    _instance(model, ModelSpec, "model")
     nodes = _number(nodes, "nodes", whole=True)
     field = _moment_field(model, rule, nodes, family)
     r = _ratio(field)
@@ -221,6 +224,8 @@ def balance_check(model: ModelSpec, table: RelativityTable) -> BalanceReport:
     At the optimum every defined level has zero premium-weighted residual and
     the portfolio-level premium identity holds up to quadrature roundoff.
     """
+    _instance(model, ModelSpec, "model")
+    _instance(table, RelativityTable, "table")
     field = _moment_field(model, table.rule, table.nodes, table.family)
     defined = field.mass > MASS_FLOOR
     residuals = np.full(field.mass.shape, np.nan)

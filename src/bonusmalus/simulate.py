@@ -40,6 +40,7 @@ from .model import (
     LognormalCopulaEffects,
     ModelSpec,
     _at_least,
+    _instance,
     _vector,
 )
 from .quadrature import severity_cdf
@@ -67,9 +68,8 @@ class SimConfig:
     start_level: int = 0
 
     def __post_init__(self) -> None:
-        for name, kind in (("model", ModelSpec), ("rule", BmsRule)):
-            if not isinstance(value := getattr(self, name), kind):
-                raise ModelValidationError(f"unknown {name} type {type(value).__name__}")
+        _instance(self.model, ModelSpec, "model")
+        _instance(self.rule, BmsRule, "rule")
         floors = {"n_paths": 1, "seed": 0, "burn_in_years": 0, "sample_years": 1, "start_level": 0}
         for name, floor in floors.items():
             object.__setattr__(self, name, _at_least(getattr(self, name), name, floor))
@@ -197,6 +197,7 @@ def _large_claims(v, n, exceed) -> np.ndarray:
 
 def simulate_paths(cfg: SimConfig) -> SimSummary:
     """Evolve policyholder level chains and collect stationary statistics."""
+    _instance(cfg, SimConfig, "config")
     rule = cfg.rule
     z = rule.max_level
     levels = rule.levels
@@ -298,11 +299,13 @@ def empirical_relativity(summary: SimSummary) -> tuple[np.ndarray, np.ndarray]:
     Estimates the premium-weighted conditional mean of the effect product
     given the level; each level must have been visited at least 1000 times.
     """
+    _instance(summary, SimSummary, "summary")
     return _ratio_estimate(summary, _AGGREGATE_ROWS, summary.freq_rates * summary.sev_rates)
 
 
 def hmse_empirical(summary: SimSummary, relativities) -> tuple[float, float]:
     """Empirical score of a relativity vector with its standard error."""
+    _instance(summary, SimSummary, "summary")
     r = np.nan_to_num(_vector(relativities, "relativities"), nan=0.0)
     if r.shape != (summary.levels,):
         raise ModelValidationError(f"{r.size} relativities for a run of {summary.levels} levels")

@@ -12,9 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import ModelSpec
+from .model import BmsRule, ModelSpec, _instance
 from .quadrature import QuadratureGrid, severity_cdf
 from .transition import jump_tails
+
+# Profiles (class, node pairs) per stationary solve: whole classes are grouped
+# up to this many.  Wider solves run faster but raise peak memory.
+_PROFILES = 2048
 
 
 def _balance_residual(p0: np.ndarray, T: np.ndarray, pi: np.ndarray) -> float:
@@ -62,22 +66,35 @@ def conditional_stationary_field(
 ) -> np.ndarray:
     """Stationary rows for every (risk class, quadrature node) pair.
 
-    Returns an array of shape ``(classes, grid.size, levels)``.  A node
-    enters only through its claim mean and its exceedance, so equal (mean,
-    exceedance) pairs are solved once.  Claim sizes matter only where large
-    claims move further than small ones; a rule with equal steps, of either
-    type, needs one chain per distinct frequency effect.
+    Returns an array of shape ``(classes, grid.size, levels)``.  A profile is
+    one class at one node, and enters only through its claim mean and its
+    exceedance, so equal (mean, exceedance) pairs are solved once.  Claim
+    sizes matter only where large claims move further than small ones; a rule
+    with equal steps, of either type, needs one chain per distinct frequency
+    effect.
+
+    Consecutive classes share one solve, as many as fit in ``_PROFILES``
+    profiles and never fewer than one: on a small grid the fixed cost of a
+    call, not its width, sets the time.  A class's grid is never split, since
+    a grid of ``_PROFILES`` nodes or more is wide enough alone and splitting
+    it would only make two solves of one class.  Every step is elementwise
+    per profile, so a row does not depend on which classes share its solve.
     """
-    classes = model.portfolio.classes
-    out = np.empty((len(classes), grid.size, rule.levels))
-    for ci, cls in enumerate(classes):
-        freq_means = cls.freq_rate * grid.theta1
+    _instance(model, ModelSpec, "model")
+    _instance(rule, BmsRule, "rule")
+    _instance(grid, QuadratureGrid, "grid")
+    freq_rates, sev_rates = model.portfolio.freq_rates, model.portfolio.sev_rates
+    out = np.empty((freq_rates.size, grid.size, rule.levels))
+    per_solve = max(_PROFILES // grid.size, 1)
+    for start in range(0, freq_rates.size, per_solve):
+        group = slice(start, start + per_solve)
+        freq_means = np.outer(freq_rates[group], grid.theta1).ravel()
         exceed, keys = np.zeros_like(freq_means), freq_means
         if rule.large_step > rule.small_step:
-            sev_means = cls.sev_rate * grid.theta2
+            sev_means = np.outer(sev_rates[group], grid.theta2).ravel()
             exceed = severity_cdf(rule.threshold, sev_means, model.severity, upper=True)
             keys = freq_means + 1j * exceed  # one sort key per (mean, exceedance)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         p0, T = jump_tails(rule, freq_means[first], exceed[first])
-        out[ci] = _stationary_batch(p0, T)[inverse]
+        out[group] = _stationary_batch(p0, T)[inverse].reshape(-1, grid.size, rule.levels)
     return out

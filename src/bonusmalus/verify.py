@@ -9,13 +9,14 @@ testable.  The ``verify`` verb runs it once per configured rule.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelValidationError
 from .hmse import hmse_eval
-from .model import ModelSpec, SeverityRule, _number
+from .model import BmsRule, ModelSpec, SeverityRule, _instance, _number
 from .relativity import (
     RelativityTable,
     optimal_relativity_dependent,
@@ -62,15 +63,18 @@ def check_rule(
     (negative control); the check is expected to fail then.  Its keys must be
     levels, whole numbers in ``[0, max_level]``, and its values numbers.
     """
+    _instance(model, ModelSpec, "model")
+    _instance(rule, BmsRule, "rule")
+    perturb = _instance({} if perturb is None else perturb, Mapping, "perturb")
+    perturb = dict(_perturbation(rule, lvl, delta) for lvl, delta in perturb.items())
     if _number(n_paths, "n_paths", whole=True) < 100_000:
         raise ModelValidationError("oracle comparisons need at least 1e5 paths")
     if _number(burn_in_years, "burn_in_years", whole=True) < 100:
         raise ModelValidationError("stationary estimates need at least 100 burn-in years")
     if isinstance(rule, SeverityRule):
         table = optimal_relativity_severity(model, rule, nodes)
-    else:  # refuses anything but a frequency rule
+    else:
         table = optimal_relativity_dependent(model, rule, nodes)
-    perturb = dict(_perturbation(rule, lvl, delta) for lvl, delta in (perturb or {}).items())
     relativities = table.relativities.copy()
     for lvl, delta in perturb.items():
         relativities[lvl] += delta

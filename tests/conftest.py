@@ -15,6 +15,8 @@ from bonusmalus import (
     Portfolio,
     RiskClass,
 )
+from bonusmalus.cli import parse_model
+from bonusmalus.presets import get_preset
 
 SEV_RATE = math.exp(8.8)
 GAMMA_SHAPE = 0.67
@@ -41,6 +43,13 @@ def degenerate_model(freq_rate: float = 0.5, sev_rate: float = SEV_RATE) -> Mode
         GammaSeverity(1.0 / GAMMA_SHAPE),
         DegenerateEffects(),
     )
+
+
+def dat_model() -> ModelSpec:
+    """The 18-cell ``dat`` preset with equal class weights."""
+    cfg = get_preset("dat")
+    cfg["model"]["weights"] = [1.0 / 18] * 18
+    return parse_model(cfg)
 
 
 @pytest.fixture(scope="session")

@@ -25,9 +25,14 @@ from bonusmalus import (
     RiskClass,
     SeverityRule,
     SimConfig,
+    balance_check,
+    bayes_agg_premium_freqhist,
     bayes_agg_premium_fullhist,
+    bayes_freq_premium,
     build_grid,
     check_rule,
+    conditional_stationary_field,
+    empirical_relativity,
     hmse_empirical,
     hmse_eval,
     marginal_grid,
@@ -483,6 +488,78 @@ class TestOneInputGate:
             table.relativities, optimal_relativity_dependent(STUDY, H1, 16).relativities
         )
         assert build_grid(LOGNORMAL, 8.0).size == 64
+
+
+HISTORY = ClaimHistory((1,), (0,))
+RAGGED = [1.0, [1.0, 2.0], *[1.0] * 8]
+
+# (call, regex of the message): each passes one object of the wrong type.
+OBJECT_SLOTS = {
+    "hmse_eval.model": (lambda: hmse_eval("m", np.ones(10), H1), "model type str"),
+    "hmse_eval.rule": (lambda: hmse_eval(STUDY, np.ones(10), "h1"), "rule type str"),
+    "hmse_eval.ragged": (lambda: hmse_eval(STUDY, RAGGED, H1), "'relativities' must be a flat"),
+    "hmse_eval.scalar": (lambda: hmse_eval(STUDY, 1.0, H1), "'relativities' must be a flat"),
+    "hmse_eval.nested": (
+        lambda: hmse_eval(STUDY, [[1.0] * 10], H1), "'relativities' must be a flat"
+    ),
+    "levels.model": (lambda: unconditional_level_distribution("x", H1), "model type str"),
+    "levels.unhashable_model": (
+        lambda: unconditional_level_distribution([STUDY], H1), "model type list"
+    ),
+    "levels.rule": (lambda: unconditional_level_distribution(STUDY, "h1"), "rule type str"),
+    "field.model": (
+        lambda: conditional_stationary_field("m", H1, build_grid(LOGNORMAL, 8)), "model type str"
+    ),
+    "field.rule": (
+        lambda: conditional_stationary_field(STUDY, "h1", build_grid(LOGNORMAL, 8)),
+        "rule type str",
+    ),
+    "field.grid": (lambda: conditional_stationary_field(STUDY, H1, "grid"), "grid type str"),
+    "table.model": (lambda: optimal_relativity_dependent("m", H1), "model type str"),
+    "balance.model": (
+        lambda: balance_check("m", optimal_relativity_dependent(STUDY, H1, 8)), "model type str"
+    ),
+    "balance.table": (lambda: balance_check(STUDY, "table"), "table type str"),
+    "dominance.freq_rules": (
+        lambda: rule_dominance_check(STUDY, [SeverityRule(9, 1, 1, 1.0)], [H1]),
+        "frequency rule type SeverityRule",
+    ),
+    "mse_comparison_mc.model": (lambda: mse_comparison_mc("m", 3, 10, 1), "model type str"),
+    "freq_premium.swapped": (lambda: bayes_freq_premium("m", HISTORY), "history type str"),
+    "freq_premium.model": (lambda: bayes_freq_premium(HISTORY, "m"), "model type str"),
+    "freqhist_premium.model": (lambda: bayes_agg_premium_freqhist(HISTORY, STUDY), "model type"),
+    "fullhist_premium.history": (
+        lambda: bayes_agg_premium_fullhist((1, 0), BAYES), "history type tuple"
+    ),
+    "quantile.model": (lambda: severity_marginal_quantile(0.9, "m"), "model type str"),
+    "simulate_paths.config": (lambda: simulate_paths("cfg"), "config type str"),
+    "empirical_relativity.summary": (lambda: empirical_relativity("s"), "summary type str"),
+    "hmse_empirical.summary": (lambda: hmse_empirical("s", np.ones(10)), "summary type str"),
+    "check_rule.model": (lambda: check_rule("m", H1, 100_000), "model type str"),
+    "check_rule.rule": (lambda: check_rule(STUDY, "h1", 100_000), "rule type str"),
+    "check_rule.perturb": (
+        lambda: check_rule(STUDY, H1, 100_000, perturb=[1]), "perturb type list"
+    ),
+}
+
+
+class TestObjectArgumentGate:
+    # Every model, rule, history, grid and mapping an entry point takes is
+    # checked for its type before use, so a wrong one raises ModelValidationError
+    # naming it, never an AttributeError or numpy's bare ValueError.  A raise
+    # of any other type fails the test.
+    @pytest.mark.parametrize("slot", OBJECT_SLOTS)
+    def test_wrong_objects_rejected(self, slot):
+        call, named = OBJECT_SLOTS[slot]
+        with pytest.raises(ModelValidationError, match=named):
+            call()
+
+    @pytest.mark.parametrize(
+        "values", [RAGGED, 1.0, [[1.0] * 10]], ids=["ragged", "scalar", "nested"]
+    )
+    def test_non_vectors_rejected_by_the_simulated_score(self, values):
+        with pytest.raises(ModelValidationError, match="'relativities' must be a flat sequence"):
+            hmse_empirical(_summary(), values)
 
 
 class TestClaimHistory:

@@ -25,23 +25,15 @@ from bonusmalus import (
     optimal_relativity_severity,
     simulate_paths,
 )
-from bonusmalus.cli import parse_model
-from bonusmalus.presets import get_preset
-from conftest import GAMMA_SHAPE, degenerate_model, study_model
+from conftest import GAMMA_SHAPE, dat_model, degenerate_model, study_model
 from oracles import empirical_frequency_relativity
 
 FAR_THRESHOLD = 1e13  # exceedance underflows to exactly zero for all profiles
 
 
-def _data_model_equal_weights() -> ModelSpec:
-    cfg = get_preset("dat")
-    cfg["model"]["weights"] = [1.0 / 18] * 18
-    return parse_model(cfg)
-
-
 EQUAL_STEP_MODELS = {
     "lognormal": lambda: study_model(-0.8),
-    "dat": _data_model_equal_weights,
+    "dat": dat_model,
     "mixture": lambda: ModelSpec(
         Portfolio([RiskClass(0.4, 0.5, 5000.0), RiskClass(0.6, 1.5, 9000.0)]),
         GammaSeverity(1.0 / GAMMA_SHAPE),
