@@ -41,6 +41,7 @@ from .model import (
 from .presets import get_preset
 from .quadrature import severity_marginal_quantile
 from .relativity import (
+    _fields_for,
     optimal_relativity_dependent,
     optimal_relativity_frequency,
     optimal_relativity_severity,
@@ -310,7 +311,7 @@ def cmd_relativities(cfg: dict, args) -> int:
     nodes = cfg["quadrature_nodes"]
     family = cfg.get("family", "aggregate")
     out = Path(args.out)
-    for rule in resolve_rules(cfg, model, nodes):
+    for rule in _fields_for(model, resolve_rules(cfg, model, nodes), nodes):
         table = _compute_table(model, rule, family, nodes)
         name = f"relativities_{_rule_tag(rule)}.{cfg['format']}"
         if cfg["format"] == "csv":
@@ -453,7 +454,10 @@ def cmd_reproduce_table(cfg: dict, args) -> int:
     rules = resolve_rules(cfg, model, nodes)
     if cfg["format"] == "csv" and len({rule.max_level for rule in rules}) > 1:
         raise ModelValidationError("a CSV table needs every rule on the same number of levels")
-    tables = [(rule, _compute_table(model, rule, "aggregate", nodes)) for rule in rules]
+    tables = [
+        (rule, _compute_table(model, rule, "aggregate", nodes))
+        for rule in _fields_for(model, rules, nodes)
+    ]
     out = Path(args.out)
     if cfg["format"] == "csv":
         header = ["level"]

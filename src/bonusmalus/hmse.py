@@ -27,6 +27,7 @@ from .model import (
 from .quadrature import DEFAULT_NODES
 from .relativity import (
     RelativityTable,
+    _fields_for,
     _joint_stationary,
     optimal_relativity_dependent,
     optimal_relativity_severity,
@@ -112,9 +113,10 @@ def threshold_scan(
     thresholds = _sequence(thresholds, "thresholds")
     if not thresholds:
         raise ModelValidationError("need at least one threshold candidate")
+    rules = [rule.with_threshold(phi) for phi in thresholds]
     tables = [
-        optimal_relativity_severity(model, rule.with_threshold(phi), nodes)
-        for phi in thresholds
+        optimal_relativity_severity(model, rule, nodes)
+        for rule in _fields_for(model, rules, nodes)
     ]
     return sorted(tables, key=_rank)
 
@@ -144,11 +146,17 @@ def rule_dominance_check(
                 f"severity grid must contain the equal-step rule matching {fr}"
             )
     freq_best = min(
-        (optimal_relativity_dependent(model, rule, nodes) for rule in freq_rules),
+        (
+            optimal_relativity_dependent(model, rule, nodes)
+            for rule in _fields_for(model, freq_rules, nodes)
+        ),
         key=_rank,
     )
     severity_best = min(
-        (optimal_relativity_severity(model, rule, nodes) for rule in severity_rules),
+        (
+            optimal_relativity_severity(model, rule, nodes)
+            for rule in _fields_for(model, severity_rules, nodes)
+        ),
         key=_rank,
     )
     return RuleDominanceReport(freq_best, severity_best)

@@ -76,7 +76,7 @@ def _instance(value, kind, name: str):
 
 
 def _vector(values, name: str) -> np.ndarray:
-    """``values`` as a one-dimensional float array.
+    """``values`` as a one-dimensional float array, itself if it is one.
 
     A scalar, a nest of sequences, ragged or not, and an array of booleans,
     strings or objects are refused.
@@ -89,7 +89,7 @@ def _vector(values, name: str) -> np.ndarray:
         raise ModelValidationError(f"'{name}' must be a flat sequence of numbers, got {values!r}")
     if array.dtype.kind not in "iuf":
         raise ModelValidationError(f"'{name}' must hold numbers, got an array of {array.dtype}")
-    return array.astype(float)
+    return array.astype(float, copy=False)
 
 
 @dataclass(frozen=True)

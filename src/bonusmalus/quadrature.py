@@ -29,6 +29,7 @@ from .model import (
     SeverityLaw,
     _instance,
     _number,
+    _vector,
 )
 
 DEFAULT_NODES = 32
@@ -39,13 +40,31 @@ MIN_NODES = 8
 class QuadratureGrid:
     """Weighted nodes ``(theta1, theta2)`` approximating the joint effect law.
 
-    Weights are strictly positive and sum to one (up to the scheme's own
-    truncation error); node means reproduce the unit effect means.
+    Weights sum to one (up to the scheme's own truncation error); node means
+    reproduce the unit effect means.  On construction the three arrays must
+    be flat and of one non-zero length, the nodes finite and positive and the
+    weights finite and non-negative; float arrays are kept as they are.
     """
 
     theta1: np.ndarray
     theta2: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("theta1", "theta2", "weights"):
+            object.__setattr__(self, name, _vector(getattr(self, name), name))
+        sizes = {self.theta1.size, self.theta2.size, self.weights.size}
+        if len(sizes) != 1 or 0 in sizes:
+            raise ModelValidationError(
+                f"grid arrays need one non-zero length, got {self.theta1.size}, "
+                f"{self.theta2.size} and {self.weights.size}"
+            )
+        for name in ("theta1", "theta2"):
+            nodes = getattr(self, name)
+            if not np.all(np.isfinite(nodes) & (nodes > 0.0)):
+                raise ModelValidationError(f"grid nodes '{name}' must be finite and positive")
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0.0)):
+            raise ModelValidationError("grid weights must be finite and non-negative")
 
     @property
     def size(self) -> int:

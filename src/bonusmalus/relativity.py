@@ -23,6 +23,7 @@ target they track and in their premium factor.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,8 +31,8 @@ import numpy as np
 
 from .errors import ModelValidationError
 from .model import BmsRule, FreqRule, ModelSpec, SeverityRule, _instance, _number
-from .quadrature import DEFAULT_NODES, _read_only, build_grid
-from .stationary import conditional_stationary_field
+from .quadrature import DEFAULT_NODES, QuadratureGrid, _read_only, build_grid
+from .stationary import _PROFILES, _stationary_fields, conditional_stationary_field
 
 MASS_FLOOR = 1e-14
 
@@ -109,7 +110,59 @@ class _MomentField:
     norm: float
 
 
+# Stationary fields by (model, rule, nodes), least recently used first.  A
+# field pass fills several entries at once, so the cache is kept here rather
+# than by ``lru_cache``.
+_FIELDS: OrderedDict = OrderedDict()
+_FIELDS_KEPT = 16
+
+
 @lru_cache(maxsize=16)
+def _grid(effects, nodes: int) -> QuadratureGrid:
+    """The read-only joint grid every field of ``(effects, nodes)`` shares."""
+    grid = build_grid(effects, nodes)
+    _read_only(grid.theta1, grid.theta2, grid.weights)
+    return grid
+
+
+def _shape(rule: BmsRule) -> tuple[int, int, int]:
+    return rule.max_level, rule.small_step, rule.large_step
+
+
+def _keep(model: ModelSpec, rule: BmsRule, nodes: int, field: np.ndarray) -> None:
+    _read_only(field)
+    _FIELDS[model, rule, nodes] = field
+    if len(_FIELDS) > _FIELDS_KEPT:
+        _FIELDS.popitem(last=False)
+
+
+def _fields_for(model: ModelSpec, rules, nodes: int):
+    """Yield ``rules`` in order, each once its stationary field is cached.
+
+    A rule whose field is missing is solved in one field pass with the next
+    missing rules of its shape, as many as one solve's ``_PROFILES`` profiles
+    hold and no more than the cache keeps, so a pass holds no more at once
+    than one solve.  Threshold scans, rule grids and the table verbs ask for
+    all their rules this way.
+    """
+    _instance(model, ModelSpec, "model")
+    nodes = _number(nodes, "nodes", whole=True)
+    rules = list(rules)
+    grid = _grid(model.effects, nodes)
+    per_pass = max(_PROFILES // (model.portfolio.freq_rates.size * grid.size), 1)
+    per_pass = min(per_pass, _FIELDS_KEPT)
+    for i, rule in enumerate(rules):
+        if (model, rule, nodes) not in _FIELDS:
+            batch = [
+                later
+                for later in dict.fromkeys(rules[i:])
+                if _shape(later) == _shape(rule) and (model, later, nodes) not in _FIELDS
+            ][:per_pass]
+            for solved, field in zip(batch, _stationary_fields(model, batch, grid)):
+                _keep(model, solved, nodes, field)
+        yield rule
+
+
 def _joint_stationary(model: ModelSpec, rule: BmsRule, nodes: int):
     """Joint grid plus stationary rows per (class, node); cached across calls.
 
@@ -117,10 +170,12 @@ def _joint_stationary(model: ModelSpec, rule: BmsRule, nodes: int):
     keys repeatedly; the stationary rows dominate cost and are reused here.
     The returned arrays are read-only, since every caller shares them.
     """
-    grid = build_grid(model.effects, nodes)
-    field = conditional_stationary_field(model, rule, grid)
-    _read_only(grid.theta1, grid.theta2, grid.weights, field)
-    return grid, field
+    key = (model, rule, nodes)
+    grid = _grid(model.effects, nodes)
+    if key not in _FIELDS:
+        _keep(model, rule, nodes, conditional_stationary_field(model, rule, grid))
+    _FIELDS.move_to_end(key)
+    return grid, _FIELDS[key]
 
 
 @lru_cache(maxsize=128)

@@ -79,7 +79,9 @@ def _upper_tails(means: np.ndarray, pmf: np.ndarray) -> np.ndarray:
     kmax = len(pmf) - 2
     terms = np.empty((kmax + 1, means.size))
     terms[1:] = pmf[kmax:0:-1]
-    below = _accumulate(np.add, pmf[: kmax + 1])[-1]  # in level order, whatever the batch
+    below = pmf[0].copy()  # summed in level order, whatever the batch; pmf stays as it is
+    for row in pmf[1 : kmax + 1]:
+        below += row
     large = ~(below >= 0.5)  # and NaN, from an infinite mean
     terms[0] = 1.0 - below
     if not large.all():

@@ -26,7 +26,7 @@ from bonusmalus import (
     severity_marginal_quantile,
     threshold_scan,
 )
-from bonusmalus.relativity import _joint_stationary, _moment_field
+from bonusmalus.relativity import _FIELDS, _moment_field
 from bonusmalus.verify import check_rule
 from conftest import study_model
 from oracles import freq_posterior_mean_quad, joint_posterior_moment_quad
@@ -71,7 +71,7 @@ def test_criterion_1_study_table_reproduction():
     model = study_model(-0.8)
     freq_rule = FreqRule(9, 1)
     sev_rule = SeverityRule(9, 1, 2, 16800.0)
-    _joint_stationary.cache_clear()
+    _FIELDS.clear()
     _moment_field.cache_clear()
     start = time.perf_counter()
     dep = optimal_relativity_dependent(model, freq_rule, 32)

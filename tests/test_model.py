@@ -22,6 +22,7 @@ from bonusmalus import (
     ModelValidationError,
     PoissonSeverity,
     Portfolio,
+    QuadratureGrid,
     RiskClass,
     SeverityRule,
     SimConfig,
@@ -493,6 +494,23 @@ class TestOneInputGate:
 HISTORY = ClaimHistory((1,), (0,))
 RAGGED = [1.0, [1.0, 2.0], *[1.0] * 8]
 
+ONES = np.ones(4)
+# (theta1, theta2, weights), regex of the message: each breaks one grid check.
+GRID_SLOTS = {
+    "unequal_lengths": ((np.ones(5), np.ones(5), np.ones(10)), "one non-zero length"),
+    "empty": (([], [], []), "one non-zero length"),
+    "matrix": ((np.ones((2, 2)), ONES, ONES), "'theta1' must be a flat"),
+    "ragged": ((ONES, [1.0, [1.0, 2.0], 1.0, 1.0], ONES), "'theta2' must be a flat"),
+    "strings": ((ONES, ONES, ["a"] * 4), "'weights' must hold numbers"),
+    "nan_node": (([1.0, math.nan, 1.0, 1.0], ONES, ONES), "'theta1' must be finite and positive"),
+    "inf_node": ((ONES, [1.0, math.inf, 1.0, 1.0], ONES), "'theta2' must be finite and positive"),
+    "zero_node": (([1.0, 0.0, 1.0, 1.0], ONES, ONES), "'theta1' must be finite and positive"),
+    "negative_node": ((ONES, -ONES, ONES), "'theta2' must be finite and positive"),
+    "nan_weight": ((ONES, ONES, [0.25, math.nan, 0.5, 0.25]), "weights must be finite"),
+    "inf_weight": ((ONES, ONES, [0.25, math.inf, 0.5, 0.25]), "weights must be finite"),
+    "negative_weight": ((ONES, ONES, [0.75, -0.25, 0.25, 0.25]), "weights must be finite"),
+}
+
 # (call, regex of the message): each passes one object of the wrong type.
 OBJECT_SLOTS = {
     "hmse_eval.model": (lambda: hmse_eval("m", np.ones(10), H1), "model type str"),
@@ -553,6 +571,31 @@ class TestObjectArgumentGate:
         call, named = OBJECT_SLOTS[slot]
         with pytest.raises(ModelValidationError, match=named):
             call()
+
+    @pytest.mark.parametrize("slot", GRID_SLOTS)
+    def test_bad_grids_rejected_on_construction(self, slot):
+        arrays, named = GRID_SLOTS[slot]
+        with pytest.raises(ModelValidationError, match=named):
+            QuadratureGrid(*arrays)
+
+    def test_grid_lists_taken_as_float_arrays(self):
+        grid = QuadratureGrid([1, 2], [1.0, 2.0], (0.5, 0.5))
+        assert all(a.dtype == np.float64 and a.shape == (2,) for a in (grid.theta1, grid.weights))
+        arrays = QuadratureGrid(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+        rule = SeverityRule(9, 1, 2, 1000.0)
+        assert np.array_equal(
+            conditional_stationary_field(STUDY, rule, grid),
+            conditional_stationary_field(STUDY, rule, arrays),
+        )
+
+    def test_built_grids_pass_without_a_copy(self):
+        effects = (LOGNORMAL, MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0), DegenerateEffects())
+        for effect in effects:
+            built = build_grid(effect, 8)
+            grid = QuadratureGrid(built.theta1, built.theta2, built.weights)
+            assert grid.theta1 is built.theta1
+            assert grid.theta2 is built.theta2
+            assert grid.weights is built.weights
 
     @pytest.mark.parametrize(
         "values", [RAGGED, 1.0, [[1.0] * 10]], ids=["ragged", "scalar", "nested"]

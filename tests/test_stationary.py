@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 import warnings
 
@@ -13,21 +14,28 @@ from hypothesis import strategies as st
 
 from bonusmalus import (
     FreqRule,
+    GammaSeverity,
+    LognormalCopulaEffects,
+    MixtureExponentialEffects,
     ModelSpec,
+    PoissonSeverity,
     Portfolio,
     QuadratureGrid,
     RiskClass,
     SeverityRule,
     SingularSystemError,
     conditional_stationary_field,
+    hmse_eval,
     marginal_grid,
     optimal_relativity_dependent,
     optimal_relativity_frequency,
+    optimal_relativity_severity,
+    threshold_scan,
     unconditional_level_distribution,
 )
-from bonusmalus import stationary
+from bonusmalus import cli, relativity, stationary
 from bonusmalus.cli import parse_model
-from bonusmalus.presets import PRESETS
+from bonusmalus.presets import PRESETS, get_preset
 from bonusmalus.quadrature import build_grid, severity_cdf
 from bonusmalus.stationary import _stationary_batch
 from bonusmalus.transition import jump_tails
@@ -197,7 +205,7 @@ class TestUnconditionalLevels:
             return conditional_stationary_field(*args)
 
         monkeypatch.setattr(relativity, "conditional_stationary_field", counted)
-        relativity._joint_stationary.cache_clear()
+        relativity._FIELDS.clear()
         relativity._moment_field.cache_clear()
         model, rule = study_model(-0.8), FreqRule(9, 1)
         freq = optimal_relativity_frequency(model, rule, 16)
@@ -278,6 +286,160 @@ class TestClassGroups:
         finally:
             tracemalloc.stop()
         assert peak - field.nbytes < 2e6, peak - field.nbytes
+
+
+# The 8 thresholds of the seed-0 study-scan benchmark round: the published 4
+# and 4 drawn ones.
+SCAN_THRESHOLDS = (8200.0, 16800.0, 48100.0, 94300.0, 4750.0, 5250.0, 9750.0, 38150.0)
+
+
+def _scan_rules(thresholds, steps=(9, 1, 2)) -> list:
+    return [SeverityRule(*steps, phi) for phi in thresholds]
+
+
+def _one_threshold_per_call(model, rules, grid) -> np.ndarray:
+    return np.stack([_field_class_by_class(model, rule, grid) for rule in rules])
+
+
+class TestThresholdGroups:
+    """Rules of one shape share field passes; no row may depend on which rules share its solve."""
+
+    @pytest.mark.parametrize("nodes", [16, 32, 64])
+    @pytest.mark.parametrize("preset", ["ex2a", "ex3c", "ex4c"])
+    def test_study_scan_thresholds_match_one_threshold_per_call(self, preset, nodes):
+        model = parse_model(get_preset(preset))
+        grid = build_grid(model.effects, nodes)
+        rules = _scan_rules(SCAN_THRESHOLDS)
+        fields = stationary._stationary_fields(model, rules, grid)
+        assert np.array_equal(fields, _one_threshold_per_call(model, rules, grid))
+
+    def test_dat_two_thresholds_match_one_threshold_per_call(self):
+        model = dat_model()
+        grid = build_grid(model.effects, 32)
+        rules = _scan_rules((16960.4, 48100.0))
+        fields = stationary._stationary_fields(model, rules, grid)
+        assert np.array_equal(fields, _one_threshold_per_call(model, rules, grid))
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [(8200.0, 16800.0, 48100.0), (16800.0, 8200.0, 16800.0), (1e-300, 1e300)],
+        ids=["odd-count", "duplicate", "extremes"],
+    )
+    def test_threshold_lists_match_one_threshold_per_call(self, thresholds):
+        model = study_model(-0.8)
+        grid = build_grid(model.effects, 32)
+        per_solve = stationary._PROFILES // grid.size
+        rules = _scan_rules(thresholds)
+        fields = stationary._stationary_fields(model, rules, grid)
+        assert np.array_equal(fields, _one_threshold_per_call(model, rules, grid))
+        if len(thresholds) == 3:
+            assert len(rules) % per_solve != 0  # the last group is short
+
+    def test_poisson_sizes_and_mixture_effects_match_one_threshold_per_call(self):
+        poisson = ModelSpec(
+            study_model(-0.8, sev_rate=0.5).portfolio,
+            PoissonSeverity(),
+            LognormalCopulaEffects(-0.8, 0.99, 0.29),
+        )
+        mixture = ModelSpec(
+            study_model(0.0).portfolio,
+            GammaSeverity(1.5),
+            MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0),
+        )
+        cases = [(poisson, (0.5, 1.0, 2.5, 3.0, 7.0)), (mixture, SCAN_THRESHOLDS)]
+        for model, thresholds in cases:
+            for nodes in (8, 16):
+                grid = build_grid(model.effects, nodes)
+                rules = _scan_rules(thresholds)
+                fields = stationary._stationary_fields(model, rules, grid)
+                assert np.array_equal(fields, _one_threshold_per_call(model, rules, grid))
+
+    def test_single_rule_field_is_the_one_rule_pass(self):
+        model = study_model(-0.8)
+        grid = build_grid(model.effects, 32)
+        rules = _scan_rules(SCAN_THRESHOLDS[:2])
+        fields = stationary._stationary_fields(model, rules, grid)
+        for rule, field in zip(rules, fields):
+            assert np.array_equal(conditional_stationary_field(model, rule, grid), field)
+
+    def test_reproduce_table_groups_its_thresholds(self, monkeypatch, tmp_path):
+        # ex2a at 32 nodes: one frequency solve, then 8 thresholds two to a
+        # solve; one threshold per call made 9 solves.
+        calls = []
+
+        def counted(rule, freq_means, exceed):
+            calls.append(np.size(freq_means))
+            return jump_tails(rule, freq_means, exceed)
+
+        monkeypatch.setattr(stationary, "jump_tails", counted)
+        relativity._FIELDS.clear()
+        relativity._moment_field.cache_clear()
+        config = tmp_path / "thresholds.json"
+        config.write_text(json.dumps({"thresholds": list(SCAN_THRESHOLDS)}))
+        argv = ["reproduce-table", "--preset", "ex2a", "--config", str(config)]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize(
+        ("model", "thresholds", "passes"),
+        [
+            (study_model(-0.8), SCAN_THRESHOLDS, [2, 2, 2, 2]),
+            (dat_model(), SCAN_THRESHOLDS[:2], [1, 1]),
+        ],
+        ids=["one-class", "dat"],
+    )
+    def test_a_pass_holds_no_more_than_one_solve(self, monkeypatch, model, thresholds, passes):
+        sizes = []
+
+        def counted(model, rules, grid):
+            sizes.append(len(rules))
+            return stationary._stationary_fields(model, rules, grid)
+
+        monkeypatch.setattr(relativity, "_stationary_fields", counted)
+        relativity._FIELDS.clear()
+        relativity._moment_field.cache_clear()
+        threshold_scan(model, SeverityRule(9, 1, 2, 1.0), thresholds, 32)
+        assert sizes == passes
+        sizes.clear()
+        threshold_scan(model, SeverityRule(9, 1, 2, 1.0), thresholds + (123456.0,), 32)
+        assert sizes == [1]  # only the rule not yet cached is solved
+
+    def test_scan_leaves_read_only_cache_hits_for_single_rules(self, monkeypatch):
+        model, template = study_model(-0.8), SeverityRule(9, 1, 2, 1.0)
+        relativity._FIELDS.clear()
+        relativity._moment_field.cache_clear()
+        tables = threshold_scan(model, template, SCAN_THRESHOLDS, 32)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return jump_tails(*args)
+
+        monkeypatch.setattr(stationary, "jump_tails", counted)
+        for table in tables:
+            rule = table.rule
+            assert hmse_eval(model, table, rule, 32).hmse_raw == pytest.approx(table.hmse_raw)
+            again = optimal_relativity_severity(model, rule, 32)
+            assert np.array_equal(again.relativities, table.relativities, equal_nan=True)
+            grid, field = relativity._joint_stationary(model, rule, 32)
+            for array in (field, grid.theta1, grid.theta2, grid.weights, again.stationary):
+                assert not array.flags.writeable
+        assert calls == []
+
+    def test_peak_memory_of_a_grouped_one_class_solve_stays_under_2_mb(self):
+        # Two thresholds of a one-class model at 32 nodes fill one solve of
+        # 2,048 profiles: 1.4 MB above the result when measured.
+        model = study_model(-0.8)
+        grid = build_grid(model.effects, 32)
+        rules = _scan_rules(SCAN_THRESHOLDS[:2])
+        stationary._stationary_fields(model, rules, grid)  # warm the caches
+        tracemalloc.start()
+        try:
+            fields = stationary._stationary_fields(model, rules, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - fields.nbytes < 2e6, peak - fields.nbytes
 
 
 def _exact_stationary(rule, freq_mean: float, exceed) -> list:

@@ -28,6 +28,7 @@ from bonusmalus import (
     simulate_paths,
     threshold_scan,
 )
+from bonusmalus import transition
 from bonusmalus.quadrature import severity_cdf
 from bonusmalus.transition import jump_tails
 from oracles import (
@@ -361,3 +362,13 @@ class TestTailRecurrence:
                 if ref >= np.finfo(float).tiny:
                     worst = max(worst, float(abs(mp.mpf(float(value)) - ref) / ref))
         assert worst <= 1e-13, worst
+
+    @pytest.mark.parametrize("width", [3, 300], ids=["narrow", "wide"])
+    def test_upper_tails_leave_the_pmf_unchanged(self, width):
+        # Narrow and wide batches take the two accumulation routes.
+        means = np.resize(np.array(self.MEANS), width)
+        pmf = transition._poisson_pmf(means, 10)
+        before = pmf.copy()
+        tails = transition._upper_tails(means, pmf)
+        assert np.array_equal(pmf, before)
+        assert np.array_equal(tails, transition._upper_tails(means, before.copy()))
