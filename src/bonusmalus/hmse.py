@@ -107,6 +107,7 @@ def threshold_scan(
 
     Tables are ranked by their own ``hmse_raw``, ties broken by the smaller
     threshold.  Each threshold passes ``SeverityRule``'s checks as it is.
+    The candidates' stationary fields are solved several to a field pass.
     """
     if not isinstance(rule, SeverityRule):
         raise ModelValidationError("a threshold scan needs a severity-aware rule")

@@ -136,7 +136,7 @@ def _keep(model: ModelSpec, rule: BmsRule, nodes: int, field: np.ndarray) -> Non
         _FIELDS.popitem(last=False)
 
 
-def _fields_for(model: ModelSpec, rules, nodes: int):
+def _fields_for(model: ModelSpec, rules: list, nodes: int):
     """Yield ``rules`` in order, each once its stationary field is cached.
 
     A rule whose field is missing is solved in one field pass with the next
@@ -147,7 +147,6 @@ def _fields_for(model: ModelSpec, rules, nodes: int):
     """
     _instance(model, ModelSpec, "model")
     nodes = _number(nodes, "nodes", whole=True)
-    rules = list(rules)
     grid = _grid(model.effects, nodes)
     per_pass = max(_PROFILES // (model.portfolio.freq_rates.size * grid.size), 1)
     per_pass = min(per_pass, _FIELDS_KEPT)
