@@ -474,15 +474,41 @@ def _accumulate(ufunc, rows):
     return rows
 
 
+def _row_sum(rows):
+    """``np.add.accumulate(rows)[-1]``, the rows summed in row order, with no copy of wide rows."""
+    if rows.shape[1] <= 256:
+        return np.add.accumulate(rows, axis=0)[-1]
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
 def _rising_series(a: float, x):
     """``sum_n x**n / ((a+1)...(a+n))`` for ``0 <= x < a + 1``.
 
     The terms are cumulative products of the ratios ``x / (a + j)``; those
     below 2**-60 are dropped and the rest summed in order, smallest first, so
     an element's sum depends neither on the depth the largest ``x`` sets nor
-    on the batch.
+    on the batch.  The terms fall, so an element's dropped terms are its last
+    ones and enter the sum as zeros added first: on a wide batch the elements
+    up to a quarter of the largest ``x`` are summed at the depth that quarter
+    needs, where that saves a quarter of the work or more.
     """
     depth = _series_depth(a, float(np.max(x)))
+    if x.size > 256 and depth > 0:
+        cut = 0.25 * float(np.max(x))
+        shallow = _series_depth(a, cut)
+        deep = x > cut
+        if 4 * (shallow * x.size + depth * np.count_nonzero(deep)) <= 3 * depth * x.size:
+            out = _series_sum(a, np.where(deep, 0.0, x), shallow)
+            out[deep] = _series_sum(a, x[deep], depth)
+            return out
+    return _series_sum(a, x, depth)
+
+
+def _series_sum(a: float, x, depth: int):
+    """The rising series of ``x`` to ``depth`` terms, terms below 2**-60 dropped."""
     if depth == 0:
         return np.ones_like(x)
     terms = _accumulate(np.multiply, x / (a + np.arange(1.0, depth + 1.0)[:, None]))

@@ -489,40 +489,35 @@ def cmd_reproduce_table(cfg: dict, args) -> int:
 # entry point
 
 
+_COMMANDS = {
+    "relativities": (cmd_relativities, "emit optimal relativity tables per rule and threshold"),
+    "hmse-scan": (cmd_hmse_scan, "rank thresholds of severity-aware rules by score"),
+    "bayes": (cmd_bayes, "closed-form credibility premiums for a claim history"),
+    "simulate": (cmd_simulate, "run the Monte Carlo simulator for the first configured rule"),
+    "verify": (cmd_verify, "oracle-agreement battery (exits 4 on disagreement)"),
+    "reproduce-table": (cmd_reproduce_table, "emit a study-layout table for a preset"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: every verb takes the same options, so the verb is a positional choice."""
+    verbs = "\n".join(f"  {name:<17} {text}" for name, (_, text) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="bonusmalus",
         description="Design and evaluate bonus-malus systems under a dependent "
         "frequency-severity risk model.",
+        epilog=f"verbs:\n{verbs}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("relativities", "emit optimal relativity tables per rule and threshold"),
-        ("hmse-scan", "rank thresholds of severity-aware rules by score"),
-        ("bayes", "closed-form credibility premiums for a claim history"),
-        ("simulate", "run the Monte Carlo simulator for the first configured rule"),
-        ("verify", "oracle-agreement battery (exits 4 on disagreement)"),
-        ("reproduce-table", "emit a study-layout table for a preset"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="JSON config file (overlays the preset)")
-        cmd.add_argument("--preset", help="bundled preset id, e.g. ex2a")
-        cmd.add_argument("--format", choices=["csv", "json"], help="output format")
-        cmd.add_argument("--precision", type=int, help="decimal places (-1 for full)")
-        cmd.add_argument("--seed", type=int, help="master simulation seed")
-        cmd.add_argument("--quadrature-nodes", type=int, help="nodes per dimension")
-        cmd.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("command", choices=_COMMANDS, metavar="verb", help="one of the verbs below")
+    parser.add_argument("--config", help="JSON config file (overlays the preset)")
+    parser.add_argument("--preset", help="bundled preset id, e.g. ex2a")
+    parser.add_argument("--format", choices=["csv", "json"], help="output format")
+    parser.add_argument("--precision", type=int, help="decimal places (-1 for full)")
+    parser.add_argument("--seed", type=int, help="master simulation seed")
+    parser.add_argument("--quadrature-nodes", type=int, help="nodes per dimension")
+    parser.add_argument("--out", default=".", help="output directory")
     return parser
-
-
-_COMMANDS = {
-    "relativities": cmd_relativities,
-    "hmse-scan": cmd_hmse_scan,
-    "bayes": cmd_bayes,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
-    "reproduce-table": cmd_reproduce_table,
-}
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
@@ -560,7 +555,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.preset, args.config), args)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except ModelValidationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -217,9 +217,12 @@ def severity_marginal_quantile(
     class_w = model.portfolio.weights
     means = np.outer(model.portfolio.sev_rates, theta2)  # (K, nodes)
     joint_w = np.outer(class_w, w2)
+    known: dict[float, float] = {}  # the root search starts from the bracket's two ends
 
     def cdf(x: float) -> float:
-        return float(np.sum(joint_w * severity_cdf(x, means, model.severity)))
+        if x not in known:
+            known[x] = float(np.sum(joint_w * severity_cdf(x, means, model.severity)))
+        return known[x]
 
     at_zero = cdf(0.0)
     if at_zero >= p:

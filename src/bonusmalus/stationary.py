@@ -10,13 +10,16 @@ A field holds these rows for every (risk class, quadrature node) profile of
 one rule.  Rules of one shape, ``(max_level, small_step, large_step)``,
 differ only in their threshold, which enters only through each profile's
 exceedance, so a field pass solves several of them at once: their (rule,
-class) blocks are grouped into solves of up to ``_PROFILES`` profiles.
+class) blocks are grouped into solves of up to ``_PROFILES`` profiles.  A
+solve's memory grows with its width, so each stage works in place where it
+can and drops an array as soon as it is spent.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._distributions import _row_sum
 from .errors import SingularSystemError
 from .model import BmsRule, ModelSpec, _instance
 from .quadrature import QuadratureGrid, severity_cdf
@@ -24,44 +27,52 @@ from .transition import jump_tails
 
 # Profiles (class, node pairs) per stationary solve: whole (rule, class)
 # blocks are grouped up to this many.  Wider solves run faster but raise peak
-# memory.
-_PROFILES = 2048
+# memory: a solve holds a few dozen floats per profile, about 1.7 MB above the
+# result for the 18-class dat field at 32 nodes (3.2 MB at 8,192 profiles).
+_PROFILES = 4096
 
 
 def _balance_residual(p0: np.ndarray, T: np.ndarray, pi: np.ndarray) -> float:
-    """Largest entry of ``pi P - pi`` for the chains ``(p0, T)``; level-major arrays."""
+    """Largest entry of ``pi P - pi`` for the chains ``(p0, T)``; level-major arrays.
+
+    Worked in place in ``flow``, of ``pi``'s size, and one scratch array of ``T``'s.
+    """
     z = T.shape[0]
-    flow = np.zeros_like(pi)
-    flow[:z] = p0 * pi[1:]  # claim-free years move one level down
+    flow, scratch = np.empty_like(pi), np.empty_like(T)
+    np.multiply(pi[1:], p0, out=flow[:z])  # claim-free years move one level down
     flow[0] += p0 * pi[0]
     for g in range(1, z):  # jumps of exactly g levels that stay below the top
-        flow[g:z] += pi[: z - g] * (T[g - 1] - T[g])
-    flow[z] = (pi[:z] * T[::-1]).sum(axis=0) + pi[z] * T[0]  # the top absorbs longer jumps
-    return float(np.max(np.abs(flow - pi)))
+        flow[g:z] += np.multiply(pi[: z - g], T[g - 1] - T[g], out=scratch[: z - g])
+    flow[z] = _row_sum(np.multiply(pi[:z], T[::-1], out=scratch))  # the top absorbs longer jumps
+    flow[z] += pi[z] * T[0]
+    flow -= pi
+    return float(np.max(np.abs(flow, out=flow)))
 
 
 def _stationary_batch(p0: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Stationary rows ``(N, z+1)`` of the chains with no-claim mass ``p0`` and jump tails ``T``.
 
-    Level-major: ``up[m-1]`` holds the flow across the cut below level ``m``
-    from the levels solved so far.  Each step rescales both by ``p0 / (p0 + up)``
-    instead of dividing by ``p0``: nothing is subtracted, no mass goes below
-    zero, and with only elementwise work a row does not depend on the batch.
-    A fixed-point residual above 1e-9 raises ``SingularSystemError``.
+    Level-major, in one array: row ``m`` holds ``pi[m]`` once level ``m`` is
+    solved and, until then, the flow across the cut below level ``m`` from
+    the levels solved so far, which is what ``pi[m]`` is solved from.  Each
+    step rescales both by ``p0 / (p0 + flow)`` instead of dividing by
+    ``p0``: nothing is subtracted, no mass goes below zero, and with only
+    elementwise work a row does not depend on the batch.  A fixed-point
+    residual above 1e-9 raises ``SingularSystemError``.
     """
     T = np.ascontiguousarray(T.T)
     z, n = T.shape
-    pi = np.zeros((z + 1, n))
+    pi = np.empty((z + 1, n))
     pi[0] = 1.0
-    up = T.copy()
+    pi[1:] = T
     for lvl in range(z):
-        total = p0 + up[lvl]
+        total = p0 + pi[lvl + 1]
         scale = p0 / total
         pi[: lvl + 1] *= scale
-        up[lvl + 1 :] *= scale
-        pi[lvl + 1] = up[lvl] / total
-        up[lvl + 1 :] += pi[lvl + 1] * T[: z - lvl - 1]
-    pi /= np.add.accumulate(pi)[-1]  # summed in level order whatever the batch
+        pi[lvl + 2 :] *= scale
+        pi[lvl + 1] /= total
+        pi[lvl + 2 :] += pi[lvl + 1] * T[: z - lvl - 1]
+    pi /= _row_sum(pi)  # summed in level order whatever the batch
     residual = _balance_residual(p0, T, pi)
     if not np.isfinite(residual) or residual > 1e-9:
         raise SingularSystemError(f"stationary batch residual {residual!r} too large")
@@ -117,7 +128,10 @@ def _stationary_fields(model: ModelSpec, rules, grid: QuadratureGrid) -> np.ndar
             exceed = severity_cdf(thresholds[which, None], sev_means, model.severity, upper=True)
             exceed = exceed.ravel()
             keys = freq_means + 1j * exceed  # one sort key per (mean, exceedance)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        p0, T = jump_tails(rule, freq_means[first], exceed[first])
-        blocks[group] = _stationary_batch(p0, T)[inverse].reshape(-1, grid.size, rule.levels)
+        first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
+        del keys  # spent arrays go at once: no group's arrays outlive it
+        rows = _stationary_batch(*jump_tails(rule, freq_means[first], exceed[first]))
+        del freq_means, exceed, first
+        np.take(rows, inverse, axis=0, out=blocks[group].reshape(-1, rule.levels))
+        del rows, inverse
     return out

@@ -20,29 +20,14 @@ from positive terms, and the lower tails follow by adding probabilities.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from ._distributions import _accumulate, _prefactor, _rising_series, _shape_terms
+from ._distributions import _accumulate, _prefactor, _rising_series, _row_sum, _shape_terms
 from .errors import ModelValidationError
 
 # Above this mean exp(-m) nears the underflow bound, so a mean's pmf starts
 # from its top count instead of from zero claims.
 _TOP_START = 700.0
-
-
-@lru_cache(maxsize=128)
-def _small_counts(z: int, small: int, large: int) -> np.ndarray:
-    """Small-claim count to exceed per (jump g = 1..z, large-claim count k2).
-
-    -1, the zero column appended to the small-claim tails, where the large
-    claims reach g alone and the pair adds nothing.
-    """
-    rest = np.arange(1, z + 1)[:, None] - large * np.arange(z // large + 1)
-    counts = np.where(rest > 0, (rest - 1) // small, -1)
-    counts.flags.writeable = False
-    return counts
 
 
 def _poisson_pmf(means: np.ndarray, kmax: int) -> np.ndarray:
@@ -74,21 +59,21 @@ def _upper_tails(means: np.ndarray, pmf: np.ndarray) -> np.ndarray:
     is ``1 - P(N <= kmax)`` where that is at least 1/2, and otherwise the
     upward series of the probabilities above ``kmax``; the rest follow down by
     ``P(N > k - 1) = P(N > k) + pmf(k)``, capped at 1 against the rounding of
-    the sums.
+    the sums.  The result is a reversed view of one new array.
     """
     kmax = len(pmf) - 2
-    terms = np.empty((kmax + 1, means.size))
-    terms[1:] = pmf[kmax:0:-1]
-    below = pmf[0].copy()  # summed in level order, whatever the batch; pmf stays as it is
-    for row in pmf[1 : kmax + 1]:
-        below += row
+    below = _row_sum(pmf[: kmax + 1])  # pmf stays as it is
     large = ~(below >= 0.5)  # and NaN, from an infinite mean
-    terms[0] = 1.0 - below
+    top = 1.0 - below
     if not large.all():
         # P(N > kmax) = pmf(kmax + 1) sum_n m**n / ((kmax+2)...(kmax+1+n)), below kmax + 1
         m = np.where(large, 0.0, means)
-        terms[0] = np.where(large, terms[0], pmf[kmax + 1] * _rising_series(kmax + 1.0, m))
-    return np.minimum(_accumulate(np.add, terms)[::-1], 1.0)
+        top = np.where(large, top, pmf[kmax + 1] * _rising_series(kmax + 1.0, m))
+    terms = np.empty((kmax + 1, means.size))
+    terms[0] = top
+    terms[1:] = pmf[kmax:0:-1]
+    tails = _accumulate(np.add, terms)[::-1]
+    return np.minimum(tails, 1.0, out=tails)
 
 
 def jump_tails(rule, freq_means, exceed) -> tuple[np.ndarray, np.ndarray]:
@@ -107,19 +92,22 @@ def jump_tails(rule, freq_means, exceed) -> tuple[np.ndarray, np.ndarray]:
         raise ModelValidationError("exceedance probabilities must lie in [0, 1]")
     z = rule.max_level
     m1, m2 = means * (1.0 - exceed), means * exceed  # small and large claim means
-    # A tail index never exceeds (z - 1) // step; index -1 is a row of zeros.
-    tail1 = _upper_tails(m1, _poisson_pmf(m1, (z - 1) // small + 1))
-    tail1 = np.concatenate([tail1, np.zeros((1, means.size))])
-    counts = _small_counts(z, small, large)
+    # Row j: P(the small claims alone move more than j levels), whose count
+    # tail index j // small never exceeds (z - 1) // small.
+    reach = _upper_tails(m1, _poisson_pmf(m1, (z - 1) // small + 1))[np.arange(z) // small]
     # The large-claim counts 0..z // large and the large-claim upper tails
     # read one pmf, as z // large <= (z - 1) // large + 1.
     law2 = _poisson_pmf(m2, (z - 1) // large + 1)
-    tails = np.zeros((z, means.size))
-    # One large-claim count at a time keeps the memory at profiles x z.  A
-    # count of zero probability for every profile adds nothing; at exceedance
-    # 0 that is every count but 0.
+    tails = np.zeros((-(-z // large) * large, means.size))  # whole large steps; rows from z are padding
+    # k2 large claims reach jumps above large * k2, where the small claims add
+    # the rest: one count at a time keeps the memory at profiles x z.  A count
+    # of zero probability for every profile adds nothing; at exceedance 0
+    # that is every count but 0.
     for k2 in np.flatnonzero(law2[: z // large + 1].any(axis=1)):
-        tails += law2[k2] * tail1[counts[:, k2]]
+        shift = large * k2
+        tails[shift:z] += law2[k2] * reach[: z - shift]
+    del reach
     if m2.any():  # with no large claims the upper tail is all zeros
-        tails += _upper_tails(m2, law2)[np.arange(z) // large]
-    return np.exp(-means), tails.T
+        by_step = tails.reshape(-1, large, means.size)  # a view: jumps g..g+large-1 per step
+        by_step += _upper_tails(m2, law2)[:, None]
+    return np.exp(-means), tails[:z].T

@@ -522,6 +522,29 @@ class TestConfigHandling:
         assert run(["relativities", "--preset", "nope", "--out", "."]) == 2
         assert "unknown preset" in capsys.readouterr().err
 
+    def test_unknown_verb_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["tabulate", "--preset", "ex2a", "--out", "."])
+        assert exc.value.code == 2
+        assert "invalid choice: 'tabulate'" in capsys.readouterr().err
+
+    def test_help_lists_every_verb_with_its_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for verb, (_, text) in cli._COMMANDS.items():
+            assert any(line.split() == [verb, *text.split()] for line in lines), verb
+
+    def test_options_go_before_or_after_the_verb(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["--config", write_config(tmp_path, SMALL_MODEL), "relativities", "--out", str(first)]) == 0
+        assert run(["relativities", "--config", write_config(tmp_path, SMALL_MODEL), "--out", str(second)]) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir()) and names
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
     def test_missing_config_exits_2(self, capsys):
         assert run(["relativities", "--out", "."]) == 2
 

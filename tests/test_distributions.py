@@ -25,6 +25,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from bonusmalus import (
@@ -429,3 +431,62 @@ class TestIncompleteGammaKernel:
         assert main(args) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: the incomplete gamma") and "Traceback" not in err
+
+
+def _full_depth_series(a: float, x: np.ndarray) -> np.ndarray:
+    """The rising series with every element carried to the depth the largest ``x`` needs."""
+    depth = _distributions._series_depth(a, float(np.max(x)))
+    if depth == 0:
+        return np.ones_like(x)
+    terms = np.multiply.accumulate(x / (a + np.arange(1.0, depth + 1.0)[:, None]), axis=0)
+    terms *= terms >= 2.0**-60
+    return 1.0 + np.add.accumulate(terms[::-1], axis=0)[-1]
+
+
+class TestRisingSeries:
+    """Elements summed at a shallower depth than the batch's largest needs keep their bits."""
+
+    @given(
+        a=st.floats(min_value=0.05, max_value=60.0),
+        width=st.sampled_from([1, 2, 255, 256, 257, 300, 1000, 4096]) | st.integers(1, 600),
+        skew=st.floats(min_value=1.0, max_value=12.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        edges=st.sets(st.sampled_from(["zero", "top", "subnormal"])),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_full_depth_series_bitwise(self, a, width, skew, seed, edges):
+        # Powers of uniforms crowd most arguments near 0, as the jump tails'
+        # small-claim means are, with a few up to just below a + 1.
+        x = (a + 1.0) * np.random.default_rng(seed).random(width) ** skew
+        if "zero" in edges:
+            x[0] = 0.0
+        if "top" in edges:
+            x[-1] = np.nextafter(a + 1.0, 0.0)
+        if "subnormal" in edges:
+            x[width // 2] = 5e-324
+        series = _distributions._rising_series(a, x)
+        assert series.tobytes() == _full_depth_series(a, x).tobytes()
+
+    @pytest.mark.parametrize(("width", "depths"), [(256, 1), (4096, 2)])
+    def test_only_wide_batches_take_two_depths(self, monkeypatch, width, depths):
+        calls = []
+        series_sum = _distributions._series_sum
+
+        def counted(a, x, depth):
+            calls.append(depth)
+            return series_sum(a, x, depth)
+
+        monkeypatch.setattr(_distributions, "_series_sum", counted)
+        x = 10.0 * np.random.default_rng(20261019).random(width) ** 6
+        x[0] = 9.9
+        series = _distributions._rising_series(9.0, x)
+        assert len(calls) == depths and calls == sorted(calls)
+        assert series.tobytes() == _full_depth_series(9.0, x).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 256, 257, 3000])
+    def test_row_sum_is_the_last_running_sum(self, width):
+        rows = np.random.default_rng(width).random((10, width)) * 10.0 ** np.arange(-9, 1)[:, None]
+        before = rows.copy()
+        total = _distributions._row_sum(rows)
+        assert total.tobytes() == np.add.accumulate(rows, axis=0)[-1].tobytes()
+        assert np.array_equal(rows, before)

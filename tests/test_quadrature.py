@@ -23,8 +23,9 @@ from bonusmalus import (
     optimal_relativity_severity,
     severity_marginal_quantile,
 )
+from bonusmalus import quadrature
 from bonusmalus.quadrature import _gauss_rule, _hermite_nodes, _laguerre_nodes, severity_cdf
-from conftest import GAMMA_SHAPE, degenerate_model, study_model
+from conftest import GAMMA_SHAPE, dat_model, degenerate_model, study_model
 from oracles import expect
 
 LOGNORMAL = LognormalCopulaEffects(-0.8, 0.99, 0.29)
@@ -216,6 +217,20 @@ class TestSeverityMarginalQuantile:
         with pytest.raises(ValueError, match=rf"level 0\.3 .*mass at zero is {at_zero:.6g}"):
             severity_marginal_quantile(0.3, model)
         assert severity_marginal_quantile(0.9, model) >= 1.0
+
+
+    def test_no_point_is_evaluated_twice(self, monkeypatch):
+        # The root search starts from the bracket's ends, which the bracketing
+        # has already evaluated: 17 claim-size calls on dat at 0.9, not 19.
+        points = []
+
+        def recorded(x, *args, **kwargs):
+            points.append(x)
+            return severity_cdf(x, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "severity_cdf", recorded)
+        severity_marginal_quantile(0.9, dat_model(), 32)
+        assert len(points) == len(set(points)) == 17
 
 
 class TestRefinementStability:

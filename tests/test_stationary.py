@@ -254,6 +254,31 @@ class TestClassGroups:
         field = conditional_stationary_field(model, DAT_RULE, grid)
         assert np.array_equal(field, _field_class_by_class(model, DAT_RULE, grid))
 
+    def test_full_group_then_short_group_match_one_class_per_call(self):
+        base = study_model(-0.8)
+        rates = [(0.2, 0.1, 5000.0), (0.3, 0.3, 9000.0), (0.5, 0.7, 2e4), (0.1, 1.2, 7000.0), (0.4, 0.05, 3e4)]
+        classes = [RiskClass(w / 1.5, f, s) for w, f, s in rates]
+        model = ModelSpec(Portfolio(classes), base.severity, base.effects)
+        grid = build_grid(model.effects, 32)
+        per_solve = stationary._PROFILES // grid.size
+        assert len(classes) // per_solve == 1 and len(classes) % per_solve == 1
+        field = conditional_stationary_field(model, DAT_RULE, grid)
+        assert np.array_equal(field, _field_class_by_class(model, DAT_RULE, grid))
+
+    def test_dat_field_makes_five_solves(self, monkeypatch):
+        # 18 classes of 1,024 profiles, four to a solve: 5 solves.  Groups of
+        # 2,048 profiles made 9, one class per call 18.
+        profiles = []
+
+        def counted(rule, freq_means, exceed):
+            profiles.append(np.size(freq_means))
+            return jump_tails(rule, freq_means, exceed)
+
+        monkeypatch.setattr(stationary, "jump_tails", counted)
+        model = dat_model()
+        conditional_stationary_field(model, DAT_RULE, build_grid(model.effects, 32))
+        assert len(profiles) == 5
+
     def test_frequency_rule_matches_one_class_per_call(self):
         model = dat_model()
         grid = build_grid(model.effects, 32)
@@ -274,8 +299,8 @@ class TestClassGroups:
         assert len(profiles) < 18  # classes share solves
 
     def test_peak_memory_above_the_result_stays_under_2_mb(self):
-        # Wider groups run faster but hold more at once: groups of 2,048
-        # profiles measured 1.5 MB here, groups of 8,192 profiles 5.8 MB.
+        # Wider groups run faster but hold more at once: groups of 4,096
+        # profiles measured 1.7 MB here, groups of 8,192 profiles 3.2 MB.
         model = dat_model()
         grid = build_grid(model.effects, 32)
         conditional_stationary_field(model, DAT_RULE, grid)  # warm the caches
@@ -335,6 +360,15 @@ class TestThresholdGroups:
         if len(thresholds) == 3:
             assert len(rules) % per_solve != 0  # the last group is short
 
+    def test_full_group_then_short_group_match_one_threshold_per_call(self):
+        model = study_model(-0.8)
+        grid = build_grid(model.effects, 32)
+        per_solve = stationary._PROFILES // grid.size
+        rules = _scan_rules(SCAN_THRESHOLDS[: per_solve + 1])
+        assert len(rules) == per_solve + 1  # one full group, then one rule alone
+        fields = stationary._stationary_fields(model, rules, grid)
+        assert np.array_equal(fields, _one_threshold_per_call(model, rules, grid))
+
     def test_poisson_sizes_and_mixture_effects_match_one_threshold_per_call(self):
         poisson = ModelSpec(
             study_model(-0.8, sev_rate=0.5).portfolio,
@@ -363,8 +397,8 @@ class TestThresholdGroups:
             assert np.array_equal(conditional_stationary_field(model, rule, grid), field)
 
     def test_reproduce_table_groups_its_thresholds(self, monkeypatch, tmp_path):
-        # ex2a at 32 nodes: one frequency solve, then 8 thresholds two to a
-        # solve; one threshold per call made 9 solves.
+        # ex2a at 32 nodes: one frequency solve, then 8 thresholds four to a
+        # solve; two to a solve made 5 solves, one threshold per call 9.
         calls = []
 
         def counted(rule, freq_means, exceed):
@@ -378,12 +412,12 @@ class TestThresholdGroups:
         config.write_text(json.dumps({"thresholds": list(SCAN_THRESHOLDS)}))
         argv = ["reproduce-table", "--preset", "ex2a", "--config", str(config)]
         assert cli.main(argv + ["--out", str(tmp_path)]) == 0
-        assert len(calls) == 5
+        assert len(calls) == 3
 
     @pytest.mark.parametrize(
         ("model", "thresholds", "passes"),
         [
-            (study_model(-0.8), SCAN_THRESHOLDS, [2, 2, 2, 2]),
+            (study_model(-0.8), SCAN_THRESHOLDS, [4, 4]),
             (dat_model(), SCAN_THRESHOLDS[:2], [1, 1]),
         ],
         ids=["one-class", "dat"],
@@ -427,8 +461,8 @@ class TestThresholdGroups:
         assert calls == []
 
     def test_peak_memory_of_a_grouped_one_class_solve_stays_under_2_mb(self):
-        # Two thresholds of a one-class model at 32 nodes fill one solve of
-        # 2,048 profiles: 1.4 MB above the result when measured.
+        # Two thresholds of a one-class model at 32 nodes make one solve of
+        # 2,048 profiles: 0.9 MB above the result when measured.
         model = study_model(-0.8)
         grid = build_grid(model.effects, 32)
         rules = _scan_rules(SCAN_THRESHOLDS[:2])
