@@ -66,7 +66,6 @@ from .simulate import (
     hmse_empirical,
     simulate_paths,
 )
-from .stationary import conditional_stationary_field
 from .verify import OracleCheck, check_rule
 
 __version__ = "0.1.0"
@@ -105,7 +104,6 @@ __all__ = [
     "bayes_freq_premium",
     "build_grid",
     "check_rule",
-    "conditional_stationary_field",
     "empirical_relativity",
     "hmse_empirical",
     "hmse_eval",

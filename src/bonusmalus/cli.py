@@ -23,7 +23,7 @@ from .bayes import (
     bayes_freq_premium,
 )
 from .errors import BonusMalusError, InsufficientOccupancyError, ModelValidationError
-from .hmse import threshold_scan
+from .hmse import _rank, threshold_scan
 from .model import (
     ClaimHistory,
     DegenerateEffects,
@@ -343,7 +343,7 @@ def cmd_hmse_scan(cfg: dict, args) -> int:
         for template in templates
         for table in threshold_scan(model, template, thresholds, nodes)
     ]
-    tables.sort(key=lambda t: (t.hmse_raw, t.threshold))
+    tables.sort(key=_rank)
     out = Path(args.out)
     if cfg["format"] == "csv":
         lines = ["rule,threshold,quantile,hmse_raw,hmse_normalized"]

@@ -4,14 +4,14 @@ The score of a table is the steady-state expected squared gap between the
 policyholder's conditional mean loss and the charged premium.  It is reported
 raw (currency squared) and normalized by the portfolio mean of the squared
 a priori premium factor, which makes configurations comparable across
-currency scales.
+currency scales.  Every score is a sum of squares, never negative: per level,
+the residual around the level's best relativity plus the squared distance of
+the charged relativity from it, weighted by the level's premium mass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ModelValidationError
 from .model import (
@@ -28,7 +28,8 @@ from .quadrature import DEFAULT_NODES
 from .relativity import (
     RelativityTable,
     _fields_for,
-    _joint_stationary,
+    _moment_field,
+    _score,
     optimal_relativity_dependent,
     optimal_relativity_severity,
 )
@@ -60,33 +61,26 @@ def hmse_eval(
     rule,
     nodes: int = DEFAULT_NODES,
 ) -> HmseReport:
-    """Score a relativity vector under a rule by the full double integral.
+    """Score a relativity vector under a rule: the aggregate-loss score.
 
     ``relativities`` may be a table or a plain vector; its length must match
-    the rule's level count.  The integral runs per quadrature node and level,
-    independently of the per-level moment route used when tables are built,
-    so the two must agree to roundoff.
+    the rule's level count, and undefined (NaN) levels score as zero.  The
+    score reads the per-level residuals and moments of the rule's aggregate
+    moment field, the ones the tables are scored from, so it costs O(levels)
+    once that field is cached.
     """
     _instance(model, ModelSpec, "model")
     _instance(rule, BmsRule, "rule")
     if isinstance(relativities, RelativityTable):
-        r = relativities.scoring_relativities()
+        r = relativities.relativities
     else:
-        r = np.nan_to_num(_vector(relativities, "relativities"), nan=0.0)
+        r = _vector(relativities, "relativities")
     if r.shape != (rule.levels,):
         raise ModelValidationError(
             f"table has {r.shape[0]} levels but the rule has {rule.levels}"
         )
-    grid, field = _joint_stationary(model, rule, _number(nodes, "nodes", whole=True))
-    prod = grid.theta1 * grid.theta2
-    gaps = (prod[:, None] - r[None, :]) ** 2  # (nodes, levels)
-    raw = 0.0
-    norm = 0.0
-    for ci, cls in enumerate(model.portfolio.classes):
-        lam_sq = (cls.freq_rate * cls.sev_rate) ** 2
-        raw += cls.weight * lam_sq * float(grid.weights @ np.sum(gaps * field[ci], axis=1))
-        norm += cls.weight * lam_sq
-    return HmseReport(raw, raw / norm)
+    field = _moment_field(model, rule, _number(nodes, "nodes", whole=True), "aggregate")
+    return HmseReport(*_score(field, r))
 
 
 def _rank(table: RelativityTable):

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ModelValidationError
 from .model import BmsRule, FreqRule, ModelSpec, SeverityRule, _instance, _number
 from .quadrature import DEFAULT_NODES, QuadratureGrid, _read_only, build_grid
-from .stationary import _PROFILES, _stationary_fields, conditional_stationary_field
+from .stationary import _PROFILES, _stationary_fields
 
 MASS_FLOOR = 1e-14
 
@@ -96,17 +96,19 @@ class _MomentField:
     ``mass[l]``    -- P(L = l)
     ``prem_sq[l]`` -- E[premium_factor^2 ; L = l]
     ``target[l]``  -- E[premium_factor^2 * target ; L = l]
-    ``second[l]``  -- E[premium_factor^2 * target^2 ; L = l]
+    ``resid[l]``   -- E[premium_factor^2 * (target - r*_l)^2 ; L = l]
 
     where the premium factor is the family's a priori rate (the frequency
-    rate, or frequency times severity rate) and the target is the effect, or
-    effect product, the relativity should track.
+    rate, or frequency times severity rate), the target is the effect, or
+    effect product, the relativity should track, and ``r*`` is the level's
+    best relativity (``_best``).  ``resid`` is summed as squares, so a score
+    built from it cancels nothing and is never negative.
     """
 
     mass: np.ndarray
     prem_sq: np.ndarray
     target: np.ndarray
-    second: np.ndarray
+    resid: np.ndarray
     norm: float
 
 
@@ -143,7 +145,8 @@ def _fields_for(model: ModelSpec, rules: list, nodes: int):
     missing rules of its shape, as many as one solve's ``_PROFILES`` profiles
     hold and no more than the cache keeps, so a pass holds no more at once
     than one solve.  Threshold scans, rule grids and the table verbs ask for
-    all their rules this way.
+    all their rules this way, and each moment field for its one rule; a
+    yielded rule's field is the last the cache evicts.
     """
     _instance(model, ModelSpec, "model")
     nodes = _number(nodes, "nodes", whole=True)
@@ -159,22 +162,8 @@ def _fields_for(model: ModelSpec, rules: list, nodes: int):
             ][:per_pass]
             for solved, field in zip(batch, _stationary_fields(model, batch, grid)):
                 _keep(model, solved, nodes, field)
+        _FIELDS.move_to_end((model, rule, nodes))
         yield rule
-
-
-def _joint_stationary(model: ModelSpec, rule: BmsRule, nodes: int):
-    """Joint grid plus stationary rows per (class, node); cached across calls.
-
-    Threshold scans and score evaluations hit the same (model, rule, nodes)
-    keys repeatedly; the stationary rows dominate cost and are reused here.
-    The returned arrays are read-only, since every caller shares them.
-    """
-    key = (model, rule, nodes)
-    grid = _grid(model.effects, nodes)
-    if key not in _FIELDS:
-        _keep(model, rule, nodes, conditional_stationary_field(model, rule, grid))
-    _FIELDS.move_to_end(key)
-    return grid, _FIELDS[key]
 
 
 @lru_cache(maxsize=128)
@@ -185,9 +174,11 @@ def _moment_field(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> _
     nodes)`` and contracts it over nodes, then classes, with no loop.  The
     ``"frequency"`` family targets the frequency effect with premium factor
     ``freq_rate**2``; the ``"aggregate"`` family targets the effect product
-    with premium factor ``(freq_rate * sev_rate)**2``.
+    with premium factor ``(freq_rate * sev_rate)**2``.  The residual gaps are
+    squared per (level, node) before any sum.
     """
-    grid, field = _joint_stationary(model, rule, nodes)
+    (rule,) = _fields_for(model, [rule], nodes)
+    grid, field = _grid(model.effects, nodes), _FIELDS[model, rule, nodes]
     portfolio = model.portfolio
     if family == "frequency":
         target, rate = grid.theta1, portfolio.freq_rates
@@ -195,11 +186,15 @@ def _moment_field(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> _
         target, rate = grid.theta1 * grid.theta2, portfolio.freq_rates * portfolio.sev_rates
     prem_sq = portfolio.weights * rate**2
     w = grid.weights
-    by_class = np.stack([w, w * target, w * target**2]) @ field  # (class, moment, level)
+    by_class = np.stack([w, w * target]) @ field  # (class, moment, level)
     mass = portfolio.weights @ by_class[:, 0]
-    prem, first, second = np.tensordot(prem_sq, by_class, axes=1)
-    _read_only(mass, prem, first, second)
-    return _MomentField(mass, prem, first, second, float(np.sum(prem_sq)))
+    prem, first = np.tensordot(prem_sq, by_class, axes=1)
+    gaps = np.subtract.outer(_best(prem, first), target)  # (level, node)
+    gaps *= gaps
+    gaps *= w
+    resid = prem_sq @ np.einsum("ln,cnl->cl", gaps, field)
+    _read_only(mass, prem, first, resid)
+    return _MomentField(mass, prem, first, resid, float(np.sum(prem_sq)))
 
 
 def unconditional_level_distribution(
@@ -215,17 +210,23 @@ def unconditional_level_distribution(
     return _moment_field(model, rule, _number(nodes, "nodes", whole=True), "aggregate").mass
 
 
-def _ratio(field: _MomentField) -> np.ndarray:
-    defined = field.mass > MASS_FLOOR
-    r = np.full(field.mass.shape, np.nan)
-    r[defined] = field.target[defined] / field.prem_sq[defined]
-    return r
+def _best(prem_sq: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``r*``: per level, the relativity that zeroes the premium-weighted residual.
+
+    Zero where the level carries no premium weight; its residual is then
+    zero too, so ``_score``'s split holds at every level.
+    """
+    return np.divide(target, prem_sq, out=np.zeros_like(target), where=prem_sq > 0)
 
 
-def _hmse_from_field(field: _MomentField, relativities: np.ndarray) -> tuple[float, float]:
-    r = np.nan_to_num(relativities, nan=0.0)
-    # A mean square; near-degenerate effects cancel it to roundoff of either sign.
-    raw = max(float(np.sum(field.second - 2.0 * r * field.target + r**2 * field.prem_sq)), 0.0)
+def _score(field: _MomentField, relativities: np.ndarray) -> tuple[float, float]:
+    """Raw and normalized score of any relativity vector, in O(levels).
+
+    ``sum_l resid_l + (r_l - r*_l)^2 prem_sq_l``: both terms are squares, and
+    undefined (NaN) relativities score as zero.
+    """
+    gaps = np.nan_to_num(relativities, nan=0.0) - _best(field.prem_sq, field.target)
+    raw = float(np.sum(field.resid + gaps**2 * field.prem_sq))
     return raw, raw / field.norm
 
 
@@ -233,9 +234,8 @@ def _table(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> Relativi
     _instance(model, ModelSpec, "model")
     nodes = _number(nodes, "nodes", whole=True)
     field = _moment_field(model, rule, nodes, family)
-    r = _ratio(field)
-    raw, normalized = _hmse_from_field(field, r)
-    return RelativityTable(rule, r, field.mass, raw, normalized, family, nodes)
+    r = np.where(field.mass > MASS_FLOOR, _best(field.prem_sq, field.target), np.nan)
+    return RelativityTable(rule, r, field.mass, *_score(field, r), family, nodes)
 
 
 def optimal_relativity_frequency(

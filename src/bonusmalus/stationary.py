@@ -21,7 +21,7 @@ import numpy as np
 
 from ._distributions import _row_sum
 from .errors import SingularSystemError
-from .model import BmsRule, ModelSpec, _instance
+from .model import ModelSpec
 from .quadrature import QuadratureGrid, severity_cdf
 from .transition import jump_tails
 
@@ -77,20 +77,6 @@ def _stationary_batch(p0: np.ndarray, T: np.ndarray) -> np.ndarray:
     if not np.isfinite(residual) or residual > 1e-9:
         raise SingularSystemError(f"stationary batch residual {residual!r} too large")
     return pi.T
-
-
-def conditional_stationary_field(
-    model: ModelSpec, rule, grid: QuadratureGrid
-) -> np.ndarray:
-    """Stationary rows for every (risk class, quadrature node) pair.
-
-    Returns an array of shape ``(classes, grid.size, levels)``: the one-rule
-    field pass of ``_stationary_fields``.
-    """
-    _instance(model, ModelSpec, "model")
-    _instance(rule, BmsRule, "rule")
-    _instance(grid, QuadratureGrid, "grid")
-    return _stationary_fields(model, [rule], grid)[0]
 
 
 def _stationary_fields(model: ModelSpec, rules, grid: QuadratureGrid) -> np.ndarray:

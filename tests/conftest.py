@@ -17,6 +17,7 @@ from bonusmalus import (
 )
 from bonusmalus.cli import parse_model
 from bonusmalus.presets import get_preset
+from bonusmalus.stationary import _stationary_fields
 
 SEV_RATE = math.exp(8.8)
 GAMMA_SHAPE = 0.67
@@ -50,6 +51,11 @@ def dat_model() -> ModelSpec:
     cfg = get_preset("dat")
     cfg["model"]["weights"] = [1.0 / 18] * 18
     return parse_model(cfg)
+
+
+def stationary_field(model, rule, grid):
+    """Stationary rows ``(classes, grid.size, levels)`` of one rule: a one-rule field pass."""
+    return _stationary_fields(model, [rule], grid)[0]
 
 
 @pytest.fixture(scope="session")

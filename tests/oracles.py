@@ -7,8 +7,10 @@ squaring of the transition matrix or from a rank-corrected linear solve on
 any matrix, posterior means from adaptive quadrature of the prior times the
 likelihood, and severity tails from direct density integration.
 
-Two helpers wrap package internals instead, as test-only conveniences: the
-posterior density is a plain mixture of gamma densities on the package's own
+Three helpers wrap package internals instead, as test-only conveniences.
+The score double integral sums every (class, node, level) term of the
+package's own stationary field, one class at a time, with no per-level
+moment in between.  The posterior density is a plain mixture of gamma densities on the package's own
 posterior weights, shapes and rates, which its tests integrate back to 1 and
 to the closed-form premium; and the frequency-family estimator wraps the
 simulator's own ratio estimate on the rows of its accumulator that hold the
@@ -26,7 +28,9 @@ from scipy import integrate, stats
 from bonusmalus import NonFiniteIntegrandError, SingularSystemError
 from bonusmalus.bayes import _posterior
 from bonusmalus.model import FreqRule
+from bonusmalus.quadrature import build_grid
 from bonusmalus.simulate import _ratio_estimate
+from bonusmalus.stationary import _stationary_fields
 
 COND_WARN = 1e12
 RESIDUAL_TOL = 1e-10
@@ -274,3 +278,29 @@ def empirical_frequency_relativity(summary):
     powers 0, 1 and 2, weighted by the squared frequency rates.
     """
     return _ratio_estimate(summary, [0, 5, 6], summary.freq_rates)
+
+
+def hmse_double_integral(
+    model, r, rule, nodes: int, family: str = "aggregate"
+) -> tuple[float, float]:
+    """Raw and normalized score of ``r`` by the node-by-node double integral.
+
+    Integrates ``(target - r_l)^2`` against the stationary rows of every
+    quadrature node, level by level, then sums the classes, each weighted by
+    its squared premium factor.  The ``"aggregate"`` family targets
+    ``theta1 * theta2`` with factor ``freq_rate * sev_rate``, the
+    ``"frequency"`` family ``theta1`` with ``freq_rate``.  Undefined (NaN)
+    relativities score as zero.
+    """
+    grid = build_grid(model.effects, nodes)
+    field = _stationary_fields(model, [rule], grid)[0]
+    target = grid.theta1 if family == "frequency" else grid.theta1 * grid.theta2
+    r = np.nan_to_num(np.asarray(r, dtype=float), nan=0.0)
+    gaps = (target[:, None] - r[None, :]) ** 2  # (nodes, levels)
+    raw = 0.0
+    norm = 0.0
+    for ci, cls in enumerate(model.portfolio.classes):
+        rate = cls.freq_rate if family == "frequency" else cls.freq_rate * cls.sev_rate
+        raw += cls.weight * rate**2 * float(grid.weights @ np.sum(gaps * field[ci], axis=1))
+        norm += cls.weight * rate**2
+    return raw, raw / norm

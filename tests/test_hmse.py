@@ -20,11 +20,14 @@ from bonusmalus import (
     SeverityRule,
     hmse_eval,
     optimal_relativity_dependent,
+    optimal_relativity_frequency,
     optimal_relativity_severity,
     rule_dominance_check,
     threshold_scan,
 )
 from conftest import degenerate_model, study_model
+from oracles import hmse_double_integral
+from test_relativity import EQUAL_STEP_MODELS
 
 CANDIDATES = [8200.0, 16800.0, 48100.0, 94300.0]
 
@@ -45,13 +48,14 @@ class TestHmseEval:
         assert sev.hmse_raw == freq.hmse_raw
 
     def test_decomposition_routes_agree(self, base_model):
-        # Per-level conditional decomposition (stored on the table) versus
-        # the node-by-node double integral.
+        # The table's own score and hmse_eval, both summed from per-level
+        # residuals, against the node-by-node double integral.
         rule = SeverityRule(9, 1, 2, 16800.0)
         table = optimal_relativity_severity(base_model, rule)
-        report = hmse_eval(base_model, table, rule)
-        assert report.hmse_raw == pytest.approx(table.hmse_raw, rel=1e-8)
-        assert report.hmse_normalized == pytest.approx(table.hmse_normalized, rel=1e-8)
+        raw, normalized = hmse_double_integral(base_model, table.relativities, rule, table.nodes)
+        for score in (table, hmse_eval(base_model, table, rule)):
+            assert score.hmse_raw == pytest.approx(raw, rel=1e-8)
+            assert score.hmse_normalized == pytest.approx(normalized, rel=1e-8)
 
     @given(
         corr=st.floats(min_value=-0.95, max_value=0.95),
@@ -68,8 +72,9 @@ class TestHmseEval:
     def test_routes_agree_on_random_models(
         self, corr, log_var1, log_var2, freq_rate, dispersion, max_level, small, extra, quantile
     ):
-        # The per-level moment route (the table's own score) against the
-        # node-by-node double integral, over random single-class models.
+        # The per-level residual route (the table's own score and hmse_eval)
+        # against the node-by-node double integral, over random single-class
+        # models.
         sev_rate = math.exp(8.8)
         model = ModelSpec(
             Portfolio([RiskClass(1.0, freq_rate, sev_rate)]),
@@ -79,19 +84,32 @@ class TestHmseEval:
         threshold = sev_rate * -math.log1p(-quantile)
         rule = SeverityRule(max_level, small, small + extra, threshold)
         table = optimal_relativity_severity(model, rule, 16)
-        report = hmse_eval(model, table, rule, 16)
-        assert report.hmse_raw == pytest.approx(table.hmse_raw, rel=1e-8)
-        assert report.hmse_normalized == pytest.approx(table.hmse_normalized, rel=1e-8)
+        raw, normalized = hmse_double_integral(model, table.relativities, rule, 16)
+        for score in (table, hmse_eval(model, table, rule, 16)):
+            assert score.hmse_raw == pytest.approx(raw, rel=1e-8)
+            assert score.hmse_normalized == pytest.approx(normalized, rel=1e-8)
         assert table.hmse_raw >= 0.0
         assert table.stationary.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_near_degenerate_score_is_not_negative(self):
-        # With effects a hair from degenerate the moment route cancels to
-        # roundoff; a mean square must still not come out negative.
+        # With effects a hair from degenerate every gap is tiny; a sum of
+        # squares must still not come out negative.
         model = study_model(0.0, log_var1=1e-16, log_var2=1e-16)
         table = optimal_relativity_severity(model, SeverityRule(9, 1, 2, 48100.0))
         assert table.hmse_raw >= 0.0
         assert table.hmse_normalized >= 0.0
+
+    @pytest.mark.parametrize("log_var", [1e-14, 1e-16])
+    @pytest.mark.parametrize("corr", [-0.8, 0.0])
+    def test_near_degenerate_score_matches_the_double_integral(self, corr, log_var):
+        # Second moment minus squared first moment cancelled these scores to
+        # roundoff (4.44e-15, 1.98e-14, 2.12e-16 and 0.0 against 4.0e-15,
+        # 2.0e-14, 4.0e-17 and 2.0e-16); squared gaps keep every digit.
+        model = study_model(corr, log_var1=log_var, log_var2=log_var)
+        rule = SeverityRule(9, 1, 2, 48100.0)
+        table = optimal_relativity_severity(model, rule, 32)
+        _, normalized = hmse_double_integral(model, table.relativities, rule, 32)
+        assert table.hmse_normalized == pytest.approx(normalized, rel=1e-9, abs=0.0)
 
     def test_optimal_table_beats_per_level_perturbations(self, base_model):
         rule = FreqRule(9, 1)
@@ -114,6 +132,51 @@ class TestHmseEval:
             base_model.portfolio.freq_rates[0] * base_model.portfolio.sev_rates[0]
         ) ** 2
         assert report.hmse_raw / report.hmse_normalized == pytest.approx(lam_sq, rel=1e-12)
+
+
+SCORE_RULES = {"freq": FreqRule(9, 1), "severity": SeverityRule(9, 1, 2, 16800.0)}
+
+
+class TestOneScoreRoute:
+    """Tables and ``hmse_eval`` score from per-level residuals; the oracle integrates per node."""
+
+    @staticmethod
+    def _tables(model, rule, nodes):
+        if isinstance(rule, FreqRule):
+            return [
+                optimal_relativity_frequency(model, rule, nodes),
+                optimal_relativity_dependent(model, rule, nodes),
+            ]
+        return [optimal_relativity_severity(model, rule, nodes)]
+
+    def _assert_routes_agree(self, model, rule, nodes):
+        for table in self._tables(model, rule, nodes):
+            raw, normalized = hmse_double_integral(
+                model, table.relativities, rule, nodes, table.family
+            )
+            assert table.hmse_raw == pytest.approx(raw, rel=1e-8, abs=0.0)
+            assert table.hmse_normalized == pytest.approx(normalized, rel=1e-8, abs=0.0)
+        holes = table.relativities.copy()
+        holes[::3] = np.nan
+        for r in (table.relativities, table.relativities + 0.05, holes):
+            raw, normalized = hmse_double_integral(model, r, rule, nodes)
+            report = hmse_eval(model, r, rule, nodes)
+            assert report.hmse_raw == pytest.approx(raw, rel=1e-8, abs=0.0)
+            assert report.hmse_normalized == pytest.approx(normalized, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("rule_id", SCORE_RULES)
+    @pytest.mark.parametrize("model_id", EQUAL_STEP_MODELS)
+    def test_scores_match_the_double_integral(self, model_id, rule_id):
+        self._assert_routes_agree(EQUAL_STEP_MODELS[model_id](), SCORE_RULES[rule_id], 32)
+
+    @pytest.mark.parametrize("rule_id", SCORE_RULES)
+    def test_undefined_levels_score_as_zero_relativities(self, rule_id):
+        # Claims this rare leave levels 3-9 below the mass floor: their table
+        # entries are NaN, scored as zero, and the split still holds there.
+        model, rule = study_model(-0.8, freq_rate=1e-7), SCORE_RULES[rule_id]
+        table = self._tables(model, rule, 32)[-1]
+        assert table.undefined_levels == tuple(range(3, 10))
+        self._assert_routes_agree(model, rule, 32)
 
 
 class TestThresholdScan:

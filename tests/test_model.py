@@ -32,7 +32,6 @@ from bonusmalus import (
     bayes_freq_premium,
     build_grid,
     check_rule,
-    conditional_stationary_field,
     empirical_relativity,
     hmse_empirical,
     hmse_eval,
@@ -48,7 +47,7 @@ from bonusmalus import (
     unconditional_level_distribution,
 )
 from bonusmalus.transition import jump_tails
-from conftest import SEV_RATE, degenerate_model, study_model
+from conftest import SEV_RATE, degenerate_model, stationary_field, study_model
 from oracles import poisson_truncation_bound
 
 
@@ -525,14 +524,6 @@ OBJECT_SLOTS = {
         lambda: unconditional_level_distribution([STUDY], H1), "model type list"
     ),
     "levels.rule": (lambda: unconditional_level_distribution(STUDY, "h1"), "rule type str"),
-    "field.model": (
-        lambda: conditional_stationary_field("m", H1, build_grid(LOGNORMAL, 8)), "model type str"
-    ),
-    "field.rule": (
-        lambda: conditional_stationary_field(STUDY, "h1", build_grid(LOGNORMAL, 8)),
-        "rule type str",
-    ),
-    "field.grid": (lambda: conditional_stationary_field(STUDY, H1, "grid"), "grid type str"),
     "table.model": (lambda: optimal_relativity_dependent("m", H1), "model type str"),
     "balance.model": (
         lambda: balance_check("m", optimal_relativity_dependent(STUDY, H1, 8)), "model type str"
@@ -584,8 +575,8 @@ class TestObjectArgumentGate:
         arrays = QuadratureGrid(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.5, 0.5]))
         rule = SeverityRule(9, 1, 2, 1000.0)
         assert np.array_equal(
-            conditional_stationary_field(STUDY, rule, grid),
-            conditional_stationary_field(STUDY, rule, arrays),
+            stationary_field(STUDY, rule, grid),
+            stationary_field(STUDY, rule, arrays),
         )
 
     def test_built_grids_pass_without_a_copy(self):

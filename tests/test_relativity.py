@@ -44,14 +44,16 @@ EQUAL_STEP_MODELS = {
 
 class TestCachedResults:
     def test_cached_arrays_are_read_only(self, base_model):
-        from bonusmalus.relativity import _joint_stationary
+        from bonusmalus.relativity import _FIELDS, _moment_field
 
+        _FIELDS.clear()
+        _moment_field.cache_clear()
         rule = SeverityRule(9, 1, 2, 16800.0)
         table = optimal_relativity_severity(base_model, rule)
         before = table.stationary.copy()
         with pytest.raises(ValueError):
             table.stationary[0] = 123.0
-        _, field = _joint_stationary(base_model, rule, 32)
+        field = _FIELDS[base_model, rule, 32]
         with pytest.raises(ValueError):
             field[0, 0, 0] = 123.0
         assert np.array_equal(optimal_relativity_severity(base_model, rule).stationary, before)

@@ -24,7 +24,6 @@ from bonusmalus import (
     RiskClass,
     SeverityRule,
     SingularSystemError,
-    conditional_stationary_field,
     hmse_eval,
     marginal_grid,
     optimal_relativity_dependent,
@@ -39,7 +38,7 @@ from bonusmalus.presets import PRESETS, get_preset
 from bonusmalus.quadrature import build_grid, severity_cdf
 from bonusmalus.stationary import _stationary_batch
 from bonusmalus.transition import jump_tails
-from conftest import dat_model, degenerate_model, study_model
+from conftest import dat_model, degenerate_model, stationary_field, study_model
 from oracles import enumeration_matrix, power_iteration_stationary, stationary_distribution
 
 
@@ -190,28 +189,26 @@ class TestUnconditionalLevels:
         rule = FreqRule(5, 1)
         theta1, w1 = marginal_grid(model.effects, 1, 16)
         marginal = QuadratureGrid(theta1, np.ones_like(theta1), w1)
-        field = conditional_stationary_field(model, rule, marginal)
+        field = stationary_field(model, rule, marginal)
         marginal_route = np.einsum("n,knl->l", w1, field)
         joint_route = unconditional_level_distribution(model, rule, nodes=16)
         assert np.max(np.abs(marginal_route - joint_route)) < 1e-12
 
     def test_freq_rule_tables_and_levels_share_one_field(self, monkeypatch):
-        from bonusmalus import relativity
-
         calls = []
 
-        def counted(*args):
-            calls.append(args[1])
-            return conditional_stationary_field(*args)
+        def counted(model, rules, grid):
+            calls.append(rules)
+            return stationary._stationary_fields(model, rules, grid)
 
-        monkeypatch.setattr(relativity, "conditional_stationary_field", counted)
+        monkeypatch.setattr(relativity, "_stationary_fields", counted)
         relativity._FIELDS.clear()
         relativity._moment_field.cache_clear()
         model, rule = study_model(-0.8), FreqRule(9, 1)
         freq = optimal_relativity_frequency(model, rule, 16)
         dep = optimal_relativity_dependent(model, rule, 16)
         levels = unconditional_level_distribution(model, rule, 16)
-        assert calls == [rule]
+        assert calls == [[rule]]
         assert levels is dep.stationary
         assert np.array_equal(freq.stationary, levels)
 
@@ -241,7 +238,7 @@ class TestClassGroups:
     def test_dat_field_matches_one_class_per_call(self, nodes):
         model = dat_model()
         grid = build_grid(model.effects, nodes)
-        field = conditional_stationary_field(model, DAT_RULE, grid)
+        field = stationary_field(model, DAT_RULE, grid)
         assert np.array_equal(field, _field_class_by_class(model, DAT_RULE, grid))
 
     def test_partial_last_group_matches_one_class_per_call(self):
@@ -251,7 +248,7 @@ class TestClassGroups:
         model = ModelSpec(Portfolio(classes), base.severity, base.effects)
         grid = build_grid(model.effects, 32)
         assert len(classes) % (stationary._PROFILES // grid.size) != 0  # the last group is short
-        field = conditional_stationary_field(model, DAT_RULE, grid)
+        field = stationary_field(model, DAT_RULE, grid)
         assert np.array_equal(field, _field_class_by_class(model, DAT_RULE, grid))
 
     def test_full_group_then_short_group_match_one_class_per_call(self):
@@ -262,7 +259,7 @@ class TestClassGroups:
         grid = build_grid(model.effects, 32)
         per_solve = stationary._PROFILES // grid.size
         assert len(classes) // per_solve == 1 and len(classes) % per_solve == 1
-        field = conditional_stationary_field(model, DAT_RULE, grid)
+        field = stationary_field(model, DAT_RULE, grid)
         assert np.array_equal(field, _field_class_by_class(model, DAT_RULE, grid))
 
     def test_dat_field_makes_five_solves(self, monkeypatch):
@@ -276,13 +273,13 @@ class TestClassGroups:
 
         monkeypatch.setattr(stationary, "jump_tails", counted)
         model = dat_model()
-        conditional_stationary_field(model, DAT_RULE, build_grid(model.effects, 32))
+        stationary_field(model, DAT_RULE, build_grid(model.effects, 32))
         assert len(profiles) == 5
 
     def test_frequency_rule_matches_one_class_per_call(self):
         model = dat_model()
         grid = build_grid(model.effects, 32)
-        field = conditional_stationary_field(model, FreqRule(9, 1), grid)
+        field = stationary_field(model, FreqRule(9, 1), grid)
         assert np.array_equal(field, _field_class_by_class(model, FreqRule(9, 1), grid))
 
     def test_frequency_rule_solves_one_chain_per_class_and_frequency_node(self, monkeypatch):
@@ -294,7 +291,7 @@ class TestClassGroups:
 
         monkeypatch.setattr(stationary, "jump_tails", counted)
         model = dat_model()
-        conditional_stationary_field(model, FreqRule(9, 1), build_grid(model.effects, 32))
+        stationary_field(model, FreqRule(9, 1), build_grid(model.effects, 32))
         assert sum(profiles) == 18 * 32
         assert len(profiles) < 18  # classes share solves
 
@@ -303,10 +300,10 @@ class TestClassGroups:
         # profiles measured 1.7 MB here, groups of 8,192 profiles 3.2 MB.
         model = dat_model()
         grid = build_grid(model.effects, 32)
-        conditional_stationary_field(model, DAT_RULE, grid)  # warm the caches
+        stationary_field(model, DAT_RULE, grid)  # warm the caches
         tracemalloc.start()
         try:
-            field = conditional_stationary_field(model, DAT_RULE, grid)
+            field = stationary_field(model, DAT_RULE, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,7 +391,7 @@ class TestThresholdGroups:
         rules = _scan_rules(SCAN_THRESHOLDS[:2])
         fields = stationary._stationary_fields(model, rules, grid)
         for rule, field in zip(rules, fields):
-            assert np.array_equal(conditional_stationary_field(model, rule, grid), field)
+            assert np.array_equal(stationary_field(model, rule, grid), field)
 
     def test_reproduce_table_groups_its_thresholds(self, monkeypatch, tmp_path):
         # ex2a at 32 nodes: one frequency solve, then 8 thresholds four to a
@@ -455,7 +452,7 @@ class TestThresholdGroups:
             assert hmse_eval(model, table, rule, 32).hmse_raw == pytest.approx(table.hmse_raw)
             again = optimal_relativity_severity(model, rule, 32)
             assert np.array_equal(again.relativities, table.relativities, equal_nan=True)
-            grid, field = relativity._joint_stationary(model, rule, 32)
+            grid, field = relativity._grid(model.effects, 32), relativity._FIELDS[model, rule, 32]
             for array in (field, grid.theta1, grid.theta2, grid.weights, again.stationary):
                 assert not array.flags.writeable
         assert calls == []
@@ -524,7 +521,7 @@ class TestHighPrecisionStationary:
     def test_level_masses_match_400_digit_reference(self, rule, bound):
         model = parse_model(PRESETS["ex3c"])
         grid = build_grid(model.effects, 16)
-        field = conditional_stationary_field(model, rule, grid)[0]
+        field = stationary_field(model, rule, grid)[0]
         cls, shape = model.portfolio.classes[0], model.severity.shape
         freq_means = cls.freq_rate * grid.theta1
         sev_means = cls.sev_rate * grid.theta2
