@@ -18,7 +18,8 @@ Three families are provided:
 
 All three integrate over the same joint effect law: one stationary field per
 (model, rule, node count) serves every family, which differ only in the
-target they track and in their premium factor.
+target they track and in their premium factor.  A table's score, like any
+vector's (``_score``), is a sum of per-level squares and never negative.
 """
 
 from __future__ import annotations

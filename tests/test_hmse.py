@@ -102,9 +102,9 @@ class TestHmseEval:
     @pytest.mark.parametrize("log_var", [1e-14, 1e-16])
     @pytest.mark.parametrize("corr", [-0.8, 0.0])
     def test_near_degenerate_score_matches_the_double_integral(self, corr, log_var):
-        # Second moment minus squared first moment cancelled these scores to
-        # roundoff (4.44e-15, 1.98e-14, 2.12e-16 and 0.0 against 4.0e-15,
-        # 2.0e-14, 4.0e-17 and 2.0e-16); squared gaps keep every digit.
+        # Expanded into moments, E[p^2 t^2] - 2 r E[p^2 t] + r^2 E[p^2], these
+        # scores cancel to roundoff: 4.44e-15, 1.98e-14, 2.12e-16 and 0.0
+        # against 4.0e-15, 2.0e-14, 4.0e-17 and 2.0e-16.  Squared gaps do not.
         model = study_model(corr, log_var1=log_var, log_var2=log_var)
         rule = SeverityRule(9, 1, 2, 48100.0)
         table = optimal_relativity_severity(model, rule, 32)
