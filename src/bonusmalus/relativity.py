@@ -24,6 +24,7 @@ vector's (``_score``), is a sum of per-level squares and never negative.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import ModelValidationError
 from .model import BmsRule, FreqRule, ModelSpec, SeverityRule, _instance, _number
 from .quadrature import DEFAULT_NODES, QuadratureGrid, _read_only, build_grid
-from .stationary import _PROFILES, _stationary_fields
+from .stationary import _PROFILES, _run_starts, _stationary_fields
 
 MASS_FLOOR = 1e-14
 
@@ -113,9 +114,10 @@ class _MomentField:
     norm: float
 
 
-# Stationary fields by (model, rule, nodes), least recently used first.  A
-# field pass fills several entries at once, so the cache is kept here rather
-# than by ``lru_cache``.
+# Stationary fields by (model, chain, nodes), least recently used first, the
+# chain being the rule whose field a rule reads (``_chain``).  A field pass
+# fills several entries at once, so the cache is kept here rather than by
+# ``lru_cache``.
 _FIELDS: OrderedDict = OrderedDict()
 _FIELDS_KEPT = 16
 
@@ -132,6 +134,17 @@ def _shape(rule: BmsRule) -> tuple[int, int, int]:
     return rule.max_level, rule.small_step, rule.large_step
 
 
+def _chain(rule: BmsRule) -> BmsRule:
+    """The rule whose chains ``rule`` runs: the small-step frequency rule where no claim moves further.
+
+    Equal steps, or a threshold no claim exceeds, leave the claim sizes
+    unread, so such a rule shares the frequency rule's field, bit for bit.
+    """
+    if rule.large_step == rule.small_step or rule.threshold == math.inf:
+        return FreqRule(rule.max_level, rule.small_step)
+    return rule
+
+
 def _keep(model: ModelSpec, rule: BmsRule, nodes: int, field: np.ndarray) -> None:
     _read_only(field)
     _FIELDS[model, rule, nodes] = field
@@ -140,14 +153,16 @@ def _keep(model: ModelSpec, rule: BmsRule, nodes: int, field: np.ndarray) -> Non
 
 
 def _fields_for(model: ModelSpec, rules: list, nodes: int):
-    """Yield ``rules`` in order, each once its stationary field is cached.
+    """Yield ``rules`` in order, each once the stationary field of its chain is cached.
 
-    A rule whose field is missing is solved in one field pass with the next
-    missing rules of its shape, as many as one solve's ``_PROFILES`` profiles
-    hold and no more than the cache keeps, so a pass holds no more at once
-    than one solve.  Threshold scans, rule grids and the table verbs ask for
-    all their rules this way, and each moment field for its one rule; a
-    yielded rule's field is the last the cache evicts.
+    A chain whose field is missing is solved in one field pass with the next
+    missing chains of its shape, as many as one solve's ``_PROFILES``
+    profiles hold and no more than the cache keeps, so a pass holds no more
+    at once than one solve.  Rules of one chain share its field, so a
+    frequency rule and the equal-step severity rules of its step are solved
+    once.  Threshold scans, rule grids and the table verbs ask for all their
+    rules this way, and each moment field for its one rule; a yielded rule's
+    field is the last the cache evicts.
     """
     _instance(model, ModelSpec, "model")
     nodes = _number(nodes, "nodes", whole=True)
@@ -155,44 +170,79 @@ def _fields_for(model: ModelSpec, rules: list, nodes: int):
     per_pass = max(_PROFILES // (model.portfolio.freq_rates.size * grid.size), 1)
     per_pass = min(per_pass, _FIELDS_KEPT)
     for i, rule in enumerate(rules):
-        if (model, rule, nodes) not in _FIELDS:
+        chain = _chain(rule)
+        if (model, chain, nodes) not in _FIELDS:
             batch = [
                 later
-                for later in dict.fromkeys(rules[i:])
-                if _shape(later) == _shape(rule) and (model, later, nodes) not in _FIELDS
+                for later in dict.fromkeys(map(_chain, rules[i:]))
+                if _shape(later) == _shape(chain) and (model, later, nodes) not in _FIELDS
             ][:per_pass]
             for solved, field in zip(batch, _stationary_fields(model, batch, grid)):
                 _keep(model, solved, nodes, field)
-        _FIELDS.move_to_end((model, rule, nodes))
+        _FIELDS.move_to_end((model, chain, nodes))
         yield rule
+
+
+@lru_cache(maxsize=32)
+def _run_moments(effects, nodes: int, family: str, sized: bool) -> tuple:
+    """Per-run moments ``(W, M, c, D, S)`` of a family's target; cached, read-only.
+
+    Over the nodes of each run (``_run_starts``), with weights ``w`` and
+    target ``t``: ``W = sum w``, ``M = sum w t``, the centre ``c = M / W``,
+    ``D = sum w (t - c)`` and ``S = sum w (t - c)^2``.  Then for any ``r``,
+    ``sum w (r - t)^2 = W (r - c)^2 - 2 (r - c) D + S``: the spread is summed
+    as squares about the centre, and ``D`` carries the centre's rounding.
+    Where every run is one node, ``c`` is the node's target and ``D`` and
+    ``S`` are ``None``.
+    """
+    grid = _grid(effects, nodes)
+    target = grid.theta1 if family == "frequency" else grid.theta1 * grid.theta2
+    w = grid.weights
+    starts = _run_starts(grid, sized)
+    if starts.size == grid.size:
+        return (*_read_only(w, w * target, target), None, None)
+    weight = np.add.reduceat(w, starts)
+    first = np.add.reduceat(w * target, starts)
+    centre = np.divide(first, weight, out=target[starts], where=weight > 0)
+    dev = target - np.repeat(centre, np.diff(starts, append=grid.size))
+    drift = np.add.reduceat(w * dev, starts)
+    dev *= dev
+    dev *= w
+    return _read_only(weight, first, centre, drift, np.add.reduceat(dev, starts))
 
 
 @lru_cache(maxsize=128)
 def _moment_field(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> _MomentField:
     """Per-level moments of one relativity family; cached, with read-only arrays.
 
-    Every family reads the one joint stationary field of ``(model, rule,
-    nodes)`` and contracts it over nodes, then classes, with no loop.  The
-    ``"frequency"`` family targets the frequency effect with premium factor
+    Every family reads the one joint stationary field of ``(model, chain,
+    nodes)`` (``_chain``) and contracts it over runs, then classes, with no
+    loop, through the run moments of ``_run_moments``.  The ``"frequency"``
+    family targets the frequency effect with premium factor
     ``freq_rate**2``; the ``"aggregate"`` family targets the effect product
     with premium factor ``(freq_rate * sev_rate)**2``.  The residual gaps are
-    squared per (level, node) before any sum.
+    squared per (level, run) before any sum, each run's spread about its
+    centre added as a sum of squares.
     """
     (rule,) = _fields_for(model, [rule], nodes)
-    grid, field = _grid(model.effects, nodes), _FIELDS[model, rule, nodes]
+    chain = _chain(rule)
+    field = _FIELDS[model, chain, nodes]
+    sized = chain.large_step > chain.small_step
+    weight, first_w, centre, drift, spread = _run_moments(model.effects, nodes, family, sized)
     portfolio = model.portfolio
-    if family == "frequency":
-        target, rate = grid.theta1, portfolio.freq_rates
-    else:
-        target, rate = grid.theta1 * grid.theta2, portfolio.freq_rates * portfolio.sev_rates
+    rate = portfolio.freq_rates
+    if family != "frequency":
+        rate = rate * portfolio.sev_rates
     prem_sq = portfolio.weights * rate**2
-    w = grid.weights
-    by_class = np.stack([w, w * target]) @ field  # (class, moment, level)
+    by_class = np.stack([weight, first_w]) @ field  # (class, moment, level)
     mass = portfolio.weights @ by_class[:, 0]
     prem, first = np.tensordot(prem_sq, by_class, axes=1)
-    gaps = np.subtract.outer(_best(prem, first), target)  # (level, node)
-    gaps *= gaps
-    gaps *= w
+    gaps = np.subtract.outer(_best(prem, first), centre)  # (level, run)
+    if drift is None:  # one-node runs: the node's own squared gap
+        gaps *= gaps
+        gaps *= weight
+    else:
+        gaps = gaps * gaps * weight - 2.0 * gaps * drift + spread
     resid = prem_sq @ np.einsum("ln,cnl->cl", gaps, field)
     _read_only(mass, prem, first, resid)
     return _MomentField(mass, prem, first, resid, float(np.sum(prem_sq)))

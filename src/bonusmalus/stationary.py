@@ -6,13 +6,20 @@ skip-free to the left and the flow across the cut between levels ``l`` and
 follow level by level (GTH elimination for M/G/1-type chains), batched over
 profiles, with no matrix and no linear solve.
 
-A field holds these rows for every (risk class, quadrature node) profile of
-one rule.  Rules of one shape, ``(max_level, small_step, large_step)``,
-differ only in their threshold, which enters only through each profile's
-exceedance, so a field pass solves several of them at once: their (rule,
-class) blocks are grouped into solves of up to ``_PROFILES`` profiles.  A
-solve's memory grows with its width, so each stage works in place where it
-can and drops an array as soon as it is spent.
+A field holds these rows for every (risk class, run) profile of one rule.
+A run is a maximal stretch of consecutive grid nodes with equal ``theta1``.
+A rule with equal steps never reads claim sizes, so its chain depends on a
+node only through ``theta1``: its field holds one row per run, ``n`` times
+fewer than the ``n x n`` nodes of a theta1-major grid, and one row in all
+when ``theta1`` is constant.  A rule whose large claims move further reads
+``theta2`` too, so each of its nodes is a run of its own.
+
+Rules of one shape, ``(max_level, small_step, large_step)``, differ only in
+their threshold, which enters only through each profile's exceedance, so a
+field pass solves several of them at once: their (rule, class) blocks are
+grouped into solves of up to ``_PROFILES`` profiles.  A solve's memory grows
+with its width, so each stage works in place where it can and drops an
+array as soon as it is spent.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .model import ModelSpec
 from .quadrature import QuadratureGrid, severity_cdf
 from .transition import jump_tails
 
-# Profiles (class, node pairs) per stationary solve: whole (rule, class)
+# Profiles (class, run pairs) per stationary solve: whole (rule, class)
 # blocks are grouped up to this many.  Wider solves run faster but raise peak
 # memory: a solve holds a few dozen floats per profile, about 1.7 MB above the
 # result for the 18-class dat field at 32 nodes (3.2 MB at 8,192 profiles).
@@ -79,19 +86,32 @@ def _stationary_batch(p0: np.ndarray, T: np.ndarray) -> np.ndarray:
     return pi.T
 
 
-def _stationary_fields(model: ModelSpec, rules, grid: QuadratureGrid) -> np.ndarray:
-    """Fields of several rules of one shape: ``(rules, classes, grid.size, levels)``.
+def _run_starts(grid: QuadratureGrid, sized: bool) -> np.ndarray:
+    """First node of each run of ``grid``: of each maximal stretch of equal ``theta1``.
 
-    A profile is one class at one node under one rule, and enters only
-    through its claim mean and its exceedance, so equal (mean, exceedance)
-    pairs are solved once.  Claim sizes matter only where large claims move
-    further than small ones; a rule with equal steps, of either type, needs
-    one chain per distinct frequency effect, whatever its threshold.
+    Equal values that are not adjacent start runs of their own.  Under a
+    ``sized`` rule, whose chains read ``theta2`` too, every node is a run.
+    """
+    if sized:
+        return np.arange(grid.size)
+    theta1 = grid.theta1
+    return np.flatnonzero(np.r_[True, theta1[1:] != theta1[:-1]])
+
+
+def _stationary_fields(model: ModelSpec, rules, grid: QuadratureGrid) -> np.ndarray:
+    """Fields of several rules of one shape: ``(rules, classes, runs, levels)``.
+
+    A profile is one class at one run (``_run_starts``) under one rule, and
+    enters only through its claim mean and its exceedance, so equal (mean,
+    exceedance) pairs are solved once.  Claim sizes matter only where large
+    claims move further than small ones; a rule with equal steps, of either
+    type, needs one chain per distinct frequency effect, whatever its
+    threshold.
 
     The (rule, class) blocks, rule-major, share solves, as many whole blocks
     as fit in ``_PROFILES`` profiles and never fewer than one: on a small grid
     the fixed cost of a call, not its width, sets the time.  A block is never
-    split, since a grid of ``_PROFILES`` nodes or more is wide enough alone and
+    split, since a grid of ``_PROFILES`` runs or more is wide enough alone and
     splitting it would only make two solves of one block.  Every step is
     elementwise per profile, so a row does not depend on which blocks share
     its solve.
@@ -99,17 +119,19 @@ def _stationary_fields(model: ModelSpec, rules, grid: QuadratureGrid) -> np.ndar
     rule = rules[0]
     freq_rates, sev_rates = model.portfolio.freq_rates, model.portfolio.sev_rates
     classes = freq_rates.size
-    out = np.empty((len(rules), classes, grid.size, rule.levels))
-    blocks = out.reshape(-1, grid.size, rule.levels)  # a view: rule-major (rule, class) blocks
     sized = rule.large_step > rule.small_step
+    starts = _run_starts(grid, sized)
+    theta1 = grid.theta1[starts]
+    out = np.empty((len(rules), classes, starts.size, rule.levels))
+    blocks = out.reshape(-1, starts.size, rule.levels)  # a view: rule-major (rule, class) blocks
     thresholds = np.array([r.threshold for r in rules]) if sized else None
-    per_solve = max(_PROFILES // grid.size, 1)
+    per_solve = max(_PROFILES // starts.size, 1)
     for start in range(0, len(blocks), per_solve):
         group = slice(start, start + per_solve)
         which, cls = np.divmod(np.arange(len(blocks))[group], classes)
-        freq_means = np.outer(freq_rates[cls], grid.theta1).ravel()
+        freq_means = np.outer(freq_rates[cls], theta1).ravel()
         exceed, keys = np.zeros_like(freq_means), freq_means
-        if sized:
+        if sized:  # every node is a run
             sev_means = np.outer(sev_rates[cls], grid.theta2)
             exceed = severity_cdf(thresholds[which, None], sev_means, model.severity, upper=True)
             exceed = exceed.ravel()

@@ -18,6 +18,7 @@ from bonusmalus import (
 from bonusmalus.cli import parse_model
 from bonusmalus.presets import get_preset
 from bonusmalus.stationary import _stationary_fields
+from oracles import node_rows
 
 SEV_RATE = math.exp(8.8)
 GAMMA_SHAPE = 0.67
@@ -54,8 +55,8 @@ def dat_model() -> ModelSpec:
 
 
 def stationary_field(model, rule, grid):
-    """Stationary rows ``(classes, grid.size, levels)`` of one rule: a one-rule field pass."""
-    return _stationary_fields(model, [rule], grid)[0]
+    """Stationary rows ``(classes, grid.size, levels)`` of one rule: a one-rule pass, over nodes."""
+    return node_rows(_stationary_fields(model, [rule], grid)[0], rule, grid)
 
 
 @pytest.fixture(scope="session")

@@ -7,10 +7,11 @@ squaring of the transition matrix or from a rank-corrected linear solve on
 any matrix, posterior means from adaptive quadrature of the prior times the
 likelihood, and severity tails from direct density integration.
 
-Three helpers wrap package internals instead, as test-only conveniences.
-The score double integral sums every (class, node, level) term of the
-package's own stationary field, one class at a time, with no per-level
-moment in between.  The posterior density is a plain mixture of gamma densities on the package's own
+Four helpers wrap package internals instead, as test-only conveniences.
+``node_rows`` spreads the package's own field of a rule with equal steps,
+one row per run of equal ``theta1``, back over every grid node.  The score
+double integral sums every (class, node, level) term of that field, one
+class at a time, with no per-level moment in between.  The posterior density is a plain mixture of gamma densities on the package's own
 posterior weights, shapes and rates, which its tests integrate back to 1 and
 to the closed-form premium; and the frequency-family estimator wraps the
 simulator's own ratio estimate on the rows of its accumulator that hold the
@@ -280,6 +281,20 @@ def empirical_frequency_relativity(summary):
     return _ratio_estimate(summary, [0, 5, 6], summary.freq_rates)
 
 
+def node_rows(field: np.ndarray, rule, grid) -> np.ndarray:
+    """A stationary field over every node of ``grid``, from the package's field of ``rule``.
+
+    A rule with equal steps holds one row per run, a maximal stretch of
+    consecutive nodes with equal ``theta1``; each row is repeated over its
+    run's nodes.  A sized rule's field is over nodes already.
+    """
+    if rule.large_step > rule.small_step:
+        return field
+    theta1 = grid.theta1
+    starts = [i for i in range(grid.size) if i == 0 or theta1[i] != theta1[i - 1]]
+    return np.repeat(field, np.diff(starts + [grid.size]), axis=-2)
+
+
 def hmse_double_integral(
     model, r, rule, nodes: int, family: str = "aggregate"
 ) -> tuple[float, float]:
@@ -293,7 +308,7 @@ def hmse_double_integral(
     relativities score as zero.
     """
     grid = build_grid(model.effects, nodes)
-    field = _stationary_fields(model, [rule], grid)[0]
+    field = node_rows(_stationary_fields(model, [rule], grid)[0], rule, grid)
     target = grid.theta1 if family == "frequency" else grid.theta1 * grid.theta2
     r = np.nan_to_num(np.asarray(r, dtype=float), nan=0.0)
     gaps = (target[:, None] - r[None, :]) ** 2  # (nodes, levels)

@@ -25,6 +25,7 @@ from bonusmalus import (
     rule_dominance_check,
     threshold_scan,
 )
+from bonusmalus import relativity, stationary
 from conftest import degenerate_model, study_model
 from oracles import hmse_double_integral
 from test_relativity import EQUAL_STEP_MODELS
@@ -109,6 +110,25 @@ class TestHmseEval:
         rule = SeverityRule(9, 1, 2, 48100.0)
         table = optimal_relativity_severity(model, rule, 32)
         _, normalized = hmse_double_integral(model, table.relativities, rule, 32)
+        assert table.hmse_normalized == pytest.approx(normalized, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "log_vars", [(1e-14, 1e-14), (1e-16, 1e-16), (0.0, 1e-14)], ids=["1e-14", "1e-16", "var1-0"]
+    )
+    @pytest.mark.parametrize("corr", [-0.8, 0.0])
+    @pytest.mark.parametrize("family", ["frequency", "aggregate"])
+    def test_near_degenerate_frequency_rule_score_matches_the_double_integral(
+        self, family, corr, log_vars
+    ):
+        # A frequency rule's moments sum each run of equal theta1 about its
+        # centre; the term that carries the centre's rounding keeps these
+        # scores on the double integral, which drift up to 3.5e-9 without it.
+        model = study_model(corr, log_var1=log_vars[0], log_var2=log_vars[1])
+        rule = FreqRule(9, 1)
+        build = optimal_relativity_frequency if family == "frequency" else optimal_relativity_dependent
+        table = build(model, rule, 32)
+        raw, normalized = hmse_double_integral(model, table.relativities, rule, 32, family)
+        assert table.hmse_raw == pytest.approx(raw, rel=1e-9, abs=0.0)
         assert table.hmse_normalized == pytest.approx(normalized, rel=1e-9, abs=0.0)
 
     def test_optimal_table_beats_per_level_perturbations(self, base_model):
@@ -236,6 +256,25 @@ class TestRuleDominance:
         report = rule_dominance_check(model, self.FREQ, self.SEV, nodes=24)
         gap = abs(report.severity_best.hmse_raw - report.freq_best.hmse_raw)
         assert gap <= 1e-8 * report.freq_best.hmse_raw
+
+    def test_each_equal_step_shape_is_solved_once(self, base_model, monkeypatch):
+        # The equal-step severity rules, and a threshold no claim exceeds,
+        # read the frequency rule's field: one pass per frequency step, and
+        # one for the sized rules of the grid.
+        passes = []
+
+        def counted(model, rules, grid):
+            passes.append(rules)
+            return stationary._stationary_fields(model, rules, grid)
+
+        monkeypatch.setattr(relativity, "_stationary_fields", counted)
+        relativity._FIELDS.clear()
+        relativity._moment_field.cache_clear()
+        sized = [rule for rule in self.SEV if rule.large_step > rule.small_step]
+        rule_dominance_check(
+            base_model, self.FREQ, self.SEV + [SeverityRule(9, 1, 2, math.inf)], nodes=24
+        )
+        assert passes == [[FreqRule(9, 1)], [FreqRule(9, 2)], sized[:3], sized[3:]]
 
     def test_missing_diagonal_rejected(self, base_model):
         with pytest.raises(ValueError):

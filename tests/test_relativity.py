@@ -58,6 +58,19 @@ class TestCachedResults:
             field[0, 0, 0] = 123.0
         assert np.array_equal(optimal_relativity_severity(base_model, rule).stationary, before)
 
+    def test_cached_frequency_field_holds_one_row_per_run(self):
+        from bonusmalus.relativity import _FIELDS, _moment_field
+
+        _FIELDS.clear()
+        _moment_field.cache_clear()
+        model, rule = dat_model(), FreqRule(9, 1)
+        optimal_relativity_dependent(model, rule, 64)
+        field = _FIELDS[model, rule, 64]
+        # One row per class and theta1 node: 92 KB, where one per node of
+        # the 64 x 64 grid held 18 x 4,096 x 10 floats, 5.9 MB.
+        assert field.shape == (18, 64, 10)
+        assert not field.flags.writeable
+
 
 class TestFrequencyFamily:
     def test_degenerate_effect_gives_unit_relativities(self):

@@ -40,6 +40,7 @@ from bonusmalus.stationary import _stationary_batch
 from bonusmalus.transition import jump_tails
 from conftest import dat_model, degenerate_model, stationary_field, study_model
 from oracles import enumeration_matrix, power_iteration_stationary, stationary_distribution
+from test_relativity import EQUAL_STEP_MODELS
 
 
 class TestStationaryDistribution:
@@ -308,6 +309,45 @@ class TestClassGroups:
         finally:
             tracemalloc.stop()
         assert peak - field.nbytes < 2e6, peak - field.nbytes
+
+
+class TestRunFields:
+    """A rule with equal steps holds one row per run of equal theta1; spread over
+    the nodes, it is the field solved class by class over every node, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "rule", [FreqRule(9, 1), SeverityRule(9, 2, 2, 16800.0)], ids=["h1", "h2-2"]
+    )
+    @pytest.mark.parametrize(
+        ("make", "nodes", "runs"),
+        [
+            (EQUAL_STEP_MODELS["lognormal"], 32, 32),
+            (EQUAL_STEP_MODELS["dat"], 16, 16),
+            (EQUAL_STEP_MODELS["mixture"], 16, 32),  # one run per Laguerre node and branch
+            (degenerate_model, 32, 1),
+            (lambda: study_model(-0.8, log_var1=0.0), 16, 1),
+        ],
+        ids=["lognormal", "dat", "mixture", "degenerate", "log-var1-0"],
+    )
+    def test_expanded_field_matches_one_class_per_call(self, make, nodes, runs, rule):
+        model = make()
+        grid = build_grid(model.effects, nodes)
+        field = stationary._stationary_fields(model, [rule], grid)[0]
+        assert field.shape == (model.portfolio.freq_rates.size, runs, rule.levels)
+        expected = _field_class_by_class(model, rule, grid)
+        assert np.array_equal(stationary_field(model, rule, grid), expected)
+
+    def test_equal_values_apart_are_runs_of_their_own(self):
+        # theta1 = a a b a b b: four runs, of 2, 1, 1 and 2 nodes.
+        a, b = 0.6, 1.7
+        theta1 = np.array([a, a, b, a, b, b])
+        grid = QuadratureGrid(theta1, np.linspace(0.5, 1.5, 6), np.full(6, 1.0 / 6))
+        model = dat_model()
+        field = stationary._stationary_fields(model, [FreqRule(9, 1)], grid)[0]
+        assert field.shape == (18, 4, 10)
+        assert np.array_equal(field[:, 0], field[:, 2]) and np.array_equal(field[:, 1], field[:, 3])
+        expected = _field_class_by_class(model, FreqRule(9, 1), grid)
+        assert np.array_equal(np.repeat(field, [2, 1, 1, 2], axis=1), expected)
 
 
 # The 8 thresholds of the seed-0 study-scan benchmark round: the published 4
