@@ -259,15 +259,22 @@ def _write(path: Path, text: str) -> None:
     print(path)
 
 
-def _table_csv(table, precision: int) -> str:
-    lines = ["level,relativity,stationary_prob"]
-    for lvl in range(table.rule.max_level, -1, -1):
-        lines.append(
-            f"{lvl},{_fmt(table.relativities[lvl], precision)},"
-            f"{_fmt(table.stationary[lvl], precision)}"
-        )
-    lines.append(f"hmse_raw,{_fmt(table.hmse_raw, precision)},")
-    lines.append(f"hmse_normalized,{_fmt(table.hmse_normalized, precision)},")
+def _tables_csv(tables, header: list, precision: int) -> str:
+    """Tables of one level count side by side: relativity and mass columns, then the scores."""
+    lines = [",".join(header)]
+    for lvl in range(tables[0].rule.max_level, -1, -1):
+        row = [str(lvl)]
+        for table in tables:
+            row += [
+                _fmt(table.relativities[lvl], precision),
+                _fmt(table.stationary[lvl], precision),
+            ]
+        lines.append(",".join(row))
+    for label in ("hmse_raw", "hmse_normalized"):
+        row = [label]
+        for table in tables:
+            row += [_fmt(getattr(table, label), precision), ""]
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -315,7 +322,8 @@ def cmd_relativities(cfg: dict, args) -> int:
         table = _compute_table(model, rule, family, nodes)
         name = f"relativities_{_rule_tag(rule)}.{cfg['format']}"
         if cfg["format"] == "csv":
-            _write(out / name, _table_csv(table, cfg["precision"]))
+            header = ["level", "relativity", "stationary_prob"]
+            _write(out / name, _tables_csv([table], header, cfg["precision"]))
         else:
             _write(out / name, _json(_table_payload(table, cfg["precision"])))
     return EXIT_OK
@@ -455,32 +463,16 @@ def cmd_reproduce_table(cfg: dict, args) -> int:
     if cfg["format"] == "csv" and len({rule.max_level for rule in rules}) > 1:
         raise ModelValidationError("a CSV table needs every rule on the same number of levels")
     tables = [
-        (rule, _compute_table(model, rule, "aggregate", nodes))
-        for rule in _fields_for(model, rules, nodes)
+        _compute_table(model, rule, "aggregate", nodes) for rule in _fields_for(model, rules, nodes)
     ]
     out = Path(args.out)
     if cfg["format"] == "csv":
         header = ["level"]
-        for rule, _ in tables:
-            header += [f"r_{_rule_tag(rule)}", f"p_{_rule_tag(rule)}"]
-        lines = [",".join(header)]
-        max_level = rules[0].max_level
-        for lvl in range(max_level, -1, -1):
-            row = [str(lvl)]
-            for _, table in tables:
-                row += [
-                    _fmt(table.relativities[lvl], precision),
-                    _fmt(table.stationary[lvl], precision),
-                ]
-            lines.append(",".join(row))
-        for label, attr in (("hmse_raw", "hmse_raw"), ("hmse_normalized", "hmse_normalized")):
-            row = [label]
-            for _, table in tables:
-                row += [_fmt(getattr(table, attr), precision), ""]
-            lines.append(",".join(row))
-        _write(out / f"table_{args.preset or 'custom'}.csv", "\n".join(lines) + "\n")
+        for table in tables:
+            header += [f"r_{_rule_tag(table.rule)}", f"p_{_rule_tag(table.rule)}"]
+        _write(out / f"table_{args.preset or 'custom'}.csv", _tables_csv(tables, header, precision))
     else:
-        payload = [_table_payload(table, precision) for _, table in tables]
+        payload = [_table_payload(table, precision) for table in tables]
         _write(out / f"table_{args.preset or 'custom'}.json", _json(payload))
     return EXIT_OK
 

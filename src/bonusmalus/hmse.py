@@ -30,6 +30,7 @@ from .relativity import (
     _fields_for,
     _moment_field,
     _score,
+    _shape,
     optimal_relativity_dependent,
     optimal_relativity_severity,
 )
@@ -134,9 +135,9 @@ def rule_dominance_check(
     ]
     if not freq_rules or not severity_rules:
         raise ModelValidationError("both rule grids must be non-empty")
-    diagonal = {(r.max_level, r.small_step, r.large_step) for r in severity_rules}
+    diagonal = set(map(_shape, severity_rules))
     for fr in freq_rules:
-        if (fr.max_level, fr.step, fr.step) not in diagonal:
+        if _shape(fr) not in diagonal:
             raise ModelValidationError(
                 f"severity grid must contain the equal-step rule matching {fr}"
             )

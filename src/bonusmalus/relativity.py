@@ -16,10 +16,10 @@ Three families are provided:
 * ``optimal_relativity_severity`` -- severity-aware chain, aggregate-loss
   premium target; the level itself carries claim-size history.
 
-All three integrate over the same joint effect law: one stationary field per
-(model, rule, node count) serves every family, which differ only in the
-target they track and in their premium factor.  A table's score, like any
-vector's (``_score``), is a sum of per-level squares and never negative.
+All three integrate over the same joint effect law and read one stationary
+field per (model, chain, node count) only through per-level moments, which the
+engine caches in place of the field; they differ in target and premium factor.
+A table's score, like any vector's (``_score``), is a sum of squares, never negative.
 """
 
 from __future__ import annotations
@@ -114,12 +114,13 @@ class _MomentField:
     norm: float
 
 
-# Stationary fields by (model, chain, nodes), least recently used first, the
-# chain being the rule whose field a rule reads (``_chain``).  A field pass
-# fills several entries at once, so the cache is kept here rather than by
-# ``lru_cache``.
-_FIELDS: OrderedDict = OrderedDict()
-_FIELDS_KEPT = 16
+# Per-level moments by (model, chain, nodes), least recently yielded by
+# ``_fields_for`` first, the chain being the rule whose field a rule reads
+# (``_chain``); an entry maps each family the chain serves to its moments.  A
+# field pass fills several entries at once, so the cache is kept here rather
+# than by ``lru_cache``.
+_MOMENTS: OrderedDict = OrderedDict()
+_MOMENTS_KEPT = 128
 
 
 @lru_cache(maxsize=16)
@@ -145,41 +146,40 @@ def _chain(rule: BmsRule) -> BmsRule:
     return rule
 
 
-def _keep(model: ModelSpec, rule: BmsRule, nodes: int, field: np.ndarray) -> None:
-    _read_only(field)
-    _FIELDS[model, rule, nodes] = field
-    if len(_FIELDS) > _FIELDS_KEPT:
-        _FIELDS.popitem(last=False)
-
-
 def _fields_for(model: ModelSpec, rules: list, nodes: int):
-    """Yield ``rules`` in order, each once the stationary field of its chain is cached.
+    """Yield ``rules`` in order, each once the moments of its chain are cached.
 
-    A chain whose field is missing is solved in one field pass with the next
-    missing chains of its shape, as many as one solve's ``_PROFILES``
+    A chain whose moments are missing is solved in one field pass with the
+    next missing chains of its shape, as many as one solve's ``_PROFILES``
     profiles hold and no more than the cache keeps, so a pass holds no more
-    at once than one solve.  Rules of one chain share its field, so a
-    frequency rule and the equal-step severity rules of its step are solved
-    once.  Threshold scans, rule grids and the table verbs ask for all their
-    rules this way, and each moment field for its one rule; a yielded rule's
-    field is the last the cache evicts.
+    at once than one solve.  Each field goes with its pass, contracted into
+    ``"aggregate"`` moments, and ``"frequency"`` ones too for a frequency
+    chain, which the equal-step severity rules of its step share.  Threshold
+    scans, rule grids and the table verbs ask for all their rules this way,
+    and each moment field for its one rule; a yielded rule's entry is the
+    last the cache evicts.
     """
     _instance(model, ModelSpec, "model")
     nodes = _number(nodes, "nodes", whole=True)
     grid = _grid(model.effects, nodes)
     per_pass = max(_PROFILES // (model.portfolio.freq_rates.size * grid.size), 1)
-    per_pass = min(per_pass, _FIELDS_KEPT)
+    per_pass = min(per_pass, _MOMENTS_KEPT)
     for i, rule in enumerate(rules):
         chain = _chain(rule)
-        if (model, chain, nodes) not in _FIELDS:
+        if (model, chain, nodes) not in _MOMENTS:
             batch = [
                 later
                 for later in dict.fromkeys(map(_chain, rules[i:]))
-                if _shape(later) == _shape(chain) and (model, later, nodes) not in _FIELDS
+                if _shape(later) == _shape(chain) and (model, later, nodes) not in _MOMENTS
             ][:per_pass]
             for solved, field in zip(batch, _stationary_fields(model, batch, grid)):
-                _keep(model, solved, nodes, field)
-        _FIELDS.move_to_end((model, chain, nodes))
+                moments = {"aggregate": _contract(model, solved, nodes, "aggregate", field)}
+                if isinstance(solved, FreqRule):
+                    moments["frequency"] = _contract(model, solved, nodes, "frequency", field)
+                _MOMENTS[model, solved, nodes] = moments
+                if len(_MOMENTS) > _MOMENTS_KEPT:
+                    _MOMENTS.popitem(last=False)
+        _MOMENTS.move_to_end((model, chain, nodes))
         yield rule
 
 
@@ -211,22 +211,17 @@ def _run_moments(effects, nodes: int, family: str, sized: bool) -> tuple:
     return _read_only(weight, first, centre, drift, np.add.reduceat(dev, starts))
 
 
-@lru_cache(maxsize=128)
-def _moment_field(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> _MomentField:
-    """Per-level moments of one relativity family; cached, with read-only arrays.
+def _contract(model: ModelSpec, chain: BmsRule, nodes: int, family: str, field: np.ndarray):
+    """Per-level moments of one relativity family from ``chain``'s field; read-only arrays.
 
-    Every family reads the one joint stationary field of ``(model, chain,
-    nodes)`` (``_chain``) and contracts it over runs, then classes, with no
-    loop, through the run moments of ``_run_moments``.  The ``"frequency"``
-    family targets the frequency effect with premium factor
+    The field, ``(classes, runs, levels)``, is contracted over runs, then
+    classes, with no loop, through the run moments of ``_run_moments``.  The
+    ``"frequency"`` family targets the frequency effect with premium factor
     ``freq_rate**2``; the ``"aggregate"`` family targets the effect product
     with premium factor ``(freq_rate * sev_rate)**2``.  The residual gaps are
     squared per (level, run) before any sum, each run's spread about its
     centre added as a sum of squares.
     """
-    (rule,) = _fields_for(model, [rule], nodes)
-    chain = _chain(rule)
-    field = _FIELDS[model, chain, nodes]
     sized = chain.large_step > chain.small_step
     weight, first_w, centre, drift, spread = _run_moments(model.effects, nodes, family, sized)
     portfolio = model.portfolio
@@ -246,6 +241,17 @@ def _moment_field(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> _
     resid = prem_sq @ np.einsum("ln,cnl->cl", gaps, field)
     _read_only(mass, prem, first, resid)
     return _MomentField(mass, prem, first, resid, float(np.sum(prem_sq)))
+
+
+def _moment_field(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> _MomentField:
+    """The cached moments of one family under ``rule``'s chain; a sized chain has no frequency."""
+    moments = _MOMENTS.get((model, rule, nodes))
+    if moments is None:  # not solved yet, or a rule that reads another rule's chain
+        (rule,) = _fields_for(model, [rule], nodes)
+        moments = _MOMENTS[model, _chain(rule), nodes]
+    if family not in moments:
+        raise ModelValidationError(f"the {family!r} family does not apply to {rule}")
+    return moments[family]
 
 
 def unconditional_level_distribution(
@@ -333,11 +339,9 @@ def balance_check(model: ModelSpec, table: RelativityTable) -> BalanceReport:
     _instance(table, RelativityTable, "table")
     field = _moment_field(model, table.rule, table.nodes, table.family)
     defined = field.mass > MASS_FLOOR
-    residuals = np.full(field.mass.shape, np.nan)
     r = table.scoring_relativities()
-    residuals[defined] = (field.target[defined] - r[defined] * field.prem_sq[defined]) / field.mass[
-        defined
-    ]
+    gaps = field.target - r * field.prem_sq
+    residuals = np.divide(gaps, field.mass, out=np.full_like(gaps, np.nan), where=defined)
     global_lhs = float(np.sum(r * field.prem_sq))
     global_rhs = float(np.sum(field.target))
     return BalanceReport(residuals, global_lhs, global_rhs)

@@ -15,6 +15,7 @@ from bonusmalus import (
     Portfolio,
     RiskClass,
 )
+from bonusmalus import relativity
 from bonusmalus.cli import parse_model
 from bonusmalus.presets import get_preset
 from bonusmalus.stationary import _stationary_fields
@@ -57,6 +58,12 @@ def dat_model() -> ModelSpec:
 def stationary_field(model, rule, grid):
     """Stationary rows ``(classes, grid.size, levels)`` of one rule: a one-rule pass, over nodes."""
     return node_rows(_stationary_fields(model, [rule], grid)[0], rule, grid)
+
+
+@pytest.fixture
+def fresh_cache():
+    """Empty the engine's moment cache, so every field the test asks for is solved in it."""
+    relativity._MOMENTS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,6 @@ from bonusmalus import (
     severity_marginal_quantile,
     threshold_scan,
 )
-from bonusmalus.relativity import _FIELDS, _moment_field
 from bonusmalus.verify import check_rule
 from conftest import study_model
 from oracles import freq_posterior_mean_quad, joint_posterior_moment_quad
@@ -66,13 +65,11 @@ def _attach_oracle_verdict(model, rule, deviations):
     )
 
 
-def test_criterion_1_study_table_reproduction():
+def test_criterion_1_study_table_reproduction(fresh_cache):
     """Base-case table values within 0.01 absolute, under 60 s at 32 nodes."""
     model = study_model(-0.8)
     freq_rule = FreqRule(9, 1)
     sev_rule = SeverityRule(9, 1, 2, 16800.0)
-    _FIELDS.clear()
-    _moment_field.cache_clear()
     start = time.perf_counter()
     dep = optimal_relativity_dependent(model, freq_rule, 32)
     sev = optimal_relativity_severity(model, sev_rule, 32)

@@ -257,7 +257,7 @@ class TestRuleDominance:
         gap = abs(report.severity_best.hmse_raw - report.freq_best.hmse_raw)
         assert gap <= 1e-8 * report.freq_best.hmse_raw
 
-    def test_each_equal_step_shape_is_solved_once(self, base_model, monkeypatch):
+    def test_each_equal_step_shape_is_solved_once(self, base_model, monkeypatch, fresh_cache):
         # The equal-step severity rules, and a threshold no claim exceeds,
         # read the frequency rule's field: one pass per frequency step, and
         # one for the sized rules of the grid.
@@ -268,13 +268,19 @@ class TestRuleDominance:
             return stationary._stationary_fields(model, rules, grid)
 
         monkeypatch.setattr(relativity, "_stationary_fields", counted)
-        relativity._FIELDS.clear()
-        relativity._moment_field.cache_clear()
         sized = [rule for rule in self.SEV if rule.large_step > rule.small_step]
         rule_dominance_check(
             base_model, self.FREQ, self.SEV + [SeverityRule(9, 1, 2, math.inf)], nodes=24
         )
         assert passes == [[FreqRule(9, 1)], [FreqRule(9, 2)], sized[:3], sized[3:]]
+
+    def test_the_cache_holds_one_entry_per_chain(self, base_model, fresh_cache):
+        # 14 rules run 8 chains: the two frequency rules, which the six
+        # equal-step severity rules share, and the six sized rules.
+        rule_dominance_check(base_model, self.FREQ, self.SEV, nodes=24)
+        assert len(relativity._MOMENTS) == 8
+        equal = relativity._moment_field(base_model, SeverityRule(9, 2, 2, 8200.0), 24, "aggregate")
+        assert equal is relativity._moment_field(base_model, FreqRule(9, 2), 24, "aggregate")
 
     def test_missing_diagonal_rejected(self, base_model):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from bonusmalus import (
     optimal_relativity_severity,
     simulate_paths,
 )
+from bonusmalus import relativity
+from bonusmalus.stationary import _stationary_fields
 from conftest import GAMMA_SHAPE, dat_model, degenerate_model, study_model
 from oracles import empirical_frequency_relativity
 
@@ -43,33 +46,31 @@ EQUAL_STEP_MODELS = {
 
 
 class TestCachedResults:
-    def test_cached_arrays_are_read_only(self, base_model):
-        from bonusmalus.relativity import _FIELDS, _moment_field
-
-        _FIELDS.clear()
-        _moment_field.cache_clear()
+    def test_cached_arrays_are_read_only(self, base_model, fresh_cache):
         rule = SeverityRule(9, 1, 2, 16800.0)
         table = optimal_relativity_severity(base_model, rule)
         before = table.stationary.copy()
         with pytest.raises(ValueError):
             table.stationary[0] = 123.0
-        field = _FIELDS[base_model, rule, 32]
-        with pytest.raises(ValueError):
-            field[0, 0, 0] = 123.0
+        moments = relativity._MOMENTS[base_model, rule, 32]["aggregate"]
+        for array in (moments.mass, moments.prem_sq, moments.target, moments.resid):
+            with pytest.raises(ValueError):
+                array[0] = 123.0
         assert np.array_equal(optimal_relativity_severity(base_model, rule).stationary, before)
 
-    def test_cached_frequency_field_holds_one_row_per_run(self):
-        from bonusmalus.relativity import _FIELDS, _moment_field
-
-        _FIELDS.clear()
-        _moment_field.cache_clear()
+    def test_frequency_field_holds_one_row_per_run(self):
         model, rule = dat_model(), FreqRule(9, 1)
-        optimal_relativity_dependent(model, rule, 64)
-        field = _FIELDS[model, rule, 64]
+        (field,) = _stationary_fields(model, [rule], relativity._grid(model.effects, 64))
         # One row per class and theta1 node: 92 KB, where one per node of
         # the 64 x 64 grid held 18 x 4,096 x 10 floats, 5.9 MB.
         assert field.shape == (18, 64, 10)
-        assert not field.flags.writeable
+        # The cache keeps only the per-level moments contracted from it.
+        optimal_relativity_dependent(model, rule, 64)
+        entry = relativity._MOMENTS[model, rule, 64]
+        assert sorted(entry) == ["aggregate", "frequency"]
+        for moments in entry.values():
+            for array in (moments.mass, moments.prem_sq, moments.target, moments.resid):
+                assert array.shape == (10,) and not array.flags.writeable
 
 
 class TestFrequencyFamily:
@@ -245,6 +246,14 @@ class TestBalance:
         report = balance_check(model, table)
         norm = (model.portfolio.freq_rates[0] * model.portfolio.sev_rates[0]) ** 2
         assert report.max_level_residual / norm < 1e-12
+
+    def test_frequency_family_on_a_sized_rule_is_refused(self, base_model):
+        # A hand-built table can claim the frequency family for a rule whose
+        # large claims move further; that chain has no frequency moments.
+        table = optimal_relativity_severity(base_model, SeverityRule(9, 1, 2, 16800.0))
+        table = dataclasses.replace(table, family="frequency")
+        with pytest.raises(ModelValidationError, match="'frequency' family does not apply"):
+            balance_check(base_model, table)
 
 
 class TestMultiClassPortfolios:

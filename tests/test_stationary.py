@@ -195,7 +195,7 @@ class TestUnconditionalLevels:
         joint_route = unconditional_level_distribution(model, rule, nodes=16)
         assert np.max(np.abs(marginal_route - joint_route)) < 1e-12
 
-    def test_freq_rule_tables_and_levels_share_one_field(self, monkeypatch):
+    def test_freq_rule_tables_and_levels_share_one_field(self, monkeypatch, fresh_cache):
         calls = []
 
         def counted(model, rules, grid):
@@ -203,8 +203,6 @@ class TestUnconditionalLevels:
             return stationary._stationary_fields(model, rules, grid)
 
         monkeypatch.setattr(relativity, "_stationary_fields", counted)
-        relativity._FIELDS.clear()
-        relativity._moment_field.cache_clear()
         model, rule = study_model(-0.8), FreqRule(9, 1)
         freq = optimal_relativity_frequency(model, rule, 16)
         dep = optimal_relativity_dependent(model, rule, 16)
@@ -433,7 +431,7 @@ class TestThresholdGroups:
         for rule, field in zip(rules, fields):
             assert np.array_equal(stationary_field(model, rule, grid), field)
 
-    def test_reproduce_table_groups_its_thresholds(self, monkeypatch, tmp_path):
+    def test_reproduce_table_groups_its_thresholds(self, monkeypatch, tmp_path, fresh_cache):
         # ex2a at 32 nodes: one frequency solve, then 8 thresholds four to a
         # solve; two to a solve made 5 solves, one threshold per call 9.
         calls = []
@@ -443,8 +441,6 @@ class TestThresholdGroups:
             return jump_tails(rule, freq_means, exceed)
 
         monkeypatch.setattr(stationary, "jump_tails", counted)
-        relativity._FIELDS.clear()
-        relativity._moment_field.cache_clear()
         config = tmp_path / "thresholds.json"
         config.write_text(json.dumps({"thresholds": list(SCAN_THRESHOLDS)}))
         argv = ["reproduce-table", "--preset", "ex2a", "--config", str(config)]
@@ -459,7 +455,9 @@ class TestThresholdGroups:
         ],
         ids=["one-class", "dat"],
     )
-    def test_a_pass_holds_no_more_than_one_solve(self, monkeypatch, model, thresholds, passes):
+    def test_a_pass_holds_no_more_than_one_solve(
+        self, monkeypatch, fresh_cache, model, thresholds, passes
+    ):
         sizes = []
 
         def counted(model, rules, grid):
@@ -467,18 +465,14 @@ class TestThresholdGroups:
             return stationary._stationary_fields(model, rules, grid)
 
         monkeypatch.setattr(relativity, "_stationary_fields", counted)
-        relativity._FIELDS.clear()
-        relativity._moment_field.cache_clear()
         threshold_scan(model, SeverityRule(9, 1, 2, 1.0), thresholds, 32)
         assert sizes == passes
         sizes.clear()
         threshold_scan(model, SeverityRule(9, 1, 2, 1.0), thresholds + (123456.0,), 32)
         assert sizes == [1]  # only the rule not yet cached is solved
 
-    def test_scan_leaves_read_only_cache_hits_for_single_rules(self, monkeypatch):
+    def test_scan_leaves_read_only_cache_hits_for_single_rules(self, monkeypatch, fresh_cache):
         model, template = study_model(-0.8), SeverityRule(9, 1, 2, 1.0)
-        relativity._FIELDS.clear()
-        relativity._moment_field.cache_clear()
         tables = threshold_scan(model, template, SCAN_THRESHOLDS, 32)
         calls = []
 
@@ -492,8 +486,11 @@ class TestThresholdGroups:
             assert hmse_eval(model, table, rule, 32).hmse_raw == pytest.approx(table.hmse_raw)
             again = optimal_relativity_severity(model, rule, 32)
             assert np.array_equal(again.relativities, table.relativities, equal_nan=True)
-            grid, field = relativity._grid(model.effects, 32), relativity._FIELDS[model, rule, 32]
-            for array in (field, grid.theta1, grid.theta2, grid.weights, again.stationary):
+            grid = relativity._grid(model.effects, 32)
+            moments = relativity._moment_field(model, rule, 32, "aggregate")
+            assert moments is relativity._MOMENTS[model, rule, 32]["aggregate"]
+            cached = (moments.mass, moments.prem_sq, moments.target, moments.resid)
+            for array in (*cached, grid.theta1, grid.theta2, grid.weights, again.stationary):
                 assert not array.flags.writeable
         assert calls == []
 
@@ -511,6 +508,19 @@ class TestThresholdGroups:
         finally:
             tracemalloc.stop()
         assert peak - fields.nbytes < 2e6, peak - fields.nbytes
+
+    def test_a_scan_retains_no_field(self, fresh_cache):
+        # An 8-threshold dat scan at 32 nodes: each 1.5 MB field goes with
+        # its pass, and the cache keeps only the per-level moments.
+        model = dat_model()
+        tracemalloc.start()
+        try:
+            tables = threshold_scan(model, SeverityRule(9, 1, 2, 1.0), SCAN_THRESHOLDS, 32)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tables) == len(SCAN_THRESHOLDS)
+        assert held < 1e6, held
 
 
 def _exact_stationary(rule, freq_mean: float, exceed) -> list:
