@@ -40,12 +40,7 @@ from .model import (
 )
 from .presets import get_preset
 from .quadrature import severity_marginal_quantile
-from .relativity import (
-    _fields_for,
-    optimal_relativity_dependent,
-    optimal_relativity_frequency,
-    optimal_relativity_severity,
-)
+from .relativity import _tables
 from .simulate import SimConfig, empirical_relativity, simulate_paths
 from .verify import check_rule
 
@@ -301,14 +296,6 @@ def _table_payload(table, precision: int) -> dict:
     }
 
 
-def _compute_table(model: ModelSpec, rule, family: str, nodes: int):
-    if isinstance(rule, SeverityRule):
-        return optimal_relativity_severity(model, rule, nodes)
-    if family == "frequency":
-        return optimal_relativity_frequency(model, rule, nodes)
-    return optimal_relativity_dependent(model, rule, nodes)
-
-
 # ---------------------------------------------------------------------------
 # verbs
 
@@ -318,9 +305,8 @@ def cmd_relativities(cfg: dict, args) -> int:
     nodes = cfg["quadrature_nodes"]
     family = cfg.get("family", "aggregate")
     out = Path(args.out)
-    for rule in _fields_for(model, resolve_rules(cfg, model, nodes), nodes):
-        table = _compute_table(model, rule, family, nodes)
-        name = f"relativities_{_rule_tag(rule)}.{cfg['format']}"
+    for table in _tables(model, resolve_rules(cfg, model, nodes), nodes, family):
+        name = f"relativities_{_rule_tag(table.rule)}.{cfg['format']}"
         if cfg["format"] == "csv":
             header = ["level", "relativity", "stationary_prob"]
             _write(out / name, _tables_csv([table], header, cfg["precision"]))
@@ -462,9 +448,7 @@ def cmd_reproduce_table(cfg: dict, args) -> int:
     rules = resolve_rules(cfg, model, nodes)
     if cfg["format"] == "csv" and len({rule.max_level for rule in rules}) > 1:
         raise ModelValidationError("a CSV table needs every rule on the same number of levels")
-    tables = [
-        _compute_table(model, rule, "aggregate", nodes) for rule in _fields_for(model, rules, nodes)
-    ]
+    tables = list(_tables(model, rules, nodes))
     out = Path(args.out)
     if cfg["format"] == "csv":
         header = ["level"]

@@ -14,26 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ModelValidationError
-from .model import (
-    BmsRule,
-    FreqRule,
-    ModelSpec,
-    SeverityRule,
-    _instance,
-    _number,
-    _sequence,
-    _vector,
-)
+from .model import BmsRule, FreqRule, ModelSpec, SeverityRule, _instance, _number, _sequence
 from .quadrature import DEFAULT_NODES
-from .relativity import (
-    RelativityTable,
-    _fields_for,
-    _moment_field,
-    _score,
-    _shape,
-    optimal_relativity_dependent,
-    optimal_relativity_severity,
-)
+from .relativity import RelativityTable, _levels, _moment_field, _score, _shape, _tables
 
 
 @dataclass(frozen=True)
@@ -73,13 +56,8 @@ def hmse_eval(
     _instance(model, ModelSpec, "model")
     _instance(rule, BmsRule, "rule")
     if isinstance(relativities, RelativityTable):
-        r = relativities.relativities
-    else:
-        r = _vector(relativities, "relativities")
-    if r.shape != (rule.levels,):
-        raise ModelValidationError(
-            f"table has {r.shape[0]} levels but the rule has {rule.levels}"
-        )
+        relativities = relativities.relativities
+    r = _levels(relativities, rule)
     field = _moment_field(model, rule, _number(nodes, "nodes", whole=True), "aggregate")
     return HmseReport(*_score(field, r))
 
@@ -110,11 +88,7 @@ def threshold_scan(
     if not thresholds:
         raise ModelValidationError("need at least one threshold candidate")
     rules = [rule.with_threshold(phi) for phi in thresholds]
-    tables = [
-        optimal_relativity_severity(model, rule, nodes)
-        for rule in _fields_for(model, rules, nodes)
-    ]
-    return sorted(tables, key=_rank)
+    return sorted(_tables(model, rules, nodes), key=_rank)
 
 
 def rule_dominance_check(
@@ -141,18 +115,6 @@ def rule_dominance_check(
             raise ModelValidationError(
                 f"severity grid must contain the equal-step rule matching {fr}"
             )
-    freq_best = min(
-        (
-            optimal_relativity_dependent(model, rule, nodes)
-            for rule in _fields_for(model, freq_rules, nodes)
-        ),
-        key=_rank,
-    )
-    severity_best = min(
-        (
-            optimal_relativity_severity(model, rule, nodes)
-            for rule in _fields_for(model, severity_rules, nodes)
-        ),
-        key=_rank,
-    )
+    freq_best = min(_tables(model, freq_rules, nodes), key=_rank)
+    severity_best = min(_tables(model, severity_rules, nodes), key=_rank)
     return RuleDominanceReport(freq_best, severity_best)

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ModelValidationError
-from .model import BmsRule, FreqRule, ModelSpec, SeverityRule, _instance, _number
+from .model import BmsRule, FreqRule, ModelSpec, SeverityRule, _instance, _number, _vector
 from .quadrature import DEFAULT_NODES, QuadratureGrid, _read_only, build_grid
 from .stationary import _PROFILES, _run_starts, _stationary_fields
 
@@ -62,10 +62,6 @@ class RelativityTable:
     @property
     def undefined_levels(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(~np.isfinite(self.relativities)))
-
-    def scoring_relativities(self) -> np.ndarray:
-        """Relativities with undefined levels zeroed for mass-weighted sums."""
-        return np.nan_to_num(self.relativities, nan=0.0)
 
 
 @dataclass(frozen=True)
@@ -154,10 +150,9 @@ def _fields_for(model: ModelSpec, rules: list, nodes: int):
     profiles hold and no more than the cache keeps, so a pass holds no more
     at once than one solve.  Each field goes with its pass, contracted into
     ``"aggregate"`` moments, and ``"frequency"`` ones too for a frequency
-    chain, which the equal-step severity rules of its step share.  Threshold
-    scans, rule grids and the table verbs ask for all their rules this way,
-    and each moment field for its one rule; a yielded rule's entry is the
-    last the cache evicts.
+    chain, which the equal-step severity rules of its step share.
+    ``_tables`` asks for all its rules this way, and each moment field for
+    its one rule; a yielded rule's entry is the last the cache evicts.
     """
     _instance(model, ModelSpec, "model")
     nodes = _number(nodes, "nodes", whole=True)
@@ -192,15 +187,11 @@ def _run_moments(effects, nodes: int, family: str, sized: bool) -> tuple:
     ``D = sum w (t - c)`` and ``S = sum w (t - c)^2``.  Then for any ``r``,
     ``sum w (r - t)^2 = W (r - c)^2 - 2 (r - c) D + S``: the spread is summed
     as squares about the centre, and ``D`` carries the centre's rounding.
-    Where every run is one node, ``c`` is the node's target and ``D`` and
-    ``S`` are ``None``.
     """
     grid = _grid(effects, nodes)
     target = grid.theta1 if family == "frequency" else grid.theta1 * grid.theta2
     w = grid.weights
     starts = _run_starts(grid, sized)
-    if starts.size == grid.size:
-        return (*_read_only(w, w * target, target), None, None)
     weight = np.add.reduceat(w, starts)
     first = np.add.reduceat(w * target, starts)
     centre = np.divide(first, weight, out=target[starts], where=weight > 0)
@@ -233,11 +224,7 @@ def _contract(model: ModelSpec, chain: BmsRule, nodes: int, family: str, field: 
     mass = portfolio.weights @ by_class[:, 0]
     prem, first = np.tensordot(prem_sq, by_class, axes=1)
     gaps = np.subtract.outer(_best(prem, first), centre)  # (level, run)
-    if drift is None:  # one-node runs: the node's own squared gap
-        gaps *= gaps
-        gaps *= weight
-    else:
-        gaps = gaps * gaps * weight - 2.0 * gaps * drift + spread
+    gaps = gaps * gaps * weight - 2.0 * gaps * drift + spread
     resid = prem_sq @ np.einsum("ln,cnl->cl", gaps, field)
     _read_only(mass, prem, first, resid)
     return _MomentField(mass, prem, first, resid, float(np.sum(prem_sq)))
@@ -274,6 +261,14 @@ def _best(prem_sq: np.ndarray, target: np.ndarray) -> np.ndarray:
     zero too, so ``_score``'s split holds at every level.
     """
     return np.divide(target, prem_sq, out=np.zeros_like(target), where=prem_sq > 0)
+
+
+def _levels(relativities, rule: BmsRule) -> np.ndarray:
+    """``relativities`` as a flat float vector, one entry per level of ``rule``."""
+    r = _vector(relativities, "relativities")
+    if r.shape != (rule.levels,):
+        raise ModelValidationError(f"table has {r.shape[0]} levels but the rule has {rule.levels}")
+    return r
 
 
 def _score(field: _MomentField, relativities: np.ndarray) -> tuple[float, float]:
@@ -329,6 +324,23 @@ def optimal_relativity_severity(
     return _table(model, rule, nodes, "aggregate")
 
 
+def _tables(model: ModelSpec, rules: list, nodes: int, family: str = "aggregate"):
+    """Yield each rule's table in order, its chain solved in ``_fields_for``'s shared passes.
+
+    A severity-aware rule's table is the severity family's; a frequency
+    rule's is the frequency family's where ``family == "frequency"``, and the
+    dependence-adjusted one otherwise.  The table verbs, the scans and the
+    oracle check read their tables here.
+    """
+    for rule in _fields_for(model, rules, nodes):
+        if isinstance(rule, SeverityRule):
+            yield optimal_relativity_severity(model, rule, nodes)
+        elif family == "frequency":
+            yield optimal_relativity_frequency(model, rule, nodes)
+        else:
+            yield optimal_relativity_dependent(model, rule, nodes)
+
+
 def balance_check(model: ModelSpec, table: RelativityTable) -> BalanceReport:
     """Normal-equation residuals of a computed table.
 
@@ -337,9 +349,10 @@ def balance_check(model: ModelSpec, table: RelativityTable) -> BalanceReport:
     """
     _instance(model, ModelSpec, "model")
     _instance(table, RelativityTable, "table")
-    field = _moment_field(model, table.rule, table.nodes, table.family)
+    rule = _instance(table.rule, BmsRule, "rule")
+    r = np.nan_to_num(_levels(table.relativities, rule), nan=0.0)
+    field = _moment_field(model, rule, _number(table.nodes, "nodes", whole=True), table.family)
     defined = field.mass > MASS_FLOOR
-    r = table.scoring_relativities()
     gaps = field.target - r * field.prem_sq
     residuals = np.divide(gaps, field.mass, out=np.full_like(gaps, np.nan), where=defined)
     global_lhs = float(np.sum(r * field.prem_sq))

@@ -255,6 +255,49 @@ class TestBalance:
         with pytest.raises(ModelValidationError, match="'frequency' family does not apply"):
             balance_check(base_model, table)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rule", "x"),
+            ("rule", None),
+            ("nodes", [1]),
+            ("relativities", np.ones(3)),
+            ("relativities", "abc"),
+        ],
+        ids=["rule-str", "rule-none", "nodes-list", "relativities-short", "relativities-str"],
+    )
+    def test_hand_built_table_fields_are_checked(self, base_model, name, value):
+        # A hand-built table is checked field by field, so a wrong rule,
+        # node count or relativity vector is an input error, not a numpy one.
+        table = optimal_relativity_dependent(base_model, FreqRule(9, 1), 8)
+        with pytest.raises(ModelValidationError):
+            balance_check(base_model, dataclasses.replace(table, **{name: value}))
+
+
+class TestTableRoute:
+    RULES = [
+        FreqRule(9, 1),
+        SeverityRule(9, 1, 1, 16800.0),
+        SeverityRule(9, 1, 2, 16800.0),
+        SeverityRule(9, 1, 2, 48100.0),
+    ]
+
+    @pytest.mark.parametrize("family", ["aggregate", "frequency"])
+    def test_tables_match_the_public_functions(self, base_model, fresh_cache, family):
+        # ``_tables`` solves its rules in shared field passes and picks each
+        # rule's family; its tables are the public functions', bit for bit.
+        freq = optimal_relativity_frequency if family == "frequency" else optimal_relativity_dependent
+        expected = [freq(base_model, self.RULES[0], 16)]
+        expected += [optimal_relativity_severity(base_model, rule, 16) for rule in self.RULES[1:]]
+        relativity._MOMENTS.clear()
+        tables = list(relativity._tables(base_model, self.RULES, 16, family))
+        assert [table.rule for table in tables] == self.RULES
+        for got, want in zip(tables, expected, strict=True):
+            assert (got.family, got.nodes) == (want.family, want.nodes)
+            assert (got.hmse_raw, got.hmse_normalized) == (want.hmse_raw, want.hmse_normalized)
+            np.testing.assert_array_equal(got.relativities, want.relativities)
+            np.testing.assert_array_equal(got.stationary, want.stationary)
+
 
 class TestMultiClassPortfolios:
     @staticmethod

@@ -59,3 +59,15 @@ class TestPublicSurface:
         callers = sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").rglob("*.py"))
         assert callers
         assert functions_without_a_caller(PACKAGE, callers) == []
+
+
+class TestTableRoute:
+    def test_only_the_relativity_layer_runs_field_passes_and_picks_families(self):
+        # The table verbs, the scans and the oracle check read their tables
+        # from ``relativity._tables``, which alone drives the field passes and
+        # picks a table's family by the rule's type.
+        used = {path.stem: referenced_names(ast.parse(path.read_text())) for path in PACKAGE.glob("*.py")}
+        assert sorted(stem for stem, names in used.items() if "_fields_for" in names) == ["relativity"]
+        builders = {f"optimal_relativity_{kind}" for kind in ("frequency", "dependent", "severity")}
+        for stem in ("cli", "hmse", "verify"):
+            assert used[stem].isdisjoint(builders), stem
