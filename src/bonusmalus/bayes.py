@@ -75,19 +75,24 @@ def _posterior(model: MixtureBayesModel, total_count, years, total_aggregate=Non
     shape2, rate2 = 1.0, rates
     informed = total_aggregate is not None and not model.unit_severity_effect
     # Log evidence: log w, plus log c minus shape * log(rate) per updated effect.
-    log_w = np.array([[math.log(w) + (1 + informed) * math.log(c)] for w, c in comps])
-    log_w = log_w - shape1 * np.log(rate1)
+    # Each (components, histories) array is built once and then worked in place.
+    prior = np.array([[math.log(w) + (1 + informed) * math.log(c)] for w, c in comps])
+    log_w = np.multiply(shape1, np.log(rate1))
+    np.subtract(prior, log_w, out=log_w)
     if informed:
         shape2, rate2 = np.asarray(total_aggregate, dtype=float) + 1.0, rates + model.sev_rate * n
         with np.errstate(over="ignore"):
-            log_w = log_w - shape2 * np.log(rate2)
+            evidence = np.log(rate2)
+            log_w -= np.multiply(shape2, evidence, out=evidence)
     top = np.max(log_w, axis=0, keepdims=True)
     if not np.all(np.isfinite(top)):
         raise ModelValidationError(
             f"posterior weights overflow at total aggregate {total_aggregate!r}"
         )
-    weights = np.exp(log_w - top)
-    return weights / np.sum(weights, axis=0, keepdims=True), (shape1, rate1), (shape2, rate2)
+    log_w -= top
+    weights = np.exp(log_w, out=log_w)
+    weights /= np.sum(weights, axis=0, keepdims=True)
+    return weights, (shape1, rate1), (shape2, rate2)
 
 
 def _check_arguments(history, model) -> None:
@@ -100,12 +105,15 @@ def _premium(model: MixtureBayesModel, total_count, years, total_aggregate=None,
     weights, (shape1, rate1), (shape2, rate2) = _posterior(
         model, total_count, years, total_aggregate
     )
-    scale, theta2_mean = model.freq_rate * model.sev_rate, shape2 / rate2
+    scale, theta2_mean = model.freq_rate * model.sev_rate, 1.0
     if not aggregate:
-        scale, theta2_mean = model.freq_rate, 1.0
-    elif model.unit_severity_effect:
-        theta2_mean = 1.0
-    return scale * np.sum(weights * (shape1 / rate1) * theta2_mean, axis=0)
+        scale = model.freq_rate
+    elif not model.unit_severity_effect:
+        theta2_mean = np.divide(shape2, rate2, out=rate2)
+    weights *= np.divide(shape1, rate1)
+    weights *= theta2_mean
+    total = np.sum(weights, axis=0)
+    return np.multiply(scale, total, out=total)
 
 
 def bayes_freq_premium(history: ClaimHistory, model: MixtureBayesModel) -> float:
@@ -198,19 +206,26 @@ def mse_comparison_mc(
         total_s = np.zeros(size)
         for t in range(years):
             total_s += rng.poisson(model.sev_rate * theta2 * counts[t])
+        del counts
         next_n = rng.poisson(model.freq_rate * theta1)
         next_s = rng.poisson(model.sev_rate * theta2 * next_n).astype(float)
+        del theta1, theta2, next_n
 
-        years_vec = np.full(size, years)
-        prem_full = _premium(model, total_n, years_vec, total_s)
-        prem_freq = _premium(model, total_n, years_vec)
-        err_full = (next_s - prem_full) ** 2
-        err_freq = (next_s - prem_freq) ** 2
+        prem_full = _premium(model, total_n, years, total_s)
+        prem_freq = _premium(model, total_n, years)
+        del total_n, total_s
+        err_full = np.subtract(next_s, prem_full, out=prem_full)
+        err_freq = np.subtract(next_s, prem_freq, out=prem_freq)
+        del next_s
+        err_full *= err_full
+        err_freq *= err_freq
         sq_full += float(err_full.sum())
         sq_freq += float(err_freq.sum())
-        diff = err_freq - err_full
+        diff = np.subtract(err_freq, err_full, out=err_freq)
+        del err_full
         diff_sum += float(diff.sum())
-        diff_sq_sum += float((diff**2).sum())
+        diff *= diff
+        diff_sq_sum += float(diff.sum())
         done += size
     mse_full = sq_full / n_paths
     mse_freq = sq_freq / n_paths

@@ -25,7 +25,7 @@ A table's score, like any vector's (``_score``), is a sum of squares, never nega
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,13 +110,42 @@ class _MomentField:
     norm: float
 
 
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _MomentCache(OrderedDict):
+    """An ``OrderedDict`` that counts its lookups, with ``lru_cache``'s ``cache_info``."""
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+        self.hits = self.misses = 0
+
+    def holds(self, key) -> bool:
+        """Whether ``key`` has an entry, counted as a hit or a miss."""
+        found = key in self
+        self.hits += found
+        self.misses += not found
+        return found
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self))
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.hits = self.misses = 0
+
+
 # Per-level moments by (model, chain, nodes), least recently yielded by
 # ``_fields_for`` first, the chain being the rule whose field a rule reads
 # (``_chain``); an entry maps each family the chain serves to its moments.  A
 # field pass fills several entries at once, so the cache is kept here rather
-# than by ``lru_cache``.
-_MOMENTS: OrderedDict = OrderedDict()
-_MOMENTS_KEPT = 128
+# than by ``lru_cache``.  Each lookup of a rule's moments counts once, as a hit
+# or a miss.
+_MOMENTS = _MomentCache(maxsize=128)
+# Only the instance may show a ``cache_info`` here: code that sums every
+# ``cache_info`` in this module, as the benchmark does, fails on an unbound one.
+del _MomentCache
 
 
 @lru_cache(maxsize=16)
@@ -158,10 +187,10 @@ def _fields_for(model: ModelSpec, rules: list, nodes: int):
     nodes = _number(nodes, "nodes", whole=True)
     grid = _grid(model.effects, nodes)
     per_pass = max(_PROFILES // (model.portfolio.freq_rates.size * grid.size), 1)
-    per_pass = min(per_pass, _MOMENTS_KEPT)
+    per_pass = min(per_pass, _MOMENTS.maxsize)
     for i, rule in enumerate(rules):
         chain = _chain(rule)
-        if (model, chain, nodes) not in _MOMENTS:
+        if not _MOMENTS.holds((model, chain, nodes)):
             batch = [
                 later
                 for later in dict.fromkeys(map(_chain, rules[i:]))
@@ -172,7 +201,7 @@ def _fields_for(model: ModelSpec, rules: list, nodes: int):
                 if isinstance(solved, FreqRule):
                     moments["frequency"] = _contract(model, solved, nodes, "frequency", field)
                 _MOMENTS[model, solved, nodes] = moments
-                if len(_MOMENTS) > _MOMENTS_KEPT:
+                if len(_MOMENTS) > _MOMENTS.maxsize:
                     _MOMENTS.popitem(last=False)
         _MOMENTS.move_to_end((model, chain, nodes))
         yield rule
@@ -234,8 +263,10 @@ def _moment_field(model: ModelSpec, rule: BmsRule, nodes: int, family: str) -> _
     """The cached moments of one family under ``rule``'s chain; a sized chain has no frequency."""
     moments = _MOMENTS.get((model, rule, nodes))
     if moments is None:  # not solved yet, or a rule that reads another rule's chain
-        (rule,) = _fields_for(model, [rule], nodes)
+        (rule,) = _fields_for(model, [rule], nodes)  # which counts the lookup
         moments = _MOMENTS[model, _chain(rule), nodes]
+    else:
+        _MOMENTS.hits += 1
     if family not in moments:
         raise ModelValidationError(f"the {family!r} family does not apply to {rule}")
     return moments[family]

@@ -46,6 +46,8 @@ from .model import (
 from .quadrature import severity_cdf
 
 CHUNK = 1 << 16
+# Claim means per ``severity_cdf`` call, so a chunk's exceedances hold one slice's temporaries.
+CDF_SLICE = 1 << 13
 MIN_LEVEL_VISITS = 1000
 
 
@@ -220,10 +222,17 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
         freq_mean = freq_rates[cls_idx] * theta1
         if large > small:  # claim sizes move the level only then
             sev_mean = sev_rates[cls_idx] * theta2
-            exceed = severity_cdf(rule.threshold, sev_mean, model.severity, upper=True)
+            exceed = np.empty(size)
+            for lo in range(0, size, CDF_SLICE):
+                part = slice(lo, lo + CDF_SLICE)
+                exceed[part] = severity_cdf(
+                    rule.threshold, sev_mean[part], model.severity, upper=True
+                )
+            del sev_mean
         p0 = np.exp(-freq_mean)
         level = np.full(size, cfg.start_level, dtype=np.int64)
         t = theta1 * theta2
+        del theta2
         for year in range(1, total_years + 1):
             rng = _stream(cfg.seed, chunk_index, year)
             u = rng.random(size)

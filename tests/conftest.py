@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -60,10 +61,24 @@ def stationary_field(model, rule, grid):
     return node_rows(_stationary_fields(model, [rule], grid)[0], rule, grid)
 
 
+def traced_peak(call):
+    """Run ``call()`` under ``tracemalloc``: its result, peak bytes traced and bytes left held."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
+
+
 @pytest.fixture
 def fresh_cache():
-    """Empty the engine's moment cache, so every field the test asks for is solved in it."""
-    relativity._MOMENTS.clear()
+    """Empty the engine's moment cache, so every field the test asks for is solved in it.
+
+    Its hit and miss counts restart from zero too.
+    """
+    relativity._MOMENTS.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from bonusmalus import (
     ModelValidationError,
     mse_comparison_mc,
 )
+from conftest import traced_peak
 from oracles import freq_posterior_mean_quad, joint_posterior_moment_quad, posterior_density
 
 INTERIOR = MixtureExponentialEffects(0.5, 2.0, 2.0 / 3.0)
@@ -247,12 +248,61 @@ class TestPosteriorDensity:
         )
 
 
+# (history, frequency premium, count-history and full-history aggregate premiums)
+PINNED_PREMIUMS = [
+    (ClaimHistory([], []), 0.49999999999999994, 1.8749999999999996, 1.8749999999999996),
+    (
+        ClaimHistory([0, 2, 0], [0.0, 7.0, 0.0]),
+        0.582650506193277,
+        2.0873484955619706,
+        2.0919632009483697,
+    ),
+    (ClaimHistory([400, 350], [1200.0, 1000.0]), 225.3, 1013.8500000000001, 660.9845527251186),
+]
+
+
+class TestPinnedPremiums:
+    @pytest.mark.parametrize(
+        "history,freq,freqhist,fullhist", PINNED_PREMIUMS, ids=["empty", "one-claim-year", "huge"]
+    )
+    def test_premiums_are_pinned_bit_for_bit(self, history, freq, freqhist, fullhist):
+        model = interior_model()
+        assert bayes_freq_premium(history, model) == freq
+        assert bayes_agg_premium_freqhist(history, model) == freqhist
+        assert bayes_agg_premium_fullhist(history, model) == fullhist
+
+
 class TestMseComparison:
     def test_seeded_runs_are_identical(self):
         model = interior_model()
         a = mse_comparison_mc(model, years=3, n_paths=30_000, seed=5)
         b = mse_comparison_mc(model, years=3, n_paths=30_000, seed=5)
         assert dataclasses.astuple(a) == dataclasses.astuple(b)
+
+    def test_seeded_run_is_pinned_bit_for_bit(self):
+        # Two chunks, the second partial; the chunks' arrays are worked in
+        # place, with the same operations on the same operands in order.
+        result = mse_comparison_mc(interior_model(), years=3, n_paths=70_000, seed=5)
+        assert dataclasses.astuple(result) == (
+            20.383781112969107,
+            29.2041083976676,
+            8.820327284698484,
+            0.5660173247538897,
+            70_000,
+            5,
+        )
+
+    def test_peak_memory_of_one_chunk_stays_under_10_mb(self):
+        # One 65,536-path chunk at 5 years: 14.2 MB traced at the peak when
+        # every intermediate array was kept to the chunk's end, 7.3 MB with
+        # the draws dropped once used and the premiums built in place.
+        model = interior_model()
+        def run():
+            return mse_comparison_mc(model, years=5, n_paths=1 << 16, seed=11)
+
+        run()  # warm the caches
+        _, peak, _ = traced_peak(run)
+        assert peak < 10e6, peak
 
     def test_full_history_wins_at_95_percent_confidence(self):
         model = interior_model()

@@ -18,7 +18,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +40,7 @@ from bonusmalus._distributions import gamma_cdf
 from bonusmalus.cli import main, parse_model
 from bonusmalus.presets import PRESETS
 from bonusmalus.quadrature import severity_cdf, severity_marginal_quantile
+from conftest import traced_peak
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -406,12 +406,7 @@ class TestIncompleteGammaKernel:
         # The simulator asks for 65,536 exceedances at once; the fraction's
         # levels would take depth x size floats, so the kernel works in blocks.
         x = np.geomspace(1e-3, 1e3, 1 << 16)
-        tracemalloc.start()
-        try:
-            tail = gamma_cdf(x, 0.67, 1.0, upper=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tail, peak, _ = traced_peak(lambda: gamma_cdf(x, 0.67, 1.0, upper=True))
         block = _distributions._BLOCK
         parts = [gamma_cdf(x[i : i + block], 0.67, 1.0, upper=True) for i in range(0, x.size, block)]
         assert np.array_equal(tail, np.concatenate(parts))

@@ -25,6 +25,7 @@ from bonusmalus import (
     optimal_relativity_frequency,
     optimal_relativity_severity,
     simulate_paths,
+    threshold_scan,
 )
 from bonusmalus import relativity
 from bonusmalus.stationary import _stationary_fields
@@ -71,6 +72,29 @@ class TestCachedResults:
         for moments in entry.values():
             for array in (moments.mass, moments.prem_sq, moments.target, moments.resid):
                 assert array.shape == (10,) and not array.flags.writeable
+
+
+    def test_moment_lookups_are_counted_like_an_lru_cache(self, base_model, fresh_cache):
+        # A two-threshold scan: the first rule misses and its field pass solves
+        # both chains, the second rule hits, and each table's moments hit.
+        def scan():
+            threshold_scan(base_model, SeverityRule(9, 1, 2, 1.0), [16800.0, 48100.0], 32)
+
+        scan()
+        assert relativity._MOMENTS.cache_info() == (3, 1, 128, 2)
+        scan()
+        assert relativity._MOMENTS.cache_info() == (7, 1, 128, 2)
+        # A rule that reads another rule's chain is one lookup, not two.
+        optimal_relativity_severity(base_model, SeverityRule(9, 1, 1, 16800.0), 32)
+        assert relativity._MOMENTS.cache_info() == (7, 2, 128, 3)
+        optimal_relativity_dependent(base_model, FreqRule(9, 1), 32)
+        assert relativity._MOMENTS.cache_info() == (8, 2, 128, 3)
+        # The benchmark sums the hits of every ``cache_info`` in the module.
+        caches = [value for value in vars(relativity).values() if hasattr(value, "cache_info")]
+        assert any(cache is relativity._MOMENTS for cache in caches)
+        assert sum(cache.cache_info().hits for cache in caches) >= 8
+        relativity._MOMENTS.cache_clear()
+        assert relativity._MOMENTS.cache_info() == (0, 0, 128, 0)
 
 
 class TestFrequencyFamily:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from bonusmalus import (
 )
 from bonusmalus.quadrature import severity_cdf
 from bonusmalus.verify import check_rule
-from conftest import GAMMA_SHAPE, SEV_RATE, degenerate_model, study_model
+from conftest import GAMMA_SHAPE, SEV_RATE, degenerate_model, study_model, traced_peak
 from oracles import empirical_frequency_relativity, enumeration_matrix
 
 EPS = np.finfo(float).eps
@@ -48,6 +49,32 @@ class TestSimulatePaths:
                 assert np.array_equal(va, vb)
             else:
                 assert va == vb
+
+    @pytest.mark.parametrize(
+        "rule,digest",
+        [
+            (FreqRule(9, 1), "ceccf5f8abc6937df2372934dbda615a665d6b7ded1d339065d48022d9f78fc7"),
+            (
+                SeverityRule(9, 1, 2, 16800.0),
+                "17a49aba8c330ce4411ca12551174e5eb8e38c43af93460b9dd64b75ff2fbcd5",
+            ),
+        ],
+        ids=["frequency", "severity"],
+    )
+    def test_sums_are_pinned_bit_for_bit(self, base_model, rule, digest):
+        # Two chunks, the second partial: no draw, stream or sum order may move.
+        cfg = SimConfig(base_model, rule, 70_000, seed=3, burn_in_years=30)
+        assert hashlib.sha256(simulate_paths(cfg).sums.tobytes()).hexdigest() == digest
+
+    def test_peak_memory_of_one_sized_chunk_stays_under_8_mb(self, base_model):
+        # One 65,536-path chunk of a sized rule: 8.9 MB traced at the peak
+        # with the chunk's exceedances in one ``severity_cdf`` call, 7.0 MB
+        # with them in slices of ``CDF_SLICE`` means.
+        rule = SeverityRule(9, 1, 2, 16800.0)
+        cfg = SimConfig(base_model, rule, 1 << 16, seed=7, burn_in_years=10)
+        simulate_paths(cfg)  # warm the caches
+        _, peak, _ = traced_peak(lambda: simulate_paths(cfg))
+        assert peak < 8e6, peak
 
     def test_empty_run_rejected(self, base_model):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -38,7 +37,7 @@ from bonusmalus.presets import PRESETS, get_preset
 from bonusmalus.quadrature import build_grid, severity_cdf
 from bonusmalus.stationary import _stationary_batch
 from bonusmalus.transition import jump_tails
-from conftest import dat_model, degenerate_model, stationary_field, study_model
+from conftest import dat_model, degenerate_model, stationary_field, study_model, traced_peak
 from oracles import enumeration_matrix, power_iteration_stationary, stationary_distribution
 from test_relativity import EQUAL_STEP_MODELS
 
@@ -300,12 +299,7 @@ class TestClassGroups:
         model = dat_model()
         grid = build_grid(model.effects, 32)
         stationary_field(model, DAT_RULE, grid)  # warm the caches
-        tracemalloc.start()
-        try:
-            field = stationary_field(model, DAT_RULE, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        field, peak, _ = traced_peak(lambda: stationary_field(model, DAT_RULE, grid))
         assert peak - field.nbytes < 2e6, peak - field.nbytes
 
 
@@ -501,24 +495,16 @@ class TestThresholdGroups:
         grid = build_grid(model.effects, 32)
         rules = _scan_rules(SCAN_THRESHOLDS[:2])
         stationary._stationary_fields(model, rules, grid)  # warm the caches
-        tracemalloc.start()
-        try:
-            fields = stationary._stationary_fields(model, rules, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        fields, peak, _ = traced_peak(lambda: stationary._stationary_fields(model, rules, grid))
         assert peak - fields.nbytes < 2e6, peak - fields.nbytes
 
     def test_a_scan_retains_no_field(self, fresh_cache):
         # An 8-threshold dat scan at 32 nodes: each 1.5 MB field goes with
         # its pass, and the cache keeps only the per-level moments.
         model = dat_model()
-        tracemalloc.start()
-        try:
-            tables = threshold_scan(model, SeverityRule(9, 1, 2, 1.0), SCAN_THRESHOLDS, 32)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        tables, _, held = traced_peak(
+            lambda: threshold_scan(model, SeverityRule(9, 1, 2, 1.0), SCAN_THRESHOLDS, 32)
+        )
         assert len(tables) == len(SCAN_THRESHOLDS)
         assert held < 1e6, held
 

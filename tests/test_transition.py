@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -31,6 +30,7 @@ from bonusmalus import (
 from bonusmalus import transition
 from bonusmalus.quadrature import severity_cdf
 from bonusmalus.transition import jump_tails
+from conftest import traced_peak
 from oracles import (
     enumeration_tails,
     gamma_tail_by_quadrature,
@@ -255,12 +255,7 @@ class TestJumpLawMemory:
         rule = SeverityRule(400, 1, 2, 1.0)
         means, exceed = np.linspace(0.1, 3.0, 64), np.linspace(0.0, 1.0, 64)
         jump_tails(rule, means, exceed)  # fills the cached index tables
-        tracemalloc.start()
-        try:
-            _, tails = jump_tails(rule, means, exceed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, tails), peak, _ = traced_peak(lambda: jump_tails(rule, means, exceed))
         assert peak < 16 * tails.nbytes
 
 
