@@ -108,9 +108,15 @@ class SimSummary:
 
 
 def _stream(seed: int, chunk_index: int, year: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.random.SeedSequence((seed, chunk_index, year)).generate_state(2, np.uint64))
-    )
+    # Philox keys itself with the sequence's first two 64-bit words.
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index, year))))
+
+
+def _words(bits: np.random.BitGenerator, size: int) -> np.ndarray:
+    """``size`` 53-bit words; ``Generator.random`` draws ``word * 2**-53`` from each."""
+    words = bits.random_raw(size)
+    words >>= 11
+    return words
 
 
 def _draw_profile(model: ModelSpec, rng: np.random.Generator, size: int):
@@ -149,25 +155,39 @@ def _powers(t, theta1):
     yield from (theta1, theta1**2)
 
 
-def _claim_counts(u, p0, lam, cap: int) -> np.ndarray:
-    """Poisson claim counts of claimants, by inverting their uniforms.
+def _words_at_least(prob) -> np.ndarray:
+    """The least 53-bit word ``w`` with ``w * 2**-53 >= prob``, per entry, as ``uint64``.
 
-    ``u >= p0 = exp(-lam)`` for every entry, so each count is at least one;
-    the pmf recurrence ``p_k = p_{k-1} * lam / k`` runs at most ``cap - 1``
-    steps, and a count of ``cap`` stands for ``cap`` or more claims.  Only
-    paths whose uniform lies above the running cdf stay in the loop.
+    ``Generator.random`` makes each double of a raw Philox word as
+    ``(word >> 11) * 2**-53``, so ``u >= prob`` holds exactly when the
+    shifted word reaches this bound: ``prob * 2**53`` scales exactly, and
+    its ceiling is a whole float.  A probability of one or more, or NaN,
+    gives ``2**53``, which no shifted word reaches.
     """
-    n = np.ones(u.size, dtype=np.int64)
+    return np.ceil(np.fmin(prob, 1.0) * 2.0**53).astype(np.uint64)
+
+
+def _more_claims(u, p0, lam, cap: int) -> np.ndarray:
+    """Poisson claim counts of claimants with two claims or more, by inverting their uniforms.
+
+    ``u`` is at or above the cdf at one claim, ``p0 + p0 * lam``, so each
+    count is at least two.  The pmf recurrence ``p_k = p_{k-1} * lam / k``
+    runs from ``k = 2`` to at most ``cap - 1``, and a count of ``cap`` stands
+    for ``cap`` or more claims.  Only paths whose uniform lies above the
+    running cdf stay in the loop.
+    """
+    n = np.full(u.size, 2, dtype=np.int64)
     active = np.arange(u.size)
-    pmf = cdf = p0
-    for k in range(1, cap):
+    pmf = p0 * lam  # the recurrence's first step; dividing by 1 is exact
+    cdf = p0 + pmf
+    for k in range(2, cap):
         pmf = pmf * lam / k
         cdf = cdf + pmf
-        more = np.flatnonzero(u >= cdf)
+        more = (u >= cdf).nonzero()[0]
         if not more.size:
             break
         active = active[more]
-        n[active] += 1
+        n[active] = k + 1
         u, lam, pmf, cdf = u[more], lam[more], pmf[more], cdf[more]
     return n
 
@@ -186,11 +206,11 @@ def _large_claims(v, n, exceed) -> np.ndarray:
         active = np.arange(n.size)
         m = n
         for j in range(int(n.max())):
-            more = np.flatnonzero((v >= cdf) & (m > j))
+            more = ((v >= cdf) & (m > j)).nonzero()[0]
             if not more.size:
                 break
             active = active[more]
-            k2[active] += 1
+            k2[active] = j + 1
             v, m, odds = v[more], m[more], odds[more]
             pmf = pmf[more] * odds * ((m - j) / (j + 1))
             cdf = cdf[more] + pmf
@@ -219,7 +239,7 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
         size = min(CHUNK, cfg.n_paths - done)
         init = _stream(cfg.seed, chunk_index, 0)
         cls_idx, theta1, theta2 = _draw_profile(model, init, size)
-        freq_mean = freq_rates[cls_idx] * theta1
+        lam = freq_rates[cls_idx] * theta1
         if large > small:  # claim sizes move the level only then
             sev_mean = sev_rates[cls_idx] * theta2
             exceed = np.empty(size)
@@ -229,23 +249,41 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
                     rule.threshold, sev_mean[part], model.severity, upper=True
                 )
             del sev_mean
-        p0 = np.exp(-freq_mean)
-        level = np.full(size, cfg.start_level, dtype=np.int64)
+        p0 = np.exp(-lam)
+        # A claimant's word at or above ``k1`` has two claims or more, as the
+        # recurrence's first step would find; with ``cap`` 1 none counts two.
+        k0 = _words_at_least(p0)
+        k1 = np.broadcast_to(_words_at_least(p0 + p0 * lam if cap > 1 else 1.0), (size,))
+        del lam
+        level = np.full(size, cfg.start_level, dtype=np.int16)  # holds MAX_LEVEL
         t = theta1 * theta2
         del theta2
+        # ``.nonzero()[0]`` is ``np.flatnonzero`` without its Python wrappers,
+        # which cost about 2% of a run at tens of thousands of calls.
         for year in range(1, total_years + 1):
-            rng = _stream(cfg.seed, chunk_index, year)
-            u = rng.random(size)
-            claimants = np.flatnonzero(u >= p0)
+            bits = _stream(cfg.seed, chunk_index, year).bit_generator
+            words = _words(bits, size)
+            claimants = (words >= k0).nonzero()[0]
             moved = level[claimants]
             level -= 1
             np.maximum(level, 0, out=level)
             if claimants.size:
-                n = _claim_counts(u[claimants], p0[claimants], freq_mean[claimants], cap)
-                up = small * n
+                words = words[claimants]
+                many = (words >= k1[claimants]).nonzero()[0]
                 if large > small:
-                    v = rng.random(claimants.size)
-                    up += (large - small) * _large_claims(v, n, exceed[claimants])
+                    v = _words(bits, claimants.size) * 2.0**-53
+                    # One claim is large when ``v`` reaches the binomial cdf ``1 - exceed``.
+                    up = np.where(v >= 1.0 - exceed[claimants], np.int16(large), np.int16(small))
+                else:
+                    up = np.full(claimants.size, small, dtype=np.int16)
+                if many.size:
+                    c2 = claimants[many]
+                    lam = freq_rates[cls_idx[c2]] * theta1[c2]
+                    n = _more_claims(words[many] * 2.0**-53, p0[c2], lam, cap)
+                    up_many = small * n
+                    if large > small:
+                        up_many += (large - small) * _large_claims(v[many], n, exceed[c2])
+                    up[many] = np.minimum(up_many, z)  # so ``moved + up`` fits int16
                 level[claimants] = np.minimum(moved + up, z)
             if year > cfg.burn_in_years:
                 cell = cls_idx * levels + level

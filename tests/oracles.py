@@ -5,7 +5,8 @@ masses and jump tails come from brute-force enumeration over claim-count
 pairs with the level-update indicator, stationary rows from repeated
 squaring of the transition matrix or from a rank-corrected linear solve on
 any matrix, posterior means from adaptive quadrature of the prior times the
-likelihood, and severity tails from direct density integration.
+likelihood, severity tails from direct density integration, and Poisson
+claim counts from the float pmf recurrence on uniforms.
 
 Four helpers wrap package internals instead, as test-only conveniences.
 ``node_rows`` spreads the package's own field of a rule with equal steps,
@@ -116,6 +117,29 @@ def indicator_level_update(level: int, k1: int, k2: int, rule) -> int:
     else:
         up = rule.small_step * k1 + rule.large_step * k2
     return min(level + up, rule.max_level)
+
+
+def poisson_claim_counts(u, p0, lam, cap: int) -> np.ndarray:
+    """Poisson claim counts of claimants, by inverting their float uniforms.
+
+    ``u >= p0 = exp(-lam)`` for every entry, so each count is at least one;
+    the pmf recurrence ``p_k = p_{k-1} * lam / k`` runs at most ``cap - 1``
+    steps, and a count of ``cap`` stands for ``cap`` or more claims.  The
+    simulator's integer thresholds must reach exactly these counts.
+    """
+    n = np.ones(u.size, dtype=np.int64)
+    active = np.arange(u.size)
+    pmf = cdf = p0
+    for k in range(1, cap):
+        pmf = pmf * lam / k
+        cdf = cdf + pmf
+        more = np.flatnonzero(u >= cdf)
+        if not more.size:
+            break
+        active = active[more]
+        n[active] += 1
+        u, lam, pmf, cdf = u[more], lam[more], pmf[more], cdf[more]
+    return n
 
 
 def enumeration_matrix(rule, freq_mean: float, exceed: float, tail: float = 1e-15) -> np.ndarray:

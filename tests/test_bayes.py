@@ -310,6 +310,16 @@ class TestMseComparison:
         assert result.mse_full <= result.mse_freq
         assert result.one_sided_lower_95 > 0.0
 
+    def test_one_component_prior_reruns_and_full_history_is_not_worse(self):
+        # A weight of one draws the effects from a single exponential.
+        model = MixtureBayesModel(0.5, 3.0, SINGLE)
+        assert len(model.components()) == 1
+        a = mse_comparison_mc(model, years=3, n_paths=70_000, seed=29)
+        b = mse_comparison_mc(model, years=3, n_paths=70_000, seed=29)
+        assert dataclasses.astuple(a) == dataclasses.astuple(b)
+        assert a.diff_se > 0.0
+        assert a.diff_mean > -3.0 * a.diff_se
+
     def test_unit_severity_effect_shows_no_gap(self):
         model = interior_model(unit_severity=True)
         result = mse_comparison_mc(model, years=3, n_paths=50_000, seed=23)

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -451,6 +452,31 @@ class TestSimulateVerb:
         out = tmp_path / "out"
         assert run(["simulate", "--config", config, "--out", str(out)]) == 3
         assert not out.exists()
+
+
+def _seeded_run(tmp_path, capsys, verb: str, simulation: dict, flags=()) -> tuple:
+    """Exit code, printed bytes and written files of one run of ``verb`` on the small model."""
+    payload = json.loads(json.dumps(SMALL_MODEL))
+    payload["rules"] = [{"max_level": 9, "step": 1}]
+    payload["simulation"] = simulation
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"  # one path for every run, since the verbs print it
+    shutil.rmtree(out, ignore_errors=True)
+    code = run([verb, "--config", config, "--out", str(out), *flags])
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.exists() else {}
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize(
+    "verb,paths", [("simulate", 20_000), ("verify", 100_000)], ids=["simulate", "verify"]
+)
+def test_seed_flag_is_the_configured_seed(tmp_path, capsys, verb, paths):
+    by_flag = _seeded_run(tmp_path, capsys, verb, {"paths": paths}, ["--seed", "5"])
+    by_config = _seeded_run(tmp_path, capsys, verb, {"paths": paths, "seed": 5})
+    by_default = _seeded_run(tmp_path, capsys, verb, {"paths": paths})
+    assert by_flag == by_config
+    assert by_flag[1] or by_flag[2]  # the run printed or wrote something
+    assert by_flag[1:] != by_default[1:]
 
 
 class TestVerifyVerb:

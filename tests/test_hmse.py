@@ -222,6 +222,12 @@ class TestThresholdScan:
         )
         assert [e.threshold for e in entries[:2]] == [16800.0, 16800.0]
 
+    def test_equal_scores_rank_the_smaller_threshold_first(self, base_model):
+        # An equal-step rule reads no claim size, so the three scores tie exactly.
+        entries = threshold_scan(base_model, SeverityRule(9, 1, 1, 1.0), [20000.0, 5000.0, 10000.0])
+        assert len({e.hmse_raw for e in entries}) == 1
+        assert [e.threshold for e in entries] == [5000.0, 10000.0, 20000.0]
+
     def test_empty_candidates_rejected(self, base_model):
         with pytest.raises(ValueError):
             threshold_scan(base_model, SeverityRule(9, 1, 2, 1.0), [])

@@ -31,11 +31,14 @@ from bonusmalus import (
     simulate_paths,
 )
 from bonusmalus.quadrature import severity_cdf
+from bonusmalus.simulate import _large_claims, _more_claims, _stream, _words, _words_at_least
 from bonusmalus.verify import check_rule
 from conftest import GAMMA_SHAPE, SEV_RATE, degenerate_model, study_model, traced_peak
-from oracles import empirical_frequency_relativity, enumeration_matrix
+from oracles import empirical_frequency_relativity, enumeration_matrix, poisson_claim_counts
 
 EPS = np.finfo(float).eps
+# One past the largest 53-bit word: ``Generator.random`` draws ``word * 2**-53 < 1``.
+TOP = 1 << 53
 
 
 class TestSimulatePaths:
@@ -157,6 +160,126 @@ class TestSimulatePaths:
         with np.errstate(over="raise", invalid="raise"):
             summary = simulate_paths(SimConfig(model, rule, 5_000, seed=4, burn_in_years=0))
         assert summary.counts[-1] == summary.n_observations
+
+
+def _words_around(bounds) -> np.ndarray:
+    """Every 53-bit word within two of a bound, and the range's two ends."""
+    near = np.asarray(bounds, dtype=np.int64)[:, None] + np.arange(-2, 3)
+    ends = [0, 1, TOP - 2, TOP - 1]
+    return np.unique(np.clip(np.append(near, ends), 0, TOP - 1)).astype(np.uint64)
+
+
+def _integer_counts(words, p0, lam, cap: int) -> np.ndarray:
+    """Claim counts as the year loop reaches them from 53-bit words; 0 for no claim."""
+    k0 = _words_at_least(p0)
+    k1 = _words_at_least(p0 + p0 * lam if cap > 1 else 1.0)
+    n = (words >= k0).astype(np.int64)
+    many = np.flatnonzero(words >= k1)  # k1 >= k0: only claimants count two or more
+    n[many] = _more_claims(words[many] * 2.0**-53, p0[many], lam[many], cap)
+    return n
+
+
+def _float_counts(words, p0, lam, cap: int) -> np.ndarray:
+    """The same counts by the float recurrence on ``Generator.random``'s uniforms."""
+    u = words * 2.0**-53
+    claim = np.flatnonzero(u >= p0)
+    n = np.zeros(words.size, dtype=np.int64)
+    n[claim] = poisson_claim_counts(u[claim], p0[claim], lam[claim], cap)
+    return n
+
+
+class TestIntegerSampler:
+    """Path-years are decided on Philox's 53-bit words, bit for bit as on uniforms."""
+
+    @pytest.mark.parametrize("n,m", [(1000, 7), (1001, 3), (1, 4)])
+    def test_words_are_the_generators_uniforms(self, n, m):
+        # A numpy that built its doubles another way fails here by name, not
+        # only through the pinned digests.  The stream must also continue
+        # where ``random`` would leave it, mid-block too.
+        floats, words = _stream(3, 1, 7), _stream(3, 1, 7)
+        raw = _words(words.bit_generator, n)
+        assert raw.dtype == np.uint64 and int(raw.max()) < TOP
+        assert np.array_equal(floats.random(n), raw * 2.0**-53)
+        assert np.array_equal(floats.random(m), words.random(m))
+
+    def test_stream_is_keyed_by_its_seed_sequence(self):
+        state = _stream(3, 1, 7).bit_generator.state["state"]
+        key = np.random.SeedSequence((3, 1, 7)).generate_state(2, np.uint64)
+        assert np.array_equal(state["key"], key)
+        assert not state["counter"].any()
+
+    @pytest.mark.parametrize(
+        "prob",
+        [0.0, 5e-324, 2.0**-60, 0.5, math.exp(-0.5), np.nextafter(1.0, 0.0), 1.0],
+        ids=["zero", "least", "tiny", "half", "exp", "below-one", "one"],
+    )
+    def test_word_bound_is_the_uniform_test(self, prob):
+        bound = _words_at_least(np.array([prob]))
+        words = _words_around(bound)
+        assert np.array_equal(words >= bound, words * 2.0**-53 >= prob)
+
+    def test_word_bound_on_random_probabilities(self):
+        rng = np.random.default_rng(4)
+        scale = rng.integers(0, 1075, 50_000)
+        prob = np.concatenate([rng.random(50_000), np.ldexp(rng.random(50_000), -scale)])
+        bound = _words_at_least(prob)
+        for words in (rng.integers(0, TOP, prob.size, dtype=np.uint64), np.minimum(bound, TOP - 1)):
+            assert np.array_equal(words >= bound, words * 2.0**-53 >= prob)
+
+    def test_non_finite_or_excess_probability_is_never_reached(self):
+        # One past every word, with no unchecked cast of NaN to an integer.
+        with np.errstate(all="raise"):
+            bound = _words_at_least(np.array([np.nan, np.inf, 1.0, 1.0 + EPS, 1.25]))
+        assert bound.tolist() == [TOP] * 5
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 10, 1000])
+    def test_counts_match_the_float_recurrence(self, cap):
+        rng = np.random.default_rng(cap)
+        lam = np.concatenate(
+            [
+                rng.lognormal(-0.5, 1.0, 3_000),
+                [0.0, 5e-324, 1e-300, 1e-9, 1.0, 5.0, 50.0, 800.0, 1e20],
+            ]
+        )
+        p0 = np.exp(-lam)
+        # cdf1 rounds above 1 for these pairs: no claimant may count two.
+        p0 = np.append(p0, [np.nextafter(1.0, 0.0), 1.0, 0.5])
+        lam = np.append(lam, [1e-15, 1e-15, 1.5])
+        # Each path's words: random ones and those around both of its bounds.
+        k1 = _words_at_least(p0 + p0 * lam)
+        picks = [rng.integers(0, TOP, p0.size, dtype=np.uint64)]
+        for bound in (_words_at_least(p0), k1):
+            picks += [np.clip(bound.astype(np.int64) + d, 0, TOP - 1) for d in (-1, 0, 1)]
+        words = np.concatenate(picks).astype(np.uint64)
+        p0, lam = np.tile(p0, len(picks)), np.tile(lam, len(picks))
+        expected = _float_counts(words, p0, lam, cap)
+        assert np.array_equal(_integer_counts(words, p0, lam, cap), expected)
+        assert expected.min() == 0 and expected.max() == cap
+        if cap > 1:
+            assert (expected == 1).any() and (expected == 2).any()
+
+    @pytest.mark.parametrize(
+        "exceed",
+        [0.0, 5e-324, 1e-17, 0.3, np.nextafter(1.0, 0.0), 1.0],
+        ids=["zero", "least", "rounds-away", "interior", "below-one", "one"],
+    )
+    def test_one_claim_is_large_by_the_binomial_inversion(self, exceed):
+        # A one-claim claimant skips ``_large_claims``: ``v >= 1 - exceed``
+        # must be its inversion of Binomial(1, exceed), exactly.
+        keep = 1.0 - exceed
+        v = np.concatenate(
+            [
+                np.random.default_rng(5).random(10_000),
+                [0.0, keep, np.nextafter(keep, 0.0), np.nextafter(keep, 2.0)],
+                [np.nextafter(1.0, 0.0)],
+            ]
+        )
+        v = v[v < 1.0]
+        e = np.full(v.size, exceed)
+        large = _large_claims(v, np.ones(v.size, dtype=np.int64), e)
+        assert np.array_equal(large, (v >= 1.0 - e).astype(np.int64))
+        if exceed in (0.0, 1.0):
+            assert large.tolist() == [int(exceed)] * v.size
 
 
 # Thresholds whose single-claim exceedance is 0, about one half, about 1 and
@@ -360,6 +483,24 @@ class TestOracleChecks:
         result = check_rule(degenerate_model(), FreqRule(9, 1), n_paths=100_000, seed=15)
         assert not result.passed
         assert any("score" in msg for msg in result.failures)
+
+    def test_shifted_level_mass_fails(self, monkeypatch):
+        # The level comparison is the only one that reads the table's
+        # stationary distribution, so a shift there must fail by itself.
+        from bonusmalus import relativity, verify
+
+        def shifted(model, rules, nodes):
+            (table,) = relativity._tables(model, rules, nodes)
+            stationary = table.stationary.copy()
+            stationary[2] += 0.01
+            return [dataclasses.replace(table, stationary=stationary)]
+
+        monkeypatch.setattr(verify, "_tables", shifted)
+        result = check_rule(degenerate_model(), FreqRule(9, 1), n_paths=120_000, seed=15)
+        assert not result.passed
+        assert len(result.failures) == 1, result.failures
+        assert result.failures[0].startswith("level distribution off at level 2: ")
+        assert result.level_gap_sigmas > 3.0
 
     def test_degenerate_model_passes_with_unit_relativities(self):
         result = check_rule(degenerate_model(), FreqRule(9, 1), n_paths=120_000, seed=15)
