@@ -5,15 +5,20 @@ yearly Poisson counts, per-claim threshold exceedances, level updates -- and
 serves as the independent verification oracle for the analytic stationary
 distributions, relativities, and scores.
 
-Sampler: each path-year costs one uniform ``u``.  A path has no claim when
-``u < exp(-lambda)`` and then only steps one level down; that decides most
-path-years with one comparison.  For the claimants the same ``u`` is
-inverted through the Poisson pmf recurrence, counting at most
+Sampler: each path-year costs one 53-bit Philox word ``w``, the word behind
+the uniform ``u = w * 2**-53`` that ``Generator.random`` would draw.  Two
+integer bounds per path, set once per chunk, decide most path-years without
+a float: ``w`` below ``ceil(exp(-lambda) * 2**53)``, which is exactly
+``u < exp(-lambda)``, means no claim and one level down, and ``w`` below the
+cdf at one claim, scaled the same way, means exactly one claim.  Only the
+paths above both turn ``w`` into ``u`` and invert it through the Poisson
+pmf recurrence from two claims on, counting at most
 ``cap = ceil(max_level / small_step)`` claims, since that many reach the top
 level whatever their sizes; so any claim rate computes, and no loop runs
 longer than ``cap``.  Under a severity rule with distinct steps the claimants
-alone draw a second uniform, inverted into their binomial number of large
-claims.
+alone draw a second uniform ``v``: one claim is large when
+``v >= 1 - exceedance``, and only multi-claim claimants invert ``v`` into
+their binomial number of large claims.
 
 Accumulator: each sampled year adds up, per (risk class, level), the count
 and the effect powers ``t``..``t**4`` (``t = theta1 * theta2``), ``theta1``

@@ -223,7 +223,8 @@ class TestIntegerSampler:
         scale = rng.integers(0, 1075, 50_000)
         prob = np.concatenate([rng.random(50_000), np.ldexp(rng.random(50_000), -scale)])
         bound = _words_at_least(prob)
-        for words in (rng.integers(0, TOP, prob.size, dtype=np.uint64), np.minimum(bound, TOP - 1)):
+        at = np.minimum(bound, TOP - 1)
+        for words in (rng.integers(0, TOP, prob.size, dtype=np.uint64), at, at - (at > 0)):
             assert np.array_equal(words >= bound, words * 2.0**-53 >= prob)
 
     def test_non_finite_or_excess_probability_is_never_reached(self):
