@@ -685,9 +685,7 @@ def gamma_cdf(x, shape: float, scale, upper: bool = False):
     out = np.zeros(y.shape)
     out[~valid | np.isnan(y)] = np.nan
     out[edge] = 1.0
-    if math.isinf(shape):  # all mass at +inf
-        out[inside] = float(upper)
-    elif inside.any():
+    if inside.any():
         out[inside] = _incomplete_gamma(float(shape), y[inside], upper)
     return out[()]
 

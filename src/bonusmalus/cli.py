@@ -98,7 +98,7 @@ def parse_model(cfg: dict) -> ModelSpec:
     try:
         section = _shaped(cfg["model"], "model")
         if "classes_template" in section:
-            weights = section.get("weights") or cfg.get("weights")
+            weights = section.get("weights")
             cells = _shaped(section["classes_template"], "classes_template", list)
             if not weights:
                 raise ModelValidationError(

@@ -100,8 +100,8 @@ def _data_cells() -> list[dict]:
 
 def _data_config() -> dict:
     return {
-        # Cell weights are not published; supply "weights" (18 values, one
-        # per cell in listed order) through a config overlay.
+        # Cell weights are not published; supply "model.weights" (18 values,
+        # one per cell in listed order) through a config overlay.
         "model": {
             "classes_template": _data_cells(),
             "severity": {"kind": "gamma", "dispersion": 1.0 / 0.670},

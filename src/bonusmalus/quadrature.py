@@ -77,34 +77,36 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-# (rule, node count) pairs numpy cannot build: lru_cache keeps no exception.
-_REFUSED: set[tuple[str, int]] = set()
-
-
-def _gauss_rule(build, n: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's rule ``build(n)``, refused where building it overflows (past a few hundred nodes)."""
-    if (name, n) not in _REFUSED:
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                rule = build(n)
-        except FloatingPointError:
-            rule = (np.array([math.nan]),)
-        if all(np.all(np.isfinite(part)) for part in rule):
-            return rule
-        _REFUSED.add((name, n))
-    raise ModelValidationError(f"quadrature_nodes={n} overflows numpy's {name} rule")
-
-
 @lru_cache(maxsize=16)
 def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     # Nodes/weights for a standard normal: integrate f(z) phi(z) dz.
-    x, w = _gauss_rule(hermgauss, n, "Gauss-Hermite")
+    x, w = hermgauss(n)
     return _read_only(math.sqrt(2.0) * x, w / math.sqrt(math.pi))
 
 
 @lru_cache(maxsize=16)
 def _laguerre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return _read_only(*_gauss_rule(laggauss, n, "Gauss-Laguerre"))
+    return _read_only(*laggauss(n))
+
+
+def _rule(effects: RandomEffectJoint, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cached Gauss rule of ``effects``' scheme at ``n`` nodes, refused before it is built.
+
+    The limits are the largest rules numpy (2.4) builds without overflow:
+    Hermite rules up to 370 nodes and Laguerre rules up to 186 are finite,
+    and every larger one overflows.  The tests hold numpy to both edges.
+    """
+    if n < MIN_NODES:
+        raise ModelValidationError(f"need at least {MIN_NODES} nodes per dimension, got {n}")
+    if isinstance(effects, LognormalCopulaEffects):
+        name, limit, rule = "Gauss-Hermite", 370, _hermite_nodes
+    elif isinstance(effects, MixtureExponentialEffects):
+        name, limit, rule = "Gauss-Laguerre", 186, _laguerre_nodes
+    else:
+        raise ModelValidationError(f"no quadrature scheme for {type(effects).__name__}")
+    if n > limit:
+        raise ModelValidationError(f"quadrature_nodes={n} overflows numpy's {name} rule")
+    return rule(n)
 
 
 def _branches(effects: MixtureExponentialEffects) -> list[tuple[float, float]]:
@@ -125,38 +127,34 @@ def build_grid(effects: RandomEffectJoint, n: int = DEFAULT_NODES) -> Quadrature
 
     ``n`` is the node count per dimension (and per mixture branch) and must be
     at least 8 for the mean-one checks to hold at their stated tolerances,
-    and no more than numpy's Gauss rule builds without overflow.
+    and no more than the largest rule numpy builds without overflow: 370
+    nodes for lognormal effects, 186 for mixture effects.
     """
     n = _number(n, "n", whole=True)
     if isinstance(effects, DegenerateEffects):
         one = np.array([1.0])
         return QuadratureGrid(one, one.copy(), one.copy())
-    if n < MIN_NODES:
-        raise ModelValidationError(f"need at least {MIN_NODES} nodes per dimension, got {n}")
+    x, w = _rule(effects, n)
     if isinstance(effects, LognormalCopulaEffects):
-        z, w = _hermite_nodes(n)
-        z1 = np.repeat(z, n)
-        z2_orth = np.tile(z, n)
+        z1 = np.repeat(x, n)
+        z2_orth = np.tile(x, n)
         weights = np.outer(w, w).ravel()
         rho = effects.corr
         z2 = rho * z1 + math.sqrt(max(1.0 - rho * rho, 0.0)) * z2_orth
         theta1 = _lognormal(effects.log_var1, z1)
         theta2 = _lognormal(effects.log_var2, z2)
         return QuadratureGrid(theta1, theta2, weights)
-    if isinstance(effects, MixtureExponentialEffects):
-        t, v = _laguerre_nodes(n)
-        parts = []
-        for branch_weight, rate in _branches(effects):
-            nodes = t / rate
-            th1 = np.repeat(nodes, n)
-            th2 = np.tile(nodes, n)
-            wts = branch_weight * np.outer(v, v).ravel()
-            parts.append((th1, th2, wts))
-        theta1 = np.concatenate([p[0] for p in parts])
-        theta2 = np.concatenate([p[1] for p in parts])
-        weights = np.concatenate([p[2] for p in parts])
-        return QuadratureGrid(theta1, theta2, weights)
-    raise ModelValidationError(f"no quadrature scheme for {type(effects).__name__}")
+    parts = []
+    for branch_weight, rate in _branches(effects):
+        nodes = x / rate
+        th1 = np.repeat(nodes, n)
+        th2 = np.tile(nodes, n)
+        wts = branch_weight * np.outer(w, w).ravel()
+        parts.append((th1, th2, wts))
+    theta1 = np.concatenate([p[0] for p in parts])
+    theta2 = np.concatenate([p[1] for p in parts])
+    weights = np.concatenate([p[2] for p in parts])
+    return QuadratureGrid(theta1, theta2, weights)
 
 
 def marginal_grid(
@@ -168,22 +166,17 @@ def marginal_grid(
         raise ModelValidationError("component must be 1 or 2")
     if isinstance(effects, DegenerateEffects):
         return np.array([1.0]), np.array([1.0])
-    if n < MIN_NODES:
-        raise ModelValidationError(f"need at least {MIN_NODES} nodes per dimension, got {n}")
+    x, w = _rule(effects, n)
     if isinstance(effects, LognormalCopulaEffects):
         log_var = effects.log_var1 if component == 1 else effects.log_var2
         if log_var == 0.0:
             return np.array([1.0]), np.array([1.0])
-        z, w = _hermite_nodes(n)
-        return _lognormal(log_var, z), w.copy()
-    if isinstance(effects, MixtureExponentialEffects):
-        t, v = _laguerre_nodes(n)
-        values, weights = [], []
-        for branch_weight, rate in _branches(effects):
-            values.append(t / rate)
-            weights.append(branch_weight * v)
-        return np.concatenate(values), np.concatenate(weights)
-    raise ModelValidationError(f"no quadrature scheme for {type(effects).__name__}")
+        return _lognormal(log_var, x), w.copy()
+    values, weights = [], []
+    for branch_weight, rate in _branches(effects):
+        values.append(x / rate)
+        weights.append(branch_weight * w)
+    return np.concatenate(values), np.concatenate(weights)
 
 
 def severity_cdf(x, mean, law: SeverityLaw, upper: bool = False):

@@ -59,10 +59,6 @@ class RelativityTable:
     def threshold(self) -> float | None:
         return self.rule.threshold if isinstance(self.rule, SeverityRule) else None
 
-    @property
-    def undefined_levels(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(~np.isfinite(self.relativities)))
-
 
 @dataclass(frozen=True)
 class BalanceReport:

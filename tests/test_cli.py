@@ -178,6 +178,16 @@ class TestBayes:
             2.51678469, rel=1e-6
         )
 
+    def test_json_format_carries_the_csv_values(self, tmp_path):
+        config = write_config(tmp_path, BAYES_CONFIG)
+        for fmt in ("csv", "json"):
+            argv = ["bayes", "--config", config, "--format", fmt, "--precision", "-1"]
+            assert run([*argv, "--out", str(tmp_path / fmt)]) == 0
+        lines = (tmp_path / "csv" / "bayes_premiums.csv").read_text().strip().splitlines()
+        values = {key: float(value) for key, value in (line.split(",") for line in lines[1:])}
+        assert json.loads((tmp_path / "json" / "bayes_premiums.json").read_text()) == values
+        assert len(values) == 3
+
     def test_empty_history_boundary_mixture_prices_at_priori(self, tmp_path):
         payload = {
             "bayes": {
@@ -854,6 +864,93 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "configuration error: quantile level 0.3 is unattainable" in err
         assert "mass at zero" in err
+
+    @pytest.mark.parametrize(
+        "verb,preset,edit,named",
+        [
+            (
+                "relativities",
+                "dat",
+                lambda p: p.update(model={"weights": [1.0] * 17}),
+                "expected 18 weights, got 17",
+            ),
+            (
+                "relativities",
+                None,
+                lambda p: p["model"].update(severity={"kind": "lognormal"}),
+                "unknown severity kind 'lognormal'",
+            ),
+            (
+                "relativities",
+                None,
+                lambda p: p["model"].update(effects={"kind": "gaussian"}),
+                "unknown effects kind 'gaussian'",
+            ),
+            (
+                "relativities",
+                None,
+                lambda p: p.pop("thresholds"),
+                "severity rule without explicit threshold needs 'thresholds' or 'quantiles'",
+            ),
+            ("relativities", None, lambda p: p.update(rules=[]), "no transition rules configured"),
+            (
+                "hmse-scan",
+                None,
+                lambda p: p.update(rules=[{"max_level": 9, "step": 1}]),
+                "hmse-scan needs at least one severity-aware rule",
+            ),
+            (
+                "relativities",
+                None,
+                lambda p: p.update(rules=[{"max_level": 9, "step": 1}, 5]),
+                "every entry of 'rules' must be a JSON object",
+            ),
+        ],
+        ids=[
+            "weight_count",
+            "severity_kind",
+            "effects_kind",
+            "no_threshold_source",
+            "no_rules",
+            "scan_without_severity_rule",
+            "rule_not_an_object",
+        ],
+    )
+    def test_config_errors_exit_2(self, tmp_path, capsys, verb, preset, edit, named):
+        payload = {} if preset else json.loads(json.dumps(SMALL_MODEL))
+        edit(payload)
+        argv = [verb, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "out")]
+        assert run(argv + (["--preset", preset] if preset else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_degenerate_effects_from_a_config(self, tmp_path):
+        payload = json.loads(json.dumps(SMALL_MODEL))
+        payload["model"]["effects"] = {"kind": "degenerate"}
+        out = tmp_path / "out"
+        config = write_config(tmp_path, payload)
+        assert run(["relativities", "--config", config, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "relativities_h1.csv").read_text().splitlines()]
+        assert [row[1] for row in rows[1:]] == ["1.000"] * 10 + ["0.000"] * 2
+
+    def test_top_level_weights_are_not_class_weights(self, tmp_path, capsys):
+        # Class weights have one home, 'model.weights'.
+        config = write_config(tmp_path, {"weights": [1.0 / 18.0] * 18})
+        argv = ["relativities", "--preset", "dat", "--config", config]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "supply 'model.weights'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_constant_severity_effect_keeps_the_node_limit(self, tmp_path, capsys):
+        # The severity marginal of a zero log-variance is one node, but the
+        # node count is held to the joint grid's Gauss-Hermite limit.
+        overlay = {"model": {"effects": {"log_var2": 0.0}}, "thresholds": [], "quantiles": [0.9]}
+        argv = ["simulate", "--preset", "ex2a", "--config", write_config(tmp_path, overlay)]
+        assert run([*argv, "--quadrature-nodes", "371", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: quadrature_nodes=371 overflows")
+        assert not (tmp_path / "out").exists()
 
     def test_data_preset_requires_weights(self, tmp_path, capsys):
         assert run(["relativities", "--preset", "dat", "--out", str(tmp_path)]) == 2

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.laguerre import laggauss
 from scipy import stats
 
 from bonusmalus import (
@@ -24,7 +26,7 @@ from bonusmalus import (
     severity_marginal_quantile,
 )
 from bonusmalus import quadrature
-from bonusmalus.quadrature import _gauss_rule, _hermite_nodes, _laguerre_nodes, severity_cdf
+from bonusmalus.quadrature import _hermite_nodes, _laguerre_nodes, severity_cdf
 from conftest import GAMMA_SHAPE, dat_model, degenerate_model, study_model
 from oracles import expect
 
@@ -100,16 +102,6 @@ class TestGaussRules:
             with pytest.raises(ModelValidationError, match=f"quadrature_nodes={n} "):
                 build_grid(effects, n)
 
-    def test_finite_rule_built_through_an_overflow_refused(self):
-        # numpy 2.4's 371-node Gauss-Hermite rule overflows on the way and
-        # comes back finite, with every weight 0.
-        def overflowing(n):
-            big = np.full(n, 1e308)
-            return big, np.minimum(big * 10.0, 0.0)
-
-        with pytest.raises(ModelValidationError, match="quadrature_nodes=9 "):
-            _gauss_rule(overflowing, 9, "test")
-
     @pytest.mark.parametrize(
         "effects, n", [(LOGNORMAL, 370), (MIXTURE, 186)], ids=["hermite", "laguerre"]
     )
@@ -121,24 +113,51 @@ class TestGaussRules:
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "effects, build",
-        [(LOGNORMAL, "hermgauss"), (MIXTURE, "laggauss")],
-        ids=["hermite", "laguerre"],
+        "build, limit", [(hermgauss, 370), (laggauss, 186)], ids=["hermite", "laguerre"]
     )
-    def test_refused_node_count_is_built_once(self, monkeypatch, effects, build):
-        # lru_cache keeps no exception, so a refused rule was rebuilt on every call.
+    def test_numpy_rules_overflow_just_past_the_limits(self, build, limit):
+        # The gate's limits are numpy's own edges: a numpy that moves either
+        # one fails here instead of handing the grid a wrong rule.  Tail
+        # weights underflow in every rule, harmlessly.
+        with np.errstate(all="raise", under="ignore"):
+            build(limit)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                build(limit + 1)
+
+    @pytest.mark.parametrize(
+        "effects, name, n",
+        [
+            (LOGNORMAL, "Hermite", 371),
+            (LOGNORMAL, "Hermite", 4096),
+            (MIXTURE, "Laguerre", 187),
+            (MIXTURE, "Laguerre", 4096),
+        ],
+        ids=["hermite-edge", "hermite-far", "laguerre-edge", "laguerre-far"],
+    )
+    def test_node_count_past_the_limit_refused_before_building(self, monkeypatch, effects, name, n):
         calls = []
+        for build in ("hermgauss", "laggauss"):
+            monkeypatch.setattr(f"bonusmalus.quadrature.{build}", calls.append)
+        message = f"quadrature_nodes={n} overflows numpy's Gauss-{name} rule"
+        with pytest.raises(ModelValidationError, match=message):
+            build_grid(effects, n)
+        with pytest.raises(ModelValidationError, match=message):
+            marginal_grid(effects, 2, n)
+        assert calls == []
 
-        def overflowing(n):
-            calls.append(n)
-            return np.full(n, math.nan), np.ones(n)
+    def test_marginal_of_a_constant_lognormal_effect_keeps_the_limit(self):
+        # One node whatever n, but n is held to the joint grid's limit.
+        effects = LognormalCopulaEffects(0.0, 0.99, 0.0)
+        assert [a.tolist() for a in marginal_grid(effects, 2, 370)] == [[1.0], [1.0]]
+        with pytest.raises(ModelValidationError, match="quadrature_nodes=371 "):
+            marginal_grid(effects, 2, 371)
 
-        monkeypatch.setattr(f"bonusmalus.quadrature.{build}", overflowing)
-        monkeypatch.setattr("bonusmalus.quadrature._REFUSED", set())
-        for _ in range(2):
-            with pytest.raises(ModelValidationError, match="quadrature_nodes=1024 "):
-                build_grid(effects, 1024)
-        assert calls == [1024]
+    def test_marginal_grid_checks_the_node_count_and_the_scheme(self):
+        with pytest.raises(ModelValidationError, match="need at least 8 nodes"):
+            marginal_grid(LOGNORMAL, 1, 4)
+        with pytest.raises(ModelValidationError, match="no quadrature scheme for object"):
+            marginal_grid(object(), 1, 32)
+        assert [a.tolist() for a in marginal_grid(DegenerateEffects(), 1, 4)] == [[1.0], [1.0]]
 
     @pytest.mark.parametrize("rule", [_hermite_nodes, _laguerre_nodes])
     def test_built_once_per_node_count_and_read_only(self, rule):

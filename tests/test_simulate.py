@@ -503,6 +503,14 @@ class TestOracleChecks:
         assert result.failures[0].startswith("level distribution off at level 2: ")
         assert result.level_gap_sigmas > 3.0
 
+    def test_under_visited_levels_skip_the_relativity_comparison(self):
+        # At 0.05 claims a year no path of this run reaches levels 4-9.
+        model = degenerate_model(freq_rate=0.05)
+        result = check_rule(model, FreqRule(9, 1), n_paths=100_000, seed=1)
+        assert not result.passed
+        assert "some levels under-visited; relativity comparison skipped" in result.failures
+        assert result.relativity_gap_sigmas == 0.0
+
     def test_degenerate_model_passes_with_unit_relativities(self):
         result = check_rule(degenerate_model(), FreqRule(9, 1), n_paths=120_000, seed=15)
         assert result.passed, result.failures

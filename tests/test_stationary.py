@@ -124,6 +124,19 @@ class TestCutRecursion:
         with pytest.raises(SingularSystemError):
             _stationary_batch(p0, T)
 
+    @pytest.mark.parametrize("residual, passes", [(1e-6, False), (1e-10, True)])
+    def test_residual_gate_sits_at_1e_9(self, monkeypatch, residual, passes):
+        # No real chain lands between 1e-9 and 1e-3, so only a faked
+        # residual shows where the gate sits.
+        p0, T = jump_tails(FreqRule(9, 1), np.array([0.5, 2.0]), np.zeros(2))
+        rows = _stationary_batch(p0, T)
+        monkeypatch.setattr(stationary, "_balance_residual", lambda *chains: residual)
+        if passes:
+            assert np.array_equal(_stationary_batch(p0, T), rows)
+        else:
+            with pytest.raises(SingularSystemError, match="residual 1e-06 too large"):
+                _stationary_batch(p0, T)
+
 
 class TestUnconditionalLevels:
     @pytest.mark.parametrize("rate", [50.0, 1e3, 1e20])

@@ -28,10 +28,25 @@ def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
-def functions_without_a_caller(package: Path, callers: list[Path]) -> list[str]:
-    """Public module-level functions of ``package`` that nothing outside their own body names.
+def module_functions(tree: ast.Module) -> list[ast.FunctionDef]:
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef)]
 
-    A function counts as used when its own module names it outside its
+
+def class_members(tree: ast.Module) -> list[ast.FunctionDef]:
+    """Methods and properties of the module's public classes."""
+    return [
+        member
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for member in node.body
+        if isinstance(member, ast.FunctionDef)
+    ]
+
+
+def definitions_without_a_caller(package: Path, callers: list[Path], definitions) -> list[str]:
+    """Public ``definitions`` of ``package``'s modules that nothing outside their own body names.
+
+    A definition counts as used when its own module names it outside its
     ``def``, or another module of the package does (``__init__.py``, which
     only re-exports, does not count), or one of the ``callers`` does.
     """
@@ -45,20 +60,27 @@ def functions_without_a_caller(package: Path, callers: list[Path]) -> list[str]:
     unused = []
     for name, tree in modules.items():
         others = set().union(outside, *(used for other, used in used_by.items() if other != name))
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        for node in definitions(tree):
+            if not node.name.startswith("_"):
                 if node.name not in others | referenced_names(tree, skip=node):
                     unused.append(f"{name}.{node.name}")
     return unused
+
+
+CALLERS = sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").rglob("*.py"))
 
 
 class TestPublicSurface:
     def test_every_public_function_has_a_production_caller(self):
         # A public function that only the package namespace or the tests
         # reach is verification code, which belongs in tests/.
-        callers = sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").rglob("*.py"))
-        assert callers
-        assert functions_without_a_caller(PACKAGE, callers) == []
+        assert CALLERS
+        assert definitions_without_a_caller(PACKAGE, CALLERS, module_functions) == []
+
+    def test_every_public_method_has_a_production_caller(self):
+        # The same holds for what a public class offers: a method or
+        # property that only the tests read belongs in tests/.
+        assert definitions_without_a_caller(PACKAGE, CALLERS, class_members) == []
 
 
 class TestTableRoute:
