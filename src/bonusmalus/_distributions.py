@@ -437,10 +437,7 @@ def _series_depth(a: float, x: float, bits: int = 60) -> int:
     log_x = math.log(x)
 
     def dropped(n: int) -> float:  # log of term n + 1 and its geometric tail
-        if a < 1e6:
-            log_term = (n + 1) * log_x - (math.lgamma(a + n + 2) - math.lgamma(a + 1))
-        else:  # every ratio x / (a + j) is at most x / (a + 1)
-            log_term = (n + 1) * (log_x - math.log(a + 1))
+        log_term = (n + 1) * log_x - (math.lgamma(a + n + 2) - math.lgamma(a + 1))
         return log_term - math.log1p(-x / (a + n + 2))
 
     target = -bits * math.log(2.0)
@@ -638,10 +635,7 @@ def _incomplete_gamma(a: float, x, upper: bool):
     fraction = (x > 1.1) & gives_q
     # The small-x series serves [exp(-0.4 / a), 0.5] and [a / 1.1, 1.1].
     lo, cut = math.exp(-0.4 / a), a / 1.1
-    if lo > 0.5 or cut <= 0.5:
-        small_x = (x >= (cut if lo > 0.5 else min(lo, cut))) & (x <= 1.1)
-    else:
-        small_x = ((x >= lo) & (x <= 0.5)) | ((x >= cut) & (x <= 1.1))
+    small_x = ((x >= lo) & (x <= 0.5)) | ((x >= cut) & (x <= 1.1))
     temme = np.abs(x - a) < 0.3 * a if a > 20.0 else None
     if temme is not None:
         fraction &= ~temme

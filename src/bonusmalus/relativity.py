@@ -207,8 +207,8 @@ def _fields_for(model: ModelSpec, rules: list, nodes: int):
 def _run_moments(effects, nodes: int, family: str, sized: bool) -> tuple:
     """Per-run moments ``(W, M, c, D, S)`` of a family's target; cached, read-only.
 
-    Over the nodes of each run (``_run_starts``), with weights ``w`` and
-    target ``t``: ``W = sum w``, ``M = sum w t``, the centre ``c = M / W``,
+    Over the nodes of each run of equal effects (``_run_starts``), with weights
+    ``w`` and target ``t``: ``W = sum w``, ``M = sum w t``, the centre ``c = M / W``,
     ``D = sum w (t - c)`` and ``S = sum w (t - c)^2``.  Then for any ``r``,
     ``sum w (r - t)^2 = W (r - c)^2 - 2 (r - c) D + S``: the spread is summed
     as squares about the centre, and ``D`` carries the centre's rounding.
@@ -230,8 +230,8 @@ def _run_moments(effects, nodes: int, family: str, sized: bool) -> tuple:
 def _contract(model: ModelSpec, chain: BmsRule, nodes: int, family: str, field: np.ndarray):
     """Per-level moments of one relativity family from ``chain``'s field; read-only arrays.
 
-    The field, ``(classes, runs, levels)``, is contracted over runs, then
-    classes, with no loop, through the run moments of ``_run_moments``.  The
+    The field, ``(classes, runs, levels)``, one row per run of equal effects, is
+    contracted over runs, then classes, through the run moments of ``_run_moments``.  The
     ``"frequency"`` family targets the frequency effect with premium factor
     ``freq_rate**2``; the ``"aggregate"`` family targets the effect product
     with premium factor ``(freq_rate * sev_rate)**2``.  The residual gaps are

@@ -7,12 +7,13 @@ follow level by level (GTH elimination for M/G/1-type chains), batched over
 profiles, with no matrix and no linear solve.
 
 A field holds these rows for every (risk class, run) profile of one rule.
-A run is a maximal stretch of consecutive grid nodes with equal ``theta1``.
-A rule with equal steps never reads claim sizes, so its chain depends on a
-node only through ``theta1``: its field holds one row per run, ``n`` times
-fewer than the ``n x n`` nodes of a theta1-major grid, and one row in all
-when ``theta1`` is constant.  A rule whose large claims move further reads
-``theta2`` too, so each of its nodes is a run of its own.
+A run is a maximal stretch of consecutive grid nodes on which the effects
+the rule's chain reads are equal: ``theta1`` under a rule with equal steps,
+which never reads claim sizes, and ``(theta1, theta2)`` under a sized rule.
+So on a theta1-major ``n x n`` grid an equal-step field holds ``n`` rows per
+class, and a sized field too where ``theta2`` is constant in each ``theta1``
+block (a correlation of +-1, or no severity-effect variance).  Equal
+profiles that are not adjacent, in one class or in two, are solved apart.
 
 Rules of one shape, ``(max_level, small_step, large_step)``, differ only in
 their threshold, which enters only through each profile's exceedance, so a
@@ -87,26 +88,26 @@ def _stationary_batch(p0: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 def _run_starts(grid: QuadratureGrid, sized: bool) -> np.ndarray:
-    """First node of each run of ``grid``: of each maximal stretch of equal ``theta1``.
+    """First node of each run of ``grid``: of each maximal stretch of equal effects.
 
-    Equal values that are not adjacent start runs of their own.  Under a
-    ``sized`` rule, whose chains read ``theta2`` too, every node is a run.
+    The effects are ``theta1`` alone, or ``(theta1, theta2)`` under a
+    ``sized`` rule, whose chains read claim sizes too.  Equal values that are
+    not adjacent start runs of their own.
     """
+    new = grid.theta1[1:] != grid.theta1[:-1]
     if sized:
-        return np.arange(grid.size)
-    theta1 = grid.theta1
-    return np.flatnonzero(np.r_[True, theta1[1:] != theta1[:-1]])
+        new |= grid.theta2[1:] != grid.theta2[:-1]
+    return np.flatnonzero(np.r_[True, new])
 
 
 def _stationary_fields(model: ModelSpec, rules, grid: QuadratureGrid) -> np.ndarray:
     """Fields of several rules of one shape: ``(rules, classes, runs, levels)``.
 
     A profile is one class at one run (``_run_starts``) under one rule, and
-    enters only through its claim mean and its exceedance, so equal (mean,
-    exceedance) pairs are solved once.  Claim sizes matter only where large
-    claims move further than small ones; a rule with equal steps, of either
-    type, needs one chain per distinct frequency effect, whatever its
-    threshold.
+    enters only through its claim mean and its exceedance.  Claim sizes
+    matter only where large claims move further than small ones; a rule with
+    equal steps, of either type, needs one chain per run of equal frequency
+    effect, whatever its threshold.
 
     The (rule, class) blocks, rule-major, share solves, as many whole blocks
     as fit in ``_PROFILES`` profiles and never fewer than one: on a small grid
@@ -121,7 +122,7 @@ def _stationary_fields(model: ModelSpec, rules, grid: QuadratureGrid) -> np.ndar
     classes = freq_rates.size
     sized = rule.large_step > rule.small_step
     starts = _run_starts(grid, sized)
-    theta1 = grid.theta1[starts]
+    theta1, theta2 = grid.theta1[starts], grid.theta2[starts]
     out = np.empty((len(rules), classes, starts.size, rule.levels))
     blocks = out.reshape(-1, starts.size, rule.levels)  # a view: rule-major (rule, class) blocks
     thresholds = np.array([r.threshold for r in rules]) if sized else None
@@ -130,16 +131,11 @@ def _stationary_fields(model: ModelSpec, rules, grid: QuadratureGrid) -> np.ndar
         group = slice(start, start + per_solve)
         which, cls = np.divmod(np.arange(len(blocks))[group], classes)
         freq_means = np.outer(freq_rates[cls], theta1).ravel()
-        exceed, keys = np.zeros_like(freq_means), freq_means
-        if sized:  # every node is a run
-            sev_means = np.outer(sev_rates[cls], grid.theta2)
+        exceed = np.zeros_like(freq_means)
+        if sized:
+            sev_means = np.outer(sev_rates[cls], theta2)
             exceed = severity_cdf(thresholds[which, None], sev_means, model.severity, upper=True)
             exceed = exceed.ravel()
-            keys = freq_means + 1j * exceed  # one sort key per (mean, exceedance)
-        first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
-        del keys  # spent arrays go at once: no group's arrays outlive it
-        rows = _stationary_batch(*jump_tails(rule, freq_means[first], exceed[first]))
-        del freq_means, exceed, first
-        np.take(rows, inverse, axis=0, out=blocks[group].reshape(-1, rule.levels))
-        del rows, inverse
+        rows = blocks[group].reshape(-1, rule.levels)  # a view of the group's whole blocks
+        rows[...] = _stationary_batch(*jump_tails(rule, freq_means, exceed))
     return out

@@ -79,7 +79,9 @@ def check_rule(
     failures: list[str] = []
 
     emp_levels = summary.level_distribution
-    level_se = np.maximum(summary.level_se, 1e-15)
+    # A level no path visits has an empirical error of 0: take its analytic mass's binomial one.
+    unseen_se = np.sqrt(analytic_levels * (1.0 - analytic_levels) / summary.n_observations)
+    level_se = np.maximum(np.where(summary.counts > 0, summary.level_se, unseen_se), 1e-15)
     level_sigmas = np.abs(emp_levels - analytic_levels) / level_se
     if not np.max(level_sigmas) <= SIGMAS:  # a NaN gap fails too
         worst = int(np.argmax(level_sigmas))

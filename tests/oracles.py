@@ -9,8 +9,8 @@ likelihood, severity tails from direct density integration, and Poisson
 claim counts from the float pmf recurrence on uniforms.
 
 Four helpers wrap package internals instead, as test-only conveniences.
-``node_rows`` spreads the package's own field of a rule with equal steps,
-one row per run of equal ``theta1``, back over every grid node.  The score
+``node_rows`` spreads the package's own field of a rule, one row per run of
+equal effects, back over every grid node.  The score
 double integral sums every (class, node, level) term of that field, one
 class at a time, with no per-level moment in between.  The posterior density is a plain mixture of gamma densities on the package's own
 posterior weights, shapes and rates, which its tests integrate back to 1 and
@@ -308,14 +308,14 @@ def empirical_frequency_relativity(summary):
 def node_rows(field: np.ndarray, rule, grid) -> np.ndarray:
     """A stationary field over every node of ``grid``, from the package's field of ``rule``.
 
-    A rule with equal steps holds one row per run, a maximal stretch of
-    consecutive nodes with equal ``theta1``; each row is repeated over its
-    run's nodes.  A sized rule's field is over nodes already.
+    The package's field holds one row per run, a maximal stretch of
+    consecutive nodes with equal effects: equal ``theta1`` under a rule with
+    equal steps, equal ``(theta1, theta2)`` under a sized rule.  Each row is
+    repeated over its run's nodes.
     """
-    if rule.large_step > rule.small_step:
-        return field
-    theta1 = grid.theta1
-    starts = [i for i in range(grid.size) if i == 0 or theta1[i] != theta1[i - 1]]
+    sized = rule.large_step > rule.small_step
+    effects = list(zip(grid.theta1, grid.theta2)) if sized else list(grid.theta1)
+    starts = [i for i in range(grid.size) if i == 0 or effects[i] != effects[i - 1]]
     return np.repeat(field, np.diff(starts + [grid.size]), axis=-2)
 
 

@@ -53,7 +53,7 @@ MEANS = np.concatenate(
     ]
 )
 POINTS = [-np.inf, -1.0, -0.0, 0.0, 5e-324, 0.3, 1.0, 2.5, 16800.0, 1e300, np.inf, np.nan]
-GAMMA_SHAPES = [0.67, 1.0, 2.5, 40.0]
+GAMMA_SHAPES = [5e-6, 0.56, 0.67, 1.0, 2.5, 40.0]
 LAWS = [GammaSeverity(1.0 / a) for a in GAMMA_SHAPES] + [PoissonSeverity()]
 LAW_IDS = [f"gamma{a}" for a in GAMMA_SHAPES] + ["poisson"]
 TINY = np.finfo(float).tiny  # the smallest normal double

@@ -149,6 +149,11 @@ class TestEffects:
         assert abs(grid.weights @ grid.theta1 - 1.0) < 1e-8
         assert abs(grid.weights @ grid.theta2 - 1.0) < 1e-8
 
+    def test_lognormal_mean_off_one_by_quadrature_rejected(self):
+        # A log-variance of 50 puts the mean-one mass past the 32-node rule.
+        with pytest.raises(ModelValidationError, match="quadrature marginal mean .* differs from 1"):
+            LognormalCopulaEffects(0.0, 50.0, 0.29)
+
     def test_correlation_bounds(self):
         with pytest.raises(Exception):
             _spec([RiskClass(1.0, 0.5, 10.0)], LognormalCopulaEffects(-1.2, 0.5, 0.5))
@@ -612,6 +617,10 @@ class TestClaimHistory:
         history = ClaimHistory([1, 0, 2], [4.0, 0.0, 5.0])
         assert history.total_count == 3
         assert history.total_aggregate == 9.0
+
+    def test_total_aggregate_of_a_count_history_rejected(self):
+        with pytest.raises(ModelValidationError, match="history carries no aggregate severities"):
+            ClaimHistory([1, 0]).total_aggregate
 
     @pytest.mark.parametrize(
         "counts,aggregates",

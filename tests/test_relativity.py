@@ -128,6 +128,10 @@ class TestFrequencyFamily:
 
 
 class TestDependentFamily:
+    def test_rejects_severity_rules(self, base_model):
+        with pytest.raises(ModelValidationError, match="dependence-adjusted family requires"):
+            optimal_relativity_dependent(base_model, SeverityRule(9, 1, 2, 100.0))
+
     def test_independent_effects_collapse_to_frequency_family(self):
         model = study_model(0.0)
         rule = FreqRule(9, 1)

@@ -504,11 +504,15 @@ class TestOracleChecks:
         assert result.level_gap_sigmas > 3.0
 
     def test_under_visited_levels_skip_the_relativity_comparison(self):
-        # At 0.05 claims a year no path of this run reaches levels 4-9.
+        # At 0.05 claims a year no path of this run reaches levels 4-9.  An
+        # unvisited level is compared on the binomial error of its analytic
+        # mass: level 4's 2.0e-5 over 1e5 paths sits 1.41 sigma from 0, where
+        # the empirical error of 0, floored at 1e-15, read 2e10 sigma.
         model = degenerate_model(freq_rate=0.05)
         result = check_rule(model, FreqRule(9, 1), n_paths=100_000, seed=1)
         assert not result.passed
-        assert "some levels under-visited; relativity comparison skipped" in result.failures
+        assert result.failures == ("some levels under-visited; relativity comparison skipped",)
+        assert result.level_gap_sigmas == pytest.approx(1.41, abs=0.005)
         assert result.relativity_gap_sigmas == 0.0
 
     def test_degenerate_model_passes_with_unit_relativities(self):

@@ -38,7 +38,12 @@ from bonusmalus.quadrature import build_grid, severity_cdf
 from bonusmalus.stationary import _stationary_batch
 from bonusmalus.transition import jump_tails
 from conftest import dat_model, degenerate_model, stationary_field, study_model, traced_peak
-from oracles import enumeration_matrix, power_iteration_stationary, stationary_distribution
+from oracles import (
+    enumeration_matrix,
+    hmse_double_integral,
+    power_iteration_stationary,
+    stationary_distribution,
+)
 from test_relativity import EQUAL_STEP_MODELS
 
 
@@ -317,8 +322,9 @@ class TestClassGroups:
 
 
 class TestRunFields:
-    """A rule with equal steps holds one row per run of equal theta1; spread over
-    the nodes, it is the field solved class by class over every node, bit for bit."""
+    """A rule with equal steps holds one row per run of equal theta1, a sized rule
+    one per run of equal (theta1, theta2); spread over the nodes, either is the
+    field solved class by class over every node, bit for bit."""
 
     @pytest.mark.parametrize(
         "rule", [FreqRule(9, 1), SeverityRule(9, 2, 2, 16800.0)], ids=["h1", "h2-2"]
@@ -341,6 +347,27 @@ class TestRunFields:
         assert field.shape == (model.portfolio.freq_rates.size, runs, rule.levels)
         expected = _field_class_by_class(model, rule, grid)
         assert np.array_equal(stationary_field(model, rule, grid), expected)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: study_model(1.0), lambda: study_model(-1.0), lambda: study_model(-0.8, log_var2=0.0)],
+        ids=["corr+1", "corr-1", "log-var2-0"],
+    )
+    def test_sized_rule_holds_one_row_per_run_of_equal_effects(self, make):
+        # theta2 is constant within each theta1 block of these grids, so a
+        # sized rule's chains read n distinct effect pairs, not n x n.
+        model, rule, nodes = make(), SeverityRule(9, 1, 2, 16800.0), 16
+        grid = build_grid(model.effects, nodes)
+        field = stationary._stationary_fields(model, [rule], grid)[0]
+        assert field.shape == (1, nodes, rule.levels)
+        cls = model.portfolio.classes[0]
+        exceed = severity_cdf(rule.threshold, cls.sev_rate * grid.theta2, model.severity, upper=True)
+        per_node = _stationary_batch(*jump_tails(rule, cls.freq_rate * grid.theta1, exceed))
+        assert np.array_equal(stationary_field(model, rule, grid)[0], per_node)
+        table = optimal_relativity_severity(model, rule, nodes)
+        raw, normalized = hmse_double_integral(model, table.relativities, rule, nodes)
+        assert table.hmse_raw == pytest.approx(raw, rel=1e-8, abs=0.0)
+        assert table.hmse_normalized == pytest.approx(normalized, rel=1e-8, abs=0.0)
 
     def test_equal_values_apart_are_runs_of_their_own(self):
         # theta1 = a a b a b b: four runs, of 2, 1, 1 and 2 nodes.
