@@ -172,8 +172,9 @@ def _fields_for(model: ModelSpec, rules: list, nodes: int):
 
     A chain whose moments are missing is solved in one field pass with the
     next missing chains of its shape, as many as one solve's ``_PROFILES``
-    profiles hold and no more than the cache keeps, so a pass holds no more
-    at once than one solve.  Each field goes with its pass, contracted into
+    profiles hold, a chain taking one per class and run (``_run_starts``),
+    and no more than the cache keeps, so a pass holds no more at once than
+    one solve.  Each field goes with its pass, contracted into
     ``"aggregate"`` moments, and ``"frequency"`` ones too for a frequency
     chain, which the equal-step severity rules of its step share.
     ``_tables`` asks for all its rules this way, and each moment field for
@@ -182,11 +183,12 @@ def _fields_for(model: ModelSpec, rules: list, nodes: int):
     _instance(model, ModelSpec, "model")
     nodes = _number(nodes, "nodes", whole=True)
     grid = _grid(model.effects, nodes)
-    per_pass = max(_PROFILES // (model.portfolio.freq_rates.size * grid.size), 1)
-    per_pass = min(per_pass, _MOMENTS.maxsize)
+    classes = model.portfolio.freq_rates.size
     for i, rule in enumerate(rules):
         chain = _chain(rule)
         if not _MOMENTS.holds((model, chain, nodes)):
+            runs = _run_starts(grid, chain.large_step > chain.small_step).size
+            per_pass = min(max(_PROFILES // (classes * runs), 1), _MOMENTS.maxsize)
             batch = [
                 later
                 for later in dict.fromkeys(map(_chain, rules[i:]))

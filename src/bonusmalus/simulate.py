@@ -20,6 +20,20 @@ alone draw a second uniform ``v``: one claim is large when
 ``v >= 1 - exceedance``, and only multi-claim claimants invert ``v`` into
 their binomial number of large claims.
 
+Coupling window: once a year's words are drawn, each path has one move, -1
+for a claim-free year or its jump capped at ``max_level``, and the year maps
+every level ``l`` to ``clip(l + move, 0, max_level)``, monotone in ``l``.
+So each chunk draws the last ``WINDOW`` (32) burn-in years for all its paths
+and steps two chains through them, from levels 0 and ``max_level``: Propp and
+Wilson's monotone coupling, cut at the fixed burn-in.  Where the two chains
+meet, every start level ends there, so the path's level after the burn-in is
+exact whatever its earlier years would draw, and they are never drawn.  Only
+the open paths, whose chains have not met (about one in ten under the
+10-level study rules), run the early years from ``start_level`` and then
+replay the window's moves.  An open path's early years are drawn
+independently of its window, as the forward loop's are, so the sampled law
+is the forward loop's at the same burn-in, start level and sample years.
+
 Accumulator: each sampled year adds up, per (risk class, level), the count
 and the effect powers ``t``..``t**4`` (``t = theta1 * theta2``), ``theta1``
 and ``theta1**2``.  A premium family weights its target's powers by each
@@ -28,13 +42,19 @@ aggregate family, ``freq_rate**2`` for the frequency family.
 
 Determinism: paths are processed in fixed-size chunks and every (chunk, year)
 pair owns its own counter-based random stream derived from the master seed,
-so results are bit-identical regardless of how chunks are scheduled.
+so results are bit-identical regardless of how chunks are scheduled.  The
+open paths' early years draw from streams of their own, keyed
+``(seed, chunk, year, 1)``, one word per open path (and one per claimant
+under a sized rule).  A run whose ``burn_in_years`` is at most ``WINDOW`` has
+no early years and draws what the forward loop draws, bit for bit; a longer
+burn-in samples the same law from other draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,9 +71,12 @@ from .model import (
 from .quadrature import severity_cdf
 
 CHUNK = 1 << 16
-# Claim means per ``severity_cdf`` call, so a chunk's exceedances hold one slice's temporaries.
-CDF_SLICE = 1 << 13
+# Claim means per ``severity_cdf`` call, so a chunk's exceedances hold one slice's temporaries
+# (1.9 MB at 4,096 means of the study's gamma law, beside 2.1 MB of window moves).
+CDF_SLICE = 1 << 12
 MIN_LEVEL_VISITS = 1000
+# Burn-in years, the last ones, that every path of a chunk draws.
+WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -112,9 +135,10 @@ class SimSummary:
         return np.sqrt(p * (1.0 - p) / self.counts.sum())
 
 
-def _stream(seed: int, chunk_index: int, year: int) -> np.random.Generator:
+def _stream(*key: int) -> np.random.Generator:
+    """The stream of ``(seed, chunk, year)``, or of an open path's ``(seed, chunk, year, 1)``."""
     # Philox keys itself with the sequence's first two 64-bit words.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index, year))))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 def _words(bits: np.random.BitGenerator, size: int) -> np.ndarray:
@@ -222,80 +246,169 @@ def _large_claims(v, n, exceed) -> np.ndarray:
     return np.where(exceed >= 1.0, n, k2)
 
 
+class _Paths(NamedTuple):
+    """A chunk's per-path draw constants, set once from its profiles.
+
+    ``k0`` and ``k1`` are the word bounds of a claimant and of a claimant
+    with two claims or more, ``p0`` the no-claim probability, and
+    ``exceed`` the single-claim exceedance of a sized rule (``None`` under
+    equal steps).  The claim mean is not held: the few multi-claim paths of
+    a year recompute theirs from ``cls_idx`` and ``theta1``.
+    """
+
+    cls_idx: np.ndarray
+    theta1: np.ndarray
+    p0: np.ndarray
+    k0: np.ndarray
+    k1: np.ndarray
+    exceed: np.ndarray | None
+
+    def take(self, index) -> "_Paths":
+        return _Paths(*(None if a is None else a[index] for a in self))
+
+
+def _draw_paths(cfg: SimConfig, chunk_index: int, size: int):
+    """A chunk's fresh profiles: their draw constants and their effect product ``t``."""
+    rule, model = cfg.rule, cfg.model
+    cls_idx, theta1, theta2 = _draw_profile(model, _stream(cfg.seed, chunk_index, 0), size)
+    exceed = None
+    if rule.large_step > rule.small_step:  # claim sizes move the level only then
+        exceed = np.empty(size)
+        for lo in range(0, size, CDF_SLICE):
+            part = slice(lo, lo + CDF_SLICE)
+            sev_mean = model.portfolio.sev_rates[cls_idx[part]] * theta2[part]
+            exceed[part] = severity_cdf(rule.threshold, sev_mean, model.severity, upper=True)
+    t = theta1 * theta2
+    del theta2
+    lam = model.portfolio.freq_rates[cls_idx] * theta1
+    p0 = np.exp(-lam)
+    # A claimant's word at or above ``k1`` has two claims or more, as the
+    # recurrence's first step would find; with ``cap`` 1 none counts two.
+    k0 = _words_at_least(p0)
+    k1 = np.broadcast_to(_words_at_least(p0 + p0 * lam if _cap(rule) > 1 else 1.0), (size,))
+    return _Paths(cls_idx, theta1, p0, k0, k1, exceed), t
+
+
+def _cap(rule: BmsRule) -> int:
+    """Claims that reach the top level whatever their sizes."""
+    return -(-rule.max_level // rule.small_step)
+
+
+def _move_type(rule: BmsRule) -> np.dtype:
+    """The least signed integer type that holds a move, -1 up to ``max_level``."""
+    return np.min_scalar_type(-rule.max_level - 1)
+
+
+def _year_moves(bits: np.random.BitGenerator, paths: _Paths, rule: BmsRule, freq_rates):
+    """Each path's move in one year: -1 if claim-free, else its jump capped at ``max_level``.
+
+    A year maps a level ``l`` to ``clip(l + move, 0, max_level)`` whatever
+    ``l`` is, so one year's moves step any number of chains.
+    """
+    z, small, large = rule.max_level, rule.small_step, rule.large_step
+    move_type = _move_type(rule)
+    words = _words(bits, paths.k0.size)
+    # ``.nonzero()[0]`` is ``np.flatnonzero`` without its Python wrappers,
+    # which cost about 2% of a run at tens of thousands of calls.
+    claimants = (words >= paths.k0).nonzero()[0]
+    moves = np.full(words.size, -1, dtype=move_type)
+    if not claimants.size:
+        return moves
+    words = words[claimants]
+    many = (words >= paths.k1[claimants]).nonzero()[0]
+    if large > small:
+        v = _words(bits, claimants.size) * 2.0**-53
+        # One claim is large when ``v`` reaches the binomial cdf ``1 - exceed``.
+        steps = move_type.type(min(large, z)), move_type.type(min(small, z))
+        moves[claimants] = np.where(v >= 1.0 - paths.exceed[claimants], *steps)
+    else:
+        moves[claimants] = min(small, z)
+    if many.size:
+        c2 = claimants[many]
+        lam = freq_rates[paths.cls_idx[c2]] * paths.theta1[c2]
+        n = _more_claims(words[many] * 2.0**-53, paths.p0[c2], lam, _cap(rule))
+        up = small * n
+        if large > small:
+            up += (large - small) * _large_claims(v[many], n, paths.exceed[c2])
+        moves[c2] = np.minimum(up, z)
+    return moves
+
+
+def _step(levels: np.ndarray, moves: np.ndarray, z: int) -> None:
+    """Move ``levels`` (one row or several) through one year's ``moves``, in place."""
+    levels += moves
+    np.clip(levels, 0, z, out=levels)
+
+
+def _burn_in(cfg: SimConfig, chunk_index: int, paths: _Paths, window: np.ndarray):
+    """A chunk's levels after the burn-in, and the open paths, which ran the early years.
+
+    ``window`` receives the moves of the last ``len(window)`` burn-in years,
+    one row per year, drawn from the ``(seed, chunk, year)`` streams.  Two
+    chains step through them from levels 0 and ``max_level``; a year's map
+    is monotone in the level, so where they meet every start level ends
+    there, and the path's level is exact whatever its earlier years drew.
+    Only the open paths, whose chains have not met, run the early years
+    ``1 .. burn_in_years - len(window)`` from ``start_level``, on streams of
+    their own, ``(seed, chunk, year, 1)``, one word per open path, and then
+    replay the window.  Without early years both chains start at
+    ``start_level``, so every draw is the forward loop's.
+    """
+    rule, z = cfg.rule, cfg.rule.max_level
+    freq_rates = cfg.model.portfolio.freq_rates
+    early = cfg.burn_in_years - len(window)
+    for row, year in enumerate(range(early + 1, cfg.burn_in_years + 1)):
+        bits = _stream(cfg.seed, chunk_index, year).bit_generator
+        window[row] = _year_moves(bits, paths, rule, freq_rates)
+    ends = (0, z) if early else (cfg.start_level, cfg.start_level)
+    # ``int16`` holds any level plus any move: both are at most ``MAX_LEVEL``.
+    chains = np.repeat(np.array(ends, dtype=np.int16)[:, None], paths.k0.size, axis=1)
+    for moves in window:
+        _step(chains, moves, z)
+    level = chains[0]
+    open_paths = (level != chains[1]).nonzero()[0]
+    if open_paths.size:
+        sub = paths.take(open_paths)
+        part = np.full(open_paths.size, cfg.start_level, dtype=np.int16)
+        for year in range(1, early + 1):
+            bits = _stream(cfg.seed, chunk_index, year, 1).bit_generator
+            _step(part, _year_moves(bits, sub, rule, freq_rates), z)
+        for moves in window[:, open_paths]:
+            _step(part, moves, z)
+        level[open_paths] = part
+    return level, open_paths
+
+
 def simulate_paths(cfg: SimConfig) -> SimSummary:
     """Evolve policyholder level chains and collect stationary statistics."""
     _instance(cfg, SimConfig, "config")
     rule = cfg.rule
-    z = rule.max_level
     levels = rule.levels
-    small, large = rule.small_step, rule.large_step
-    # That many claims reach the top level whatever their sizes.
-    cap = -(-z // small)
     model = cfg.model
     freq_rates = model.portfolio.freq_rates
     sev_rates = model.portfolio.sev_rates
     classes = len(freq_rates)
     sums = np.zeros((7, classes, levels))
-    total_years = cfg.burn_in_years + cfg.sample_years
+    # One buffer, allocated once, for every chunk's window moves.
+    window = np.empty(
+        (min(WINDOW, cfg.burn_in_years), min(CHUNK, cfg.n_paths)), dtype=_move_type(rule)
+    )
+    sampled = range(cfg.burn_in_years + 1, cfg.burn_in_years + cfg.sample_years + 1)
 
     done = 0
     chunk_index = 0
     while done < cfg.n_paths:
         size = min(CHUNK, cfg.n_paths - done)
-        init = _stream(cfg.seed, chunk_index, 0)
-        cls_idx, theta1, theta2 = _draw_profile(model, init, size)
-        lam = freq_rates[cls_idx] * theta1
-        if large > small:  # claim sizes move the level only then
-            sev_mean = sev_rates[cls_idx] * theta2
-            exceed = np.empty(size)
-            for lo in range(0, size, CDF_SLICE):
-                part = slice(lo, lo + CDF_SLICE)
-                exceed[part] = severity_cdf(
-                    rule.threshold, sev_mean[part], model.severity, upper=True
-                )
-            del sev_mean
-        p0 = np.exp(-lam)
-        # A claimant's word at or above ``k1`` has two claims or more, as the
-        # recurrence's first step would find; with ``cap`` 1 none counts two.
-        k0 = _words_at_least(p0)
-        k1 = np.broadcast_to(_words_at_least(p0 + p0 * lam if cap > 1 else 1.0), (size,))
-        del lam
-        level = np.full(size, cfg.start_level, dtype=np.int16)  # holds MAX_LEVEL
-        t = theta1 * theta2
-        del theta2
-        # ``.nonzero()[0]`` is ``np.flatnonzero`` without its Python wrappers,
-        # which cost about 2% of a run at tens of thousands of calls.
-        for year in range(1, total_years + 1):
+        paths, t = _draw_paths(cfg, chunk_index, size)
+        level, _ = _burn_in(cfg, chunk_index, paths, window[:, :size])
+        for year in sampled:
             bits = _stream(cfg.seed, chunk_index, year).bit_generator
-            words = _words(bits, size)
-            claimants = (words >= k0).nonzero()[0]
-            moved = level[claimants]
-            level -= 1
-            np.maximum(level, 0, out=level)
-            if claimants.size:
-                words = words[claimants]
-                many = (words >= k1[claimants]).nonzero()[0]
-                if large > small:
-                    v = _words(bits, claimants.size) * 2.0**-53
-                    # One claim is large when ``v`` reaches the binomial cdf ``1 - exceed``.
-                    up = np.where(v >= 1.0 - exceed[claimants], np.int16(large), np.int16(small))
-                else:
-                    up = np.full(claimants.size, small, dtype=np.int16)
-                if many.size:
-                    c2 = claimants[many]
-                    lam = freq_rates[cls_idx[c2]] * theta1[c2]
-                    n = _more_claims(words[many] * 2.0**-53, p0[c2], lam, cap)
-                    up_many = small * n
-                    if large > small:
-                        up_many += (large - small) * _large_claims(v[many], n, exceed[c2])
-                    up[many] = np.minimum(up_many, z)  # so ``moved + up`` fits int16
-                level[claimants] = np.minimum(moved + up, z)
-            if year > cfg.burn_in_years:
-                cell = cls_idx * levels + level
-                for row, values in enumerate(_powers(t, theta1)):
-                    sums[row] += np.bincount(
-                        cell, weights=values, minlength=classes * levels
-                    ).reshape(classes, levels)
+            _step(level, _year_moves(bits, paths, rule, freq_rates), rule.max_level)
+            cell = paths.cls_idx * levels + level
+            for row, values in enumerate(_powers(t, paths.theta1)):
+                sums[row] += np.bincount(
+                    cell, weights=values, minlength=classes * levels
+                ).reshape(classes, levels)
         done += size
         chunk_index += 1
 

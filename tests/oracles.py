@@ -8,7 +8,10 @@ any matrix, posterior means from adaptive quadrature of the prior times the
 likelihood, severity tails from direct density integration, and Poisson
 claim counts from the float pmf recurrence on uniforms.
 
-Four helpers wrap package internals instead, as test-only conveniences.
+Five helpers wrap package internals instead, as test-only conveniences.
+The forward simulator loop steps every path through every year from its
+start level, with no coupling window, on the
+simulator's own profiles, word streams and claim-count inversions.
 ``node_rows`` spreads the package's own field of a rule, one row per run of
 equal effects, back over every grid node.  The score
 double integral sums every (class, node, level) term of that field, one
@@ -31,7 +34,16 @@ from bonusmalus import NonFiniteIntegrandError, SingularSystemError
 from bonusmalus.bayes import _posterior
 from bonusmalus.model import FreqRule
 from bonusmalus.quadrature import build_grid
-from bonusmalus.simulate import _ratio_estimate
+from bonusmalus.simulate import (
+    CHUNK,
+    _draw_paths,
+    _large_claims,
+    _more_claims,
+    _powers,
+    _ratio_estimate,
+    _stream,
+    _words,
+)
 from bonusmalus.stationary import _stationary_fields
 
 COND_WARN = 1e12
@@ -152,12 +164,14 @@ def enumeration_matrix(rule, freq_mean: float, exceed: float, tail: float = 1e-1
     z = rule.max_level
     n_max = max(int(stats.poisson.isf(tail, freq_mean)) + 2, 3) if freq_mean > 0 else 2
     P = np.zeros((z + 1, z + 1))
-    for level in range(z + 1):
-        for n in range(n_max + 1):
-            pn = stats.poisson.pmf(n, freq_mean)
-            for k2 in range(n + 1):
-                k1 = n - k2
-                split = math.comb(n, k2) * exceed**k2 * (1.0 - exceed) ** k1
+    for n in range(n_max + 1):
+        pn = stats.poisson.pmf(n, freq_mean)
+        # An exceedance of 0 or 1 leaves one split of n claims; the others add 0.
+        splits = range(n + 1) if 0.0 < exceed < 1.0 else [n if exceed == 1.0 else 0]
+        for k2 in splits:
+            k1 = n - k2
+            split = math.comb(n, k2) * exceed**k2 * (1.0 - exceed) ** k1
+            for level in range(z + 1):
                 P[level, indicator_level_update(level, k1, k2, rule)] += pn * split
     return P
 
@@ -343,3 +357,63 @@ def hmse_double_integral(
         raw += cls.weight * rate**2 * float(grid.weights @ np.sum(gaps * field[ci], axis=1))
         norm += cls.weight * rate**2
     return raw, raw / norm
+
+
+def forward_levels(cfg, chunk_index: int, size: int):
+    """One simulator chunk stepped forward: its paths and its levels in every year.
+
+    ``levels[year]`` holds each path's level after ``year`` years, row 0 the
+    start level.  Every year draws one word per path from the
+    ``(seed, chunk, year)`` stream and, under a sized rule, one more word per
+    claimant, and moves every path one level down or up by its claims,
+    capped at the top level: the simulator's year loop before its coupling
+    window.
+    """
+    rule = cfg.rule
+    z, small, large = rule.max_level, rule.small_step, rule.large_step
+    cap = -(-z // small)
+    freq_rates = cfg.model.portfolio.freq_rates
+    paths, t = _draw_paths(cfg, chunk_index, size)
+    years = cfg.burn_in_years + cfg.sample_years
+    levels = np.empty((years + 1, size), dtype=np.int16)
+    level = levels[0]
+    level[:] = cfg.start_level
+    for year in range(1, years + 1):
+        bits = _stream(cfg.seed, chunk_index, year).bit_generator
+        words = _words(bits, size)
+        claimants = np.flatnonzero(words >= paths.k0)
+        moved = level[claimants]
+        level = np.maximum(level - 1, 0)
+        if claimants.size:
+            words = words[claimants]
+            many = np.flatnonzero(words >= paths.k1[claimants])
+            if large > small:
+                v = _words(bits, claimants.size) * 2.0**-53
+                up = np.where(v >= 1.0 - paths.exceed[claimants], large, small)
+            else:
+                up = np.full(claimants.size, small)
+            if many.size:
+                c2 = claimants[many]
+                lam = freq_rates[paths.cls_idx[c2]] * paths.theta1[c2]
+                n = _more_claims(words[many] * 2.0**-53, paths.p0[c2], lam, cap)
+                up[many] = small * n
+                if large > small:
+                    up[many] += (large - small) * _large_claims(v[many], n, paths.exceed[c2])
+            level[claimants] = np.minimum(moved + up, z)
+        levels[year] = level
+    return paths, t, levels
+
+
+def forward_sums(cfg) -> np.ndarray:
+    """``SimSummary.sums`` of ``cfg`` by the forward loop, summed in the simulator's order."""
+    classes, levels = cfg.model.portfolio.freq_rates.size, cfg.rule.levels
+    sums = np.zeros((7, classes, levels))
+    for chunk_index, done in enumerate(range(0, cfg.n_paths, CHUNK)):
+        paths, t, path_levels = forward_levels(cfg, chunk_index, min(CHUNK, cfg.n_paths - done))
+        for level in path_levels[cfg.burn_in_years + 1 :]:
+            cell = paths.cls_idx * levels + level
+            for row, values in enumerate(_powers(t, paths.theta1)):
+                sums[row] += np.bincount(
+                    cell, weights=values, minlength=classes * levels
+                ).reshape(classes, levels)
+    return sums

@@ -30,11 +30,28 @@ from bonusmalus import (
     optimal_relativity_frequency,
     simulate_paths,
 )
-from bonusmalus.quadrature import severity_cdf
-from bonusmalus.simulate import _large_claims, _more_claims, _stream, _words, _words_at_least
+from bonusmalus.quadrature import marginal_grid, severity_cdf
+from bonusmalus.simulate import (
+    CHUNK,
+    WINDOW,
+    _burn_in,
+    _draw_paths,
+    _large_claims,
+    _more_claims,
+    _move_type,
+    _stream,
+    _words,
+    _words_at_least,
+)
 from bonusmalus.verify import check_rule
 from conftest import GAMMA_SHAPE, SEV_RATE, degenerate_model, study_model, traced_peak
-from oracles import empirical_frequency_relativity, enumeration_matrix, poisson_claim_counts
+from oracles import (
+    empirical_frequency_relativity,
+    enumeration_matrix,
+    forward_levels,
+    forward_sums,
+    poisson_claim_counts,
+)
 
 EPS = np.finfo(float).eps
 # One past the largest 53-bit word: ``Generator.random`` draws ``word * 2**-53 < 1``.
@@ -69,12 +86,39 @@ class TestSimulatePaths:
         cfg = SimConfig(base_model, rule, 70_000, seed=3, burn_in_years=30)
         assert hashlib.sha256(simulate_paths(cfg).sums.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "rule,digest",
+        [
+            (FreqRule(9, 1), "55ca7f94cc72079a3d43fce56040c3d54f6661abe0ea5507e2ae4ed8221c49c9"),
+            (
+                SeverityRule(9, 1, 2, 16800.0),
+                "92a728367d559a35ef2dd11a7940bfc529dffa7ae84b37f88359ef1dc6a74539",
+            ),
+        ],
+        ids=["frequency", "severity"],
+    )
+    def test_sums_are_pinned_at_the_default_burn_in(self, base_model, rule, digest):
+        # 120 years: the open paths' early years are drawn from their own streams.
+        cfg = SimConfig(base_model, rule, 70_000, seed=3)
+        assert hashlib.sha256(simulate_paths(cfg).sums.tobytes()).hexdigest() == digest
+
     def test_peak_memory_of_one_sized_chunk_stays_under_8_mb(self, base_model):
         # One 65,536-path chunk of a sized rule: 8.9 MB traced at the peak
         # with the chunk's exceedances in one ``severity_cdf`` call, 7.0 MB
-        # with them in slices of ``CDF_SLICE`` means.
+        # in slices of 8,192 means, 6.6 MB in slices of 4,096 beside the
+        # window buffer.
         rule = SeverityRule(9, 1, 2, 16800.0)
         cfg = SimConfig(base_model, rule, 1 << 16, seed=7, burn_in_years=10)
+        simulate_paths(cfg)  # warm the caches
+        _, peak, _ = traced_peak(lambda: simulate_paths(cfg))
+        assert peak < 8e6, peak
+
+    def test_peak_memory_of_one_sized_chunk_at_the_default_burn_in_stays_under_8_mb(
+        self, base_model
+    ):
+        # The same chunk over 121 years, with its 32 window years of moves held.
+        rule = SeverityRule(9, 1, 2, 16800.0)
+        cfg = SimConfig(base_model, rule, 1 << 16, seed=7)
         simulate_paths(cfg)  # warm the caches
         _, peak, _ = traced_peak(lambda: simulate_paths(cfg))
         assert peak < 8e6, peak
@@ -160,6 +204,104 @@ class TestSimulatePaths:
         with np.errstate(over="raise", invalid="raise"):
             summary = simulate_paths(SimConfig(model, rule, 5_000, seed=4, burn_in_years=0))
         assert summary.counts[-1] == summary.n_observations
+
+
+RULES = [FreqRule(9, 1), SeverityRule(9, 1, 2, 16800.0)]
+
+
+class TestCouplingWindow:
+    """Only the paths whose window chains have not met run the early burn-in years."""
+
+    @pytest.mark.parametrize("rule", RULES, ids=["frequency", "severity"])
+    def test_met_paths_hold_the_forward_level(self, base_model, rule):
+        size = 20_000
+        cfg = SimConfig(base_model, rule, size, seed=11)
+        paths, _ = _draw_paths(cfg, 0, size)
+        window = np.empty((WINDOW, size), dtype=_move_type(rule))
+        level, open_paths = _burn_in(cfg, 0, paths, window)
+        _, _, forward = forward_levels(cfg, 0, size)
+        met = np.ones(size, dtype=bool)
+        met[open_paths] = False
+        assert np.array_equal(level[met], forward[cfg.burn_in_years][met])
+        # About one path in ten is open on these ten-level rules.
+        assert 0.05 < open_paths.size / size < 0.2, open_paths.size
+
+    @pytest.mark.parametrize("rule", RULES, ids=["frequency", "severity"])
+    @pytest.mark.parametrize("burn_in", [WINDOW - 1, WINDOW, WINDOW + 1])
+    def test_a_burn_in_the_window_holds_is_the_forward_loop(self, base_model, rule, burn_in):
+        # Two chunks, the second partial, three sampled years.  One year past
+        # the window, the open paths draw year 1 from streams of their own.
+        cfg = SimConfig(base_model, rule, 70_000, seed=3, burn_in_years=burn_in, sample_years=3)
+        same = np.array_equal(simulate_paths(cfg).sums, forward_sums(cfg))
+        assert same == (burn_in <= WINDOW)
+
+    def test_open_paths_draw_one_word_each_from_streams_of_their_own(
+        self, base_model, monkeypatch
+    ):
+        streams = []
+
+        def recorded(*key):
+            streams.append((key, _stream(*key)))
+            return streams[-1][1]
+
+        monkeypatch.setattr(bonusmalus.simulate, "_stream", recorded)
+        size, burn_in = 5_000, WINDOW + 8
+        cfg = SimConfig(base_model, FreqRule(9, 1), size, seed=5, burn_in_years=burn_in)
+        paths, _ = _draw_paths(cfg, 2, size)
+        _, open_paths = _burn_in(cfg, 2, paths, np.empty((WINDOW, size), dtype=np.int8))
+        assert open_paths.size
+        window_years = [(5, 2, year) for year in range(9, burn_in + 1)]
+        early_years = [(5, 2, year, 1) for year in range(1, 9)]
+        assert [key for key, _ in streams] == [(5, 2, 0)] + window_years + early_years
+        for key, stream in streams[-8:]:
+            fresh = _stream(*key)
+            _words(fresh.bit_generator, open_paths.size)
+            after = stream.bit_generator.random_raw(5)
+            assert np.array_equal(after, fresh.bit_generator.random_raw(5))
+
+    @pytest.mark.parametrize(
+        "rule",
+        [FreqRule(128, 1), FreqRule(200, 1), SeverityRule(200, 1, 150, 16800.0), FreqRule(9, 200)],
+        ids=["128", "200", "sized-200", "step-past-the-top"],
+    )
+    def test_a_top_jump_reaches_the_top(self, rule):
+        # Past the window too, every year jumps every path to the top.  A jump
+        # of 128 needs int16 moves: ``min_scalar_type(-128)`` is int8.
+        model = degenerate_model(freq_rate=1e20)
+        summary = simulate_paths(SimConfig(model, rule, 2_000, seed=4, burn_in_years=40))
+        assert summary.counts[-1] == summary.n_observations
+
+    def test_a_200_level_rule_runs(self, base_model):
+        summary = simulate_paths(SimConfig(base_model, FreqRule(200, 1), 5_000, seed=4))
+        assert summary.counts.sum() == summary.n_observations
+        assert summary.counts[128:].sum() > 0  # levels only int16 moves reach
+
+    def test_a_mostly_open_run_keeps_the_exact_law(self, base_model):
+        # At 26 levels most chains have not met after the window, so most
+        # paths run their early years on their own streams.  The level after
+        # 61 years from the bottom has the quadrature-averaged exact row
+        # ``e_0 P**61``; a 192-node rule in theta1 is within 0.01 sigma of a
+        # 256-node one here, and the nodes it drops weigh 1.1e-16 in all.
+        rule, n_paths = FreqRule(25, 1), 200_000
+        cfg = SimConfig(base_model, rule, n_paths, seed=23, burn_in_years=60)
+        _, open_paths = _burn_in(
+            cfg, 0, _draw_paths(cfg, 0, CHUNK)[0], np.empty((WINDOW, CHUNK), dtype=np.int8)
+        )
+        assert open_paths.size > CHUNK // 2
+        counts = simulate_paths(cfg).counts
+        theta1, weights = marginal_grid(base_model.effects, 1, 192)
+        keep = weights >= 1e-16
+        assert weights[~keep].sum() < 1e-15
+        freq_rate = float(base_model.portfolio.freq_rates[0])
+        row = sum(
+            w * np.linalg.matrix_power(enumeration_matrix(rule, freq_rate * t, 0.0), 61)[0]
+            for t, w in zip(theta1[keep], weights[keep])
+        )
+        row = np.clip(row, 0.0, 1.0)
+        lower = stats.binom.cdf(counts, n_paths, row)
+        upper = stats.binom.sf(counts - 1, n_paths, row)
+        tails = np.minimum(2.0 * np.minimum(lower, upper), 1.0)
+        assert float(np.min(tails)) >= FOUR_SIGMA_TAIL, tails
 
 
 def _words_around(bounds) -> np.ndarray:

@@ -505,6 +505,33 @@ class TestThresholdGroups:
         threshold_scan(model, SeverityRule(9, 1, 2, 1.0), thresholds + (123456.0,), 32)
         assert sizes == [1]  # only the rule not yet cached is solved
 
+    def test_a_pass_is_sized_by_the_chains_runs(self, monkeypatch, fresh_cache):
+        # At a correlation of 1 a sized chain has one run per theta1 node, 32
+        # at 32 nodes, so 32 thresholds fit one solve; sized by the grid's
+        # 1,024 nodes they took 8 passes of 4.
+        model, template = study_model(1.0), SeverityRule(9, 1, 2, 1.0)
+        thresholds = np.geomspace(3000.0, 90000.0, 32).tolist()
+        expected = []
+        for phi in thresholds:
+            relativity._MOMENTS.clear()
+            expected.append(optimal_relativity_severity(model, template.with_threshold(phi), 32))
+        relativity._MOMENTS.clear()
+        calls = []
+
+        def counted(model, rules, grid):
+            calls.append(len(rules))
+            return stationary._stationary_fields(model, rules, grid)
+
+        monkeypatch.setattr(relativity, "_stationary_fields", counted)
+        scan = threshold_scan(model, template, thresholds, 32)
+        assert calls == [32]
+        tables = {table.rule.threshold: table for table in scan}
+        for want in expected:
+            got = tables[want.rule.threshold]
+            assert (got.hmse_raw, got.hmse_normalized) == (want.hmse_raw, want.hmse_normalized)
+            np.testing.assert_array_equal(got.relativities, want.relativities)
+            np.testing.assert_array_equal(got.stationary, want.stationary)
+
     def test_scan_leaves_read_only_cache_hits_for_single_rules(self, monkeypatch, fresh_cache):
         model, template = study_model(-0.8), SeverityRule(9, 1, 2, 1.0)
         tables = threshold_scan(model, template, SCAN_THRESHOLDS, 32)
