@@ -48,6 +48,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
+# The ``simulation`` keys ``simulate`` and ``verify`` read; any other one is refused.
+SIMULATION_KEYS = ("paths", "seed", "burn_in_years")
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +401,6 @@ def cmd_simulate(cfg: dict, args) -> int:
             _sim_int(cfg, "paths", 100_000),
             _sim_int(cfg, "seed", 0),
             burn_in_years=_sim_int(cfg, "burn_in_years", 120),
-            start_level=_sim_int(cfg, "start_level", 0),
         )
     )
     precision = cfg["precision"]
@@ -522,7 +523,9 @@ def _check_settings(cfg: dict) -> None:
         cfg[key] = _number(cfg[key], key, whole=True)
     for key in ("rules", "thresholds", "quantiles"):
         _shaped(cfg.get(key, []), key, list)
-    _shaped(cfg.get("simulation", {}), "simulation")
+    for key in _shaped(cfg.get("simulation", {}), "simulation"):
+        if key not in SIMULATION_KEYS:
+            raise ModelValidationError(f"'simulation' takes only {SIMULATION_KEYS}, got {key!r}")
     if not all(isinstance(entry, dict) for entry in cfg.get("rules", [])):
         raise ModelValidationError("every entry of 'rules' must be a JSON object")
 

@@ -200,7 +200,8 @@ def severity_marginal_quantile(
     classes (portfolio weights) and over the severity effect marginal.  The
     root is found by Brent's method on ``[0, hi]`` with absolute tolerance
     1e-12 and relative tolerance 1e-10.  A level the claim-size mass at zero
-    already reaches has no positive quantile and raises ``ModelValidationError``.
+    already reaches, or one above the grid's total mass, has no positive
+    quantile and raises ``ModelValidationError``.
     """
     _instance(model, ModelSpec, "model")
     p = _number(p, "p")
@@ -222,15 +223,15 @@ def severity_marginal_quantile(
         raise ModelValidationError(
             f"quantile level {p} is unattainable: the claim-size mass at zero is {at_zero:.6g}"
         )
+    total = float(np.sum(joint_w))  # ``cdf(math.inf)``, bit for bit: every claim size is finite
+    if total < p:
+        raise ModelValidationError(
+            f"quantile level {p} is unattainable: the grid's total claim-size mass is {total!r}"
+        )
     hi = float(np.max(means)) or 1.0
-    lo = 0.0
-    for _ in range(200):
-        if cdf(hi) >= p:
-            break
+    while cdf(hi) < p:  # the cdf reaches the total mass long before ``hi`` overflows
         hi *= 2.0
-    else:
-        raise BracketingFailureError(f"could not bracket the {p} quantile")
-    return _brentq(lambda x: cdf(x) - p, lo, hi)
+    return _brentq(lambda x: cdf(x) - p, 0.0, hi)
 
 
 def _brentq(f, xa: float, xb: float, xtol=1e-12, rtol=1e-10, maxiter=200) -> float:

@@ -29,10 +29,10 @@ Wilson's monotone coupling, cut at the fixed burn-in.  Where the two chains
 meet, every start level ends there, so the path's level after the burn-in is
 exact whatever its earlier years would draw, and they are never drawn.  Only
 the open paths, whose chains have not met (about one in ten under the
-10-level study rules), run the early years from ``start_level`` and then
-replay the window's moves.  An open path's early years are drawn
-independently of its window, as the forward loop's are, so the sampled law
-is the forward loop's at the same burn-in, start level and sample years.
+10-level study rules), run the early years from level 0 and then replay the
+window's moves.  An open path's early years are drawn independently of its
+window, as the forward loop's are, so the sampled law is the forward loop's
+from level 0 at the same burn-in and sample years.
 
 Accumulator: each sampled year adds up, per (risk class, level), the count
 and the effect powers ``t``..``t**4`` (``t = theta1 * theta2``), ``theta1``
@@ -83,10 +83,10 @@ WINDOW = 32
 class SimConfig:
     """Simulation settings for stationary-state estimation.
 
-    ``burn_in_years`` should stay at 100 or more for stationary estimates;
-    oracle comparisons need ``n_paths`` of 1e5 or more.  Each path
-    contributes its level in the final ``sample_years`` years (keep at 1 for
-    strictly independent observations).
+    Every path starts at level 0.  ``burn_in_years`` should stay at 100 or
+    more for stationary estimates; oracle comparisons need ``n_paths`` of 1e5
+    or more.  Each path contributes its level in the final ``sample_years``
+    years (keep at 1 for strictly independent observations).
     """
 
     model: ModelSpec
@@ -95,21 +95,18 @@ class SimConfig:
     seed: int
     burn_in_years: int = 120
     sample_years: int = 1
-    start_level: int = 0
 
     def __post_init__(self) -> None:
         _instance(self.model, ModelSpec, "model")
         _instance(self.rule, BmsRule, "rule")
-        floors = {"n_paths": 1, "seed": 0, "burn_in_years": 0, "sample_years": 1, "start_level": 0}
+        floors = {"n_paths": 1, "seed": 0, "burn_in_years": 0, "sample_years": 1}
         for name, floor in floors.items():
             object.__setattr__(self, name, _at_least(getattr(self, name), name, floor))
-        if self.start_level > self.rule.max_level:
-            raise ModelValidationError("start level outside the level range")
 
 
 @dataclass(frozen=True)
 class SimSummary:
-    """Per-level occupancy counts and per-(class, level) effect power sums.
+    """Per-(class, level) effect power sums, and the per-level counts they hold.
 
     ``sums[row, class, level]`` holds the rows count, t, t**2, t**3, t**4,
     theta1 and theta1**2; with the class rates they are sufficient for the
@@ -117,13 +114,17 @@ class SimSummary:
     any relativity vector, and all their standard errors.
     """
 
-    levels: int
-    n_observations: int
-    seed: int
-    counts: np.ndarray
     sums: np.ndarray  # (7, classes, levels)
     freq_rates: np.ndarray
     sev_rates: np.ndarray
+
+    @property
+    def levels(self) -> int:
+        return self.sums.shape[2]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.sums[0].sum(axis=0).astype(np.int64)  # whole numbers, summed exactly
 
     @property
     def level_distribution(self) -> np.ndarray:
@@ -349,10 +350,9 @@ def _burn_in(cfg: SimConfig, chunk_index: int, paths: _Paths, window: np.ndarray
     is monotone in the level, so where they meet every start level ends
     there, and the path's level is exact whatever its earlier years drew.
     Only the open paths, whose chains have not met, run the early years
-    ``1 .. burn_in_years - len(window)`` from ``start_level``, on streams of
-    their own, ``(seed, chunk, year, 1)``, one word per open path, and then
-    replay the window.  Without early years both chains start at
-    ``start_level``, so every draw is the forward loop's.
+    ``1 .. burn_in_years - len(window)`` from level 0, on streams of their
+    own, ``(seed, chunk, year, 1)``, one word per open path, and then replay
+    the window; without early years that is the forward loop, draw for draw.
     """
     rule, z = cfg.rule, cfg.rule.max_level
     freq_rates = cfg.model.portfolio.freq_rates
@@ -360,16 +360,15 @@ def _burn_in(cfg: SimConfig, chunk_index: int, paths: _Paths, window: np.ndarray
     for row, year in enumerate(range(early + 1, cfg.burn_in_years + 1)):
         bits = _stream(cfg.seed, chunk_index, year).bit_generator
         window[row] = _year_moves(bits, paths, rule, freq_rates)
-    ends = (0, z) if early else (cfg.start_level, cfg.start_level)
     # ``int16`` holds any level plus any move: both are at most ``MAX_LEVEL``.
-    chains = np.repeat(np.array(ends, dtype=np.int16)[:, None], paths.k0.size, axis=1)
+    chains = np.repeat(np.array([0, z], dtype=np.int16)[:, None], paths.k0.size, axis=1)
     for moves in window:
         _step(chains, moves, z)
     level = chains[0]
     open_paths = (level != chains[1]).nonzero()[0]
     if open_paths.size:
         sub = paths.take(open_paths)
-        part = np.full(open_paths.size, cfg.start_level, dtype=np.int16)
+        part = np.zeros(open_paths.size, dtype=np.int16)
         for year in range(1, early + 1):
             bits = _stream(cfg.seed, chunk_index, year, 1).bit_generator
             _step(part, _year_moves(bits, sub, rule, freq_rates), z)
@@ -412,10 +411,7 @@ def simulate_paths(cfg: SimConfig) -> SimSummary:
         done += size
         chunk_index += 1
 
-    counts = sums[0].sum(axis=0).astype(np.int64)  # whole numbers, summed exactly
-    return SimSummary(
-        levels, cfg.n_paths * cfg.sample_years, cfg.seed, counts, sums, freq_rates, sev_rates
-    )
+    return SimSummary(sums, freq_rates, sev_rates)
 
 
 def _require_occupancy(summary: SimSummary) -> None:
@@ -476,7 +472,7 @@ def hmse_empirical(summary: SimSummary, relativities) -> tuple[float, float]:
         raise ModelValidationError(f"{r.size} relativities for a run of {summary.levels} levels")
     factor = summary.freq_rates * summary.sev_rates
     first, second, exp = _family_sums(summary, _AGGREGATE_ROWS, factor)
-    n_obs = summary.n_observations
+    n_obs = summary.counts.sum()
     total = np.sum(first[2] - 2.0 * r * first[1] + r**2 * first[0])
     fourth = np.sum(
         second[4]

@@ -34,13 +34,16 @@ class OracleCheck:
     """Agreement result for one rule configuration."""
 
     label: str
-    passed: bool
     failures: tuple[str, ...]
     level_gap_sigmas: float
     relativity_gap_sigmas: float
     hmse_gap_sigmas: float
     analytic: RelativityTable
     summary: SimSummary
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def check_rule(
@@ -80,7 +83,7 @@ def check_rule(
 
     emp_levels = summary.level_distribution
     # A level no path visits has an empirical error of 0: take its analytic mass's binomial one.
-    unseen_se = np.sqrt(analytic_levels * (1.0 - analytic_levels) / summary.n_observations)
+    unseen_se = np.sqrt(analytic_levels * (1.0 - analytic_levels) / summary.counts.sum())
     level_se = np.maximum(np.where(summary.counts > 0, summary.level_se, unseen_se), 1e-15)
     level_sigmas = np.abs(emp_levels - analytic_levels) / level_se
     if not np.max(level_sigmas) <= SIGMAS:  # a NaN gap fails too
@@ -117,7 +120,6 @@ def check_rule(
 
     return OracleCheck(
         _rule_label(rule),
-        not failures,
         tuple(failures),
         float(np.max(level_sigmas)),
         rel_sigmas,

@@ -9,9 +9,9 @@ likelihood, severity tails from direct density integration, and Poisson
 claim counts from the float pmf recurrence on uniforms.
 
 Five helpers wrap package internals instead, as test-only conveniences.
-The forward simulator loop steps every path through every year from its
-start level, with no coupling window, on the
-simulator's own profiles, word streams and claim-count inversions.
+The forward simulator loop steps every path through every year from level
+0, with no coupling window, on the simulator's own profiles, word streams
+and claim-count inversions.
 ``node_rows`` spreads the package's own field of a rule, one row per run of
 equal effects, back over every grid node.  The score
 double integral sums every (class, node, level) term of that field, one
@@ -362,8 +362,8 @@ def hmse_double_integral(
 def forward_levels(cfg, chunk_index: int, size: int):
     """One simulator chunk stepped forward: its paths and its levels in every year.
 
-    ``levels[year]`` holds each path's level after ``year`` years, row 0 the
-    start level.  Every year draws one word per path from the
+    ``levels[year]`` holds each path's level after ``year`` years, row 0
+    the start, level 0.  Every year draws one word per path from the
     ``(seed, chunk, year)`` stream and, under a sized rule, one more word per
     claimant, and moves every path one level down or up by its claims,
     capped at the top level: the simulator's year loop before its coupling
@@ -377,7 +377,7 @@ def forward_levels(cfg, chunk_index: int, size: int):
     years = cfg.burn_in_years + cfg.sample_years
     levels = np.empty((years + 1, size), dtype=np.int16)
     level = levels[0]
-    level[:] = cfg.start_level
+    level[:] = 0
     for year in range(1, years + 1):
         bits = _stream(cfg.seed, chunk_index, year).bit_generator
         words = _words(bits, size)

@@ -326,7 +326,6 @@ _VALID = {
     "paths": st.integers(1, 3000),
     "seed": st.integers(0, 2**63),
     "burn_in_years": st.integers(0, 150),
-    "start_level": st.integers(0, 9),
 }
 
 
@@ -353,7 +352,7 @@ def _relativities_configs(draw):
     slots += [(sev_rule, key) for key in ("max_level", "small_step", "large_step", "threshold")]
     slots.append((payload["thresholds"], 0))
     sim = payload["simulation"]
-    slots += [(sim, key) for key in ("paths", "seed", "burn_in_years", "start_level")]
+    slots += [(sim, key) for key in ("paths", "seed", "burn_in_years")]
     indexes = st.lists(st.integers(0, len(slots) - 1), min_size=1, max_size=3, unique=True)
     for index in draw(indexes):
         section, key = slots[index]
@@ -416,7 +415,7 @@ def _verify_configs(draw):
 
 
 def _record_checks(model, rule, n_paths, seed, nodes, burn_in_years):
-    return OracleCheck("stub", True, (), 0.0, 0.0, 0.0, None, None)
+    return OracleCheck("stub", (), 0.0, 0.0, 0.0, None, None)
 
 
 class TestVerifyFuzz:
@@ -500,7 +499,7 @@ class TestVerifyVerb:
 
     def test_failing_battery_exits_4(self, tmp_path, monkeypatch, capsys):
         def fake_check(model, rule, *args, **kwargs):
-            return OracleCheck("stub", False, ("forced",), 9.0, 9.0, 9.0, None, None)
+            return OracleCheck("stub", ("forced",), 9.0, 9.0, 9.0, None, None)
 
         monkeypatch.setattr(cli, "check_rule", fake_check)
         config = write_config(tmp_path, SMALL_MODEL)
@@ -511,8 +510,8 @@ class TestVerifyVerb:
         # perfbench parses these lines; the failures sit indented under their rule.
         checks = iter(
             [
-                OracleCheck("-1/+1", True, (), 0.5, 1.25, 2.0, None, None),
-                OracleCheck("-1/+1/+2 at 16800", False, ("a", "b"), 3.5, 0.0, 10.0, None, None),
+                OracleCheck("-1/+1", (), 0.5, 1.25, 2.0, None, None),
+                OracleCheck("-1/+1/+2 at 16800", ("a", "b"), 3.5, 0.0, 10.0, None, None),
             ]
         )
         monkeypatch.setattr(cli, "check_rule", lambda *args, **kwargs: next(checks))
@@ -532,7 +531,7 @@ class TestVerifyVerb:
 
         def recorder(model, rule, n_paths, seed, nodes, burn_in_years):
             calls.append((rule, n_paths, seed, nodes, burn_in_years))
-            return OracleCheck("stub", True, (), 0.0, 0.0, 0.0, None, None)
+            return OracleCheck("stub", (), 0.0, 0.0, 0.0, None, None)
 
         monkeypatch.setattr(cli, "check_rule", recorder)
         payload = json.loads(json.dumps(SMALL_MODEL))
@@ -749,7 +748,6 @@ class TestConfigHandling:
                 lambda p: p.update(simulation={"burn_in_years": 100.5}),
                 "'burn_in_years'",
             ),
-            ("simulate", lambda p: p.update(simulation={"start_level": 0.5}), "'start_level'"),
             ("verify", lambda p: p.update(simulation={"paths": 120_000.5}), "'paths'"),
         ],
         ids=[
@@ -760,7 +758,6 @@ class TestConfigHandling:
             "simulation_paths",
             "simulation_seed",
             "simulation_burn_in",
-            "simulation_start_level",
             "verify_paths",
         ],
     )
@@ -773,6 +770,37 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "configuration error" in err and f"{named} must be an integer" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "simulation, named",
+        [
+            ({"start_level": 0}, "'start_level'"),
+            ({"paths": 100_000, "burn_in_year": 5}, "'burn_in_year'"),
+        ],
+        ids=["start_level", "misspelt"],
+    )
+    def test_unknown_simulation_key_exits_2(self, tmp_path, capsys, verb, simulation, named):
+        # A misspelt "burn_in_year" once ran the default 120 burn-in years and exited 0.
+        payload = json.loads(json.dumps(SMALL_MODEL))
+        payload["simulation"] = simulation
+        config = write_config(tmp_path, payload)
+        with (
+            mock.patch.object(cli, "simulate_paths") as simulate,
+            mock.patch.object(cli, "check_rule") as check,
+        ):
+            assert run([verb, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert not simulate.called and not check.called
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: 'simulation' takes only ") and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_docs_list_the_simulation_keys(self):
+        # The config schema's "simulation" block names exactly the keys the CLI reads.
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "config_schema.md").read_text()
+        block = doc.split('"simulation": {', 1)[1].split("}", 1)[0]
+        keys = [line.split('"')[1] for line in block.splitlines() if line.strip()]
+        assert tuple(keys) == cli.SIMULATION_KEYS
 
     def test_node_count_beyond_numpy_rule_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -864,6 +892,19 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "configuration error: quantile level 0.3 is unattainable" in err
         assert "mass at zero" in err
+
+    def test_quantile_above_the_grid_mass_exits_2(self, tmp_path, capsys):
+        # 22 Hermite weights sum to 1 - 3 * 2**-53: the bracket once doubled 200 times, then exit 3.
+        overlay = {"quantiles": [0.9999999999999999], "thresholds": [], "quadrature_nodes": 22}
+        config = write_config(tmp_path, overlay)
+        argv = ["relativities", "--preset", "ex2a", "--config", config]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "configuration error: quantile level 0.9999999999999999 is unattainable: "
+            "the grid's total claim-size mass is 0.9999999999999997\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "verb,preset,edit,named",

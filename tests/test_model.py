@@ -244,13 +244,12 @@ class TestSimConfigValues:
             {"n_paths": 2000.5},
             {"seed": 1.5},
             {"burn_in_years": 3.5},
-            {"start_level": True},
             {"sample_years": 1.5},
             {"n_paths": True},
             {"seed": -1},
             {"seed": "1"},
         ],
-        ids=["fractional_paths", "fractional_seed", "fractional_burn_in", "boolean_start",
+        ids=["fractional_paths", "fractional_seed", "fractional_burn_in",
              "fractional_sample_years", "boolean_paths", "negative_seed", "string_seed"],
     )
     def test_integer_values_checked(self, values):
@@ -362,7 +361,7 @@ NUMBER_SLOTS = {
     ),
     **{
         f"SimConfig.{name}": (_sim(name), f"'{name}'", NOT_WHOLE)
-        for name in ("n_paths", "seed", "burn_in_years", "sample_years", "start_level")
+        for name in ("n_paths", "seed", "burn_in_years", "sample_years")
     },
     "MixtureBayesModel.freq_rate": (
         lambda v: MixtureBayesModel(v, 3.0, MIXTURE), "'freq_rate'", NOT_FINITE
@@ -440,7 +439,7 @@ class TestOneInputGate:
         assert [type(v) for v in (risk.weight, risk.freq_rate, risk.sev_rate)] == [float] * 3
         rule = SeverityRule(np.int64(9), 1.0, np.uint8(2), 16800)
         assert [type(v) for v in dataclasses.astuple(rule)] == [int, int, int, float]
-        sim = SimConfig(degenerate_model(), rule, 2_000.0, np.int32(1), start_level=0.0)
+        sim = SimConfig(degenerate_model(), rule, 2_000.0, np.int32(1), sample_years=1.0)
         assert {type(v) for v in dataclasses.astuple(sim)[2:]} == {int}
         bayes = MixtureBayesModel(1, 3, MixtureExponentialEffects(1, 1, 5))
         assert {type(v) for v in (bayes.freq_rate, bayes.sev_rate, *bayes.components()[0])} == {

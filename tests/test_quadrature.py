@@ -237,6 +237,21 @@ class TestSeverityMarginalQuantile:
             severity_marginal_quantile(0.3, model)
         assert severity_marginal_quantile(0.9, model) >= 1.0
 
+    @pytest.mark.parametrize("nodes", [22, 28])
+    def test_level_above_the_grid_mass_names_it(self, nodes):
+        # These Hermite weights sum below 1 - 2**-53, so no claim size has the
+        # cdf 1 - 2**-53; the bracket once doubled 200 times and gave up.
+        model = study_model(-0.8)
+        _, w2 = marginal_grid(model.effects, 2, nodes)
+        total = float(np.sum(w2))
+        assert total < 1.0 - 2.0**-53
+        with pytest.raises(ValueError, match=rf"level 0\.9+ .*total claim-size mass is {total!r}"):
+            severity_marginal_quantile(1.0 - 2.0**-53, model, nodes)
+        assert severity_marginal_quantile(total, model, nodes) > 0.0
+
+    def test_claim_size_cdf_refuses_an_unknown_law(self):
+        with pytest.raises(ModelValidationError, match="no claim-size law for object"):
+            severity_cdf(1.0, 1.0, object())
 
     def test_no_point_is_evaluated_twice(self, monkeypatch):
         # The root search starts from the bracket's ends, which the bracketing

@@ -39,9 +39,11 @@ from bonusmalus.simulate import (
     _large_claims,
     _more_claims,
     _move_type,
+    _step,
     _stream,
     _words,
     _words_at_least,
+    _year_moves,
 )
 from bonusmalus.verify import check_rule
 from conftest import GAMMA_SHAPE, SEV_RATE, degenerate_model, study_model, traced_peak
@@ -146,7 +148,7 @@ class TestSimulatePaths:
         # The counts are exact; the normalized float masses sum to one up to
         # the rounding of one division and one sum per level.
         summary = simulate_paths(SimConfig(base_model, FreqRule(9, 1), 30_000, seed=5))
-        assert summary.counts.sum() == summary.n_observations
+        assert summary.counts.sum() == 30_000
         assert abs(summary.level_distribution.sum() - 1.0) <= summary.levels * EPS
 
     @pytest.mark.parametrize(
@@ -164,15 +166,10 @@ class TestSimulatePaths:
         with pytest.raises(ModelValidationError, match="unknown rule type object"):
             SimConfig(base_model, object(), 10, seed=1)
 
-    def test_start_level_validated(self, base_model):
-        with pytest.raises(ValueError):
-            simulate_paths(SimConfig(base_model, FreqRule(9, 1), 10, seed=1, start_level=11))
-
     def test_multi_year_sample_window(self, base_model):
         cfg = SimConfig(base_model, FreqRule(9, 1), 20_000, seed=14, sample_years=3)
         summary = simulate_paths(cfg)
-        assert summary.n_observations == 60_000
-        assert summary.counts.sum() == summary.n_observations
+        assert summary.counts.sum() == 60_000
         assert abs(summary.level_distribution.sum() - 1.0) <= summary.levels * EPS
 
     @pytest.mark.parametrize(
@@ -203,7 +200,7 @@ class TestSimulatePaths:
         # and no claim mean may overflow on the way.
         with np.errstate(over="raise", invalid="raise"):
             summary = simulate_paths(SimConfig(model, rule, 5_000, seed=4, burn_in_years=0))
-        assert summary.counts[-1] == summary.n_observations
+        assert summary.counts[-1] == 5_000
 
 
 RULES = [FreqRule(9, 1), SeverityRule(9, 1, 2, 16800.0)]
@@ -269,11 +266,11 @@ class TestCouplingWindow:
         # of 128 needs int16 moves: ``min_scalar_type(-128)`` is int8.
         model = degenerate_model(freq_rate=1e20)
         summary = simulate_paths(SimConfig(model, rule, 2_000, seed=4, burn_in_years=40))
-        assert summary.counts[-1] == summary.n_observations
+        assert summary.counts[-1] == 2_000
 
     def test_a_200_level_rule_runs(self, base_model):
         summary = simulate_paths(SimConfig(base_model, FreqRule(200, 1), 5_000, seed=4))
-        assert summary.counts.sum() == summary.n_observations
+        assert summary.counts.sum() == 5_000
         assert summary.counts[128:].sum() > 0  # levels only int16 moves reach
 
     def test_a_mostly_open_run_keeps_the_exact_law(self, base_model):
@@ -439,7 +436,20 @@ ONE_YEAR_RULES = {
 FOUR_SIGMA_TAIL = 2.0 * stats.norm.sf(4.0)
 
 
-def _one_year_tails(rule, freq_rate, start_level, oracle_level, seed=21):
+def _one_year_counts(model, rule, n_paths, seed, from_level):
+    """Level counts of one simulated year from ``from_level``: the first year's draws, per chunk."""
+    cfg = SimConfig(model, rule, n_paths, seed, burn_in_years=0)
+    counts = np.zeros(rule.levels, dtype=np.int64)
+    for chunk_index, done in enumerate(range(0, n_paths, CHUNK)):
+        paths, _ = _draw_paths(cfg, chunk_index, min(CHUNK, n_paths - done))
+        level = np.full(paths.k0.size, from_level, dtype=np.int16)
+        bits = _stream(seed, chunk_index, 1).bit_generator
+        _step(level, _year_moves(bits, paths, rule, model.portfolio.freq_rates), rule.max_level)
+        counts += np.bincount(level, minlength=rule.levels)
+    return counts
+
+
+def _one_year_tails(rule, freq_rate, from_level, oracle_level, seed=21):
     """Two-sided binomial tail of each level count of a one-year run under an oracle row.
 
     The exact tail stands in for the normal 4-sigma band, which misjudges
@@ -448,8 +458,7 @@ def _one_year_tails(rule, freq_rate, start_level, oracle_level, seed=21):
     """
     model = degenerate_model(freq_rate=freq_rate)
     n_paths = 100_000
-    cfg = SimConfig(model, rule, n_paths, seed, burn_in_years=0, start_level=start_level)
-    counts = simulate_paths(cfg).counts
+    counts = _one_year_counts(model, rule, n_paths, seed, from_level)
     if isinstance(rule, SeverityRule):
         exceed = float(severity_cdf(rule.threshold, SEV_RATE, model.severity, upper=True))
     else:
@@ -475,12 +484,12 @@ class TestOneYearSampler:
         assert 0.999 < exceed["sev-all-large"] < 1.0
         assert exceed["sev-only-large"] == 1.0
 
-    @pytest.mark.parametrize("start_level", [0, 5, 9])
+    @pytest.mark.parametrize("from_level", [0, 5, 9])
     @pytest.mark.parametrize("freq_rate", [0.05, 0.5, 5.0, 50.0])
     @pytest.mark.parametrize("rule_id", list(ONE_YEAR_RULES))
-    def test_matches_enumerated_row(self, rule_id, freq_rate, start_level):
+    def test_matches_enumerated_row(self, rule_id, freq_rate, from_level):
         rule = ONE_YEAR_RULES[rule_id]
-        tails = _one_year_tails(rule, freq_rate, start_level, start_level)
+        tails = _one_year_tails(rule, freq_rate, from_level, from_level)
         assert float(np.min(tails)) >= FOUR_SIGMA_TAIL, tails
 
     @pytest.mark.parametrize("rule_id", ["freq-1", "sev-half-large"])
