@@ -523,8 +523,9 @@ def _check_settings(cfg: dict) -> None:
         cfg[key] = _number(cfg[key], key, whole=True)
     for key in ("rules", "thresholds", "quantiles"):
         _shaped(cfg.get(key, []), key, list)
-    for key in _shaped(cfg.get("simulation", {}), "simulation"):
+    for key, value in _shaped(cfg.get("simulation", {}), "simulation").items():
         if key not in SIMULATION_KEYS:
+            _number(value, key, whole=True)  # a fraction is named as one, as for the keys read
             raise ModelValidationError(f"'simulation' takes only {SIMULATION_KEYS}, got {key!r}")
     if not all(isinstance(entry, dict) for entry in cfg.get("rules", [])):
         raise ModelValidationError("every entry of 'rules' must be a JSON object")

@@ -352,7 +352,8 @@ def _burn_in(cfg: SimConfig, chunk_index: int, paths: _Paths, window: np.ndarray
     Only the open paths, whose chains have not met, run the early years
     ``1 .. burn_in_years - len(window)`` from level 0, on streams of their
     own, ``(seed, chunk, year, 1)``, one word per open path, and then replay
-    the window; without early years that is the forward loop, draw for draw.
+    the window.  Without early years both chains start at 0, so no path is
+    open and every draw is the forward loop's.
     """
     rule, z = cfg.rule, cfg.rule.max_level
     freq_rates = cfg.model.portfolio.freq_rates
@@ -361,7 +362,8 @@ def _burn_in(cfg: SimConfig, chunk_index: int, paths: _Paths, window: np.ndarray
         bits = _stream(cfg.seed, chunk_index, year).bit_generator
         window[row] = _year_moves(bits, paths, rule, freq_rates)
     # ``int16`` holds any level plus any move: both are at most ``MAX_LEVEL``.
-    chains = np.repeat(np.array([0, z], dtype=np.int16)[:, None], paths.k0.size, axis=1)
+    top = z if early else 0
+    chains = np.repeat(np.array([0, top], dtype=np.int16)[:, None], paths.k0.size, axis=1)
     for moves in window:
         _step(chains, moves, z)
     level = chains[0]

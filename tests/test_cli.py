@@ -748,6 +748,7 @@ class TestConfigHandling:
                 lambda p: p.update(simulation={"burn_in_years": 100.5}),
                 "'burn_in_years'",
             ),
+            ("simulate", lambda p: p.update(simulation={"start_level": 0.5}), "'start_level'"),
             ("verify", lambda p: p.update(simulation={"paths": 120_000.5}), "'paths'"),
         ],
         ids=[
@@ -758,6 +759,7 @@ class TestConfigHandling:
             "simulation_paths",
             "simulation_seed",
             "simulation_burn_in",
+            "simulation_start_level",
             "verify_paths",
         ],
     )

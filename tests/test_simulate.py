@@ -232,6 +232,17 @@ class TestCouplingWindow:
         same = np.array_equal(simulate_paths(cfg).sums, forward_sums(cfg))
         assert same == (burn_in <= WINDOW)
 
+    @pytest.mark.parametrize("burn_in", [0, 1, WINDOW])
+    def test_no_path_is_open_without_early_years(self, base_model, burn_in):
+        # Both chains start at 0, so nothing is replayed.
+        size = 5_000
+        cfg = SimConfig(base_model, FreqRule(9, 1), size, seed=5, burn_in_years=burn_in)
+        paths, _ = _draw_paths(cfg, 0, size)
+        window = np.empty((burn_in, size), dtype=np.int8)
+        level, open_paths = _burn_in(cfg, 0, paths, window)
+        assert open_paths.size == 0
+        assert np.array_equal(level, forward_levels(cfg, 0, size)[2][burn_in])
+
     def test_open_paths_draw_one_word_each_from_streams_of_their_own(
         self, base_model, monkeypatch
     ):
