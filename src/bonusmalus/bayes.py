@@ -168,8 +168,6 @@ class MseComparison:
     mse_freq: float
     diff_mean: float
     diff_se: float
-    n_paths: int
-    seed: int
 
     @property
     def one_sided_lower_95(self) -> float:
@@ -231,9 +229,7 @@ def mse_comparison_mc(
     mse_freq = sq_freq / n_paths
     diff_mean = diff_sum / n_paths
     var = max(diff_sq_sum / n_paths - diff_mean**2, 0.0)
-    return MseComparison(
-        mse_full, mse_freq, diff_mean, math.sqrt(var / n_paths), n_paths, seed
-    )
+    return MseComparison(mse_full, mse_freq, diff_mean, math.sqrt(var / n_paths))
 
 
 def _draw_effects(model: MixtureBayesModel, rng, size: int):

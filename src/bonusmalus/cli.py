@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +49,44 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
-# The ``simulation`` keys ``simulate`` and ``verify`` read; any other one is refused.
-SIMULATION_KEYS = ("paths", "seed", "burn_in_years")
+
+SEVERITY_KINDS = {"gamma": GammaSeverity, "poisson": PoissonSeverity}
+EFFECT_KINDS = {
+    "lognormal_copula": LognormalCopulaEffects,
+    "mixture_exponential": MixtureExponentialEffects,
+    "degenerate": DegenerateEffects,
+}
+
+
+def _keys(*kinds: type, given: tuple = ()) -> dict:
+    """The field names of ``kinds`` but ``given``, as keys whose values the model types check."""
+    return {f.name: None for kind in kinds for f in fields(kind) if f.name not in given}
+
+
+# The config format, walked once per run by ``_check_settings``: a dict is a JSON
+# object of only those keys, each mapped to its value's schema; a one-entry list
+# is a JSON array of that schema; None is a value the model type or verb checks.
+# A section of several kinds takes the union of their field names, so a merge
+# that changes a preset's kind keeps the preset's keys; the kind reads its own.
+SCHEMA = {
+    "model": {
+        "classes": [_keys(RiskClass)],
+        "classes_template": [_keys(RiskClass, given=("weight",))],  # weighed by 'weights'
+        "weights": [None],
+        "severity": {"kind": None, **_keys(*SEVERITY_KINDS.values())},
+        "effects": {"kind": None, **_keys(*EFFECT_KINDS.values())},
+    },
+    "rules": [_keys(FreqRule, SeverityRule)],
+    "thresholds": [None],
+    "quantiles": [None],
+    "family": None,
+    "quadrature_nodes": None,
+    "format": None,
+    "precision": None,
+    "simulation": dict.fromkeys(("paths", "seed", "burn_in_years")),
+    "bayes": {**_keys(MixtureBayesModel, given=("effects",)), **_keys(MixtureExponentialEffects)},
+    "history": _keys(ClaimHistory),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -90,51 +127,58 @@ def _shaped(value, key: str, kind: type = dict):
     return value
 
 
-def _fields(section: dict, *keys: str) -> list:
-    if not isinstance(section, dict):
-        raise ModelValidationError(f"expected a JSON object of {', '.join(keys)}, got {section!r}")
-    return [section[key] for key in keys]
+def _walk(value, schema, name: str) -> None:
+    """Refuse a section of another shape than ``schema``, or a key it does not take."""
+    if isinstance(schema, list):
+        for entry in _shaped(value, name, list):
+            if schema[0] is not None and not isinstance(entry, dict):
+                keys = ", ".join(schema[0])
+                raise ModelValidationError(
+                    f"every entry of '{name}' must be a JSON object of {keys}, got {entry!r}"
+                )
+            _walk(entry, schema[0], name)
+    # A 'history' array holds [n, s] rows, which parse_history reads.
+    elif isinstance(schema, dict) and not (name == "history" and isinstance(value, list)):
+        for key, item in _shaped(value, name).items():
+            if key not in schema:
+                raise ModelValidationError(f"'{name}' takes only {tuple(schema)}, got {key!r}")
+            _walk(item, schema[key], key)
+
+
+def _build(kind: type, section: dict, **given):
+    """A ``kind`` of ``given`` and the section's value of each other field, else its default."""
+    for f in fields(kind):
+        if f.name not in given and (f.name in section or f.default is MISSING):
+            given[f.name] = section[f.name]  # a KeyError names a missing field without a default
+    return kind(**given)
+
+
+def _kind(section: dict, kinds: dict, name: str):
+    """The law of the section's ``kind`` (the first of ``kinds`` if none), built by ``_build``."""
+    kind = section.get("kind", next(iter(kinds)))
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ModelValidationError(f"unknown {name} kind {kind!r}")
+    return _build(kinds[kind], section)
 
 
 def parse_model(cfg: dict) -> ModelSpec:
+    """The model of a config that ``_check_settings`` has passed."""
     try:
-        section = _shaped(cfg["model"], "model")
+        section = cfg["model"]
         if "classes_template" in section:
-            weights = section.get("weights")
-            cells = _shaped(section["classes_template"], "classes_template", list)
+            weights, cells = section.get("weights"), section["classes_template"]
             if not weights:
                 raise ModelValidationError(
                     "this preset needs class weights: supply 'model.weights' "
                     f"({len(cells)} values, one per listed cell)"
                 )
-            if len(_shaped(weights, "weights", list)) != len(cells):
+            if len(weights) != len(cells):
                 raise ModelValidationError(f"expected {len(cells)} weights, got {len(weights)}")
-            classes = [
-                RiskClass(w, *_fields(c, "freq_rate", "sev_rate")) for w, c in zip(weights, cells)
-            ]
+            classes = [_build(RiskClass, cell, weight=w) for w, cell in zip(weights, cells)]
         else:
-            classes = [
-                RiskClass(*_fields(c, "weight", "freq_rate", "sev_rate"))
-                for c in _shaped(section["classes"], "classes", list)
-            ]
-        sev_cfg = _shaped(section["severity"], "severity")
-        kind = sev_cfg.get("kind", "gamma")
-        if kind == "gamma":
-            severity = GammaSeverity(*_fields(sev_cfg, "dispersion"))
-        elif kind == "poisson":
-            severity = PoissonSeverity()
-        else:
-            raise ModelValidationError(f"unknown severity kind {kind!r}")
-        eff_cfg = _shaped(section["effects"], "effects")
-        eff_kind = eff_cfg.get("kind", "lognormal_copula")
-        if eff_kind == "lognormal_copula":
-            effects = LognormalCopulaEffects(*_fields(eff_cfg, "corr", "log_var1", "log_var2"))
-        elif eff_kind == "mixture_exponential":
-            effects = MixtureExponentialEffects(*_fields(eff_cfg, "weight1", "rate1", "rate2"))
-        elif eff_kind == "degenerate":
-            effects = DegenerateEffects()
-        else:
-            raise ModelValidationError(f"unknown effects kind {eff_kind!r}")
+            classes = [_build(RiskClass, entry) for entry in section["classes"]]
+        severity = _kind(section["severity"], SEVERITY_KINDS, "severity")
+        effects = _kind(section["effects"], EFFECT_KINDS, "effects")
         return ModelSpec(Portfolio(classes), severity, effects)
     except (KeyError, ModelValidationError) as exc:
         raise ModelValidationError(f"bad model configuration: {exc}") from exc
@@ -144,20 +188,10 @@ def _parse_rule(entry: dict, threshold: float | None = None):
     """One rule; a severity entry without its own threshold takes ``threshold``."""
     try:
         if "step" in entry:
-            return FreqRule(*_fields(entry, "max_level", "step"))
-        return SeverityRule(
-            *_fields(entry, "max_level", "small_step", "large_step"),
-            entry.get("threshold", threshold),
-        )
+            return _build(FreqRule, entry)
+        return _build(SeverityRule, {"threshold": threshold, **entry})
     except (KeyError, ModelValidationError) as exc:
         raise ModelValidationError(f"bad rule entry {entry!r}: {exc}") from exc
-
-
-def _sim_int(cfg: dict, key: str, default: int) -> int:
-    try:
-        return _number(cfg.get("simulation", {}).get(key, default), key, whole=True)
-    except ModelValidationError as exc:
-        raise ModelValidationError(f"bad 'simulation.{key}': {exc}") from exc
 
 
 def _thresholds(cfg: dict, model: ModelSpec, nodes: int) -> list[tuple[float, float | None]]:
@@ -191,19 +225,18 @@ def parse_history(cfg: dict) -> ClaimHistory:
         raise ModelValidationError("no claim history configured")
     try:
         if isinstance(section, dict):
-            return ClaimHistory(section.get("counts", []), section.get("aggregates"))
-        rows = [_shaped(row, "history", list) for row in _shaped(section, "history", list)]
+            return _build(ClaimHistory, section)
+        rows = [_shaped(row, "history", list) for row in section]
         return ClaimHistory([row[0] for row in rows], [row[1] for row in rows])
-    except (IndexError, ModelValidationError) as exc:
+    except (IndexError, KeyError, ModelValidationError) as exc:
         raise ModelValidationError(f"bad claim history: {exc}") from exc
 
 
 def parse_bayes_model(cfg: dict) -> MixtureBayesModel:
     try:
-        section = _shaped(cfg["bayes"], "bayes")
-        effects = MixtureExponentialEffects(*_fields(section, "weight1", "rate1", "rate2"))
-        unit = section.get("unit_severity_effect", False)
-        return MixtureBayesModel(*_fields(section, "freq_rate", "sev_rate"), effects, unit)
+        section = cfg["bayes"]
+        effects = _build(MixtureExponentialEffects, section)
+        return _build(MixtureBayesModel, section, effects=effects)
     except (KeyError, ModelValidationError) as exc:
         raise ModelValidationError(f"bad bayes model configuration: {exc}") from exc
 
@@ -394,15 +427,11 @@ def cmd_simulate(cfg: dict, args) -> int:
     model = parse_model(cfg)
     nodes = cfg["quadrature_nodes"]
     rule = resolve_rules(cfg, model, nodes)[0]
-    summary = simulate_paths(
-        SimConfig(
-            model,
-            rule,
-            _sim_int(cfg, "paths", 100_000),
-            _sim_int(cfg, "seed", 0),
-            burn_in_years=_sim_int(cfg, "burn_in_years", 120),
-        )
+    sim = cfg.get("simulation", {})
+    config = SimConfig(
+        model, rule, sim.get("paths", 100_000), sim.get("seed", 0), sim.get("burn_in_years", 120)
     )
+    summary = simulate_paths(config)
     precision = cfg["precision"]
     dist = summary.level_distribution
     ses = summary.level_se
@@ -423,9 +452,10 @@ def cmd_verify(cfg: dict, args) -> int:
     model = parse_model(cfg)
     nodes = cfg["quadrature_nodes"]
     rules = resolve_rules(cfg, model, nodes)
-    n_paths = _sim_int(cfg, "paths", 1_000_000)
-    seed = _sim_int(cfg, "seed", 20260809)
-    burn_in_years = _sim_int(cfg, "burn_in_years", 120)
+    sim = cfg.get("simulation", {})
+    n_paths = sim.get("paths", 1_000_000)
+    seed = sim.get("seed", 20260809)
+    burn_in_years = sim.get("burn_in_years", 120)
     checks = [
         check_rule(model, rule, n_paths, seed + index, max(nodes, 64), burn_in_years)
         for index, rule in enumerate(rules)
@@ -498,37 +528,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
-    cfg.setdefault("format", "csv")
-    cfg.setdefault("precision", 3)
-    cfg.setdefault("quadrature_nodes", 32)
-    if args.format:
-        cfg["format"] = args.format
-    if args.precision is not None:
-        cfg["precision"] = args.precision
-    if args.quadrature_nodes is not None:
-        cfg["quadrature_nodes"] = args.quadrature_nodes
-    _check_settings(cfg)
-    if args.seed is not None:
-        cfg.setdefault("simulation", {})
+    for key, default in (("format", "csv"), ("precision", 3), ("quadrature_nodes", 32)):
+        flag = getattr(args, key)
+        cfg[key] = cfg.get(key, default) if flag is None else flag
+    if args.seed is not None and isinstance(cfg.setdefault("simulation", {}), dict):
         cfg["simulation"]["seed"] = args.seed
+    _check_settings(cfg)
     return cfg
 
 
 def _check_settings(cfg: dict) -> None:
-    """Reject ill-typed run settings before a verb reads them; whole numbers are stored as ints."""
+    """Refuse ill-typed run settings, and any key ``SCHEMA`` does not take, before a verb runs.
+
+    Whole numbers are stored as ints.  The ``simulation`` values are converted
+    before the walk, so a fraction under an unknown key is named as a fraction.
+    """
     for key, allowed in (("format", ("csv", "json")), ("family", ("aggregate", "frequency"))):
         if cfg.get(key, allowed[0]) not in allowed:
             raise ModelValidationError(f"'{key}' must be one of {allowed}, got {cfg[key]!r}")
     for key in ("precision", "quadrature_nodes"):
         cfg[key] = _number(cfg[key], key, whole=True)
-    for key in ("rules", "thresholds", "quantiles"):
-        _shaped(cfg.get(key, []), key, list)
-    for key, value in _shaped(cfg.get("simulation", {}), "simulation").items():
-        if key not in SIMULATION_KEYS:
-            _number(value, key, whole=True)  # a fraction is named as one, as for the keys read
-            raise ModelValidationError(f"'simulation' takes only {SIMULATION_KEYS}, got {key!r}")
-    if not all(isinstance(entry, dict) for entry in cfg.get("rules", [])):
-        raise ModelValidationError("every entry of 'rules' must be a JSON object")
+    simulation = cfg.get("simulation")
+    for key, value in simulation.items() if isinstance(simulation, dict) else ():
+        try:
+            simulation[key] = _number(value, key, whole=True)
+        except ModelValidationError as exc:
+            raise ModelValidationError(f"bad 'simulation.{key}': {exc}") from exc
+    _walk(cfg, SCHEMA, "config root")
 
 
 def main(argv=None) -> int:

@@ -80,13 +80,14 @@ _SEV_COEF = {
 }
 
 
+# The 18 cells run entity-major in the order of ``_FREQ_COEF``: miscellaneous/band1,
+# miscellaneous/band2, miscellaneous/band3, city/band1, ..., village/band3.
 def _data_cells() -> list[dict]:
     cells = []
     for entity, f_ent in _FREQ_COEF["entity"].items():
         for band, f_cov in _FREQ_COEF["coverage"].items():
             cells.append(
                 {
-                    "label": f"{entity}/{band}",
                     "freq_rate": math.exp(_FREQ_COEF["intercept"] + f_ent + f_cov),
                     "sev_rate": math.exp(
                         _SEV_COEF["intercept"]

@@ -288,8 +288,6 @@ class TestMseComparison:
             29.2041083976676,
             8.820327284698484,
             0.5660173247538897,
-            70_000,
-            5,
         )
 
     def test_peak_memory_of_one_chunk_stays_under_10_mb(self):

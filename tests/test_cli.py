@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
+import re
 import shutil
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -18,7 +21,10 @@ from hypothesis import strategies as st
 
 from bonusmalus import SingularSystemError, cli
 from bonusmalus.model import FreqRule, SeverityRule
+from bonusmalus.presets import PRESETS, get_preset
 from bonusmalus.verify import OracleCheck
+
+REPO = Path(__file__).resolve().parents[1]
 
 BAYES_CONFIG = {
     "bayes": {
@@ -648,7 +654,10 @@ class TestConfigHandling:
             (
                 "relativities",
                 lambda p: p["model"].update(
-                    classes_template=p["model"]["classes"], weights=[10**400]
+                    classes_template=[
+                        {k: v for k, v in c.items() if k != "weight"} for c in p["model"]["classes"]
+                    ],
+                    weights=[10**400],
                 ),
                 "model",
             ),
@@ -798,11 +807,79 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
     def test_docs_list_the_simulation_keys(self):
-        # The config schema's "simulation" block names exactly the keys the CLI reads.
-        doc = (Path(__file__).resolve().parents[1] / "docs" / "config_schema.md").read_text()
-        block = doc.split('"simulation": {', 1)[1].split("}", 1)[0]
-        keys = [line.split('"')[1] for line in block.splitlines() if line.strip()]
-        assert tuple(keys) == cli.SIMULATION_KEYS
+        # The config schema's example shows every key the CLI takes, in every
+        # section, and no key it refuses; and it is itself a config that runs.
+        doc = (REPO / "docs" / "config_schema.md").read_text()
+        example = json.loads(re.sub(r"//.*", "", doc.split("```jsonc", 1)[1].split("```", 1)[0]))
+        assert _schema_gaps(example, cli.SCHEMA, "config root") == []
+        cli._check_settings(example)
+        cli.parse_model(example), cli.parse_bayes_model(example), cli.parse_history(example)
+
+    @pytest.mark.parametrize(
+        "verb, overlay, section, key",
+        [
+            ("relativities", {"quadrature_node": 64}, "config root", "quadrature_node"),
+            ("relativities", {"precison": 5}, "config root", "precison"),
+            ("relativities", {"model": {"effect": {"kind": "degenerate"}}}, "model", "effect"),
+            (
+                "relativities",
+                {"rules": [{"step": 1, "max_level": 9, "treshold": 5}]},
+                "rules",
+                "treshold",
+            ),
+            (
+                "relativities",
+                {"rules": [{"max_level": 9, "small_step": 1, "large_step": 2, "treshold": 5000}]},
+                "rules",
+                "treshold",
+            ),
+            (
+                "relativities",
+                {"model": {"classes": [{"weight": 1.0, "freq_rate": 0.5, "sev_rte": 6634.0}]}},
+                "classes",
+                "sev_rte",
+            ),
+            (
+                "bayes",
+                {**BAYES_CONFIG, "history": {"counts": [1, 0, 2], "aggregate": [4, 0, 5]}},
+                "history",
+                "aggregate",
+            ),
+            (
+                "bayes",
+                {**BAYES_CONFIG, "bayes": {**BAYES_CONFIG["bayes"], "unit_severity_efect": True}},
+                "bayes",
+                "unit_severity_efect",
+            ),
+        ],
+        ids=[
+            "quadrature_node",
+            "precison",
+            "model_effect",
+            "frequency_rule_treshold",
+            "severity_rule_treshold",
+            "class_sev_rte",
+            "history_aggregate",
+            "bayes_unit_severity_efect",
+        ],
+    )
+    def test_a_key_outside_the_schema_exits_2(self, tmp_path, capsys, verb, overlay, section, key):
+        # Each of these once ran to exit 0: the severity rule at the preset's
+        # four thresholds and none at 5,000, the history without its
+        # full-history premium, and the others at their preset or default values.
+        argv = [verb, "--config", write_config(tmp_path, overlay), "--out", str(tmp_path / "out")]
+        assert run(argv + ([] if verb == "bayes" else ["--preset", "ex2a"])) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"configuration error: '{section}' takes only (")
+        assert err.endswith(f"got {key!r}\n")
+        assert out == "" and not (tmp_path / "out").exists()
+
+    def test_a_kind_takes_the_keys_of_every_kind(self, tmp_path):
+        # A Poisson severity over ex2a keeps the preset's gamma 'dispersion', unread.
+        overlay = {"model": {"severity": {"kind": "poisson"}}}
+        argv = ["relativities", "--preset", "ex2a", "--config", write_config(tmp_path, overlay)]
+        assert run([*argv, "--quadrature-nodes", "8", "--out", str(tmp_path / "out")]) == 0
+        assert len(list((tmp_path / "out").iterdir())) == 5
 
     def test_node_count_beyond_numpy_rule_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -948,6 +1025,12 @@ class TestConfigHandling:
                 lambda p: p.update(rules=[{"max_level": 9, "step": 1}, 5]),
                 "every entry of 'rules' must be a JSON object",
             ),
+            (
+                "bayes",
+                None,
+                lambda p: p.update(bayes=BAYES_CONFIG["bayes"]),
+                "no claim history configured",
+            ),
         ],
         ids=[
             "weight_count",
@@ -957,6 +1040,7 @@ class TestConfigHandling:
             "no_rules",
             "scan_without_severity_rule",
             "rule_not_an_object",
+            "bayes_without_history",
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, verb, preset, edit, named):
@@ -982,7 +1066,9 @@ class TestConfigHandling:
         config = write_config(tmp_path, {"weights": [1.0 / 18.0] * 18})
         argv = ["relativities", "--preset", "dat", "--config", config]
         assert run([*argv, "--out", str(tmp_path / "out")]) == 2
-        assert "supply 'model.weights'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: 'config root' takes only (")
+        assert err.endswith("got 'weights'\n")
         assert not (tmp_path / "out").exists()
 
     def test_constant_severity_effect_keeps_the_node_limit(self, tmp_path, capsys):
@@ -1012,6 +1098,54 @@ class TestConfigHandling:
         code = run(["relativities", "--preset", "dat", "--config", config, "--out", str(out)])
         assert code == 0
         assert (out / "relativities_h1_2_phi10100.csv").exists()
+
+
+def _schema_gaps(value, schema, name: str) -> list[str]:
+    """Each key the example ``value`` omits from ``schema`` or shows beyond it, by section."""
+    if schema is None or schema == [None]:
+        return []
+    if isinstance(schema, list):  # the entries of an array show its keys between them
+        return _schema_gaps({k: v for entry in value for k, v in entry.items()}, schema[0], name)
+    gaps = [f"{name}: {key}" for key in sorted(set(value) ^ set(schema))]
+    for key in sorted(set(value) & set(schema)):
+        gaps += _schema_gaps(value[key], schema[key], key)
+    return gaps
+
+
+def _load_workloads():
+    path = REPO / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # @dataclass looks its module up
+        spec.loader.exec_module(module)
+    return module
+
+
+class TestSchemaTakesTheBenchmarkInputs:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_preset_passes_unchanged(self, preset):
+        cfg = get_preset(preset)
+        cli._check_settings(cfg)
+        assert cfg == PRESETS[preset]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_workload_overlay_passes(self, tmp_path, seed):
+        # Each overlay is written over its preset as the benchmark's child writes it.
+        ops = [
+            op
+            for workload in _load_workloads().WORKLOADS.values()
+            for job in workload.jobs(seed)
+            for op in job
+            if op["kind"] == "cli"
+        ]
+        verbs = {"reproduce-table", "hmse-scan", "relativities", "verify"}
+        assert {op["verb"] for op in ops} == verbs
+        for op in ops:
+            overlay = dict(op["overlay"])
+            if op["extra_thresholds"]:
+                published = get_preset(op["preset"]).get("thresholds", [])
+                overlay["thresholds"] = list(published) + op["extra_thresholds"]
+            cli._check_settings(cli.load_config(op["preset"], write_config(tmp_path, overlay)))
 
 
 class TestReproduceTable:
