@@ -18,11 +18,8 @@ from .bayes import (
 )
 from .errors import (
     BonusMalusError,
-    BracketingFailureError,
     InsufficientOccupancyError,
     ModelValidationError,
-    NonFiniteIntegrandError,
-    SingularSystemError,
 )
 from .hmse import (
     HmseReport,
@@ -73,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BalanceReport",
     "BonusMalusError",
-    "BracketingFailureError",
     "ClaimHistory",
     "DegenerateEffects",
     "FreqRule",
@@ -86,7 +82,6 @@ __all__ = [
     "ModelSpec",
     "ModelValidationError",
     "MseComparison",
-    "NonFiniteIntegrandError",
     "OracleCheck",
     "PoissonSeverity",
     "Portfolio",
@@ -97,7 +92,6 @@ __all__ = [
     "SeverityRule",
     "SimConfig",
     "SimSummary",
-    "SingularSystemError",
     "balance_check",
     "bayes_agg_premium_freqhist",
     "bayes_agg_premium_fullhist",

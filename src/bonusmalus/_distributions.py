@@ -45,6 +45,7 @@ import numpy as np
 from .errors import BonusMalusError
 
 MAX_TERMS = 2000  # depth cap of every series and continued fraction
+_SERIES_BITS = 60  # a rising-series term below 2**-_SERIES_BITS is dropped
 _BLOCK = 8192  # arguments per kernel pass: the fraction's levels take depth x block floats
 
 # Temme's coefficients d[k][n] of c_k(eta) = sum_n d[k][n] eta**n (DLMF
@@ -430,8 +431,8 @@ def _too_deep(a: float, x: float, what: str, depth: int) -> BonusMalusError:
     )
 
 
-def _series_depth(a: float, x: float, bits: int = 60) -> int:
-    """Terms of ``sum_n x**n / ((a+1)...(a+n))`` after which the rest is below ``2**-bits``."""
+def _series_depth(a: float, x: float) -> int:
+    """Terms of ``sum_n x**n / ((a+1)...(a+n))`` after which the rest is below the cut-off."""
     if x == 0.0:
         return 0
     log_x = math.log(x)
@@ -440,7 +441,7 @@ def _series_depth(a: float, x: float, bits: int = 60) -> int:
         log_term = (n + 1) * log_x - (math.lgamma(a + n + 2) - math.lgamma(a + 1))
         return log_term - math.log1p(-x / (a + n + 2))
 
-    target = -bits * math.log(2.0)
+    target = -_SERIES_BITS * math.log(2.0)
     lo, hi = max(0, math.ceil(x - a)), MAX_TERMS  # the terms fall from lo on
     if x < 0.5 * (a + 1):  # the geometric bound on ratios below x / (a + 1)
         hi = min(hi, math.ceil((-target + math.log(2.0)) / (math.log(a + 1) - log_x)))
@@ -485,12 +486,12 @@ def _rising_series(a: float, x):
     """``sum_n x**n / ((a+1)...(a+n))`` for ``0 <= x < a + 1``.
 
     The terms are cumulative products of the ratios ``x / (a + j)``; those
-    below 2**-60 are dropped and the rest summed in order, smallest first, so
-    an element's sum depends neither on the depth the largest ``x`` sets nor
-    on the batch.  The terms fall, so an element's dropped terms are its last
-    ones and enter the sum as zeros added first: on a wide batch the elements
-    up to a quarter of the largest ``x`` are summed at the depth that quarter
-    needs, where that saves a quarter of the work or more.
+    below 2**-_SERIES_BITS are dropped and the rest summed in order, smallest
+    first, so an element's sum depends neither on the depth the largest ``x``
+    sets nor on the batch.  The terms fall, so an element's dropped terms are
+    its last ones and enter the sum as zeros added first: on a wide batch the
+    elements up to a quarter of the largest ``x`` are summed at the depth that
+    quarter needs, where that saves a quarter of the work or more.
     """
     depth = _series_depth(a, float(np.max(x)))
     if x.size > 256 and depth > 0:
@@ -505,11 +506,11 @@ def _rising_series(a: float, x):
 
 
 def _series_sum(a: float, x, depth: int):
-    """The rising series of ``x`` to ``depth`` terms, terms below 2**-60 dropped."""
+    """The rising series of ``x`` to ``depth`` terms, terms below 2**-_SERIES_BITS dropped."""
     if depth == 0:
         return np.ones_like(x)
     terms = _accumulate(np.multiply, x / (a + np.arange(1.0, depth + 1.0)[:, None]))
-    terms *= terms >= 2.0**-60
+    terms *= terms >= 2.0**-_SERIES_BITS
     return 1.0 + _accumulate(np.add, terms[::-1])[-1]
 
 

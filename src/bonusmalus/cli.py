@@ -166,6 +166,8 @@ def parse_model(cfg: dict) -> ModelSpec:
     try:
         section = cfg["model"]
         if "classes_template" in section:
+            if "classes" in section:
+                raise ModelValidationError("give 'classes' or 'classes_template', not both")
             weights, cells = section.get("weights"), section["classes_template"]
             if not weights:
                 raise ModelValidationError(
@@ -175,6 +177,8 @@ def parse_model(cfg: dict) -> ModelSpec:
             if len(weights) != len(cells):
                 raise ModelValidationError(f"expected {len(cells)} weights, got {len(weights)}")
             classes = [_build(RiskClass, cell, weight=w) for w, cell in zip(weights, cells)]
+        elif "weights" in section:
+            raise ModelValidationError("'weights' weighs 'classes_template' cells, not 'classes'")
         else:
             classes = [_build(RiskClass, entry) for entry in section["classes"]]
         severity = _kind(section["severity"], SEVERITY_KINDS, "severity")

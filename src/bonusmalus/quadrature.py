@@ -17,7 +17,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
 from ._distributions import gamma_cdf, poisson_cdf
-from .errors import BracketingFailureError, ModelValidationError, NonFiniteIntegrandError
+from .errors import BonusMalusError, ModelValidationError
 from .model import (
     DegenerateEffects,
     GammaSeverity,
@@ -240,15 +240,14 @@ def _brentq(f, xa: float, xb: float, xtol=1e-12, rtol=1e-10, maxiter=200) -> flo
     A statement-by-statement port of the C routine behind
     ``scipy.optimize.brentq`` (``Zeros/brentq.c``); Python floats are IEEE
     doubles, so the iterates and the root are bitwise the same.  Raises
-    ``NonFiniteIntegrandError`` on a NaN function value and
-    ``BracketingFailureError`` when the endpoint values have equal signs or
-    ``maxiter`` iterations do not converge.
+    ``BonusMalusError`` on a NaN function value, when the endpoint values
+    have equal signs, or when ``maxiter`` iterations do not converge.
     """
 
     def value(x: float) -> float:
         fx = float(f(x))
         if math.isnan(fx):
-            raise NonFiniteIntegrandError(f"the function value at x={x:.6g} is NaN")
+            raise BonusMalusError(f"the function value at x={x:.6g} is NaN")
         return fx
 
     def signbit(v: float) -> bool:
@@ -263,7 +262,7 @@ def _brentq(f, xa: float, xb: float, xtol=1e-12, rtol=1e-10, maxiter=200) -> flo
     if fcur == 0:
         return xcur
     if signbit(fpre) == signbit(fcur):
-        raise BracketingFailureError(
+        raise BonusMalusError(
             f"f(a) and f(b) must have different signs, got f({xa})={fpre} and f({xb})={fcur}"
         )
     for _ in range(maxiter):
@@ -301,4 +300,4 @@ def _brentq(f, xa: float, xb: float, xtol=1e-12, rtol=1e-10, maxiter=200) -> flo
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise BracketingFailureError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+    raise BonusMalusError(f"failed to converge after {maxiter} iterations, value is {xcur}")

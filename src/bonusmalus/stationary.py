@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._distributions import _row_sum
-from .errors import SingularSystemError
+from .errors import BonusMalusError
 from .model import ModelSpec
 from .quadrature import QuadratureGrid, severity_cdf
 from .transition import jump_tails
@@ -66,7 +66,7 @@ def _stationary_batch(p0: np.ndarray, T: np.ndarray) -> np.ndarray:
     step rescales both by ``p0 / (p0 + flow)`` instead of dividing by
     ``p0``: nothing is subtracted, no mass goes below zero, and with only
     elementwise work a row does not depend on the batch.  A fixed-point
-    residual above 1e-9 raises ``SingularSystemError``.
+    residual above 1e-9 raises ``BonusMalusError``.
     """
     T = np.ascontiguousarray(T.T)
     z, n = T.shape
@@ -83,7 +83,7 @@ def _stationary_batch(p0: np.ndarray, T: np.ndarray) -> np.ndarray:
     pi /= _row_sum(pi)  # summed in level order whatever the batch
     residual = _balance_residual(p0, T, pi)
     if not np.isfinite(residual) or residual > 1e-9:
-        raise SingularSystemError(f"stationary batch residual {residual!r} too large")
+        raise BonusMalusError(f"stationary batch residual {residual!r} too large")
     return pi.T
 
 

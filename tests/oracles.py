@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 from scipy import integrate, stats
 
-from bonusmalus import NonFiniteIntegrandError, SingularSystemError
+from bonusmalus import BonusMalusError
 from bonusmalus.bayes import _posterior
 from bonusmalus.model import FreqRule
 from bonusmalus.quadrature import build_grid
@@ -97,10 +97,10 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     try:
         pi = np.linalg.solve(A.T, np.ones(P.shape[0]))
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"stationary solve failed: {exc}") from exc
+        raise BonusMalusError(f"stationary solve failed: {exc}") from exc
     residual = np.max(np.abs(pi @ P - pi))
     if not np.isfinite(residual) or residual > RESIDUAL_TOL:
-        raise SingularSystemError(
+        raise BonusMalusError(
             f"stationary residual {residual!r} exceeds {RESIDUAL_TOL}; chain is not unichain"
         )
     return pi
@@ -116,7 +116,7 @@ def expect(f, grid) -> float:
     if values.shape != grid.weights.shape:
         values = np.broadcast_to(values, grid.weights.shape)
     if not np.all(np.isfinite(values)):
-        raise NonFiniteIntegrandError("integrand is not finite on all quadrature nodes")
+        raise BonusMalusError("integrand is not finite on all quadrature nodes")
     return math.fsum((grid.weights * values).tolist())
 
 

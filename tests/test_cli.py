@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bonusmalus import SingularSystemError, cli
+from bonusmalus import BonusMalusError, cli
 from bonusmalus.model import FreqRule, SeverityRule
 from bonusmalus.presets import PRESETS, get_preset
 from bonusmalus.verify import OracleCheck
@@ -458,7 +458,7 @@ class TestSimulateVerb:
         # Only an under-visited level leaves the relativity columns blank;
         # any other failure of the estimate is a numeric failure.
         def singular(summary):
-            raise SingularSystemError("stub")
+            raise BonusMalusError("stub")
 
         monkeypatch.setattr(cli, "empirical_relativity", singular)
         payload = json.loads(json.dumps(SMALL_MODEL))
@@ -655,7 +655,8 @@ class TestConfigHandling:
                 "relativities",
                 lambda p: p["model"].update(
                     classes_template=[
-                        {k: v for k, v in c.items() if k != "weight"} for c in p["model"]["classes"]
+                        {k: v for k, v in c.items() if k != "weight"}
+                        for c in p["model"].pop("classes")
                     ],
                     weights=[10**400],
                 ),
@@ -807,13 +808,47 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
     def test_docs_list_the_simulation_keys(self):
-        # The config schema's example shows every key the CLI takes, in every
-        # section, and no key it refuses; and it is itself a config that runs.
+        # The config schema's two examples, a model of 'classes' and one of a
+        # 'classes_template', show between them every key the CLI takes, in every
+        # section, and no key it refuses; and each is itself a config that runs.
         doc = (REPO / "docs" / "config_schema.md").read_text()
-        example = json.loads(re.sub(r"//.*", "", doc.split("```jsonc", 1)[1].split("```", 1)[0]))
-        assert _schema_gaps(example, cli.SCHEMA, "config root") == []
-        cli._check_settings(example)
-        cli.parse_model(example), cli.parse_bayes_model(example), cli.parse_history(example)
+        examples = [
+            json.loads(re.sub(r"//.*", "", block.split("```", 1)[0]))
+            for block in doc.split("```jsonc")[1:]
+        ]
+        assert len(examples) == 2
+        assert _schema_gaps(cli._deep_merge(*examples), cli.SCHEMA, "config root") == []
+        for example in examples:
+            cli._apply_overrides(example, cli.build_parser().parse_args(["relativities"]))
+            cli.parse_model(example)
+        cli.parse_bayes_model(examples[0]), cli.parse_history(examples[0])
+
+    @pytest.mark.parametrize(
+        "preset, model, keys",
+        [
+            (
+                "dat",
+                {
+                    "classes": [{"weight": 1.0, "freq_rate": 0.5, "sev_rate": 6634.0}],
+                    "weights": [1.0 / 18] * 18,
+                },
+                ("'classes'", "'classes_template'"),
+            ),
+            ("ex2a", {"weights": [0.3]}, ("'weights'", "'classes_template'")),
+        ],
+        ids=["classes_beside_a_template", "weights_beside_classes"],
+    )
+    def test_a_class_key_that_would_go_unread_exits_2(self, tmp_path, capsys, preset, model, keys):
+        # Both ran to exit 0 on the other key's classes: the template shadowed
+        # 'classes', and 'weights' beside 'classes' was never read.
+        overlay = {"model": model, "rules": [{"max_level": 9, "step": 1}], "quantiles": []}
+        out = tmp_path / "out"
+        argv = ["relativities", "--preset", preset, "--config", write_config(tmp_path, overlay)]
+        assert run([*argv, "--out", str(out)]) == 2
+        printed, err = capsys.readouterr()
+        assert printed == "" and err.startswith("configuration error: bad model configuration")
+        assert all(key in err for key in keys)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "verb, overlay, section, key",
@@ -944,16 +979,16 @@ class TestConfigHandling:
             run(["relativities", "--config", config, "--out", str(tmp_path)])
 
     def test_numeric_failures_exit_3(self, tmp_path, monkeypatch):
-        from bonusmalus.errors import BracketingFailureError
-
         def explode(*args, **kwargs):
-            raise BracketingFailureError("no bracket")
+            raise BonusMalusError("no bracket")
 
         monkeypatch.setattr(cli, "severity_marginal_quantile", explode)
         payload = json.loads(json.dumps(SMALL_MODEL))
         payload["quantiles"] = [0.9]
         config = write_config(tmp_path, payload)
-        assert run(["relativities", "--config", config, "--out", str(tmp_path)]) == 3
+        out = tmp_path / "out"
+        assert run(["relativities", "--config", config, "--out", str(out)]) == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["relativities", "hmse-scan", "reproduce-table"])
     def test_unattainable_quantile_exits_2(self, tmp_path, capsys, verb):

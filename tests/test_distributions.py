@@ -30,9 +30,7 @@ from scipy import optimize, stats
 
 from bonusmalus import (
     BonusMalusError,
-    BracketingFailureError,
     GammaSeverity,
-    NonFiniteIntegrandError,
     PoissonSeverity,
 )
 from bonusmalus import _distributions, quadrature
@@ -265,18 +263,21 @@ class TestBrentPort:
         assert quadrature._brentq(lambda x: x - 5.0, 2.0, 5.0) == 5.0
 
     def test_equal_signs_raise(self):
-        with pytest.raises(BracketingFailureError, match="different signs"):
+        with pytest.raises(BonusMalusError, match="different signs") as excinfo:
             quadrature._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        assert excinfo.type is BonusMalusError
 
     def test_nan_value_raises(self):
-        with pytest.raises(NonFiniteIntegrandError, match="NaN"):
+        with pytest.raises(BonusMalusError, match="NaN") as excinfo:
             quadrature._brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+        assert excinfo.type is BonusMalusError
 
     def test_non_convergence_raises(self):
         with pytest.raises(RuntimeError):
             optimize.brentq(math.sin, 1.0, 4.0, xtol=1e-12, rtol=1e-10, maxiter=2)
-        with pytest.raises(BracketingFailureError, match="converge"):
+        with pytest.raises(BonusMalusError, match="converge") as excinfo:
             quadrature._brentq(math.sin, 1.0, 4.0, maxiter=2)
+        assert excinfo.type is BonusMalusError
 
 
 def test_cli_imports_neither_scipy_stats_nor_scipy_optimize(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bonusmalus import (
+    BonusMalusError,
     FreqRule,
     GammaSeverity,
     LognormalCopulaEffects,
@@ -22,7 +23,6 @@ from bonusmalus import (
     QuadratureGrid,
     RiskClass,
     SeverityRule,
-    SingularSystemError,
     hmse_eval,
     marginal_grid,
     optimal_relativity_dependent,
@@ -69,9 +69,10 @@ class TestStationaryDistribution:
         assert np.min(pi) >= -1e-15
 
     def test_identity_chain_is_singular(self):
-        with pytest.raises(SingularSystemError), warnings.catch_warnings():
+        with pytest.raises(BonusMalusError) as excinfo, warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             stationary_distribution(np.eye(4))
+        assert excinfo.type is BonusMalusError
 
     def test_non_stochastic_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -120,14 +121,16 @@ class TestCutRecursion:
 
     def test_tails_inconsistent_with_p0_rejected(self):
         p0, T = jump_tails(FreqRule(9, 1), 0.5, 0.0)
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(BonusMalusError) as excinfo:
             _stationary_batch(p0, 0.5 * T)
+        assert excinfo.type is BonusMalusError
 
     def test_non_finite_tails_rejected(self):
         p0, T = jump_tails(FreqRule(9, 1), 0.5, 0.0)
         T[0, 3] = np.nan
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(BonusMalusError) as excinfo:
             _stationary_batch(p0, T)
+        assert excinfo.type is BonusMalusError
 
     @pytest.mark.parametrize("residual, passes", [(1e-6, False), (1e-10, True)])
     def test_residual_gate_sits_at_1e_9(self, monkeypatch, residual, passes):
@@ -139,8 +142,9 @@ class TestCutRecursion:
         if passes:
             assert np.array_equal(_stationary_batch(p0, T), rows)
         else:
-            with pytest.raises(SingularSystemError, match="residual 1e-06 too large"):
+            with pytest.raises(BonusMalusError, match="residual 1e-06 too large") as excinfo:
                 _stationary_batch(p0, T)
+            assert excinfo.type is BonusMalusError
 
 
 class TestUnconditionalLevels:

@@ -93,3 +93,33 @@ class TestTableRoute:
         builders = {f"optimal_relativity_{kind}" for kind in ("frequency", "dependent", "severity")}
         for stem in ("cli", "hmse", "verify"):
             assert used[stem].isdisjoint(builders), stem
+
+
+ERRORS = {"BonusMalusError", "ModelValidationError", "InsufficientOccupancyError"}
+
+
+class TestThreeErrorTypes:
+    # A caller tells three failures apart, one per action: fix the input,
+    # simulate more paths, or report a numeric failure.  A fourth type that no
+    # caller catches by name is a message in a class of its own.
+    def test_errors_module_defines_the_three_types_only(self):
+        tree = ast.parse((PACKAGE / "errors.py").read_text())
+        assert {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)} == ERRORS
+
+    def test_no_exception_class_outside_the_errors_module(self):
+        for path in sorted(PACKAGE.glob("*.py")):
+            if path.name != "errors.py":
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.ClassDef):
+                        bases = {getattr(base, "id", getattr(base, "attr", "")) for base in node.bases}
+                        assert not any(
+                            base.endswith(("Error", "Exception", "Warning")) for base in bases
+                        ), f"{path.name}: {node.name}"
+
+    def test_every_raise_raises_one_of_the_three(self):
+        raisers = ERRORS | {"_too_deep"}  # _too_deep builds a BonusMalusError
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise):
+                    raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    assert getattr(raised, "id", None) in raisers, f"{path.name}:{node.lineno}"
