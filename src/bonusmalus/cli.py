@@ -24,7 +24,7 @@ from .bayes import (
     bayes_freq_premium,
 )
 from .errors import BonusMalusError, InsufficientOccupancyError, ModelValidationError
-from .hmse import _rank, threshold_scan
+from .hmse import _rank
 from .model import (
     ClaimHistory,
     DegenerateEffects,
@@ -205,9 +205,8 @@ def _thresholds(cfg: dict, model: ModelSpec, nodes: int) -> list[tuple[float, fl
     return listed + [(severity_marginal_quantile(q, model, nodes), q) for q in levels]
 
 
-def resolve_rules(cfg: dict, model: ModelSpec, nodes: int) -> list:
-    """Instantiate rules; severity rules fan out over thresholds and quantiles."""
-    thresholds = [phi for phi, _ in _thresholds(cfg, model, nodes)]
+def _rules(cfg: dict, thresholds: list[float]) -> list:
+    """The one fan-out: each rule entry, a severity entry without a threshold once per threshold."""
     rules = []
     for entry in cfg.get("rules", []):
         if "step" in entry or "threshold" in entry:
@@ -221,6 +220,11 @@ def resolve_rules(cfg: dict, model: ModelSpec, nodes: int) -> list:
     if not rules:
         raise ModelValidationError("no transition rules configured")
     return rules
+
+
+def resolve_rules(cfg: dict, model: ModelSpec, nodes: int) -> list:
+    """Instantiate rules; severity rules fan out over thresholds and quantiles."""
+    return _rules(cfg, [phi for phi, _ in _thresholds(cfg, model, nodes)])
 
 
 def parse_history(cfg: dict) -> ClaimHistory:
@@ -358,25 +362,13 @@ def cmd_hmse_scan(cfg: dict, args) -> int:
     model = parse_model(cfg)
     nodes = cfg["quadrature_nodes"]
     precision = cfg["precision"]
-    entries = [e for e in cfg.get("rules", []) if "step" not in e]
-    templates = [_parse_rule(e, 1.0) for e in entries]
     pairs = _thresholds(cfg, model, nodes)
     quantile_of = {phi: q for phi, q in pairs if q is not None}
-    thresholds = [phi for phi, q in pairs if q is None]
-    thresholds += [t.threshold for e, t in zip(entries, templates) if "threshold" in e]
-    thresholds = list(dict.fromkeys(thresholds + list(quantile_of)))
-    if not thresholds:
-        raise ModelValidationError(
-            "hmse-scan needs 'thresholds', 'quantiles', or explicit rule thresholds"
-        )
-    if not templates:
+    resolved = dict.fromkeys(_rules(cfg, [phi for phi, _ in pairs]))  # each rule once
+    rules = [rule for rule in resolved if isinstance(rule, SeverityRule)]
+    if not rules:
         raise ModelValidationError("hmse-scan needs at least one severity-aware rule")
-    tables = [
-        table
-        for template in templates
-        for table in threshold_scan(model, template, thresholds, nodes)
-    ]
-    tables.sort(key=_rank)
+    tables = sorted(_tables(model, rules, nodes), key=_rank)
     out = Path(args.out)
     if cfg["format"] == "csv":
         lines = ["rule,threshold,quantile,hmse_raw,hmse_normalized"]
@@ -427,7 +419,14 @@ def cmd_bayes(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _aggregate_only(cfg: dict, verb: str) -> None:
+    """Refuse a frequency ``family`` in a verb that compares aggregate relativities only."""
+    if cfg.get("family") == "frequency":
+        raise ModelValidationError(f"{verb} compares aggregate relativities only: drop 'family'")
+
+
 def cmd_simulate(cfg: dict, args) -> int:
+    _aggregate_only(cfg, "simulate")
     model = parse_model(cfg)
     nodes = cfg["quadrature_nodes"]
     rule = resolve_rules(cfg, model, nodes)[0]
@@ -453,6 +452,7 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 
 def cmd_verify(cfg: dict, args) -> int:
+    _aggregate_only(cfg, "verify")
     model = parse_model(cfg)
     nodes = cfg["quadrature_nodes"]
     rules = resolve_rules(cfg, model, nodes)
@@ -483,7 +483,7 @@ def cmd_reproduce_table(cfg: dict, args) -> int:
     rules = resolve_rules(cfg, model, nodes)
     if cfg["format"] == "csv" and len({rule.max_level for rule in rules}) > 1:
         raise ModelValidationError("a CSV table needs every rule on the same number of levels")
-    tables = list(_tables(model, rules, nodes))
+    tables = list(_tables(model, rules, nodes, cfg.get("family", "aggregate")))
     out = Path(args.out)
     if cfg["format"] == "csv":
         header = ["level"]

@@ -17,14 +17,8 @@ import numpy as np
 from .errors import InsufficientOccupancyError, ModelValidationError
 from .hmse import hmse_eval
 from .model import BmsRule, ModelSpec, SeverityRule, _instance, _number
-from .relativity import RelativityTable, _tables
-from .simulate import (
-    SimConfig,
-    SimSummary,
-    empirical_relativity,
-    hmse_empirical,
-    simulate_paths,
-)
+from .relativity import _tables
+from .simulate import SimConfig, empirical_relativity, hmse_empirical, simulate_paths
 
 SIGMAS = 3.0
 
@@ -38,8 +32,6 @@ class OracleCheck:
     level_gap_sigmas: float
     relativity_gap_sigmas: float
     hmse_gap_sigmas: float
-    analytic: RelativityTable
-    summary: SimSummary
 
     @property
     def passed(self) -> bool:
@@ -124,8 +116,6 @@ def check_rule(
         float(np.max(level_sigmas)),
         rel_sigmas,
         float(hmse_sigmas),
-        table,
-        summary,
     )
 
 

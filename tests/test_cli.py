@@ -54,6 +54,9 @@ SMALL_MODEL = {
 }
 
 
+SEV_ENTRY = {"max_level": 9, "small_step": 1, "large_step": 2}
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -170,6 +173,24 @@ class TestHmseScan:
         payload["rules"] = [{"max_level": 9, "small_step": 1, "large_step": 2}]
         config = write_config(tmp_path, payload)
         assert run(["hmse-scan", "--config", config, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "rules,listed,thresholds",
+        [
+            ([{**SEV_ENTRY, "threshold": 30000}], [8200, 16800], [30000]),
+            ([{**SEV_ENTRY, "threshold": 16800}, SEV_ENTRY], [16800], [16800]),
+        ],
+        ids=["explicit_threshold", "duplicate"],
+    )
+    def test_ranks_the_rules_relativities_writes_once(self, tmp_path, rules, listed, thresholds):
+        # An explicit threshold is one rule, not a template scanned at the listed thresholds.
+        overlay = {"rules": rules, "thresholds": listed}
+        argv = ["--preset", "ex2a", "--config", write_config(tmp_path, overlay)]
+        assert run(["hmse-scan", *argv, "--out", str(tmp_path / "scan")]) == 0
+        rows = (tmp_path / "scan" / "hmse_scan.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == thresholds
+        assert run(["relativities", *argv, "--out", str(tmp_path / "tables")]) == 0
+        assert len(list((tmp_path / "tables").glob("*_phi*.csv"))) == len(rows)
 
 
 class TestBayes:
@@ -421,7 +442,7 @@ def _verify_configs(draw):
 
 
 def _record_checks(model, rule, n_paths, seed, nodes, burn_in_years):
-    return OracleCheck("stub", (), 0.0, 0.0, 0.0, None, None)
+    return OracleCheck("stub", (), 0.0, 0.0, 0.0)
 
 
 class TestVerifyFuzz:
@@ -505,7 +526,7 @@ class TestVerifyVerb:
 
     def test_failing_battery_exits_4(self, tmp_path, monkeypatch, capsys):
         def fake_check(model, rule, *args, **kwargs):
-            return OracleCheck("stub", ("forced",), 9.0, 9.0, 9.0, None, None)
+            return OracleCheck("stub", ("forced",), 9.0, 9.0, 9.0)
 
         monkeypatch.setattr(cli, "check_rule", fake_check)
         config = write_config(tmp_path, SMALL_MODEL)
@@ -516,8 +537,8 @@ class TestVerifyVerb:
         # perfbench parses these lines; the failures sit indented under their rule.
         checks = iter(
             [
-                OracleCheck("-1/+1", (), 0.5, 1.25, 2.0, None, None),
-                OracleCheck("-1/+1/+2 at 16800", ("a", "b"), 3.5, 0.0, 10.0, None, None),
+                OracleCheck("-1/+1", (), 0.5, 1.25, 2.0),
+                OracleCheck("-1/+1/+2 at 16800", ("a", "b"), 3.5, 0.0, 10.0),
             ]
         )
         monkeypatch.setattr(cli, "check_rule", lambda *args, **kwargs: next(checks))
@@ -537,7 +558,7 @@ class TestVerifyVerb:
 
         def recorder(model, rule, n_paths, seed, nodes, burn_in_years):
             calls.append((rule, n_paths, seed, nodes, burn_in_years))
-            return OracleCheck("stub", (), 0.0, 0.0, 0.0, None, None)
+            return OracleCheck("stub", (), 0.0, 0.0, 0.0)
 
         monkeypatch.setattr(cli, "check_rule", recorder)
         payload = json.loads(json.dumps(SMALL_MODEL))
@@ -1055,6 +1076,25 @@ class TestConfigHandling:
                 "hmse-scan needs at least one severity-aware rule",
             ),
             (
+                "hmse-scan",
+                None,
+                lambda p: p["rules"][0].update(max_level=0),
+                "bad rule entry {'max_level': 0, 'step': 1}: "
+                "max_level 0 is not an integer in [1, 1000]",
+            ),
+            (
+                "simulate",
+                None,
+                lambda p: p.update(family="frequency"),
+                "simulate compares aggregate relativities only: drop 'family'",
+            ),
+            (
+                "verify",
+                None,
+                lambda p: p.update(family="frequency"),
+                "verify compares aggregate relativities only: drop 'family'",
+            ),
+            (
                 "relativities",
                 None,
                 lambda p: p.update(rules=[{"max_level": 9, "step": 1}, 5]),
@@ -1074,6 +1114,9 @@ class TestConfigHandling:
             "no_threshold_source",
             "no_rules",
             "scan_without_severity_rule",
+            "scan_of_an_invalid_frequency_rule",
+            "simulate_of_the_frequency_family",
+            "verify_of_the_frequency_family",
             "rule_not_an_object",
             "bayes_without_history",
         ],
@@ -1083,9 +1126,9 @@ class TestConfigHandling:
         edit(payload)
         argv = [verb, "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "out")]
         assert run(argv + (["--preset", preset] if preset else [])) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("configuration error: ") and named in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert out == "" and not (tmp_path / "out").exists()
 
     def test_degenerate_effects_from_a_config(self, tmp_path):
         payload = json.loads(json.dumps(SMALL_MODEL))
@@ -1218,3 +1261,20 @@ class TestReproduceTable:
         assert not (tmp_path / "out").exists()
         argv = ["reproduce-table", "--config", config, "--format", "json"]
         assert run([*argv, "--out", str(tmp_path / "json")]) == 0
+
+    def test_reads_the_frequency_family_as_relativities_does(self, tmp_path):
+        overlay = {"family": "frequency", "thresholds": [16800]}
+        argv = ["--preset", "ex2a", "--config", write_config(tmp_path, overlay)]
+        assert run(["reproduce-table", *argv, "--out", str(tmp_path / "table")]) == 0
+        assert run(["relativities", *argv, "--out", str(tmp_path / "tables")]) == 0
+        text = (tmp_path / "table" / "table_ex2a.csv").read_text()
+        table = [row.split(",") for row in text.splitlines()]
+        tables = [
+            row.split(",")
+            for name in ("relativities_h1.csv", "relativities_h1_2_phi16800.csv")
+            for row in (tmp_path / "tables" / name).read_text().splitlines()
+        ]
+        assert table[0] == ["level", "r_h1", "p_h1", "r_h1_2_phi16800", "p_h1_2_phi16800"]
+        assert [row[1:3] for row in table[1:]] == [row[1:3] for row in tables[1:13]]
+        assert [row[3:5] for row in table[1:]] == [row[1:3] for row in tables[14:]]
+        assert table[1][:2] == ["9", "3.060"]  # the aggregate family's reads 1.324

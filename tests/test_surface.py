@@ -94,6 +94,15 @@ class TestTableRoute:
         for stem in ("cli", "hmse", "verify"):
             assert used[stem].isdisjoint(builders), stem
 
+    def test_every_verb_reads_its_rules_from_the_one_fan_out(self):
+        # A severity entry's thresholds are decided in ``cli._rules`` alone: no
+        # verb scans a rule at thresholds of its own or parses entries elsewhere.
+        tree = ast.parse((PACKAGE / "cli.py").read_text())
+        (fan_out,) = [node for node in module_functions(tree) if node.name == "_rules"]
+        assert referenced_names(tree).isdisjoint({"threshold_scan", "with_threshold"})
+        assert "_parse_rule" in referenced_names(fan_out)
+        assert "_parse_rule" not in referenced_names(tree, skip=fan_out)
+
 
 ERRORS = {"BonusMalusError", "ModelValidationError", "InsufficientOccupancyError"}
 
